@@ -1,5 +1,5 @@
 // Zero-copy perception data plane: the FramePool's two contracts, enforced
-// over a 64-session batched fleet (exit nonzero on failure):
+// over a 64-session fleet (exit nonzero on failure):
 //
 //  1. Determinism — pooling is invisible to every paper-facing output. The
 //     fig-8 coverage numbers, the Table III-analog runtime stats, and the
@@ -15,7 +15,6 @@
 
 #include "bench_common.h"
 #include "core/work_ledger.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 #include "perf/device_model.h"
 
@@ -31,7 +30,6 @@ struct RunResult {
 };
 
 RunResult runFleet(const cv::Detector& detector, bool pooled, int workers) {
-  fleet::BatchingExecutor executor({.maxBatchSize = 64, .threads = 4});
   fleet::FleetConfig config;
   config.sessions = 64;
   config.workers = workers;
@@ -41,7 +39,7 @@ RunResult runFleet(const cv::Detector& detector, bool pooled, int workers) {
   config.duration = ms(scaled(60'000, 25'000));
   config.pooledFrames = pooled;
 
-  fleet::Fleet fleet(detector, executor, config);
+  fleet::Fleet fleet(detector, config);
   fleet.run();
   const fleet::FleetSnapshot snap = fleet.snapshot();
 
@@ -91,10 +89,10 @@ RunResult runFleet(const cv::Detector& detector, bool pooled, int workers) {
 
 void printRun(const char* tag, const RunResult& r) {
   std::printf("  %-14s heap allocs %6lld   pooled reuses %6lld   "
-              "hit rate %5.1f%%   high water %7.1f KB   backpressured %lld\n",
+              "hit rate %5.1f%%   high water %zu bytes   backpressured %lld\n",
               tag, static_cast<long long>(r.screenshotAllocs),
               static_cast<long long>(r.pooledReuses), 100.0 * r.poolHitRate,
-              static_cast<double>(r.pool.highWaterBytes) / 1024.0,
+              r.pool.highWaterBytes,
               static_cast<long long>(r.pool.backpressured));
 }
 
@@ -112,7 +110,7 @@ int main(int argc, char** argv) {
 
   bool failed = false;
   for (const int workers : {1, 4}) {
-    std::printf("\n  64 sessions, batching executor, W=%d:\n", workers);
+    std::printf("\n  64 sessions, W=%d:\n", workers);
     const RunResult heap = runFleet(detector, /*pooled=*/false, workers);
     const RunResult pooled = runFleet(detector, /*pooled=*/true, workers);
     printRun("pooling off", heap);

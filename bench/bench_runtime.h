@@ -84,8 +84,8 @@ struct RuntimeOptions {
 
 /// Runs `appCount` one-minute sessions, each a fleet-of-1 DeviceSession
 /// with DARPA connected, and aggregates verdicts + work. Per-app RNG draws
-/// (profile, app seed, monkey seed) and the default InlineExecutor keep the
-/// outputs byte-identical to the pre-fleet hand-wired harness.
+/// (profile, app seed, monkey seed) keep the outputs byte-identical to the
+/// pre-fleet hand-wired harness.
 inline RuntimeResult runSessions(const cv::Detector& detector,
                                  const RuntimeOptions& options) {
   RuntimeResult result;

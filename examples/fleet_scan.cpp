@@ -1,17 +1,18 @@
-// Example: fleet-scale scanning with the batched detection executor.
+// Example: fleet-scale scanning with the work-stealing scheduler.
 //
 // One DARPA deployment rarely watches one phone: a market operator or a
 // research fleet runs many simulated device sessions against one shared
-// detector backend. This example spins up a small fleet, advances every
-// session in lockstep epochs, coalesces the sessions' screenshots into
-// batched detectBatch() calls at each epoch barrier, and prints the merged
-// fleet snapshot — same verdicts as running each device alone, at an
-// amortized per-screen detection cost.
+// detector. This example runs 8 sessions on 4 worker threads; each detect
+// runs synchronously on the worker advancing its session, as on one phone.
+// It prints the merged fleet snapshot, which is identical for any worker
+// count, and the scheduler's steals and p99 session finish time, which
+// depend on thread timing.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "cv/one_stage.h"
 #include "dataset/dataset.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 
 using namespace darpa;
@@ -28,20 +29,16 @@ int main() {
   const cv::OneStageDetector detector =
       cv::OneStageDetector::train(data, cv::OneStageConfig{}, trainConfig);
 
-  // One shared batching backend: every session's stable screens park here
-  // and are resolved together at each epoch barrier.
-  fleet::BatchingExecutor executor({.maxBatchSize = 32, .threads = 4});
-
   fleet::FleetConfig config;
   config.sessions = 8;
-  config.workers = 4;          // sessions advance on 4 threads
-  config.epoch = ms(1000);     // flush the executor every simulated second
+  config.workers = 4;       // sessions advance on 4 threads
+  config.epoch = ms(1000);  // slice quantum of the scheduler
   config.duration = ms(30'000);
-  std::printf("running %d sessions x %lld simulated ms (epoch %lld ms)...\n",
+  std::printf("running %d sessions x %lld simulated ms on %d workers...\n",
               config.sessions, static_cast<long long>(config.duration.count),
-              static_cast<long long>(config.epoch.count));
+              config.workers);
 
-  fleet::Fleet fleet(detector, executor, config);
+  fleet::Fleet fleet(detector, config);
   fleet.run();
 
   const fleet::FleetSnapshot snap = fleet.snapshot();
@@ -62,13 +59,17 @@ int main() {
   std::printf("  modeled CPU         %.1f ms total, detect %.1f ms\n",
               snap.ledger.totalCpuMs(),
               snap.ledger.tally(core::Stage::kDetect).cpuMs);
-  std::printf("\nbatching: %lld detectBatch calls over %lld screenshots "
-              "(mean batch %.1f, largest %d)\n",
-              static_cast<long long>(executor.batchesDispatched()),
-              static_cast<long long>(executor.imagesBatched()),
-              executor.meanBatchSize(), executor.largestBatch());
-  std::printf("per-session verdicts are identical to running each device "
-              "alone;\nthe batch amortization only changes what the fleet "
-              "pays per screen.\n");
+
+  const fleet::SchedulerMetrics& scheduler = *fleet.schedulerMetrics();
+  std::vector<double> finish = scheduler.finishWallMs;
+  std::sort(finish.begin(), finish.end());
+  const std::size_t p99 = std::min(
+      finish.size() - 1, static_cast<std::size_t>(0.99 * finish.size()));
+  std::printf("\nscheduler: %lld slices, %lld steals, p99 session finish "
+              "%.1f ms wall\n",
+              static_cast<long long>(scheduler.slicesRun),
+              static_cast<long long>(scheduler.steals), finish[p99]);
+  std::printf("the snapshot is identical for any worker count; steals and "
+              "finish times are not.\n");
   return 0;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
 # determinism-lint gates), the same again under ASan+UBSan, a TSan lane
-# over the threaded fleet/executor tests, forced-scalar int8 kernel-lane
+# over the threaded fleet/scheduler tests, forced-scalar int8 kernel-lane
 # parity reruns under both sanitizers (DARPA_KERNEL=scalar), a dispatch
 # probe asserting a -DDARPA_NATIVE_SIMD=OFF build still selects the avx2
 # int8 lane on AVX2 hosts, a bench smoke lane (every bench binary once
@@ -12,7 +12,9 @@
 # the GUARDED_BY/RankedMutex annotations and a FATAL clang-tidy pass
 # (bugprone-*/performance-* as errors). Both Clang lanes are skipped
 # automatically when LLVM is not installed — the detlint + rank-validator
-# gates above run on any toolchain and stay fatal everywhere.
+# gates above run on any toolchain and stay fatal everywhere. The run ends
+# with a summary of every lane it skipped, so a green run states what it
+# covered.
 #
 #   scripts/ci.sh            # everything
 #   SKIP_SANITIZE=1 scripts/ci.sh   # skip the sanitizer rebuilds + reruns
@@ -24,6 +26,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
+SKIPPED=()
 
 echo "== configure + build (build/) =="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
@@ -69,29 +72,31 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the
-  # work-stealing fleet scheduler (steal-heavy skewed workload at W=4), the
-  # lockstep reference driver, and the deferred detection executors.
+  # work-stealing fleet scheduler (steal-heavy skewed workload at W=4, the
+  # W=1 serial reference beside it), the frame pool and the verdict tier.
   # (TSan is incompatible with ASan, hence the separate build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
 
-  echo "== ctest, TSan fleet/scheduler/executor/pool/tier/webview tests (build-tsan/) =="
+  echo "== ctest, TSan fleet/scheduler/pool/tier/webview tests (build-tsan/) =="
   # The webview suites ride along: hybrid dumps flow through the same
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'FleetTest|FleetSchedulerTest|ExecutorTest|FramePoolTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      -R 'FleetTest|FleetSchedulerTest|FramePoolTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 
   echo "== ctest, TSan, int8 parity with DARPA_KERNEL=scalar forced (build-tsan/) =="
   # The dispatcher's std::call_once + env read is exactly the kind of
   # one-time init TSan is good at: the parity suite spawns no threads, but
-  # the fleet suites above already hammered activeInt8Kernel() through the
-  # quantized executors, so this forced-scalar rerun checks the override
-  # path under the same runtime.
+  # the fleet suites above already ran detects from several worker threads,
+  # so this forced-scalar rerun checks the override path under the same
+  # runtime.
   DARPA_KERNEL=scalar TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
+else
+  SKIPPED+=("ASan+UBSan and TSan lanes (SKIP_SANITIZE=1)")
 fi
 
 echo "== int8 kernel dispatch probe (default build, no -march=native) =="
@@ -121,13 +126,15 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
 
   echo "== perf smoke, Release (build-perf/) =="
   # The hot-path bench asserts real speedups (batched GEMM >= 3x, detect
-  # >= 2x) and zero steady-state allocations, and the fleet-throughput
-  # bench asserts the work-stealing driver's sessions/sec at 256 sessions
-  # stays >= 0.95x the lockstep baseline (best-of-3 per driver). Those
-  # contracts are only meaningful under optimization, so this lane builds
-  # Release (-O2) and runs both benches at --quick scale. Fatal on
-  # contract failure. The two binaries share the trained-model cache in
-  # build-perf/bench, so the fleet bench reuses the hot-path bench's model.
+  # >= 2x) and zero steady-state allocations. The fleet-throughput bench
+  # gates only exact or roomy quantities: the 256-session digest is equal
+  # at W=1 and W=4, the WebView stage mix shifts from lint to CV, and a
+  # 1,024-session fleet peaks under 128 MB RSS; its wall-clock rows are
+  # reported, not gated. The speedups only mean something under
+  # optimization, so this lane builds Release (-O2) and runs both benches
+  # at --quick scale. Fatal on contract failure. The two binaries share the
+  # trained-model cache in build-perf/bench, so the fleet bench reuses the
+  # hot-path bench's model.
   cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-perf -j "$JOBS" \
     --target bench_detector_hotpath --target bench_fleet_throughput
@@ -182,6 +189,8 @@ for key, ceiling in checks:
         print(f"perf floor OK: {key} = {value:.1f} ns <= {ceiling:.0f} ns")
 sys.exit(1 if failed else 0)
 PYEOF
+else
+  SKIPPED+=("bench smoke and Release perf lanes (SKIP_BENCH=1)")
 fi
 
 echo "== thread-safety (clang -Wthread-safety, errors) =="
@@ -196,6 +205,7 @@ if command -v clang++ >/dev/null 2>&1; then
   cmake --build build-tsa -j "$JOBS" --target darpa
 else
   echo "clang++ not installed; skipping thread-safety lane"
+  SKIPPED+=("clang -Wthread-safety lane (clang++ not installed)")
 fi
 
 echo "== clang-tidy (fatal: bugprone-*/performance-* are errors) =="
@@ -204,5 +214,14 @@ echo "== clang-tidy (fatal: bugprone-*/performance-* are errors) =="
 # checks still only warn. tidy.sh exits 0 with a notice when clang-tidy
 # is not installed, so non-LLVM machines skip rather than fail.
 scripts/tidy.sh build
+if ! command -v "${CLANG_TIDY:-clang-tidy}" >/dev/null 2>&1; then
+  SKIPPED+=("clang-tidy lane (clang-tidy not installed)")
+fi
 
+echo "== skipped lanes =="
+if [ ${#SKIPPED[@]} -eq 0 ]; then
+  echo "none: every lane ran"
+else
+  for lane in "${SKIPPED[@]}"; do echo "SKIPPED: $lane"; done
+fi
 echo "CI OK"

@@ -1,144 +1,21 @@
-// DetectionExecutor — the seam between the pipeline's detect stage and the
-// CV backend.
-//
-// The paper's runtime is one phone: one Looper, one synchronous
-// Detector::detect() call blocking the event loop per stable screen. At
-// fleet scale (thousands of simulated device sessions feeding one shared
-// detector backend) that call becomes the seam where execution strategy is
-// chosen:
-//
-//  * InlineExecutor (the default) — detect() runs synchronously inside
-//    submit(), on the caller's thread, exactly like the pre-fleet code
-//    path. Fleet size 1 with the inline executor is byte-identical to the
-//    old synchronous service.
-//  * fleet::ThreadPoolExecutor — detect() runs on worker threads at the
-//    epoch barrier; completions are posted back to the owning session's
-//    Looper (fleet/executors.h).
-//  * fleet::BatchingExecutor — screenshots from many sessions are coalesced
-//    into one Detector::detectBatch() call with amortized per-batch cost
-//    (fleet/executors.h).
-//
-// Contract:
-//  * submit() may be called concurrently from fleet worker threads;
-//    implementations must be thread-safe. It either completes the request
-//    synchronously (InlineExecutor) or parks it until flush().
-//  * flush() is called from a single thread while every session is
-//    quiescent (the fleet's epoch barrier). It runs all parked detections
-//    and delivers every completion — posted to the request's replyLooper
-//    when one is set, invoked directly otherwise. Completions are always
-//    delivered in ascending (sessionId, seq) order so batch composition and
-//    delivery order are independent of worker count and thread timing.
-//  * The request holds a shared ScreenFrame handle (custody transferred
-//    out of the ScreenshotVault) — no pixel copy is made anywhere on the
-//    detect path. The executor drops its reference right after the model
-//    ran; the frame's destructor scrubs the pixels when the last holder
-//    lets go (§IV-E rinse discipline, scrub-on-last-release).
+// Source-compatibility stub. Detection has no executor seam any more: the
+// pipeline's detect stage calls Detector::detect synchronously on the
+// session's thread (core/pipeline.h). This header, the tag type and
+// defaultInlineExecutor() remain only because perfbench/main.cpp builds
+// its fleets as Fleet(detector, core::defaultInlineExecutor(), config).
+// Nothing in src/ uses them.
 #pragma once
-
-#include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "core/screen_frame.h"
-#include "cv/detector.h"
-
-namespace darpa::android {
-class Looper;
-}
 
 namespace darpa::core {
 
-/// Wall-clock observability for one completed detection, measured by the
-/// executor on the thread that ran the model. Per-request share when the
-/// backend batched (total batch time / batch size). Never feeds the modeled
-/// cost axis or any digest — see StageTally::actualUs.
-struct DetectionTiming {
-  double actualMicros = 0.0;  ///< Measured detect time (steady_clock).
-  /// Scratch-arena growth observed on the executing thread across the call
-  /// (cv::hotpathScratchStats() delta). Non-zero only during warm-up.
-  std::int64_t scratchGrowths = 0;
-  std::int64_t scratchGrownBytes = 0;
-};
+/// Empty tag; see the header comment.
+class DetectionExecutor {};
 
-/// One captured frame awaiting detection, with everything needed to route
-/// the result back to the owning session.
-struct DetectionRequest {
-  FramePtr frame;  ///< Shared, immutable; the executor reads frame->pixels()
-                   ///< and drops its reference after the model ran.
-  const cv::Detector* detector = nullptr;  ///< Borrowed; outlives the request.
-  android::Looper* replyLooper = nullptr;  ///< Owning session's looper; may be
-                                           ///< null (completion invoked
-                                           ///< directly at flush).
-  int sessionId = 0;        ///< Deterministic ordering key, major.
-  std::uint64_t seq = 0;    ///< Deterministic ordering key, minor
-                            ///< (monotonic per session).
-  /// Cross-session single-flight key (0 = never coalesce). Tiered
-  /// pipelines set this to the screen fingerprint: within one deferred
-  /// flush, the canonically-first request per (detector, key) is the
-  /// leader that actually runs the model; every later request with the
-  /// same key is a follower, delivered a copy of the leader's detections
-  /// with `batchSize == 0` — the suppressed-detect marker (see below).
-  /// Synchronous backends ignore the key entirely.
-  std::uint64_t coalesceKey = 0;
-  /// Invoked with the detections, the size of the batch the request was
-  /// executed in (1 for unbatched backends; 0 when this request was a
-  /// single-flight follower whose detect was suppressed — the detections
-  /// are the leader's and no model ran for this request), and the measured
-  /// wall-clock timing. Runs on the session's thread: either synchronously
-  /// inside submit(), or as a replyLooper task drained at the epoch
-  /// barrier.
-  std::function<void(std::vector<cv::Detection>, int batchSize,
-                     const DetectionTiming& timing)>
-      onComplete;
-};
-
-class DetectionExecutor {
- public:
-  virtual ~DetectionExecutor() = default;
-
-  /// Hands a request to the backend. Thread-safe. Synchronous backends
-  /// complete it before returning; asynchronous backends park it.
-  virtual void submit(DetectionRequest request) = 0;
-
-  /// Epoch barrier: executes every parked request and delivers every
-  /// completion in (sessionId, seq) order. Called from a single thread
-  /// while sessions are quiescent. No-op for synchronous backends.
-  virtual void flush() = 0;
-
-  /// Requests submitted but not yet completed (0 for synchronous backends).
-  [[nodiscard]] virtual std::size_t pendingCount() const = 0;
-
-  /// True when submit() completes requests before returning — the pipeline
-  /// and its caller may then rely on results being ready synchronously.
-  [[nodiscard]] virtual bool synchronous() const = 0;
-
-  /// True when flush() composes CROSS-SESSION batches whose per-image
-  /// modeled cost depends on batch size (BatchingExecutor). The
-  /// work-stealing fleet driver uses this to decide flush granularity: a
-  /// coalescing backend must see exactly the lockstep epoch's request set
-  /// per flush (grouped, so batch composition — and therefore digests —
-  /// stay byte-identical), while a non-coalescing backend prices each
-  /// image independently and may be flushed per session, with no
-  /// cross-session wait at all.
-  [[nodiscard]] virtual bool coalescing() const { return false; }
-
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// The default backend: detect() on the caller's thread, completion before
-/// submit() returns. Stateless, so one shared instance serves any number of
-/// sessions (and fleet worker threads) concurrently.
-class InlineExecutor : public DetectionExecutor {
- public:
-  void submit(DetectionRequest request) override;
-  void flush() override {}
-  [[nodiscard]] std::size_t pendingCount() const override { return 0; }
-  [[nodiscard]] bool synchronous() const override { return true; }
-  [[nodiscard]] const char* name() const override { return "inline"; }
-};
-
-/// Process-wide shared InlineExecutor — the default when DarpaConfig leaves
-/// the executor unset.
-[[nodiscard]] InlineExecutor& defaultInlineExecutor();
+/// Kept for perfbench/main.cpp's Fleet(detector, defaultInlineExecutor(),
+/// config) call.
+[[nodiscard]] inline DetectionExecutor& defaultInlineExecutor() {
+  static DetectionExecutor tag;
+  return tag;
+}
 
 }  // namespace darpa::core

@@ -21,18 +21,13 @@
 // ActStage, which is the dominant modeled-CPU win on repeat-screen
 // workloads. Trusted-package screens never reach the pipeline, so the
 // cache cannot serve them either.
-// Fleet-scale asynchrony: the detect stage no longer calls the detector
-// directly — it routes through a DetectionExecutor (detection_executor.h).
-// The pipeline therefore runs as a continuation chain: stages up to detect
-// execute eagerly; if detection is needed, a DetectionRequest is submitted
-// and the remaining stages (verdict, act) plus the caller's `done` epilogue
-// run inside the completion — synchronously for the InlineExecutor
-// (byte-identical to the old blocking path), or at the fleet's epoch
-// barrier for deferred backends, on the owning session's Looper.
+//
+// Detection is synchronous, as on the paper's phone (Fig. 5): the detect
+// stage calls Detector::detect on the session's own thread, and run()
+// returns with the pass complete.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <span>
@@ -41,7 +36,6 @@
 #include <vector>
 
 #include "android/window_manager.h"
-#include "core/detection_executor.h"
 #include "core/screen_frame.h"
 #include "core/work_ledger.h"
 #include "cv/detector.h"
@@ -69,8 +63,8 @@ struct AnalysisContext {
   // Flowing state, filled in stage by stage.
   /// The pass's perception evidence, captured exactly once: UI dump +
   /// memoized fingerprint at pipeline entry, pixels attached by the
-  /// screenshot stage. Shared (not copied) with the vault and the
-  /// detection executor; immutable once the detect stage submits it.
+  /// screenshot stage. Shared (not copied) with the vault; immutable once
+  /// the screenshot stage attached the pixels.
   std::shared_ptr<ScreenFrame> frame;
   std::vector<cv::Detection> detections;
   bool fromCache = false;          ///< Verdict served by the fingerprint cache.
@@ -84,16 +78,7 @@ struct AnalysisContext {
   [[nodiscard]] std::uint64_t fingerprint() const {
     return frame != nullptr ? frame->fingerprint() : 0;
   }
-
-  // Async-detection plumbing.
-  int sessionId = 0;               ///< Fleet ordering key (DarpaConfig).
-  WorkLedger::PassState pass;      ///< Ledger pass parked across a deferred
-                                   ///< detect; restored by the completion.
 };
-
-/// Epilogue the service runs when a pass fully completes (possibly inside
-/// a deferred detection completion, on the session's Looper).
-using AnalysisDone = std::function<void(AnalysisContext&)>;
 
 /// One stage of the pipeline. Stages are stateless between passes; all
 /// per-pass state lives in the AnalysisContext.
@@ -172,11 +157,10 @@ class ScreenshotStage : public AnalysisStage {
   void run(AnalysisContext& ctx, WorkLedger& ledger) override;
 };
 
-/// CV detection over the held frame. The stage itself only decides the
-/// routing (kind + shouldRun); execution goes through the pipeline's
-/// DetectionExecutor, which takes shared custody of the frame and drops
-/// its reference immediately after the model ran (§IV-E scrubbing happens
-/// in the frame's destructor on last release).
+/// CV detection over the held frame, on the session's thread. Custody of
+/// the frame moves out of the vault for the model run and is dropped the
+/// moment the model returns (§IV-E scrubbing happens in the frame's
+/// destructor on last release).
 class DetectStage : public AnalysisStage {
  public:
   [[nodiscard]] Stage kind() const override { return Stage::kDetect; }
@@ -224,13 +208,9 @@ class AnalysisPipeline {
                             SharedVerdictTier* tier = nullptr);
 
   /// Runs one analysis pass: fingerprint + cache probe, then every stage in
-  /// order (skipped stages are recorded as such in the ledger). The detect
-  /// stage routes through `executor`; when it defers, the remaining stages
-  /// and `done` run inside the completion (delivered on the session's
-  /// Looper at the executor's flush). With a synchronous executor, `done`
-  /// has run by the time this returns.
-  void run(std::shared_ptr<AnalysisContext> ctx, WorkLedger& ledger,
-           DetectionExecutor& executor, AnalysisDone done);
+  /// order (skipped stages are recorded as such in the ledger). The pass
+  /// is complete when this returns.
+  void run(AnalysisContext& ctx, WorkLedger& ledger);
 
   [[nodiscard]] const VerdictCache& cache() const { return cache_; }
   [[nodiscard]] VerdictCache& cache() { return cache_; }
@@ -238,46 +218,11 @@ class AnalysisPipeline {
       const {
     return stages_;
   }
-  /// Detect requests submitted by this pipeline so far (the per-session
-  /// monotonic `seq` the executors order completions by).
-  [[nodiscard]] std::uint64_t detectSubmissions() const { return nextSeq_; }
-  /// Passes that joined an already-in-flight detect for the same screen
-  /// fingerprint instead of submitting a duplicate (deferred backends only).
-  [[nodiscard]] std::int64_t coalescedDetects() const { return coalesced_; }
 
  private:
-  /// Runs stages [from, end); detaches into the executor at the detect
-  /// stage and resumes from the completion.
-  void advance(std::size_t from, std::shared_ptr<AnalysisContext> ctx,
-               WorkLedger& ledger, DetectionExecutor& executor,
-               AnalysisDone done);
-  void submitDetect(std::size_t next, std::shared_ptr<AnalysisContext> ctx,
-                    WorkLedger& ledger, DetectionExecutor& executor,
-                    AnalysisDone done);
-
-  /// A pass parked behind an in-flight detect of the same fingerprint.
-  struct Follower {
-    std::shared_ptr<AnalysisContext> ctx;
-    AnalysisDone done;
-  };
-
   VerdictCache cache_;
   SharedVerdictTier* tier_;  ///< Borrowed fleet L2; null = no tier.
   std::vector<std::unique_ptr<AnalysisStage>> stages_;
-  std::uint64_t nextSeq_ = 0;
-  /// In-flight request coalescing (deferred executors only): fingerprints
-  /// with a detect currently out, each with the passes awaiting its result.
-  /// With a deferred backend the verdict cache only fills at the epoch
-  /// barrier, so a screen re-stabilizing within an epoch would otherwise
-  /// submit duplicate detects that inline's synchronous cache never pays.
-  /// Followers replay their whole pass after the primary completes — by
-  /// then the cache holds the verdict, so they resolve exactly like the
-  /// cache hits they would have been under the inline executor. Accessed
-  /// by key only (find/try_emplace/extract), never iterated — follower
-  /// replay order is the per-fingerprint vector's insertion order.
-  std::unordered_map<std::uint64_t, std::vector<Follower>> inflight_
-      CONFINED_TO("owning session");
-  std::int64_t coalesced_ CONFINED_TO("owning session") = 0;
 };
 
 }  // namespace darpa::core

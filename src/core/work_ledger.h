@@ -27,17 +27,10 @@
 // Thread-ownership rule (fleet scale): a WorkLedger is SESSION-CONFINED —
 // only the thread currently advancing its DeviceSession may record into it,
 // and sessions never share a ledger. The ledger itself carries no
-// synchronization; aggregation happens only when the owning session is
-// quiescent, and which thread does it depends on the fleet driver:
-//  * lockstep driver — at epoch barriers the control thread calls
-//    snapshot() on each session's ledger and merge()s the copies into a
-//    fleet-wide roll-up; the phase join is the happens-before edge.
-//  * work-stealing driver — there is no barrier: the worker that RETIRES a
-//    session snapshot()s its ledger exactly once and folds the copy into
-//    core::StatMergeShards (whose merged() replays folds in session-id
-//    order, keeping double addition bit-reproducible); the shard mutex is
-//    the happens-before edge, and the session's own ledger is never read
-//    again.
+// synchronization. Aggregation happens only after Fleet::run() has joined
+// its workers (the happens-before edge): the control thread snapshot()s
+// each session's ledger in session-id order and merge()s the copies, so
+// double addition is bit-reproducible for any worker count.
 #pragma once
 
 #include <array>
@@ -147,21 +140,6 @@ class WorkLedger {
   /// Closes the pass and folds its modeled latency into the totals.
   void endAnalysis();
 
-  /// Pass continuation support for asynchronous detection: a pass whose
-  /// detect stage went to a deferred executor parks its in-flight
-  /// accumulator here and restores it when the completion arrives on the
-  /// session's thread — so one session can have several passes in flight
-  /// while the ledger's begin/record/end discipline stays intact. A
-  /// suspend immediately followed by resume (the inline executor) is an
-  /// exact no-op.
-  struct PassState {
-    bool active = false;
-    double cpuMs = 0.0;
-    double startUs = 0.0;
-  };
-  [[nodiscard]] PassState suspendAnalysis();
-  void resumeAnalysis(const PassState& state);
-
   /// Stage executed, costing `cpuMs` of modeled CPU. `actualUs`, when
   /// known, is the measured wall-clock microseconds of the same execution
   /// (steady_clock, observability only — never feeds totalCpuMs or any
@@ -246,10 +224,9 @@ class WorkLedger {
   /// Trace events are appended up to this ledger's trace capacity.
   WorkLedger& operator+=(const WorkLedger& o);
 
-  // --- aggregation (fleet epoch barriers) -----------------------------------
-  /// Value copy taken at an epoch barrier, for merging off-thread. Per the
-  /// thread-ownership rule above, call only while the owning session is
-  /// quiescent.
+  // --- aggregation (fleet roll-up) ------------------------------------------
+  /// Value copy for merging off-thread. Per the thread-ownership rule
+  /// above, call only while the owning session is quiescent.
   [[nodiscard]] WorkLedger snapshot() const { return *this; }
   /// Named alias of operator+= for the fleet roll-up call sites.
   WorkLedger& merge(const WorkLedger& o) { return *this += o; }
@@ -281,7 +258,7 @@ class WorkLedger {
   // Every member is session-confined per the thread-ownership rule above:
   // no lock anywhere in this class is not an accident, it is the contract.
   // CONFINED_TO documents it where the state lives; cross-session merges
-  // happen only on snapshot() copies at quiescent epoch barriers.
+  // happen only on snapshot() copies of quiescent sessions.
   StageCosts costs_ CONFINED_TO("owning session");
   std::array<StageTally, kStageCount> tallies_ CONFINED_TO("owning session"){};
   std::int64_t analyses_ = 0;

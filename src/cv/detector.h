@@ -3,7 +3,6 @@
 // boxes out").
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "cv/detection.h"
@@ -19,31 +18,11 @@ class Detector {
   [[nodiscard]] virtual std::vector<Detection> detect(
       const gfx::Bitmap& screenshot) const = 0;
 
-  /// Batched detection over screenshots coalesced from many device
-  /// sessions (the fleet's BatchingExecutor). Results are positional:
-  /// out[i] are the detections for batch[i], identical to what a lone
-  /// detect(*batch[i]) would return — batching must never change verdicts.
-  /// The default implementation just loops; backends with batch-amortizable
-  /// setup override costMacsPerBatch() to expose the cheaper cost model.
-  [[nodiscard]] virtual std::vector<std::vector<Detection>> detectBatch(
-      std::span<const gfx::Bitmap* const> batch) const {
-    std::vector<std::vector<Detection>> out;
-    out.reserve(batch.size());
-    for (const gfx::Bitmap* screenshot : batch) out.push_back(detect(*screenshot));
-    return out;
-  }
-
   /// Rough compute cost of one detect() call in multiply-accumulates —
   /// consumed by the simulated device's performance model.
   [[nodiscard]] virtual double costMacsPerImage() const = 0;
 
-  /// Modeled cost of one detectBatch() over `batchSize` images, in
-  /// *effective* MACs (MACs normalized to the single-image achieved
-  /// throughput the macsPerCpuMs constant was calibrated against). The
-  /// default has no amortization: a batch costs exactly its images.
-  /// Backends whose per-image cost includes batch-invariant setup (weight
-  /// streaming, plan building) override this; for batchSize == 1 every
-  /// override must equal costMacsPerImage().
+  /// Stub kept for perfbench/layers.h's TimedDetector override; nothing calls it.
   [[nodiscard]] virtual double costMacsPerBatch(int batchSize) const {
     return batchSize * costMacsPerImage();
   }

@@ -1,19 +1,16 @@
 #include "fleet/fleet.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "apps/app_model.h"
 #include "util/rng.h"
 
 namespace darpa::fleet {
 
-Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
-             FleetConfig config)
-    : detector_(&detector), executor_(&executor), config_(std::move(config)) {
+Fleet::Fleet(const cv::Detector& detector, FleetConfig config)
+    : config_(std::move(config)) {
   if (config_.sessions < 1) config_.sessions = 1;
   if (config_.workers < 1) config_.workers = 1;
   if (config_.epoch <= Millis{0}) config_.epoch = Millis{1000};
@@ -29,20 +26,11 @@ Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
     tier_ = std::make_unique<core::SharedVerdictTier>(config_.verdictTier);
   }
 
-  const bool workStealing = config_.driver == FleetDriver::kWorkStealing;
-  // With an asynchronous backend the work-stealing driver must not let a
-  // mid-slice session submit into the shared queue (another worker's flush
-  // would sweep the request up — and deliver its completion — while the
-  // session is still running). Each session gets a SessionInbox instead;
-  // the scheduler replays inboxes into the backend at slice boundaries.
-  const bool useInboxes = workStealing && !executor_->synchronous();
-
   // Session seeding mirrors bench_runtime.h's per-app draw order (profile,
   // then app seed, then monkey seed) so a fleet of size 1 replays the
   // single-device benches exactly.
   Rng rng(config_.seed);
   sessions_.reserve(static_cast<std::size_t>(config_.sessions));
-  if (useInboxes) inboxes_.reserve(static_cast<std::size_t>(config_.sessions));
   for (int i = 0; i < config_.sessions; ++i) {
     DeviceSession::Config session;
     session.id = i;
@@ -60,33 +48,15 @@ Fleet::Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
     session.id = i;
     session.framePool = pool_.get();
     session.darpa.verdictTier = tier_.get();
-    if (useInboxes) {
-      inboxes_.push_back(std::make_unique<SessionInbox>());
-      session.darpa.executor = inboxes_.back().get();
-    } else {
-      session.darpa.executor = executor_;
-    }
     sessions_.push_back(
-        std::make_unique<DeviceSession>(*detector_, std::move(session)));
+        std::make_unique<DeviceSession>(detector, std::move(session)));
   }
 
-  if (workStealing) {
-    statMerge_ = std::make_unique<core::StatMergeShards>(config_.workers);
-    WorkStealingScheduler::Config sched;
-    sched.epoch = config_.epoch;
-    sched.duration = config_.duration;
-    sched.workers = config_.workers;
-    scheduler_ = std::make_unique<WorkStealingScheduler>(
-        sessions_, inboxes_, *executor_, *statMerge_, sched);
-  }
-}
-
-// Sessions may hold DetectionRequests parked in the shared executor at
-// destruction only if run() was aborted mid-epoch; drain them so no
-// completion can fire into a dead session. (Inbox-parked requests need no
-// drain: an inbox dies with its fleet and delivers nothing by itself.)
-Fleet::~Fleet() {
-  if (executor_->pendingCount() > 0) executor_->flush();
+  WorkStealingScheduler::Config sched;
+  sched.epoch = config_.epoch;
+  sched.duration = config_.duration;
+  sched.workers = config_.workers;
+  scheduler_ = std::make_unique<WorkStealingScheduler>(sessions_, sched);
 }
 
 void Fleet::checkSessionIndex(int i) const {
@@ -94,29 +64,6 @@ void Fleet::checkSessionIndex(int i) const {
   std::fprintf(stderr, "Fleet::session(%d): index out of range [0, %d)\n", i,
                static_cast<int>(sessions_.size()));
   std::abort();
-}
-
-void Fleet::phase(const std::function<void(DeviceSession&)>& fn) {
-  const int workers =
-      std::min(config_.workers, static_cast<int>(sessions_.size()));
-  if (workers <= 1) {
-    for (auto& session : sessions_) fn(*session);
-    return;
-  }
-  // Static shard: session i belongs to worker i % W for the whole phase, so
-  // each session is touched by exactly one thread; the joins below are the
-  // happens-before edge back to the control thread (the barrier).
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([this, fn, w, workers] {
-      for (std::size_t i = static_cast<std::size_t>(w); i < sessions_.size();
-           i += static_cast<std::size_t>(workers)) {
-        fn(*sessions_[i]);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
 }
 
 void Fleet::run() {
@@ -127,63 +74,22 @@ void Fleet::run() {
   }
   started_ = true;
   for (auto& session : sessions_) session->start();
-
-  if (scheduler_ != nullptr) {
-    scheduler_->run();
-    now_ = config_.duration;
-    return;
-  }
-  runLockstep();
-}
-
-void Fleet::runLockstep() {
-  const Millis end = now_ + config_.duration;
-  while (now_ < end) {
-    const Millis target = std::min(end, now_ + config_.epoch);
-    // Phase 1: every session plays forward to the epoch target; detect
-    // stages park requests in the shared executor and suspend their pass.
-    phase([target](DeviceSession& session) { session.advanceTo(target); });
-    // Barrier: the control thread resolves all parked detections. The
-    // executor posts each completion to its session's looper, due "now".
-    executor_->flush();
-    // Phase 2: drain the posted completions (verdict/act stages, service
-    // epilogue). A completion may replay coalesced follower passes whose
-    // screen moved on, submitting fresh detects — those park until the next
-    // epoch's flush.
-    phase([target](DeviceSession& session) { session.advanceTo(target); });
-    now_ = target;
-  }
-  // Settle: resolve detects submitted by follower replays during the final
-  // drain. Each round can only re-submit for a shrinking follower chain, so
-  // this terminates, and afterwards no request is parked in the executor.
-  while (executor_->pendingCount() > 0) {
-    executor_->flush();
-    phase([this](DeviceSession& session) { session.advanceTo(now_); });
-  }
+  scheduler_->run();
+  now_ = config_.duration;
 }
 
 FleetSnapshot Fleet::snapshot() const {
   FleetSnapshot snap;
   snap.sessions = static_cast<int>(sessions_.size());
-  snap.simTime = started_ ? now_ : Millis{0};
-  if (statMerge_ != nullptr && started_) {
-    // Work-stealing run: every session folded its totals at retirement;
-    // merged() replays them in session-id order, bit-equal to the scan
-    // below.
-    const core::StatMergeShards::Merged merged = statMerge_->merged();
-    snap.stats = merged.stats;
-    snap.ledger = merged.ledger;
-    snap.eventsEmitted = merged.eventsEmitted;
-    snap.auiExposures = merged.auiExposures;
-    snap.auisCovered = merged.auisCovered;
-  } else {
-    for (const auto& session : sessions_) {
-      snap.stats.merge(session->stats().snapshot());
-      snap.ledger.merge(session->ledger().snapshot());
-      snap.eventsEmitted += session->eventsEmitted();
-      snap.auiExposures += session->auiExposures();
-      snap.auisCovered += session->auisCovered();
-    }
+  snap.simTime = now_;
+  // Ascending session id: the fixed merge order keeps the double sums
+  // bit-identical for any worker count.
+  for (const auto& session : sessions_) {
+    snap.stats.merge(session->stats().snapshot());
+    snap.ledger.merge(session->ledger().snapshot());
+    snap.eventsEmitted += session->eventsEmitted();
+    snap.auiExposures += session->auiExposures();
+    snap.auisCovered += session->auisCovered();
   }
   if (pool_ != nullptr) snap.framePool = pool_->stats();
   if (tier_ != nullptr) snap.verdictTier = tier_->stats();

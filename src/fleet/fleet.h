@@ -1,52 +1,31 @@
 // Fleet — N DeviceSessions driven to a common simulated horizon across W
-// workers, by one of two interchangeable drivers.
+// workers by the work-stealing scheduler (fleet/scheduler.h).
 //
 // The determinism model, in one paragraph: simulated time is sliced into
-// epochs. A session's slice j covers (target(j-1), target(j)] where
-// target(j) = min(duration, j*epoch): the Looper first drains the detect
-// completions delivered for slice j-1, then plays the session forward —
-// sessions share no mutable state, so WHO runs a slice and WHEN in wall
-// clock is irrelevant; only the slice sequence matters, and it is fixed by
-// the config. Detect stages park DetectionRequests instead of blocking.
-// For a coalescing backend (BatchingExecutor) all slice-j submissions
-// fleet-wide form flush group G_j, flushed as one canonical
-// (sessionId, seq)-sorted set — batch composition is a pure function of
-// the group, so the per-image modeled costs are too. Non-coalescing
-// backends price per image and flush per session. Every source of
-// nondeterminism (submit interleaving, worker scheduling, steal order,
-// batch assembly) is squeezed out at group boundaries, so a fleet run's
-// aggregated DarpaStats/WorkLedger are identical across repeated runs,
-// across worker counts, and across DRIVERS; only wall-clock changes.
+// epochs. A session's slice j plays it forward to target(j) =
+// min(duration, j*epoch), and every detect inside it runs synchronously on
+// the worker advancing the session (core/pipeline.h). Sessions share no
+// digest-affecting state, so WHO runs a slice and WHEN in wall clock is
+// irrelevant; only the slice sequence matters, and it is fixed by the
+// config. A fleet run's aggregated DarpaStats/WorkLedger are therefore
+// identical across repeated runs and across worker counts; only
+// wall-clock changes. W=1 is the serial reference.
 //
-// The two drivers:
-//  * kWorkStealing (default) — sessions are resumable tasks in per-shard
-//    run queues keyed by next-wake simulated time; idle workers steal from
-//    siblings; a group flushes the moment no live session can still add to
-//    it; sessions that submitted nothing never wait. One straggler slows
-//    only itself. See fleet/scheduler.h.
-//  * kLockstep — the reference driver: advance-all, join, flush, drain-all,
-//    join, repeat. Structurally incapable of reordering anything, which is
-//    exactly why it stays: FleetSchedulerTest holds the work-stealing
-//    driver's digests byte-equal to it.
-//
-// Aggregation: under the lockstep driver, per-session ledgers and stats
-// are scanned on the control thread at a quiescent barrier (the
-// session-confined ownership rule in core/work_ledger.h). The
-// work-stealing driver has no barrier: each retiring worker folds its
-// session's totals into core::StatMergeShards (LockRank::kStatMerge), and
-// snapshot() assembles the roll-up from the shards in session-id order —
-// bit-identical to the quiescent scan. perf::DeviceModel consumes either
-// unchanged.
+// Aggregation: per-session ledgers and stats are session-confined (the
+// ownership rule in core/work_ledger.h). snapshot() scans them on the
+// control thread in session-id order once run() has joined its workers, so
+// the double summation order is fixed too. perf::DeviceModel consumes the
+// roll-up unchanged.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detection_executor.h"
-#include "core/stat_merge.h"
 #include "core/verdict_tier.h"
 #include "fleet/device_session.h"
 #include "fleet/scheduler.h"
@@ -54,31 +33,23 @@
 
 namespace darpa::fleet {
 
-/// Which engine Fleet::run() uses. Byte-identical merged digests either
-/// way; they differ only in wall-clock shape (see the header comment).
-enum class FleetDriver {
-  kWorkStealing,  ///< Barrier-free scheduler (the default).
-  kLockstep,      ///< Reference driver: global epoch barriers.
-};
-
 struct FleetConfig {
   int sessions = 1;
   int workers = 1;        ///< Worker threads (1 = run on the calling thread).
-  Millis epoch{1000};     ///< Slice quantum between executor flush groups.
+  Millis epoch{1000};     ///< Slice quantum of the scheduler.
   Millis duration{60'000};
   std::uint64_t seed = 606;
-  FleetDriver driver = FleetDriver::kWorkStealing;
-  core::DarpaConfig darpa;  ///< Per-session service config (sessionId and
-                            ///< executor are overridden by the fleet).
+  core::DarpaConfig darpa;  ///< Per-session service config (verdictTier is
+                            ///< overridden by the fleet).
   android::WindowManager::Config window;
   bool monkey = true;
   std::string packagePrefix = "com.fleet.app";
   /// Per-session config hook, applied after the fleet's own seeding and
   /// before the session is built. Lets tests and benches skew individual
   /// sessions (e.g. one deliberately hyperactive straggler for the
-  /// steal-heavy path). The fleet re-asserts its own wiring (id, executor,
-  /// frame pool) afterwards, and applies the hook identically under both
-  /// drivers, so a tweaked fleet still digests identically across them.
+  /// steal-heavy path). The fleet re-asserts its own wiring (id, frame
+  /// pool, verdict tier) afterwards, so a tweaked fleet still digests
+  /// identically across worker counts.
   std::function<void(int, DeviceSession::Config&)> sessionTweak;
   /// Share one FramePool across every session's screen captures. Off, each
   /// capture heap-allocates (the pre-pool behavior); on, slabs recycle
@@ -90,10 +61,9 @@ struct FleetConfig {
   /// Own a fleet-wide SharedVerdictTier (the L2 behind every session's
   /// verdict cache) and point every session at it. Off by default: a
   /// tier-less fleet is byte-identical to the pre-tier build. On, sessions
-  /// share verdicts for recurring screens and deferred detects coalesce
-  /// cross-session — per-session verdicts are unchanged, only who pays
-  /// for them moves, so digests trade byte-equality for verdict
-  /// equivalence (see verdict_tier.h).
+  /// share verdicts for recurring screens — per-session verdicts are
+  /// unchanged, only who pays for them moves, so digests trade
+  /// byte-equality for verdict equivalence (see verdict_tier.h).
   bool sharedVerdictTier = false;
   core::SharedVerdictTier::Options verdictTier;  ///< shards=0 resolves to
                                                  ///< the worker count.
@@ -110,29 +80,27 @@ struct FleetSnapshot {
   std::int64_t auisCovered = 0;
   gfx::FramePool::Stats framePool;  ///< Zeroed when pooling is off.
   /// Shared L2 counters (zeroed when the tier is off). Observability only
-  /// — hit/suppression totals depend on cross-session timing, so nothing
-  /// digest-stable may consume them.
+  /// — hit totals depend on cross-session timing, so nothing digest-stable
+  /// may consume them.
   core::SharedVerdictTier::Stats verdictTier;
 };
 
 class Fleet {
  public:
-  /// The detector and executor are borrowed and shared by every session;
-  /// both must outlive the fleet. The executor is the shared detection
-  /// BACKEND: sessions either submit to it directly (lockstep, or any
-  /// synchronous executor) or through per-session SessionInbox proxies
-  /// (work-stealing with an asynchronous backend).
-  Fleet(const cv::Detector& detector, core::DetectionExecutor& executor,
-        FleetConfig config);
-  ~Fleet();
+  /// The detector is borrowed and shared by every session; it must
+  /// outlive the fleet and be safe to call from several threads.
+  Fleet(const cv::Detector& detector, FleetConfig config);
+  /// Stub overload kept for perfbench/main.cpp's defaultInlineExecutor() call.
+  Fleet(const cv::Detector& detector, core::DetectionExecutor& /*unused*/,
+        FleetConfig config)
+      : Fleet(detector, std::move(config)) {}
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
-  /// Drives every session over the whole configured duration with the
-  /// configured driver. Single-use: a second call aborts (a fleet's
-  /// sessions have already consumed their event streams, so "run again"
-  /// has no meaningful semantics).
+  /// Drives every session over the whole configured duration. Single-use:
+  /// a second call aborts (a fleet's sessions have already consumed their
+  /// event streams, so "run again" has no meaningful semantics).
   void run();
 
   [[nodiscard]] int sessionCount() const {
@@ -150,19 +118,15 @@ class Fleet {
   [[nodiscard]] const FleetConfig& config() const { return config_; }
   [[nodiscard]] Millis now() const { return now_; }
 
-  /// Aggregates every session's stats/ledger/coverage. Lockstep driver:
-  /// a quiescent control-thread scan in session-id order (per-session
-  /// state is session-confined, so this may only run at a barrier —
-  /// construction, or after run()). Work-stealing driver: assembled from
-  /// the StatMergeShards the retiring workers folded into, replayed in
-  /// the same session-id order — bit-identical to the scan.
+  /// Aggregates every session's stats/ledger/coverage: a control-thread
+  /// scan in session-id order. Per-session state is session-confined, so
+  /// call it only outside run() (before it, or after it returned).
   [[nodiscard]] FleetSnapshot snapshot() const;
 
-  /// Scheduling observability from the work-stealing run (steals, flush
-  /// counts, per-session finish wall times). Null under kLockstep;
-  /// meaningful after run().
+  /// Scheduling observability (steals, per-session finish wall times);
+  /// never null, meaningful after run().
   [[nodiscard]] const SchedulerMetrics* schedulerMetrics() const {
-    return scheduler_ == nullptr ? nullptr : &scheduler_->metrics();
+    return &scheduler_->metrics();
   }
 
   /// The shared frame pool, or null when pooledFrames is off.
@@ -176,34 +140,20 @@ class Fleet {
   }
 
  private:
-  /// Applies fn to every session, sharded session i -> worker (i % W).
-  /// Joins before returning (the happens-before edge of the barrier).
-  /// Lockstep driver only.
-  void phase(const std::function<void(DeviceSession&)>& fn);
-  void runLockstep();
   void checkSessionIndex(int i) const;  ///< Aborts when out of range.
 
-  const cv::Detector* detector_;
-  core::DetectionExecutor* executor_;
   FleetConfig config_;
   /// Declared before sessions_: every pooled Bitmap's slab-return deleter
   /// points back into the pool, so it must outlive all session state.
   std::unique_ptr<gfx::FramePool> pool_;
   /// Declared before sessions_ for the same lifetime rule: every session's
-  /// pipeline holds a borrowed tier pointer, and a teardown flush can still
-  /// run completions that publish into it.
+  /// pipeline holds a borrowed tier pointer.
   std::unique_ptr<core::SharedVerdictTier> tier_;
-  /// Per-session capture proxies (work-stealing + asynchronous backend
-  /// only; empty otherwise). Declared before sessions_ because each
-  /// session's DarpaConfig points at its inbox.
-  std::vector<std::unique_ptr<SessionInbox>> inboxes_;
   /// The vector itself is fixed after construction; each element is
   /// confined to the worker currently running its slice (hand-offs happen
-  /// through the scheduler's queues, or phase()'s spawn/join edges), and
-  /// to the control thread outside run().
+  /// through the scheduler's queues), and to the control thread outside
+  /// run().
   std::vector<std::unique_ptr<DeviceSession>> sessions_;
-  /// Retirement fold target + snapshot source (work-stealing only).
-  std::unique_ptr<core::StatMergeShards> statMerge_;
   std::unique_ptr<WorkStealingScheduler> scheduler_;
   Millis now_ CONFINED_TO("control thread"){0};
   bool started_ CONFINED_TO("control thread") = false;

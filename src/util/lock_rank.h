@@ -1,12 +1,11 @@
 // Lock ranks — a global acquisition-order contract for every mutex in the
 // runtime, validated at runtime.
 //
-// The epoch-lockstep fleet holds at most one lock at a time today, so it
-// cannot deadlock. The ROADMAP's next refactors (work-stealing run queues,
-// sharded stat merging, a striped fleet-wide verdict cache) will nest
-// locks, and nested locking deadlocks silently the first time two threads
-// acquire the same pair in opposite orders. This module makes the ordering
-// a checked contract instead of a convention:
+// The fleet nests locks: the work-stealing scheduler takes a run-queue
+// shard lock under its control lock, and a FramePool shard probes its
+// spill list under the shard lock. Nested locking deadlocks silently the
+// first time two threads acquire the same pair in opposite orders, so this
+// module makes the ordering a checked contract instead of a convention:
 //
 //  * LockRank is the global rank table. A thread may only acquire a mutex
 //    whose rank is STRICTLY GREATER than every rank it already holds —
@@ -45,42 +44,29 @@
 namespace darpa::util {
 
 /// The global lock-rank table, lowest rank acquired first. Gaps are
-/// deliberate: future lock tiers (per-shard run queues, verdict-cache
-/// stripes) slot between existing ranks without renumbering. DESIGN.md §12
-/// documents who holds what while acquiring what.
+/// deliberate: a new lock tier slots between existing ranks without
+/// renumbering. DESIGN.md §12 documents who holds what while acquiring
+/// what.
 enum class LockRank : int {
   /// Fleet-level orchestration: the work-stealing scheduler's global state
-  /// (cursor counts, pending flush groups, active-session count, idle cv).
-  /// The lockstep reference driver needs no lock.
+  /// (active-session count, idle cv).
   kFleetControl = 100,
-  /// Work-stealing group-flush serialization: held while a worker replays
-  /// a closed flush group into the shared detection backend and calls its
-  /// flush(). Below kExecutorQueue because the backend's queue lock is
-  /// taken inside submit()/flush() under this one.
-  kFleetFlush = 150,
   /// Per-shard session run queues (work-stealing scheduler). All shards
   /// share this rank, so a thread may never hold two shard locks at once —
   /// the steal protocol releases its own shard before probing a sibling.
   kSessionQueue = 200,
-  /// Deferred-executor parked-request queues (ThreadPoolExecutor /
-  /// BatchingExecutor submit/flush swap).
-  kExecutorQueue = 300,
   /// Fleet-wide shared verdict tier stripes (core::SharedVerdictTier).
   /// All shards share this rank (at most one shard lock held at a time;
-  /// nothing is called out to under it). Above kExecutorQueue/kFleetFlush
-  /// because pipeline completions probe/publish the tier while a
-  /// work-stealing flush may still hold those; below kStatMerge and the
-  /// frame-pool ranks so a tier operation can never be entangled with a
-  /// retirement fold or a slab release.
+  /// nothing is called out to under it). Sessions probe and publish from
+  /// inside a slice, where no scheduler lock is held; the rank sits below
+  /// the frame-pool ranks so a tier operation can never be entangled with
+  /// a slab release.
   kVerdictTier = 400,
-  /// Sharded stat-merge locks (core::StatMergeShards): sessions fold their
-  /// stats/ledger at retirement, snapshots read shards one at a time.
-  kStatMerge = 500,
   /// gfx::FramePool per-shard free lists. Near-leaf: slab release runs
-  /// from arbitrary call depth (any last FramePtr drop, on any thread,
-  /// possibly while an executor or scheduler lock is held), so the pool
-  /// locks must be acquirable under everything else. All shards share this
-  /// rank; a thread holds at most one shard lock at a time.
+  /// from arbitrary call depth (any last FramePtr drop, on any thread),
+  /// so the pool locks must be acquirable under everything else. All
+  /// shards share this rank; a thread holds at most one shard lock at a
+  /// time.
   kFramePool = 600,
   /// gfx::FramePool global spill list — the overflow tier behind the
   /// per-shard free lists. Strictly above kFramePool because the spill is

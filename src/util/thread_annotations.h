@@ -4,10 +4,10 @@
 // races in the interleavings the tests happen to run, and these
 // annotations let Clang's -Wthread-safety pass prove at COMPILE TIME that
 // every access to a mutex-protected structure holds the right lock — in
-// every interleaving, including the ones no test exercises. The ROADMAP's
-// next steps (work-stealing scheduler, fleet-wide shared verdict tier)
-// replace the epoch-lockstep barrier with fine-grained locking, which is
-// exactly where TSan-only checking stops being enough.
+// every interleaving, including the ones no test exercises. The
+// work-stealing scheduler and the fleet-wide shared verdict tier use
+// fine-grained locking, which is exactly where TSan-only checking stops
+// being enough.
 //
 // Usage conventions (see DESIGN.md §12):
 //  * Every mutex member is a util::RankedMutex (util/lock_rank.h) — a
@@ -19,7 +19,7 @@
 //  * Functions that assume the lock is already held carry REQUIRES(mutex_)
 //    (and are conventionally named ...Locked()).
 //  * Structures with NO mutex by design — session-confined state merged
-//    only at epoch barriers — mark their members CONFINED_TO("owner") so
+//    only after the fleet run — mark their members CONFINED_TO("owner") so
 //    the confinement rule is greppable where the data lives, not only in a
 //    header comment.
 //
@@ -85,7 +85,7 @@
 
 /// Documentation-only marker (expands to nothing on every compiler) for
 /// state that is protected by OWNERSHIP rather than a lock: session-confined
-/// counters merged at epoch barriers (WorkLedger, DarpaStats), the Looper's
-/// single-threaded queues, flush-confined executor statistics. The string
-/// names the confining owner / phase. Greppable contract, zero codegen.
+/// counters merged after the fleet run (WorkLedger, DarpaStats), the
+/// Looper's single-threaded queues. The string names the confining owner /
+/// phase. Greppable contract, zero codegen.
 #define CONFINED_TO(owner)

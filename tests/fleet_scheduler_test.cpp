@@ -1,20 +1,20 @@
-// Work-stealing scheduler tests: the hard contract is that the barrier-free
-// driver's merged paper digests (fig8 counts, Table III stats, ledger
-// totals, Table VII metrics) are BYTE-identical to the lockstep reference
-// driver — across worker counts, backend kinds, pooling on/off, reruns, and
-// a deliberately skewed workload that forces steals. Plus the fleet's
-// single-use / bounds guards and the sharded live stat-merge.
+// Work-stealing scheduler tests: the hard contract is that the fleet's
+// merged paper digests (fig8 counts, Table III stats, ledger totals, Table
+// VII metrics) are BYTE-identical to the W=1 serial reference — across
+// worker counts, reruns, pooling on/off, and a deliberately skewed workload
+// that forces steals. Plus the scheduler's bookkeeping and the fleet's
+// single-use / bounds guards.
+//
+// "Lockstep" in the test names is the W=1 run: its (wake, id) queue order
+// runs every session's slice j before any session's slice j+1.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/detection_executor.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 #include "perf/device_model.h"
 
@@ -72,114 +72,66 @@ std::string digestOf(const FleetSnapshot& snap) {
   return buf;
 }
 
-enum class Backend { kBatching, kThreadPool, kInline };
-
 struct RunOutcome {
   std::string digest;
-  SchedulerMetrics scheduler;  ///< Zeroed under the lockstep driver.
-  bool hadScheduler = false;
+  SchedulerMetrics scheduler;
 };
 
 RunOutcome runFleet(
-    FleetDriver driver, Backend backend, int sessions, int workers,
-    bool pooled,
+    int sessions, int workers, bool pooled,
     const std::function<void(int, DeviceSession::Config&)>& tweak = nullptr) {
   StubDetector detector;
-  std::unique_ptr<core::DetectionExecutor> owned;
-  switch (backend) {
-    case Backend::kBatching:
-      owned = std::make_unique<BatchingExecutor>(
-          BatchingExecutor::Options{.maxBatchSize = 16, .threads = 4});
-      break;
-    case Backend::kThreadPool:
-      owned = std::make_unique<ThreadPoolExecutor>(4);
-      break;
-    case Backend::kInline:
-      owned = std::make_unique<core::InlineExecutor>();
-      break;
-  }
-
   FleetConfig config;
   config.sessions = sessions;
   config.workers = workers;
   config.epoch = ms(500);
   config.duration = ms(3000);
-  config.driver = driver;
   config.pooledFrames = pooled;
   config.sessionTweak = tweak;
 
-  Fleet fleet(detector, *owned, config);
+  Fleet fleet(detector, config);
   fleet.run();
-  EXPECT_EQ(owned->pendingCount(), 0u)
-      << "a finished run must leave no parked requests";
-
-  RunOutcome out;
-  out.digest = digestOf(fleet.snapshot());
-  if (const SchedulerMetrics* metrics = fleet.schedulerMetrics()) {
-    out.scheduler = *metrics;
-    out.hadScheduler = true;
-  }
-  return out;
+  return {digestOf(fleet.snapshot()), *fleet.schedulerMetrics()};
 }
 
-// ------------------------------------------- cross-driver byte equality
+// ------------------------------------------------ serial-reference equality
 
+// The 64-session contract (the name predates the deletion of the batching
+// backend): one inline digest at W=1, W=4, a W=4 rerun, and pooling off.
 TEST(FleetSchedulerTest, BatchedDigestsMatchLockstepAcrossWorkersAndPooling) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kBatching, 64, 1, true);
-  ASSERT_FALSE(reference.digest.empty());
-  EXPECT_FALSE(reference.hadScheduler);
+  const RunOutcome serial = runFleet(64, 1, true);
+  ASSERT_FALSE(serial.digest.empty());
 
-  const RunOutcome wsSerial =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 1, true);
-  EXPECT_TRUE(wsSerial.hadScheduler);
-  EXPECT_EQ(wsSerial.digest, reference.digest);
-
-  const RunOutcome wsFour =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4, true);
-  EXPECT_EQ(wsFour.digest, reference.digest);
-
+  EXPECT_EQ(runFleet(64, 4, true).digest, serial.digest);
   // Rerun at W=4: steal interleavings differ, the digest must not.
-  const RunOutcome wsRepeat =
-      runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4, true);
-  EXPECT_EQ(wsRepeat.digest, reference.digest);
-
-  // Pooling off, both drivers: the pool only moves where bytes live.
-  EXPECT_EQ(
-      runFleet(FleetDriver::kLockstep, Backend::kBatching, 64, 4, false).digest,
-      reference.digest);
-  EXPECT_EQ(runFleet(FleetDriver::kWorkStealing, Backend::kBatching, 64, 4,
-                     false)
-                .digest,
-            reference.digest);
+  EXPECT_EQ(runFleet(64, 4, true).digest, serial.digest);
+  // Pooling off: the pool only moves where bytes live.
+  EXPECT_EQ(runFleet(64, 4, false).digest, serial.digest);
 }
 
-TEST(FleetSchedulerTest, ThreadPoolDigestsMatchLockstep) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kThreadPool, 16, 1, true);
-  EXPECT_EQ(
-      runFleet(FleetDriver::kWorkStealing, Backend::kThreadPool, 16, 1, true)
-          .digest,
-      reference.digest);
-  const RunOutcome wsFour =
-      runFleet(FleetDriver::kWorkStealing, Backend::kThreadPool, 16, 4, true);
-  EXPECT_EQ(wsFour.digest, reference.digest);
-  // Non-coalescing backends flush per session, never per group.
-  ASSERT_TRUE(wsFour.hadScheduler);
-  EXPECT_EQ(wsFour.scheduler.groupFlushes, 0);
-  EXPECT_GT(wsFour.scheduler.sessionFlushes, 0);
-}
-
+// Scheduler bookkeeping on a small fleet: every slice was popped from
+// exactly one queue, each session ran exactly duration/epoch slices, the
+// single worker never steals, and every session retired once with a
+// positive finish time.
 TEST(FleetSchedulerTest, InlineDigestsMatchLockstep) {
-  const RunOutcome reference =
-      runFleet(FleetDriver::kLockstep, Backend::kInline, 8, 1, true);
-  const RunOutcome ws =
-      runFleet(FleetDriver::kWorkStealing, Backend::kInline, 8, 4, true);
-  EXPECT_EQ(ws.digest, reference.digest);
-  // Synchronous backend: no inboxes, nothing parked, no flushes at all.
-  ASSERT_TRUE(ws.hadScheduler);
-  EXPECT_EQ(ws.scheduler.groupFlushes, 0);
-  EXPECT_EQ(ws.scheduler.sessionFlushes, 0);
+  constexpr int kSessions = 8;
+  constexpr std::int64_t kSlicesPerSession = 3000 / 500;
+  const RunOutcome serial = runFleet(kSessions, 1, true);
+  const RunOutcome four = runFleet(kSessions, 4, true);
+  EXPECT_EQ(four.digest, serial.digest);
+
+  EXPECT_EQ(serial.scheduler.steals, 0);
+  for (const RunOutcome* run : {&serial, &four}) {
+    const SchedulerMetrics& metrics = run->scheduler;
+    EXPECT_EQ(metrics.slicesRun, kSessions * kSlicesPerSession);
+    EXPECT_EQ(metrics.localPops + metrics.steals, metrics.slicesRun)
+        << "every slice was popped from exactly one queue";
+    ASSERT_EQ(metrics.finishWallMs.size(),
+              static_cast<std::size_t>(kSessions));
+    for (const double msToFinish : metrics.finishWallMs) {
+      EXPECT_GT(msToFinish, 0.0);
+    }
+  }
 }
 
 // --------------------------------------------------- steal-heavy skew
@@ -194,74 +146,12 @@ TEST(FleetSchedulerTest, SkewedWorkloadStealsAndMatchesLockstep) {
       config.monkeyMaxGapMs = 25;
     }
   };
-  const RunOutcome reference = runFleet(FleetDriver::kLockstep,
-                                        Backend::kBatching, 16, 1, true,
-                                        straggler);
-  const RunOutcome ws = runFleet(FleetDriver::kWorkStealing,
-                                 Backend::kBatching, 16, 4, true, straggler);
-  EXPECT_EQ(ws.digest, reference.digest)
+  const RunOutcome serial = runFleet(16, 1, true, straggler);
+  const RunOutcome ws = runFleet(16, 4, true, straggler);
+  EXPECT_EQ(ws.digest, serial.digest)
       << "steal interleavings must never reach the digest";
-  ASSERT_TRUE(ws.hadScheduler);
   EXPECT_GT(ws.scheduler.steals, 0)
       << "a pinned home worker should have its queue drained by siblings";
-  EXPECT_GT(ws.scheduler.groupFlushes, 0);
-}
-
-// ------------------------------------------------- sharded live merge
-
-TEST(FleetSchedulerTest, SnapshotLiveMergeMatchesManualSessionScan) {
-  StubDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
-  FleetConfig config;
-  config.sessions = 16;
-  config.workers = 4;
-  config.epoch = ms(500);
-  config.duration = ms(3000);
-  Fleet fleet(detector, executor, config);
-  fleet.run();
-
-  const FleetSnapshot snap = fleet.snapshot();
-
-  core::DarpaStats stats;
-  core::WorkLedger ledger;
-  std::int64_t events = 0;
-  std::int64_t exposures = 0;
-  std::int64_t covered = 0;
-  for (int i = 0; i < fleet.sessionCount(); ++i) {
-    const DeviceSession& session = fleet.session(i);
-    stats.merge(session.stats().snapshot());
-    ledger.merge(session.ledger().snapshot());
-    events += session.eventsEmitted();
-    exposures += session.auiExposures();
-    covered += session.auisCovered();
-  }
-
-  // The retirement folds must reproduce the quiescent scan bit-for-bit —
-  // including the double summation order (ascending session id).
-  EXPECT_EQ(snap.stats.analysesRun, stats.analysesRun);
-  EXPECT_EQ(snap.stats.screenshotsTaken, stats.screenshotsTaken);
-  EXPECT_EQ(snap.stats.decorationsDrawn, stats.decorationsDrawn);
-  EXPECT_EQ(snap.stats.verdictCacheHits, stats.verdictCacheHits);
-  EXPECT_DOUBLE_EQ(snap.ledger.totalCpuMs(), ledger.totalCpuMs());
-  EXPECT_EQ(snap.ledger.analyses(), ledger.analyses());
-  EXPECT_EQ(snap.ledger.cacheHits(), ledger.cacheHits());
-  EXPECT_EQ(snap.ledger.peakFrameBytes(), ledger.peakFrameBytes());
-  EXPECT_EQ(snap.eventsEmitted, events);
-  EXPECT_EQ(snap.auiExposures, exposures);
-  EXPECT_EQ(snap.auisCovered, covered);
-
-  // Scheduler bookkeeping sanity.
-  const SchedulerMetrics* metrics = fleet.schedulerMetrics();
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_GE(metrics->slicesRun, static_cast<std::int64_t>(config.sessions));
-  EXPECT_EQ(metrics->localPops + metrics->steals, metrics->slicesRun)
-      << "every slice was popped from exactly one queue";
-  EXPECT_GT(metrics->groupFlushes, 0);
-  ASSERT_EQ(metrics->finishWallMs.size(),
-            static_cast<std::size_t>(config.sessions));
-  for (const double msToFinish : metrics->finishWallMs) {
-    EXPECT_GT(msToFinish, 0.0);
-  }
 }
 
 // ------------------------------------------------------ fleet guards
@@ -269,11 +159,10 @@ TEST(FleetSchedulerTest, SnapshotLiveMergeMatchesManualSessionScan) {
 TEST(FleetSchedulerTest, RunTwiceAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   StubDetector detector;
-  core::InlineExecutor executor;
   FleetConfig config;
   config.sessions = 1;
   config.duration = ms(200);
-  Fleet fleet(detector, executor, config);
+  Fleet fleet(detector, config);
   fleet.run();
   EXPECT_DEATH(fleet.run(), "single-use");
 }
@@ -281,11 +170,10 @@ TEST(FleetSchedulerTest, RunTwiceAborts) {
 TEST(FleetSchedulerTest, SessionIndexOutOfRangeAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   StubDetector detector;
-  core::InlineExecutor executor;
   FleetConfig config;
   config.sessions = 2;
   config.duration = ms(200);
-  Fleet fleet(detector, executor, config);
+  Fleet fleet(detector, config);
   EXPECT_DEATH((void)fleet.session(2), "out of range");
   EXPECT_DEATH((void)fleet.session(-1), "out of range");
 }

@@ -1,12 +1,12 @@
 // Lock-rank validator tests: the strictly-increasing acquisition rule, its
 // abort-on-violation contract (death tests), the registry's view of the
 // runtime's lock population, and a W=4 fleet smoke run proving the rank
-// tags on the FramePool + executor locks hold under real concurrency.
+// tags on the scheduler, verdict-tier and FramePool locks hold under real
+// concurrency.
 #include <gtest/gtest.h>
 
 #include "core/work_ledger.h"
 #include "cv/detector.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 #include "gfx/frame_pool.h"
 #include "util/lock_rank.h"
@@ -15,12 +15,12 @@ namespace darpa::util {
 namespace {
 
 TEST(LockRankTest, IncreasingAcquisitionIsLegal) {
-  RankedMutex queue(LockRank::kExecutorQueue, "test.queue");
+  RankedMutex queue(LockRank::kSessionQueue, "test.queue");
   RankedMutex pool(LockRank::kFramePool, "test.pool");
   {
     const LockGuard outer(queue);
     EXPECT_EQ(RankValidator::topRank(),
-              static_cast<int>(LockRank::kExecutorQueue));
+              static_cast<int>(LockRank::kSessionQueue));
     {
       const LockGuard inner(pool);  // higher rank under lower: fine
       EXPECT_EQ(RankValidator::heldCount(), 2);
@@ -48,7 +48,7 @@ TEST(LockRankTest, ReleaseRestoresLowerRanksAcquirable) {
 #if DARPA_LOCK_RANK_CHECKS
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  RankedMutex queue(LockRank::kExecutorQueue, "test.queue");
+  RankedMutex queue(LockRank::kSessionQueue, "test.queue");
   RankedMutex pool(LockRank::kFramePool, "test.pool");
   EXPECT_DEATH(
       {
@@ -60,8 +60,8 @@ TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
 
 TEST(LockRankDeathTest, SameRankReacquisitionAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  RankedMutex a(LockRank::kExecutorQueue, "test.a");
-  RankedMutex b(LockRank::kExecutorQueue, "test.b");
+  RankedMutex a(LockRank::kSessionQueue, "test.a");
+  RankedMutex b(LockRank::kSessionQueue, "test.b");
   EXPECT_DEATH(
       {
         const LockGuard outer(a);
@@ -93,10 +93,8 @@ TEST(LockRankTest, RegistryTracksLiveMutexes) {
 
 TEST(LockRankTest, RankNamesCoverTheTable) {
   EXPECT_STREQ(lockRankName(LockRank::kFleetControl), "fleet-control");
-  EXPECT_STREQ(lockRankName(LockRank::kFleetFlush), "fleet-flush");
   EXPECT_STREQ(lockRankName(LockRank::kSessionQueue), "session-queue");
-  EXPECT_STREQ(lockRankName(LockRank::kExecutorQueue), "executor-queue");
-  EXPECT_STREQ(lockRankName(LockRank::kStatMerge), "stat-merge");
+  EXPECT_STREQ(lockRankName(LockRank::kVerdictTier), "verdict-tier");
   EXPECT_STREQ(lockRankName(LockRank::kFramePool), "frame-pool");
   EXPECT_STREQ(lockRankName(LockRank::kFramePoolSpill), "frame-pool-spill");
 }
@@ -113,13 +111,12 @@ class SmokeDetector : public cv::Detector {
 };
 
 TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
-  // A pooled, batched fleet at W=4 exercises every ranked lock in the
-  // runtime concurrently: executor submit from four session workers,
-  // FramePool acquire/release from captures and §IV-E scrubs, all while
-  // the rank validator is live on every thread. An ordering violation
-  // anywhere would abort the run.
+  // A pooled, tiered fleet at W=4 exercises every ranked lock in the
+  // runtime concurrently: run-queue pops and steals, verdict-tier probes
+  // and publishes, FramePool acquire/release from captures and §IV-E
+  // scrubs, all while the rank validator is live on every thread. An
+  // ordering violation anywhere would abort the run.
   SmokeDetector detector;
-  fleet::BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
   fleet::FleetConfig config;
   config.sessions = 16;
   config.workers = 4;
@@ -127,38 +124,26 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
   config.duration = ms(2000);
   config.pooledFrames = true;
   config.sharedVerdictTier = true;  // shards resolve to the worker count
-  fleet::Fleet fleet(detector, executor, config);
+  fleet::Fleet fleet(detector, config);
 
-  // The runtime's lock population carries the documented ranks: both
-  // executor classes at kExecutorQueue, the shared pool at kFramePool —
-  // and the pool rank stays strictly above the executor rank so slab
-  // release is a legal leaf under a queue lock.
   auto& registry = LockRankRegistry::instance();
-  EXPECT_GE(registry.liveCount(LockRank::kExecutorQueue), 1);
-  EXPECT_GE(registry.liveCount(LockRank::kFramePool), 1);
-  EXPECT_GT(static_cast<int>(LockRank::kFramePool),
-            static_cast<int>(LockRank::kExecutorQueue));
-
-  // The work-stealing driver's lock population (the fleet default): the
-  // global control lock, one run-queue shard per worker, the flush token —
-  // ranked strictly BELOW the executor queue, because a flushing worker
-  // submits into the backend while holding it — and one stat-merge shard
-  // per worker for the retirement folds.
+  // The scheduler: the global control lock and one run-queue shard per
+  // worker, taken under the control lock at enqueue.
   EXPECT_GE(registry.liveCount(LockRank::kFleetControl), 1);
   EXPECT_GE(registry.liveCount(LockRank::kSessionQueue), 4);
-  EXPECT_GE(registry.liveCount(LockRank::kFleetFlush), 1);
-  EXPECT_GE(registry.liveCount(LockRank::kStatMerge), 4);
-  EXPECT_LT(static_cast<int>(LockRank::kFleetFlush),
-            static_cast<int>(LockRank::kExecutorQueue));
+  EXPECT_GT(static_cast<int>(LockRank::kSessionQueue),
+            static_cast<int>(LockRank::kFleetControl));
 
-  // The shared verdict tier's stripes: one per worker here, ranked
-  // strictly between the executor queues (completions may publish while a
-  // flush holds one) and the stat-merge/frame-pool leaves.
+  // The shared verdict tier's stripes: one per worker here, ranked above
+  // the scheduler and below the frame pool.
   EXPECT_GE(registry.liveCount(LockRank::kVerdictTier), 4);
   EXPECT_GT(static_cast<int>(LockRank::kVerdictTier),
-            static_cast<int>(LockRank::kExecutorQueue));
-  EXPECT_LT(static_cast<int>(LockRank::kVerdictTier),
-            static_cast<int>(LockRank::kStatMerge));
+            static_cast<int>(LockRank::kSessionQueue));
+
+  // The shared pool is the leaf: slab release runs at any call depth.
+  EXPECT_GE(registry.liveCount(LockRank::kFramePool), 1);
+  EXPECT_GT(static_cast<int>(LockRank::kFramePool),
+            static_cast<int>(LockRank::kVerdictTier));
 
   fleet.run();
   const fleet::FleetSnapshot snap = fleet.snapshot();

@@ -28,41 +28,6 @@ class FakeDetector : public cv::Detector {
   double costMacsPerImage() const override { return 1.0e6; }
 };
 
-/// Deferred executor under manual control: parks every request until the
-/// test calls flush(), which runs the model and delivers each completion
-/// through the reply looper (the deferred-backend delivery path).
-class ManualDeferredExecutor : public DetectionExecutor {
- public:
-  void submit(DetectionRequest request) override {
-    parked_.push_back(std::move(request));
-  }
-  void flush() override {
-    std::vector<DetectionRequest> work;
-    work.swap(parked_);
-    for (DetectionRequest& request : work) {
-      auto detections = request.detector->detect(request.frame->pixels());
-      request.frame.reset();
-      if (request.replyLooper != nullptr) {
-        request.replyLooper->post(
-            [cb = std::move(request.onComplete),
-             dets = std::move(detections)]() mutable {
-              cb(std::move(dets), 1, DetectionTiming{});
-            });
-      } else {
-        request.onComplete(std::move(detections), 1, DetectionTiming{});
-      }
-    }
-  }
-  [[nodiscard]] std::size_t pendingCount() const override {
-    return parked_.size();
-  }
-  [[nodiscard]] bool synchronous() const override { return false; }
-  [[nodiscard]] const char* name() const override { return "manual"; }
-
- private:
-  std::vector<DetectionRequest> parked_;
-};
-
 struct Harness {
   android::AndroidSystem system;
   FakeDetector detector;
@@ -374,43 +339,6 @@ TEST(PipelineCacheTest, FailedScreenshotIsNotCountedOrCached) {
   EXPECT_EQ(h.service.pipeline().cache().size(), 0u);
   h.service.analyzeNow();
   EXPECT_EQ(h.service.stats().verdictCacheHits, 0);
-}
-
-TEST(PipelineCacheTest, ClearDuringInFlightCoalescedDetectStaysCoherent) {
-  // Two passes of the same fingerprint through a deferred backend: the
-  // second parks behind the first's in-flight detect. clear()ing the cache
-  // while the detect is out must not strand the parked pass or leave the
-  // cache stale — the completion reseeds the fresh verdict and the
-  // replayed follower resolves against it, still without a second model
-  // run.
-  ManualDeferredExecutor executor;
-  DarpaConfig config;
-  config.executor = &executor;
-  Harness h(config);
-  h.detector.detections = {upoAt({30, 60, 20, 20})};
-
-  h.showAndSettle("com.app", makeScreen(0));  // submits, detect parked
-  EXPECT_EQ(executor.pendingCount(), 1u);
-  h.system.windowManager.notifyContentChanged();
-  h.system.looper.runUntilIdle();  // same fingerprint: coalesces in-flight
-  EXPECT_EQ(executor.pendingCount(), 1u);
-  EXPECT_EQ(h.detector.calls, 0);
-
-  h.service.pipeline().cache().clear();  // mid-flight invalidation
-  EXPECT_EQ(h.service.pipeline().cache().size(), 0u);
-
-  executor.flush();
-  h.system.looper.runUntilIdle();  // deliver completion + replay follower
-
-  // One model run served both passes, and the cleared cache holds exactly
-  // the reseeded verdict (the follower's replay was its cache hit).
-  EXPECT_EQ(h.detector.calls, 1);
-  EXPECT_EQ(h.service.stats().analysesRun, 2);
-  EXPECT_EQ(h.service.stats().verdictCacheHits, 1);
-  EXPECT_EQ(h.service.pipeline().cache().size(), 1u);
-  EXPECT_TRUE(h.service.lastWasAui());
-  ASSERT_EQ(h.service.lastDetections().size(), 1u);
-  EXPECT_EQ(h.service.lastDetections()[0].box, Rect({30, 60, 20, 20}));
 }
 
 // ------------------------------------------- anchor-overlay measurement

@@ -3,13 +3,12 @@
 // suite), and the tier refactor's two fleet-level contracts:
 //
 //  1. Tier DISABLED (the default): 64-session fleet digests stay
-//     byte-identical across drivers and worker counts — the tier's mere
+//     byte-identical across worker counts and reruns — the tier's mere
 //     existence changes nothing.
 //  2. Tier ENABLED over a shared app population: every session still
 //     reaches the same per-session verdicts (same analyses, same AUIs
 //     flagged), but the fleet runs strictly fewer model detects — the L2
-//     hits and the single-flight coalescing moved who pays, never what is
-//     decided.
+//     hits moved who pays, never what is decided.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "core/verdict_tier.h"
-#include "fleet/executors.h"
 #include "fleet/fleet.h"
 #include "perf/device_model.h"
 #include "util/rng.h"
@@ -97,8 +95,6 @@ TEST(SharedVerdictTierTest, ShardsResolveAndClearDropsEverything) {
   tier.clear();
   EXPECT_EQ(tier.stats().entries, 0);
   EXPECT_FALSE(tier.find(1).has_value());
-  tier.noteSuppressedDetect();
-  EXPECT_EQ(tier.stats().suppressedDetects, 1);
 }
 
 // --------------------------------------------------- concurrency hammer
@@ -227,9 +223,8 @@ std::string digestOf(const FleetSnapshot& snap) {
 /// nothing across sessions). Monkey seeds stay per-session (the fleet's
 /// own draw): the screen sequence is a pure function of (profile,
 /// appSeed), so sessions of one app see identical screens but analyze
-/// them at skewed instants — some in the same flush epoch (single-flight
-/// coalescing) and some a later epoch (a real L2 hit on a verdict another
-/// session already published).
+/// them at skewed instants — a later session is served the verdict an
+/// earlier one already published (a real L2 hit).
 std::function<void(int, DeviceSession::Config&)> sharedPopulation(int apps) {
   struct App {
     apps::AppProfile profile;
@@ -268,16 +263,14 @@ struct TierRun {
   core::SharedVerdictTier::Stats tier;
 };
 
-TierRun runSharedFleet(FleetDriver driver, int workers, bool tierEnabled) {
+TierRun runSharedFleet(int workers, bool tierEnabled) {
   ParityDetector detector;
-  BatchingExecutor executor({.maxBatchSize = 16, .threads = 4});
 
   FleetConfig config;
   config.sessions = 64;
   config.workers = workers;
   config.epoch = ms(500);
   config.duration = ms(3000);
-  config.driver = driver;
   config.sessionTweak = sharedPopulation(/*apps=*/8);
   config.sharedVerdictTier = tierEnabled;
   // A deliberately thrashing L1 (capacity 1, same in the reference run):
@@ -285,9 +278,8 @@ TierRun runSharedFleet(FleetDriver driver, int workers, bool tierEnabled) {
   // L1-miss -> L2-hit -> promote traffic, not just publishes.
   config.darpa.verdictCacheCapacity = 1;
 
-  Fleet fleet(detector, executor, config);
+  Fleet fleet(detector, config);
   fleet.run();
-  EXPECT_EQ(executor.pendingCount(), 0u);
 
   TierRun run;
   run.digest = digestOf(fleet.snapshot());
@@ -302,47 +294,28 @@ TierRun runSharedFleet(FleetDriver driver, int workers, bool tierEnabled) {
   return run;
 }
 
-// Contract 1: with the tier DISABLED the refactor is invisible — digests
-// byte-identical across drivers and worker counts (and, by the unchanged
-// code paths, to the pre-tier seed).
+// Contract 1: with the tier DISABLED the tier is invisible — digests
+// byte-identical to the W=1 serial reference at W=4 and on a rerun (and, by
+// the unchanged code paths, to the pre-tier seed).
 TEST(SharedVerdictTierTest, TierDisabledDigestsByteIdenticalAcrossDrivers) {
-  const TierRun reference =
-      runSharedFleet(FleetDriver::kLockstep, /*workers=*/1, false);
+  const TierRun reference = runSharedFleet(/*workers=*/1, false);
   ASSERT_FALSE(reference.digest.empty());
   EXPECT_EQ(reference.tier.publishes, 0);  // no tier, no tier traffic
 
-  EXPECT_EQ(runSharedFleet(FleetDriver::kLockstep, 4, false).digest,
-            reference.digest);
-  EXPECT_EQ(runSharedFleet(FleetDriver::kWorkStealing, 1, false).digest,
-            reference.digest);
-  EXPECT_EQ(runSharedFleet(FleetDriver::kWorkStealing, 4, false).digest,
-            reference.digest);
+  EXPECT_EQ(runSharedFleet(4, false).digest, reference.digest);
+  EXPECT_EQ(runSharedFleet(4, false).digest, reference.digest);
 }
 
 // Contract 2: with the tier ENABLED every session reaches the same
 // per-session verdicts over the same event streams — only who paid for
-// them moved: the fleet runs strictly fewer model detects, the tier
-// serves real hits, and the batching backend's single-flight suppresses
-// duplicate in-flush detects.
+// them moved: the fleet runs strictly fewer model detects and the tier
+// serves real hits.
 TEST(SharedVerdictTierTest, TierEnabledIsVerdictEquivalentWithFewerDetects) {
-  const TierRun reference =
-      runSharedFleet(FleetDriver::kLockstep, /*workers=*/1, false);
+  const TierRun reference = runSharedFleet(/*workers=*/1, false);
 
-  const struct {
-    FleetDriver driver;
-    int workers;
-  } combos[] = {
-      {FleetDriver::kLockstep, 1},
-      {FleetDriver::kLockstep, 4},
-      {FleetDriver::kWorkStealing, 1},
-      {FleetDriver::kWorkStealing, 4},
-  };
-  for (const auto& combo : combos) {
-    SCOPED_TRACE(testing::Message()
-                 << (combo.driver == FleetDriver::kLockstep ? "lockstep"
-                                                            : "ws")
-                 << " W=" << combo.workers);
-    const TierRun tiered = runSharedFleet(combo.driver, combo.workers, true);
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "W=" << workers);
+    const TierRun tiered = runSharedFleet(workers, true);
 
     // Same inputs, same decisions — per session, not just in aggregate.
     EXPECT_EQ(tiered.eventsBySession, reference.eventsBySession);
@@ -353,9 +326,6 @@ TEST(SharedVerdictTierTest, TierEnabledIsVerdictEquivalentWithFewerDetects) {
     EXPECT_LT(tiered.detectorCalls, reference.detectorCalls);
     EXPECT_GT(tiered.tier.hits, 0);
     EXPECT_GT(tiered.tier.publishes, 0);
-    EXPECT_GT(tiered.tier.suppressedDetects, 0)
-        << "64 sessions over 8 shared apps must coalesce same-screen "
-           "misses within a flush";
     EXPECT_EQ(tiered.tier.rejectedUnevidenced, 0)
         << "this workload never fails a capture";
   }
