@@ -1,10 +1,15 @@
 // Detector hot-path microbench: the batched/fused compute core's three
 // contracts, measured on fixed seeded frames (exit nonzero on failure):
 //
-//  1. Throughput — scoring the anchor grid through Mlp::forwardBatch is
-//     >= 3x faster than looping the scalar forward() per candidate, and
-//     end-to-end OneStage::detect with the batched head is >= 2x faster
-//     than the scalar per-candidate path. Single thread, same weights.
+//  1. Throughput, single thread, same weights: scoring the anchor grid
+//     through Mlp::forwardBatch is >= 3x faster than looping the scalar
+//     forward() per candidate, the widest int8 SIMD lane is >= 2x faster
+//     than the scalar int8 lane on AVX2 hosts, and end-to-end
+//     OneStage::detect with the batched head is >= 1.7x faster than the
+//     scalar per-candidate path. Each gate times its sides in alternating
+//     order over kAbRounds rounds and takes the median of the per-round
+//     ratios, so host drift during the run lands on every side instead of
+//     in the ratio.
 //  2. Bit-equality — the batched path's detections are byte-identical to
 //     the scalar path's on every bench frame (the speedup is a pure
 //     reorganization, not an approximation).
@@ -13,10 +18,13 @@
 //     arenas (descriptor matrix, GEMM ping-pong buffers, feature planes).
 //
 // Results land in BENCH_detector.json (throughput, ns/candidate,
-// allocs/frame) for trend tracking.
+// allocs/frame) for trend tracking. Its absolute times are each side's
+// fastest round; its speedups are the gated median ratios.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,17 +43,49 @@ double nowMs() {
       .count();
 }
 
-/// Best-of-3 wall time of `fn()` in milliseconds.
-template <typename Fn>
-double bestOf3(Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const double start = nowMs();
-    fn();
-    const double elapsed = nowMs() - start;
-    if (rep == 0 || elapsed < best) best = elapsed;
+/// Rounds per interleaved comparison; odd, so the median is one round.
+constexpr std::size_t kAbRounds = 7;
+
+/// Wall times in ms of each side over kAbRounds rounds, indexed
+/// [side][round]. Every round times every side once, starting one side
+/// later than the round before (A,B then B,A for two sides).
+std::vector<std::vector<double>> interleavedMs(
+    const std::vector<std::function<void()>>& sides) {
+  std::vector<std::vector<double>> ms(sides.size(),
+                                      std::vector<double>(kAbRounds));
+  for (std::size_t round = 0; round < kAbRounds; ++round) {
+    for (std::size_t k = 0; k < sides.size(); ++k) {
+      const std::size_t side = (round + k) % sides.size();
+      const double start = nowMs();
+      sides[side]();
+      ms[side][round] = nowMs() - start;
+    }
   }
-  return best;
+  return ms;
+}
+
+double fastest(const std::vector<double>& ms) {
+  return *std::min_element(ms.begin(), ms.end());
+}
+
+/// Per-round speedups slow[r] / fast[r].
+std::vector<double> ratios(const std::vector<double>& slow,
+                           const std::vector<double>& fast) {
+  std::vector<double> out(slow.size());
+  for (std::size_t r = 0; r < slow.size(); ++r) out[r] = slow[r] / fast[r];
+  return out;
+}
+
+/// Median of an odd number of values.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+void printRatios(const std::vector<double>& perRound) {
+  std::printf("    per-round ratios:");
+  for (const double ratio : perRound) std::printf(" %.2f", ratio);
+  std::printf("\n");
 }
 
 bool detectionsEqual(const std::vector<cv::Detection>& a,
@@ -133,35 +173,42 @@ int main(int argc, char** argv) {
   const int forwardReps = scaled(40, 8);
   volatile float sink = 0.0f;
 
-  const double scalarForwardMs = bestOf3([&] {
-    for (int rep = 0; rep < forwardReps; ++rep) {
-      for (int r = 0; r < rows; ++r) {
-        const std::vector<float> out = head.forward(std::span<const float>(
-            descriptors.data() +
-                static_cast<std::size_t>(r) * cv::kCandidateFeatureDim,
-            cv::kCandidateFeatureDim));
-        sink = sink + out[0];
-      }
-    }
+  const std::vector<std::vector<double>> forwardMs = interleavedMs({
+      [&] {
+        for (int rep = 0; rep < forwardReps; ++rep) {
+          for (int r = 0; r < rows; ++r) {
+            const std::vector<float> out = head.forward(std::span<const float>(
+                descriptors.data() +
+                    static_cast<std::size_t>(r) * cv::kCandidateFeatureDim,
+                cv::kCandidateFeatureDim));
+            sink = sink + out[0];
+          }
+        }
+      },
+      [&] {
+        for (int rep = 0; rep < forwardReps; ++rep) {
+          head.forwardBatch(descriptors, rows, logits, scratch);
+          sink = sink + logits[0];
+        }
+      },
   });
-  const double batchedForwardMs = bestOf3([&] {
-    for (int rep = 0; rep < forwardReps; ++rep) {
-      head.forwardBatch(descriptors, rows, logits, scratch);
-      sink = sink + logits[0];
-    }
-  });
+  const double scalarForwardMs = fastest(forwardMs[0]);
+  const double batchedForwardMs = fastest(forwardMs[1]);
+  const std::vector<double> forwardRatios = ratios(forwardMs[0], forwardMs[1]);
   const double totalRows = static_cast<double>(rows) * forwardReps;
-  const double forwardSpeedup = scalarForwardMs / batchedForwardMs;
+  const double forwardSpeedup = median(forwardRatios);
   std::printf(
-      "\n  MLP scoring, %d candidates x %d reps (single thread):\n"
+      "\n  MLP scoring, %d candidates x %d reps (single thread, fastest of %zu "
+      "interleaved rounds):\n"
       "    scalar  %9.2f ms  (%8.0f rows/s, %7.1f ns/candidate)\n"
       "    batched %9.2f ms  (%8.0f rows/s, %7.1f ns/candidate)\n"
-      "    speedup %.2fx (contract: >= 3x)\n",
-      rows, forwardReps, scalarForwardMs,
+      "    speedup %.2fx median (contract: >= 3x)\n",
+      rows, forwardReps, kAbRounds, scalarForwardMs,
       totalRows / (scalarForwardMs / 1000.0),
       1e6 * scalarForwardMs / totalRows, batchedForwardMs,
       totalRows / (batchedForwardMs / 1000.0),
       1e6 * batchedForwardMs / totalRows, forwardSpeedup);
+  printRatios(forwardRatios);
   if (forwardSpeedup < 3.0) {
     std::printf("FAIL: batched forward speedup %.2fx < 3x\n", forwardSpeedup);
     failed = true;
@@ -211,6 +258,8 @@ int main(int argc, char** argv) {
                                 quantizedHead.outputSize());
   std::vector<float> scalarLaneLogits;
   LaneResult laneResults[nn::kernels::kInt8LaneCount];
+  std::vector<Int8Lane> timedLanes;  ///< Supported lanes, scalar first.
+  std::vector<std::function<void()>> laneSides;
   std::printf("\n  int8 GEMM kernel lanes, %d candidates x %d reps "
               "(dispatch resolved: %s):\n",
               rows, forwardReps, activeLaneName);
@@ -224,23 +273,10 @@ int main(int argc, char** argv) {
                   nn::kernels::laneName(lane));
       continue;
     }
-    const nn::kernels::Int8Kernel& kernel = nn::kernels::kernelForLane(lane);
+    const nn::kernels::Int8Kernel* kernel = &nn::kernels::kernelForLane(lane);
+    // Warm the scratch and check bit-equality before any timing.
     quantizedHead.forwardBatchWithKernel(descriptors, rows, laneLogits,
-                                         scratch, kernel);  // warm scratch
-    result.ms = bestOf3([&] {
-      for (int rep = 0; rep < forwardReps; ++rep) {
-        quantizedHead.forwardBatchWithKernel(descriptors, rows, laneLogits,
-                                             scratch, kernel);
-        sink = sink + laneLogits[0];
-      }
-    });
-    result.nsPerCandidate = 1e6 * result.ms / totalRows;
-    result.gmacs = int8Macs * forwardReps / (result.ms * 1e6);
-    std::printf(
-        "    %-6s %9.2f ms  (%7.1f ns/candidate, %6.2f GMAC/s, "
-        "%2d MACs/instr)\n",
-        nn::kernels::laneName(lane), result.ms, result.nsPerCandidate,
-        result.gmacs, kernel.macsPerInstruction);
+                                         scratch, *kernel);
     if (lane == Int8Lane::kScalar) {
       scalarLaneLogits = laneLogits;
     } else if (std::memcmp(scalarLaneLogits.data(), laneLogits.data(),
@@ -249,19 +285,38 @@ int main(int argc, char** argv) {
                   nn::kernels::laneName(lane));
       failed = true;
     }
+    timedLanes.push_back(lane);
+    laneSides.emplace_back([&, kernel] {
+      for (int rep = 0; rep < forwardReps; ++rep) {
+        quantizedHead.forwardBatchWithKernel(descriptors, rows, laneLogits,
+                                             scratch, *kernel);
+        sink = sink + laneLogits[0];
+      }
+    });
   }
-  const LaneResult& scalarLane = laneResults[static_cast<int>(Int8Lane::kScalar)];
+  const std::vector<std::vector<double>> laneMs = interleavedMs(laneSides);
   double int8SimdSpeedup = 1.0;
-  for (const LaneResult& result : laneResults) {
-    if (result.supported && result.lane != Int8Lane::kScalar) {
-      int8SimdSpeedup =
-          std::max(int8SimdSpeedup, scalarLane.ms / result.ms);
+  for (std::size_t i = 0; i < timedLanes.size(); ++i) {
+    LaneResult& result = laneResults[static_cast<int>(timedLanes[i])];
+    result.ms = fastest(laneMs[i]);
+    result.nsPerCandidate = 1e6 * result.ms / totalRows;
+    result.gmacs = int8Macs * forwardReps / (result.ms * 1e6);
+    std::printf(
+        "    %-6s %9.2f ms  (%7.1f ns/candidate, %6.2f GMAC/s, "
+        "%2d MACs/instr)\n",
+        nn::kernels::laneName(result.lane), result.ms, result.nsPerCandidate,
+        result.gmacs,
+        nn::kernels::kernelForLane(result.lane).macsPerInstruction);
+    if (i > 0) {  // timedLanes[0] is the scalar lane
+      const std::vector<double> laneRatios = ratios(laneMs[0], laneMs[i]);
+      printRatios(laneRatios);
+      int8SimdSpeedup = std::max(int8SimdSpeedup, median(laneRatios));
     }
   }
   const double int8Intensity = int8Macs / int8Bytes;
   std::printf(
-      "    arith intensity %.2f MAC/byte; SIMD speedup %.2fx over scalar "
-      "lane (contract: >= 2x when AVX2 is available)\n",
+      "    arith intensity %.2f MAC/byte; SIMD speedup %.2fx median over "
+      "scalar lane (contract: >= 2x when AVX2 is available)\n",
       int8Intensity, int8SimdSpeedup);
   if (nn::kernels::laneSupported(Int8Lane::kAvx2) && int8SimdSpeedup < 2.0) {
     std::printf("FAIL: int8 SIMD lane speedup %.2fx < 2x\n", int8SimdSpeedup);
@@ -272,26 +327,30 @@ int main(int argc, char** argv) {
   // The pre-fusion shape rebuilt for comparison: five separate traversals
   // (one FeatureMap per single channel costs one full pass each).
   const int featureReps = scaled(20, 5);
-  const double fusedFeatureMs = bestOf3([&] {
-    for (int rep = 0; rep < featureReps; ++rep) {
-      const cv::FeatureMap m(frames[0], cv::ChannelSet::all(), 2);
-      sink = sink + m.globalMean(cv::Channel::kLuma);
-    }
+  const std::vector<std::vector<double>> featureMs = interleavedMs({
+      [&] {
+        for (int rep = 0; rep < featureReps; ++rep) {
+          const cv::FeatureMap m(frames[0], cv::ChannelSet::all(), 2);
+          sink = sink + m.globalMean(cv::Channel::kLuma);
+        }
+      },
+      [&] {
+        for (int rep = 0; rep < featureReps; ++rep) {
+          for (int c = 0; c < cv::kChannelCount; ++c) {
+            const cv::Channel one[] = {static_cast<cv::Channel>(c)};
+            const cv::FeatureMap m(frames[0], cv::ChannelSet::only(one), 2);
+            sink = sink + m.globalMean(one[0]);
+          }
+        }
+      },
   });
-  const double naiveFeatureMs = bestOf3([&] {
-    for (int rep = 0; rep < featureReps; ++rep) {
-      for (int c = 0; c < cv::kChannelCount; ++c) {
-        const cv::Channel one[] = {static_cast<cv::Channel>(c)};
-        const cv::FeatureMap m(frames[0], cv::ChannelSet::only(one), 2);
-        sink = sink + m.globalMean(one[0]);
-      }
-    }
-  });
+  const double fusedFeatureMs = fastest(featureMs[0]);
+  const double naiveFeatureMs = fastest(featureMs[1]);
   std::printf(
       "\n  FeatureMap build x %d reps: fused %8.2f ms, per-channel %8.2f ms "
-      "(%.2fx)\n",
+      "(%.2fx median)\n",
       featureReps, fusedFeatureMs, naiveFeatureMs,
-      naiveFeatureMs / fusedFeatureMs);
+      median(ratios(featureMs[1], featureMs[0])));
 
   // --- contract 2: bit-equality on every frame ----------------------------
   std::vector<std::vector<cv::Detection>> batchedDets;
@@ -313,22 +372,28 @@ int main(int argc, char** argv) {
 
   // --- contract 1b: end-to-end detect speedup -----------------------------
   const int detectReps = scaled(6, 2);
-  const double scalarDetectMs = bestOf3([&] {
-    for (int rep = 0; rep < detectReps; ++rep) {
-      for (const gfx::Bitmap& frame : frames) {
-        sink = sink + static_cast<float>(scalarDetector->detect(frame).size());
-      }
-    }
+  const std::vector<std::vector<double>> detectMs = interleavedMs({
+      [&] {
+        for (int rep = 0; rep < detectReps; ++rep) {
+          for (const gfx::Bitmap& frame : frames) {
+            sink = sink +
+                   static_cast<float>(scalarDetector->detect(frame).size());
+          }
+        }
+      },
+      [&] {
+        for (int rep = 0; rep < detectReps; ++rep) {
+          for (const gfx::Bitmap& frame : frames) {
+            sink = sink + static_cast<float>(detector.detect(frame).size());
+          }
+        }
+      },
   });
-  const double batchedDetectMs = bestOf3([&] {
-    for (int rep = 0; rep < detectReps; ++rep) {
-      for (const gfx::Bitmap& frame : frames) {
-        sink = sink + static_cast<float>(detector.detect(frame).size());
-      }
-    }
-  });
+  const double scalarDetectMs = fastest(detectMs[0]);
+  const double batchedDetectMs = fastest(detectMs[1]);
+  const std::vector<double> detectRatios = ratios(detectMs[0], detectMs[1]);
   const double detectImages = static_cast<double>(frames.size()) * detectReps;
-  const double detectSpeedup = scalarDetectMs / batchedDetectMs;
+  const double detectSpeedup = median(detectRatios);
   // Floor 1.7x, not 2x: the ratio's denominator (the scalar per-candidate
   // fp32 head) is link-layout-sensitive — measured 1.9x-2.6x across opt
   // levels and otherwise-identical builds while the *batched* absolute
@@ -339,9 +404,10 @@ int main(int argc, char** argv) {
       "\n  end-to-end detect, %zu frames x %d reps:\n"
       "    scalar  %9.2f ms (%6.2f ms/image)\n"
       "    batched %9.2f ms (%6.2f ms/image)\n"
-      "    speedup %.2fx (contract: >= 1.7x)\n",
+      "    speedup %.2fx median (contract: >= 1.7x)\n",
       frames.size(), detectReps, scalarDetectMs, scalarDetectMs / detectImages,
       batchedDetectMs, batchedDetectMs / detectImages, detectSpeedup);
+  printRatios(detectRatios);
   if (detectSpeedup < 1.7) {
     std::printf("FAIL: end-to-end detect speedup %.2fx < 1.7x\n",
                 detectSpeedup);

@@ -13,11 +13,15 @@
 //     falls below the all-native rate and detector runs do not fall.
 //  3. Peak RSS of the largest big fleet stays within budget: 128 MB at
 //     1,024 sessions (--quick), 512 MB at 16,384 sessions (full mode).
+//     A big fleet whose budget exceeds MemAvailable is not built: the
+//     bench prints the size, the budget and MemAvailable and exits 1
+//     instead of being OOM-killed.
 // Emits every row to BENCH_fleet.json (next to the binary).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -78,21 +82,33 @@ void resetPeakRss() {
   }
 }
 
-/// VmHWM from /proc/self/status, in MB (0 when unreadable).
-double peakRssMb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
+/// The "<key> <n> kB" field of a /proc file, in MB (0 when unreadable).
+double procFieldMb(const char* path, const char* key) {
+  std::FILE* f = std::fopen(path, "r");
   if (f == nullptr) return 0.0;
+  const std::size_t keyLength = std::strlen(key);
   char line[256];
   long kb = 0;
   while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+    if (std::strncmp(line, key, keyLength) == 0 &&
+        std::sscanf(line + keyLength, "%ld", &kb) == 1) {
+      break;
+    }
   }
   std::fclose(f);
   return static_cast<double>(kb) / 1024.0;
 }
 
-/// The paper-facing output digest (same axes as the fleet tests and
-/// bench_frame_pool), fixed-point formatted for exact comparison.
+/// This process's peak RSS (VmHWM), in MB.
+double peakRssMb() { return procFieldMb("/proc/self/status", "VmHWM:"); }
+
+/// Memory the kernel can still hand out without swapping, in MB.
+double memAvailableMb() {
+  return procFieldMb("/proc/meminfo", "MemAvailable:");
+}
+
+/// The paper-facing output digest (same axes as the fleet tests),
+/// fixed-point formatted for exact comparison.
 std::string digestOf(const fleet::FleetSnapshot& snap) {
   const perf::DeviceModel device;
   const Millis window{static_cast<std::int64_t>(snap.sessions) *
@@ -355,6 +371,13 @@ int main(int argc, char** argv) {
               "sessions/s", "p50 finish ms", "p99 finish ms", "peak RSS MB");
   Sample largest;
   for (const int sessions : bigSweep) {
+    const double availableMb = memAvailableMb();
+    if (availableMb > 0.0 && availableMb < rssBudgetMb) {
+      std::printf("FAIL: not building %d sessions: the %.0f MB RSS "
+                  "budget exceeds MemAvailable (%.0f MB)\n",
+                  sessions, rssBudgetMb, availableMb);
+      return 1;
+    }
     const Sample s =
         runFleet(detector, fleetConfig(sessions, fleetWorkers(), ms(100),
                                        ms(scaled(500, 300))));

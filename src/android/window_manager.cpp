@@ -129,16 +129,8 @@ bool WindowManager::removeOverlay(int overlayId) {
 void WindowManager::removeAllOverlays() { overlays_.clear(); }
 
 gfx::Bitmap WindowManager::composite() const {
-  // Pool-backed when a FramePool is installed: the per-capture screen
-  // buffer is the fleet's dominant allocation, and a recycled slab is
-  // re-filled to the identical initial state a fresh one would have.
-  gfx::Bitmap screen =
-      framePool_ != nullptr
-          ? framePool_->acquire(config_.screenSize.width,
-                                config_.screenSize.height, colors::kBlack,
-                                poolSessionTag_)
-          : gfx::Bitmap(config_.screenSize.width, config_.screenSize.height,
-                        colors::kBlack);
+  gfx::Bitmap screen(config_.screenSize.width, config_.screenSize.height,
+                     colors::kBlack);
   gfx::Canvas canvas(screen);
 
   // Application windows, bottom-up. Each window paints inside its frame.

@@ -28,7 +28,6 @@
 #include "android/accessibility_event.h"
 #include "android/view.h"
 #include "gfx/bitmap.h"
-#include "gfx/frame_pool.h"
 
 namespace darpa::android {
 
@@ -120,16 +119,6 @@ class WindowManager {
   void setEventSink(UiEventSink* sink) { sink_ = sink; }
   /// Clock used to stamp events (may be null → time 0). Must outlive us.
   void setClock(const SimClock* clock) { clock_ = clock; }
-
-  /// Slab pool composite() allocates its screen buffers from (null = plain
-  /// heap allocation per capture). `sessionTag` scopes the pool's
-  /// per-session quota — fleets pass the session id. The pool is borrowed
-  /// and must outlive every bitmap composited through it.
-  void setFramePool(gfx::FramePool* pool, int sessionTag = 0) {
-    framePool_ = pool;
-    poolSessionTag_ = sessionTag;
-  }
-  [[nodiscard]] gfx::FramePool* framePool() const { return framePool_; }
 
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] Rect screenBounds() const {
@@ -223,8 +212,6 @@ class WindowManager {
   Config config_;
   UiEventSink* sink_ = nullptr;
   const SimClock* clock_ = nullptr;
-  gfx::FramePool* framePool_ = nullptr;
-  int poolSessionTag_ = 0;
   std::vector<std::unique_ptr<Window>> appStack_;
   std::vector<Overlay> overlays_;
   int nextWindowId_ = 1;

@@ -79,14 +79,7 @@ void ScreenshotStage::run(AnalysisContext& ctx, WorkLedger& ledger) {
     ledger.recordSkip(Stage::kScreenshot);
     return;
   }
-  // The allocation axis reads the capture's slab provenance: a pooled
-  // reuse is the allocation the FramePool saved, anything else is a fresh
-  // heap buffer. Neither record adds modeled CPU.
-  if (shot.source() == gfx::SlabSource::kPoolReused) {
-    ledger.recordPooledReuse(Stage::kScreenshot, shot.pixelBytes());
-  } else {
-    ledger.recordAlloc(Stage::kScreenshot, shot.pixelBytes());
-  }
+  ledger.recordFrameBytes(shot.pixelBytes());
   // The pixels join the pass's frame (zero-copy) and the vault takes
   // shared custody of the same frame — one buffer, every holder.
   ctx.frame->attachPixels(std::move(shot));

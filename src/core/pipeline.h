@@ -147,9 +147,8 @@ class LintStage : public AnalysisStage {
 
 /// takeScreenshot, attached to the pass's ScreenFrame and shared with the
 /// vault. Only a usable (non-empty) capture is counted and priced; a
-/// failed capture skips detection downstream. The capture's slab
-/// provenance (heap alloc vs. FramePool reuse) is recorded on the
-/// ledger's allocation axis here.
+/// failed capture skips detection downstream. The capture's size feeds
+/// the ledger's peakFrameBytes here.
 class ScreenshotStage : public AnalysisStage {
  public:
   [[nodiscard]] Stage kind() const override { return Stage::kScreenshot; }

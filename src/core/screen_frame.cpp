@@ -7,9 +7,12 @@ namespace darpa::core {
 ScreenFrame::ScreenFrame(android::UiDump dump, std::string packageName)
     : dump_(std::move(dump)), package_(std::move(packageName)) {}
 
-// §IV-E: scrub the privacy-sensitive capture before its slab is released
-// (and possibly recycled through the FramePool). Runs when the last
-// FramePtr lets go, so no holder can observe pixels after the scrub.
+// §IV-E: scrub the privacy-sensitive capture before its buffer is freed.
+// Runs when the last FramePtr lets go, so no holder can observe pixels
+// after the scrub. The buffer reaches operator delete right after the
+// fill, so an inlined fill would be a dead store the optimizer may drop;
+// Bitmap::fill is out of line in gfx/bitmap.cpp and the build has no LTO,
+// so the call and its stores stay.
 ScreenFrame::~ScreenFrame() {
   if (!pixels_.empty()) pixels_.fill(colors::kBlack);
 }

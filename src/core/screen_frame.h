@@ -9,12 +9,10 @@
 //
 // Immutability protocol: the owning session thread builds the frame
 // (constructor + at most one attachPixels()); after that every holder sees
-// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads. The
-// pixels keep their slab provenance, so pooled buffers flow back to the
-// gfx::FramePool when the last holder lets go.
+// it through FramePtr (shared_ptr<const ScreenFrame>) and only reads.
 //
 // §IV-E custody: the destructor scrubs the pixel buffer (overwrites with
-// black) before the slab is released — the paper's "rinse immediately
+// black) before the buffer is freed — the paper's "rinse immediately
 // after running the CV-model" becomes scrub-on-last-release. No copy of
 // the screenshot exists to outlive the scrub, by construction.
 #pragma once

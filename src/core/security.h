@@ -6,7 +6,7 @@
 // most one screen frame is ever held, it lives in internal storage only,
 // and releasing it (rinse/take) hands the frame to its scrubbing destructor
 // — ScreenFrame overwrites the pixel buffer with black the moment the last
-// holder lets go, before the slab can be recycled through the FramePool.
+// holder lets go, before the buffer is freed.
 // Stats let tests (and the security unit tests) assert the invariant held
 // for a whole session.
 #pragma once

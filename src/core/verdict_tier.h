@@ -12,13 +12,11 @@
 //   publish: VerdictStage stores evidence-backed verdicts in L1 AND L2
 //
 // Concurrency: N-way sharded by fingerprint; each shard is a bounded LRU
-// under its own RankedMutex at LockRank::kVerdictTier — above the
-// scheduler's control and run-queue ranks and below the frame-pool ranks,
-// so a tier operation can never be entangled with a slab release. In
-// practice sessions probe and publish from inside a slice, holding no
-// other ranked lock. All shards share one rank: a thread holds at most one
-// shard lock at a time, and nothing is ever called out to while it is
-// held.
+// under its own RankedMutex at LockRank::kVerdictTier, the leaf rank above
+// the scheduler's control and run-queue ranks. In practice sessions probe
+// and publish from inside a slice, holding no other ranked lock. All
+// shards share one rank: a thread holds at most one shard lock at a time,
+// and nothing is ever called out to while it is held.
 //
 // Poisoning guard: publish() mirrors L1's seeding rule — only verdicts
 // resting on real evidence (a confident lint resolution or a usable

@@ -90,51 +90,9 @@ void WorkLedger::recordScratchGrowth(Stage stage, std::int64_t growths,
   tally.scratchGrownBytes += bytes;
 }
 
-void WorkLedger::recordAlloc(Stage stage, std::size_t bytes) {
-  StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
-  ++tally.allocs;
-  tally.allocBytes += static_cast<std::int64_t>(bytes);
+void WorkLedger::recordFrameBytes(std::size_t bytes) {
   peakFrameBytes_ =
       std::max(peakFrameBytes_, static_cast<std::int64_t>(bytes));
-}
-
-void WorkLedger::recordPooledReuse(Stage stage, std::size_t bytes) {
-  StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
-  ++tally.pooledReuses;
-  tally.pooledBytes += static_cast<std::int64_t>(bytes);
-  peakFrameBytes_ =
-      std::max(peakFrameBytes_, static_cast<std::int64_t>(bytes));
-}
-
-std::int64_t WorkLedger::totalAllocs() const {
-  std::int64_t total = 0;
-  for (const StageTally& tally : tallies_) total += tally.allocs;
-  return total;
-}
-
-std::int64_t WorkLedger::totalAllocBytes() const {
-  std::int64_t total = 0;
-  for (const StageTally& tally : tallies_) total += tally.allocBytes;
-  return total;
-}
-
-std::int64_t WorkLedger::totalPooledReuses() const {
-  std::int64_t total = 0;
-  for (const StageTally& tally : tallies_) total += tally.pooledReuses;
-  return total;
-}
-
-std::int64_t WorkLedger::totalPooledBytes() const {
-  std::int64_t total = 0;
-  for (const StageTally& tally : tallies_) total += tally.pooledBytes;
-  return total;
-}
-
-double WorkLedger::poolHitRate() const {
-  const std::int64_t acquisitions = totalAllocs() + totalPooledReuses();
-  return acquisitions == 0 ? 0.0
-                           : static_cast<double>(totalPooledReuses()) /
-                                 static_cast<double>(acquisitions);
 }
 
 double WorkLedger::totalCpuMs() const {
@@ -163,8 +121,7 @@ WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
   totalAnalysisLatencyCpuMs_ += o.totalAnalysisLatencyCpuMs_;
   totalDebounceLatency_ = totalDebounceLatency_ + o.totalDebounceLatency_;
   lastAnalysisCpuMs_ = o.lastAnalysisCpuMs_;
-  // The peak is a max, not a sum: sessions share one frame size, and the
-  // merged value must stay pooling-invariant (see peakFrameBytes()).
+  // The peak is a max, not a sum: sessions share one frame size.
   peakFrameBytes_ = std::max(peakFrameBytes_, o.peakFrameBytes_);
   if (traceEnabled_) {
     for (const TraceEvent& event : o.trace_) {
@@ -204,21 +161,7 @@ void WorkLedger::writeChromeTrace(std::ostream& os) const {
     os << num << ", \"pid\": 1, \"tid\": 1, \"args\": {\"analysis\": "
        << event.analysisId << "}}";
   }
-  // Allocation-axis roll-up, as Chrome counter tracks: one "C" event per
-  // stage that acquired buffers, splitting heap-allocated from pool-reused
-  // bytes. Emitted only when the axis saw traffic, so traces from builds
-  // without the frame pool are byte-identical to before.
-  for (const Stage stage : kAllStages) {
-    const StageTally& t = tally(stage);
-    if (t.allocs == 0 && t.pooledReuses == 0) continue;
-    if (!first) os << ",\n";
-    first = false;
-    os << "  {\"name\": \"frame_bytes[" << stageName(stage)
-       << "]\", \"cat\": \"darpa\", \"ph\": \"C\", \"ts\": 0, \"pid\": 1, "
-          "\"args\": {\"heap\": "
-       << t.allocBytes << ", \"pooled\": " << t.pooledBytes << "}}";
-  }
-  // Wall-clock axis, same counter-track shape: measured microseconds per
+  // Wall-clock axis, as Chrome counter tracks: measured microseconds per
   // stage (and scratch warm-up, when any happened). Gated on actual data so
   // traces from runs without wall-clock instrumentation are unchanged.
   for (const Stage stage : kAllStages) {

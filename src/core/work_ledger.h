@@ -9,10 +9,8 @@
 //    stage of the Fig.-5 life-cycle — event handling, lint, screenshot,
 //    CV detection, verdict merge, act (decorate/bypass);
 //  * verdict-cache hit/miss counters (the repeat-screen fast path);
-//  * a per-stage allocation axis (heap allocs vs. FramePool reuses, in
-//    buffers and bytes) — the zero-copy data plane's accounting, exported
-//    as counter events in the Chrome trace and folded into the Table VII
-//    memory row by perf::DeviceModel;
+//  * the peak single-frame footprint (peakFrameBytes), folded into the
+//    Table VII memory row by perf::DeviceModel;
 //  * per-analysis modeled latency and the simulated-clock debounce latency
 //    (time a screen waited for ct stability before being analyzed);
 //  * an optional bounded Chrome-trace event log (chrome://tracing /
@@ -91,19 +89,10 @@ struct StageTally {
   // above stays the deterministic axis.
   double actualUs = 0.0;  ///< Measured wall-clock microseconds.
 
-  // Allocation axis (the zero-copy data plane's accounting): heap buffers
-  // the stage allocated vs. pooled slabs it reused. Recording an allocation
-  // adds NO modeled CPU — memory traffic and CPU pricing are orthogonal
-  // axes, and pooling must not perturb the Table VII CPU numbers.
-  std::int64_t allocs = 0;         ///< Fresh heap allocations.
-  std::int64_t allocBytes = 0;     ///< Bytes of those allocations.
-  std::int64_t pooledReuses = 0;   ///< Buffers served from the FramePool.
-  std::int64_t pooledBytes = 0;    ///< Bytes served without heap traffic.
-
   // Scratch-arena axis: warm-up growths of the detector hot path's reusable
   // buffers (descriptor matrix, GEMM activations, feature planes). Kept
-  // apart from the allocation axis above so scratch warm-up can never
-  // perturb peakFrameBytes or the frame-pool economy contract.
+  // apart from peakFrameBytes so scratch warm-up can never move the Table
+  // VII memory row.
   std::int64_t scratchGrowths = 0;
   std::int64_t scratchGrownBytes = 0;
 
@@ -112,10 +101,6 @@ struct StageTally {
     skips += o.skips;
     cpuMs += o.cpuMs;
     actualUs += o.actualUs;
-    allocs += o.allocs;
-    allocBytes += o.allocBytes;
-    pooledReuses += o.pooledReuses;
-    pooledBytes += o.pooledBytes;
     scratchGrowths += o.scratchGrowths;
     scratchGrownBytes += o.scratchGrownBytes;
     return *this;
@@ -159,20 +144,16 @@ class WorkLedger {
   void recordCacheHit();
   void recordCacheMiss();
 
-  /// One fresh heap buffer of `bytes` allocated by `stage` (a screenshot
-  /// slab, typically). Adds no modeled CPU.
-  void recordAlloc(Stage stage, std::size_t bytes);
-  /// One pooled buffer of `bytes` reused by `stage` — the allocation the
-  /// FramePool saved. Adds no modeled CPU.
-  void recordPooledReuse(Stage stage, std::size_t bytes);
+  /// One screen capture of `bytes`: raises peakFrameBytes when larger.
+  /// Adds no modeled CPU.
+  void recordFrameBytes(std::size_t bytes);
 
   /// Measured wall-clock microseconds for a stage execution whose modeled
   /// cost was recorded elsewhere (or not at all). Pure observability.
   void recordActual(Stage stage, double actualUs);
   /// `growths` scratch-arena growth events totalling `bytes`, attributed to
-  /// `stage`. Tracks detector hot-path warm-up; deliberately NOT folded
-  /// into the allocation axis (no recordAlloc) so it cannot move
-  /// peakFrameBytes or the pool economy.
+  /// `stage`. Tracks detector hot-path warm-up; deliberately kept out of
+  /// peakFrameBytes.
   void recordScratchGrowth(Stage stage, std::int64_t growths,
                            std::int64_t bytes);
 
@@ -194,20 +175,8 @@ class WorkLedger {
   [[nodiscard]] std::int64_t cacheHits() const { return cacheHits_; }
   [[nodiscard]] std::int64_t cacheMisses() const { return cacheMisses_; }
 
-  // --- allocation axis ------------------------------------------------------
-  /// Heap allocations / bytes across every stage.
-  [[nodiscard]] std::int64_t totalAllocs() const;
-  [[nodiscard]] std::int64_t totalAllocBytes() const;
-  /// Pooled reuses / bytes across every stage.
-  [[nodiscard]] std::int64_t totalPooledReuses() const;
-  [[nodiscard]] std::int64_t totalPooledBytes() const;
-  /// Fraction of buffer acquisitions served without heap traffic.
-  [[nodiscard]] double poolHitRate() const;
-  /// Largest single buffer ever recorded (alloc or reuse) — the per-frame
-  /// working-set term perf::DeviceModel adds to the Table VII memory row.
-  /// Invariant under pooling: a reused slab is exactly as large as the
-  /// allocation it replaced, so the memory row is byte-identical with the
-  /// pool on or off.
+  /// Largest single screen capture recorded — the per-frame working-set
+  /// term perf::DeviceModel adds to the Table VII memory row.
   [[nodiscard]] std::int64_t peakFrameBytes() const { return peakFrameBytes_; }
 
   /// Modeled CPU latency of the most recent / all analysis passes.

@@ -10,9 +10,6 @@ DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
       service_(detector, config_.darpa),
       app_(system_, config_.profile, config_.appSeed),
       monkey_(system_, config_.monkeySeed) {
-  if (config_.framePool != nullptr) {
-    system_.windowManager.setFramePool(config_.framePool, config_.id);
-  }
   system_.accessibility.connect(service_);
   // The scoring listener records the positive-verdict timeline (Fig.-8
   // coverage needs it) and forwards to the harness's listener, exactly

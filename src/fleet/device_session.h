@@ -31,7 +31,7 @@ namespace darpa::fleet {
 class DeviceSession {
  public:
   struct Config {
-    int id = 0;  ///< Fleet-unique; tags the session's frame-pool slabs.
+    int id = 0;  ///< Fleet-unique session index.
     core::DarpaConfig darpa;
     android::WindowManager::Config window;
     apps::AppProfile profile;
@@ -44,10 +44,6 @@ class DeviceSession {
     /// the analyzed-screenshot count.
     int monkeyMinGapMs = 1500;
     int monkeyMaxGapMs = 4000;
-    /// Slab pool the window manager composites screen captures from
-    /// (null = plain heap allocation). Borrowed; must outlive the session.
-    /// The session id tags acquisitions for the pool's per-session quota.
-    gfx::FramePool* framePool = nullptr;
   };
 
   /// The detector is borrowed and must outlive the session (fleets share

@@ -14,11 +14,7 @@ Fleet::Fleet(const cv::Detector& detector, FleetConfig config)
   if (config_.sessions < 1) config_.sessions = 1;
   if (config_.workers < 1) config_.workers = 1;
   if (config_.epoch <= Millis{0}) config_.epoch = Millis{1000};
-  if (config_.framePool.shards == 0) config_.framePool.shards = config_.workers;
 
-  if (config_.pooledFrames) {
-    pool_ = std::make_unique<gfx::FramePool>(config_.framePool);
-  }
   if (config_.sharedVerdictTier) {
     if (config_.verdictTier.shards < 1) {
       config_.verdictTier.shards = config_.workers;
@@ -46,7 +42,6 @@ Fleet::Fleet(const cv::Detector& detector, FleetConfig config)
     // Fleet-owned wiring, re-asserted after the tweak: the identity and
     // plumbing fields are not the hook's to change.
     session.id = i;
-    session.framePool = pool_.get();
     session.darpa.verdictTier = tier_.get();
     sessions_.push_back(
         std::make_unique<DeviceSession>(detector, std::move(session)));
@@ -91,7 +86,6 @@ FleetSnapshot Fleet::snapshot() const {
     snap.auiExposures += session->auiExposures();
     snap.auisCovered += session->auisCovered();
   }
-  if (pool_ != nullptr) snap.framePool = pool_->stats();
   if (tier_ != nullptr) snap.verdictTier = tier_->stats();
   return snap;
 }

@@ -47,17 +47,10 @@ struct FleetConfig {
   /// Per-session config hook, applied after the fleet's own seeding and
   /// before the session is built. Lets tests and benches skew individual
   /// sessions (e.g. one deliberately hyperactive straggler for the
-  /// steal-heavy path). The fleet re-asserts its own wiring (id, frame
-  /// pool, verdict tier) afterwards, so a tweaked fleet still digests
-  /// identically across worker counts.
+  /// steal-heavy path). The fleet re-asserts its own wiring (id, verdict
+  /// tier) afterwards, so a tweaked fleet still digests identically across
+  /// worker counts.
   std::function<void(int, DeviceSession::Config&)> sessionTweak;
-  /// Share one FramePool across every session's screen captures. Off, each
-  /// capture heap-allocates (the pre-pool behavior); on, slabs recycle
-  /// across sessions and epochs. Results are byte-identical either way —
-  /// the pool only changes where the bytes live.
-  bool pooledFrames = true;
-  gfx::FramePool::Options framePool;  ///< Caps; zeros = unlimited. shards=0
-                                      ///< resolves to the worker count.
   /// Own a fleet-wide SharedVerdictTier (the L2 behind every session's
   /// verdict cache) and point every session at it. Off by default: a
   /// tier-less fleet is byte-identical to the pre-tier build. On, sessions
@@ -78,7 +71,6 @@ struct FleetSnapshot {
   std::int64_t eventsEmitted = 0;
   std::int64_t auiExposures = 0;
   std::int64_t auisCovered = 0;
-  gfx::FramePool::Stats framePool;  ///< Zeroed when pooling is off.
   /// Shared L2 counters (zeroed when the tier is off). Observability only
   /// — hit totals depend on cross-session timing, so nothing digest-stable
   /// may consume them.
@@ -129,10 +121,6 @@ class Fleet {
     return &scheduler_->metrics();
   }
 
-  /// The shared frame pool, or null when pooledFrames is off.
-  [[nodiscard]] gfx::FramePool* framePool() { return pool_.get(); }
-  [[nodiscard]] const gfx::FramePool* framePool() const { return pool_.get(); }
-
   /// The fleet-wide verdict tier, or null when sharedVerdictTier is off.
   [[nodiscard]] core::SharedVerdictTier* verdictTier() { return tier_.get(); }
   [[nodiscard]] const core::SharedVerdictTier* verdictTier() const {
@@ -143,11 +131,8 @@ class Fleet {
   void checkSessionIndex(int i) const;  ///< Aborts when out of range.
 
   FleetConfig config_;
-  /// Declared before sessions_: every pooled Bitmap's slab-return deleter
-  /// points back into the pool, so it must outlive all session state.
-  std::unique_ptr<gfx::FramePool> pool_;
-  /// Declared before sessions_ for the same lifetime rule: every session's
-  /// pipeline holds a borrowed tier pointer.
+  /// Declared before sessions_: every session's pipeline holds a borrowed
+  /// tier pointer, so the tier must outlive all session state.
   std::unique_ptr<core::SharedVerdictTier> tier_;
   /// The vector itself is fixed after construction; each element is
   /// confined to the worker currently running its slice (hand-offs happen

@@ -4,74 +4,42 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <utility>
 
 namespace darpa::gfx {
 
-const char* slabSourceName(SlabSource source) {
-  switch (source) {
-    case SlabSource::kNone: return "none";
-    case SlabSource::kHeap: return "heap";
-    case SlabSource::kPoolFresh: return "pool-fresh";
-    case SlabSource::kPoolReused: return "pool-reused";
-  }
-  return "?";
-}
-
 Bitmap::Bitmap(int width, int height, Color fill)
-    : width_(std::max(width, 0)), height_(std::max(height, 0)) {
-  if (width_ > 0 && height_ > 0) {
-    slab_ = std::make_shared<PixelSlab>();
-    slab_->pixels.assign(pixelCount(), fill);
-    slab_->source = SlabSource::kHeap;
-    data_ = slab_->pixels.data();
-  }
-}
+    : width_(std::max(width, 0)),
+      height_(std::max(height, 0)),
+      pixels_(pixelCount(), fill) {}
 
-Bitmap::Bitmap(int width, int height, SlabPtr slab)
-    : width_(width), height_(height), slab_(std::move(slab)) {
-  data_ = slab_ ? slab_->pixels.data() : nullptr;
-}
-
+// The moved-from bitmap must be a valid empty bitmap: at()/set() on it
+// would otherwise index pixels it no longer owns. (A moved-from vector is
+// empty; its dimensions are reset here.)
 Bitmap::Bitmap(Bitmap&& other) noexcept
-    : width_(other.width_),
-      height_(other.height_),
-      slab_(std::move(other.slab_)),
-      data_(other.data_) {
-  // The moved-from bitmap must be a valid empty bitmap: at()/set() on it
-  // would otherwise dereference a slab it no longer owns.
-  other.width_ = 0;
-  other.height_ = 0;
-  other.data_ = nullptr;
-}
+    : width_(std::exchange(other.width_, 0)),
+      height_(std::exchange(other.height_, 0)),
+      pixels_(std::move(other.pixels_)) {}
 
 Bitmap& Bitmap::operator=(Bitmap&& other) noexcept {
-  if (this != &other) {
-    width_ = other.width_;
-    height_ = other.height_;
-    slab_ = std::move(other.slab_);
-    data_ = other.data_;
-    other.width_ = 0;
-    other.height_ = 0;
-    other.data_ = nullptr;
-  }
+  width_ = std::exchange(other.width_, 0);
+  height_ = std::exchange(other.height_, 0);
+  pixels_ = std::exchange(other.pixels_, {});
   return *this;
 }
 
 Bitmap Bitmap::clone() const {
-  Bitmap out(width_, height_);
-  if (!empty()) {
-    std::memcpy(out.data_, data_, pixelBytes());
-  }
+  Bitmap out;
+  out.width_ = width_;
+  out.height_ = height_;
+  out.pixels_ = pixels_;
   return out;
 }
 
 bool operator==(const Bitmap& a, const Bitmap& b) {
-  if (a.width_ != b.width_ || a.height_ != b.height_) return false;
-  if (a.empty()) return true;
-  if (a.data_ == b.data_) return true;
-  return std::memcmp(a.data_, b.data_, a.pixelBytes()) == 0;
+  return a.width_ == b.width_ && a.height_ == b.height_ &&
+         a.pixels_ == b.pixels_;
 }
 
 #if DARPA_BOUNDS_CHECKS
@@ -95,10 +63,7 @@ void Bitmap::blendPixel(int x, int y, Color c) {
   set(x, y, blend(at(x, y), c));
 }
 
-void Bitmap::fill(Color c) {
-  if (empty()) return;
-  std::fill(data_, data_ + pixelCount(), c);
-}
+void Bitmap::fill(Color c) { std::fill(pixels_.begin(), pixels_.end(), c); }
 
 void Bitmap::fillRect(const Rect& r, Color c) {
   const Rect clipped = r.intersect(bounds());
@@ -276,7 +241,7 @@ bool Bitmap::writePpm(const std::string& path) const {
   if (!out) return false;
   out << "P6\n" << width_ << " " << height_ << "\n255\n";
   for (std::size_t i = 0; i < pixelCount(); ++i) {
-    const Color c = data_[i];
+    const Color c = pixels_[i];
     out.put(static_cast<char>(c.r));
     out.put(static_cast<char>(c.g));
     out.put(static_cast<char>(c.b));

@@ -6,16 +6,14 @@
 // the visual asymmetry of an AUI (size, position, contrast, transparency) is
 // genuinely present in the input rather than faked through metadata.
 //
-// Storage is a refcounted pixel slab so a frame captured once can be shared
-// zero-copy across the analysis pipeline and the screenshot vault
-// (core/screen_frame.h), and so slabs can be recycled through a
-// FramePool (gfx/frame_pool.h) instead of re-allocated per capture. Because
-// a stray `Bitmap b = other;` used to silently deep-copy ~1 MB of pixels,
-// the copy constructor is deleted: copies must be spelled clone().
+// A Bitmap owns its pixels in a plain vector. A capture is shared zero-copy
+// by wrapping it in a ScreenFrame (core/screen_frame.h), not by aliasing
+// the buffer. Because a stray `Bitmap b = other;` used to silently
+// deep-copy ~1 MB of pixels, the copy constructor is deleted: copies must
+// be spelled clone().
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,42 +33,21 @@
 
 namespace darpa::gfx {
 
-class FramePool;
-
-/// Where a bitmap's pixel slab came from — the provenance the WorkLedger's
-/// allocation axis is recorded from (heap alloc vs. pooled reuse).
-enum class SlabSource : std::uint8_t {
-  kNone,        ///< Empty bitmap, no slab.
-  kHeap,        ///< Plain heap allocation (no pool involved).
-  kPoolFresh,   ///< A FramePool slab that had to be newly allocated.
-  kPoolReused,  ///< A recycled FramePool slab — no heap traffic.
-};
-
-[[nodiscard]] const char* slabSourceName(SlabSource source);
-
-/// The shared flat pixel buffer behind a Bitmap. Pool-recycled slabs keep
-/// their vector capacity across reuses, so acquire() after release() costs
-/// an assign() (pixel overwrite), not an allocation.
-struct PixelSlab {
-  std::vector<Color> pixels;
-  SlabSource source = SlabSource::kHeap;
-};
-
 class Bitmap {
  public:
   Bitmap() = default;
   Bitmap(int width, int height, Color fill = colors::kWhite);
 
-  // Pixels are a shared slab; an implicit copy would either alias mutable
-  // state or silently deep-copy a full screen. Copies are therefore
-  // explicit (clone()); moves transfer the slab and leave the source empty.
+  // An implicit copy would silently deep-copy a full screen, so copies are
+  // explicit (clone()). Moves transfer the pixels and leave the source
+  // empty; they are noexcept so a vector of bitmaps moves, never copies.
   Bitmap(const Bitmap&) = delete;
   Bitmap& operator=(const Bitmap&) = delete;
   Bitmap(Bitmap&& other) noexcept;
   Bitmap& operator=(Bitmap&& other) noexcept;
   ~Bitmap() = default;
 
-  /// Deep copy into a fresh heap slab (provenance kHeap).
+  /// Deep copy.
   [[nodiscard]] Bitmap clone() const;
 
   [[nodiscard]] int width() const { return width_; }
@@ -81,13 +58,9 @@ class Bitmap {
   [[nodiscard]] std::size_t pixelCount() const {
     return static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
   }
-  /// Bytes of pixel payload — the unit of the ledger's allocation axis.
+  /// Bytes of pixel payload.
   [[nodiscard]] std::size_t pixelBytes() const {
     return pixelCount() * sizeof(Color);
-  }
-  /// Provenance of the pixel slab (kNone for an empty bitmap).
-  [[nodiscard]] SlabSource source() const {
-    return slab_ ? slab_->source : SlabSource::kNone;
   }
 
   /// Pixel access; caller guarantees (x, y) is in bounds. Debug and
@@ -96,13 +69,13 @@ class Bitmap {
 #if DARPA_BOUNDS_CHECKS
     checkBounds(x, y);
 #endif
-    return data_[static_cast<std::size_t>(y) * width_ + x];
+    return pixels_[static_cast<std::size_t>(y) * width_ + x];
   }
   void set(int x, int y, Color c) {
 #if DARPA_BOUNDS_CHECKS
     checkBounds(x, y);
 #endif
-    data_[static_cast<std::size_t>(y) * width_ + x] = c;
+    pixels_[static_cast<std::size_t>(y) * width_ + x] = c;
   }
 
   /// Bounds-checked read; out-of-range returns transparent.
@@ -136,19 +109,10 @@ class Bitmap {
   /// dropped (screenshots are opaque after compositing).
   bool writePpm(const std::string& path) const;
 
-  /// Value equality: same dimensions and same pixel contents (slab identity
-  /// and provenance are irrelevant — a pooled and a heap bitmap compare
-  /// equal when they render the same picture).
+  /// Value equality: same dimensions and same pixel contents.
   friend bool operator==(const Bitmap& a, const Bitmap& b);
 
  private:
-  friend class FramePool;
-  using SlabPtr = std::shared_ptr<PixelSlab>;
-
-  /// Adopts an externally prepared slab (FramePool::acquire). The slab's
-  /// pixel vector must already hold width*height pixels.
-  Bitmap(int width, int height, SlabPtr slab);
-
 #if DARPA_BOUNDS_CHECKS
   void checkBounds(int x, int y) const {
     if (x < 0 || y < 0 || x >= width_ || y >= height_) {
@@ -160,8 +124,7 @@ class Bitmap {
 
   int width_ = 0;
   int height_ = 0;
-  SlabPtr slab_;
-  Color* data_ = nullptr;  ///< Cached slab_->pixels.data().
+  std::vector<Color> pixels_;  ///< Row-major, width_ * height_ pixels.
 };
 
 }  // namespace darpa::gfx

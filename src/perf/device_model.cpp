@@ -35,9 +35,7 @@ PerfMetrics DeviceModel::withWork(const core::WorkLedger& ledger,
     memMb += config_.monitoringMemMb;
     // Working set of the perception data plane: one screen frame held at a
     // time per session (§IV-E). The ledger reports the peak single-frame
-    // footprint, which is a property of the screen geometry — identical
-    // with pooling on or off, so the Table VII memory row never depends on
-    // the allocator strategy.
+    // footprint, a property of the screen geometry alone.
     memMb += static_cast<double>(ledger.peakFrameBytes()) / (1024.0 * 1024.0);
     const auto screenshots =
         static_cast<double>(ledger.tally(Stage::kScreenshot).runs);

@@ -15,10 +15,6 @@ const char* lockRankName(LockRank rank) {
       return "session-queue";
     case LockRank::kVerdictTier:
       return "verdict-tier";
-    case LockRank::kFramePool:
-      return "frame-pool";
-    case LockRank::kFramePoolSpill:
-      return "frame-pool-spill";
   }
   return "unknown";
 }

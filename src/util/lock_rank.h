@@ -2,8 +2,7 @@
 // runtime, validated at runtime.
 //
 // The fleet nests locks: the work-stealing scheduler takes a run-queue
-// shard lock under its control lock, and a FramePool shard probes its
-// spill list under the shard lock. Nested locking deadlocks silently the
+// shard lock under its control lock. Nested locking deadlocks silently the
 // first time two threads acquire the same pair in opposite orders, so this
 // module makes the ordering a checked contract instead of a convention:
 //
@@ -58,20 +57,9 @@ enum class LockRank : int {
   /// Fleet-wide shared verdict tier stripes (core::SharedVerdictTier).
   /// All shards share this rank (at most one shard lock held at a time;
   /// nothing is called out to under it). Sessions probe and publish from
-  /// inside a slice, where no scheduler lock is held; the rank sits below
-  /// the frame-pool ranks so a tier operation can never be entangled with
-  /// a slab release.
+  /// inside a slice, where no scheduler lock is held. The leaf rank:
+  /// nothing is acquired under a stripe lock.
   kVerdictTier = 400,
-  /// gfx::FramePool per-shard free lists. Near-leaf: slab release runs
-  /// from arbitrary call depth (any last FramePtr drop, on any thread),
-  /// so the pool locks must be acquirable under everything else. All
-  /// shards share this rank; a thread holds at most one shard lock at a
-  /// time.
-  kFramePool = 600,
-  /// gfx::FramePool global spill list — the overflow tier behind the
-  /// per-shard free lists. Strictly above kFramePool because the spill is
-  /// probed while the caller's shard lock is held.
-  kFramePoolSpill = 650,
 };
 
 [[nodiscard]] const char* lockRankName(LockRank rank);

@@ -2,6 +2,7 @@
 // decoration calibration, auto-bypass, and the security invariants.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "android/system.h"
@@ -75,6 +76,64 @@ TEST(PermissionManifestTest, DefaultIsMinimal) {
   PermissionManifest leaky = manifest;
   leaky.internet = true;
   EXPECT_FALSE(leaky.minimal());
+}
+
+// ----------------------------------------------------------- screen frame
+
+// A held ScreenFrame must not see screen mutations that happen after its
+// capture — in particular DARPA's own decoration overlays.
+TEST(ScreenFrameTest, FrameIsImmutableWhileDecorationIsDrawn) {
+  android::WindowManager wm;
+  auto content = std::make_unique<android::View>();
+  content->setBackground(colors::kWhite);
+  wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/true);
+
+  auto frame =
+      std::make_shared<ScreenFrame>(wm.dumpTopWindow(), "com.test.app");
+  frame->attachPixels(wm.composite());
+  EXPECT_EQ(frame->pixels().at(180, 360), colors::kWhite);
+
+  // Decorate the screen: a loud overlay across the middle.
+  auto overlay = std::make_unique<android::View>();
+  overlay->setBackground(colors::kGreen);
+  android::LayoutParams params;
+  params.x = 100;
+  params.y = 300;
+  params.width = 160;
+  params.height = 120;
+  wm.addOverlay(std::move(overlay), params);
+
+  const gfx::Bitmap decorated = wm.composite();
+  EXPECT_EQ(decorated.at(180, 360), colors::kGreen);
+  // The held frame still shows the clean capture: every composite is a
+  // buffer of its own.
+  EXPECT_EQ(frame->pixels().at(180, 360), colors::kWhite);
+  EXPECT_NE(decorated, frame->pixels());
+}
+
+// 16 captures of one unchanged screen, each frame scrubbed and freed before
+// the next, perceive it identically: same fingerprint, same pixels.
+TEST(ScreenFrameTest, FingerprintsStableAcrossRecaptures) {
+  android::WindowManager wm;
+  auto content = std::make_unique<android::View>();
+  content->setBackground(colors::kLightGray);
+  wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/false);
+
+  std::uint64_t firstFp = 0;
+  gfx::Bitmap firstPixels;
+  constexpr int kRounds = 16;
+  for (int round = 0; round < kRounds; ++round) {
+    auto frame =
+        std::make_shared<ScreenFrame>(wm.dumpTopWindow(), "com.test.app");
+    frame->attachPixels(wm.composite());
+    if (round == 0) {
+      firstFp = frame->fingerprint();
+      firstPixels = frame->pixels().clone();
+    } else {
+      EXPECT_EQ(frame->fingerprint(), firstFp);
+      EXPECT_EQ(frame->pixels(), firstPixels);
+    }
+  }
 }
 
 // ------------------------------------------------------------- decoration

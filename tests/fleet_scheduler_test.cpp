@@ -1,12 +1,9 @@
 // Work-stealing scheduler tests: the hard contract is that the fleet's
 // merged paper digests (fig8 counts, Table III stats, ledger totals, Table
 // VII metrics) are BYTE-identical to the W=1 serial reference — across
-// worker counts, reruns, pooling on/off, and a deliberately skewed workload
-// that forces steals. Plus the scheduler's bookkeeping and the fleet's
-// single-use / bounds guards.
-//
-// "Lockstep" in the test names is the W=1 run: its (wake, id) queue order
-// runs every session's slice j before any session's slice j+1.
+// worker counts, reruns, and a deliberately skewed workload that forces
+// steals. Plus the scheduler's bookkeeping and the fleet's single-use /
+// bounds guards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +34,7 @@ class StubDetector : public cv::Detector {
 
 /// The paper-facing output digest, fixed-point formatted so comparisons are
 /// exact string equality, not epsilon tolerance. Same axes as the
-/// bench_frame_pool / bench_fleet_throughput digests.
+/// bench_fleet_throughput digest.
 std::string digestOf(const FleetSnapshot& snap) {
   const perf::DeviceModel device;
   const Millis window{static_cast<std::int64_t>(snap.sessions) *
@@ -78,7 +75,7 @@ struct RunOutcome {
 };
 
 RunOutcome runFleet(
-    int sessions, int workers, bool pooled,
+    int sessions, int workers,
     const std::function<void(int, DeviceSession::Config&)>& tweak = nullptr) {
   StubDetector detector;
   FleetConfig config;
@@ -86,7 +83,6 @@ RunOutcome runFleet(
   config.workers = workers;
   config.epoch = ms(500);
   config.duration = ms(3000);
-  config.pooledFrames = pooled;
   config.sessionTweak = tweak;
 
   Fleet fleet(detector, config);
@@ -96,28 +92,24 @@ RunOutcome runFleet(
 
 // ------------------------------------------------ serial-reference equality
 
-// The 64-session contract (the name predates the deletion of the batching
-// backend): one inline digest at W=1, W=4, a W=4 rerun, and pooling off.
-TEST(FleetSchedulerTest, BatchedDigestsMatchLockstepAcrossWorkersAndPooling) {
-  const RunOutcome serial = runFleet(64, 1, true);
+TEST(FleetSchedulerTest, DigestsMatchSerialAcrossWorkersAndReruns) {
+  const RunOutcome serial = runFleet(64, 1);
   ASSERT_FALSE(serial.digest.empty());
 
-  EXPECT_EQ(runFleet(64, 4, true).digest, serial.digest);
+  EXPECT_EQ(runFleet(64, 4).digest, serial.digest);
   // Rerun at W=4: steal interleavings differ, the digest must not.
-  EXPECT_EQ(runFleet(64, 4, true).digest, serial.digest);
-  // Pooling off: the pool only moves where bytes live.
-  EXPECT_EQ(runFleet(64, 4, false).digest, serial.digest);
+  EXPECT_EQ(runFleet(64, 4).digest, serial.digest);
 }
 
 // Scheduler bookkeeping on a small fleet: every slice was popped from
 // exactly one queue, each session ran exactly duration/epoch slices, the
 // single worker never steals, and every session retired once with a
 // positive finish time.
-TEST(FleetSchedulerTest, InlineDigestsMatchLockstep) {
+TEST(FleetSchedulerTest, SliceBookkeepingIsExact) {
   constexpr int kSessions = 8;
   constexpr std::int64_t kSlicesPerSession = 3000 / 500;
-  const RunOutcome serial = runFleet(kSessions, 1, true);
-  const RunOutcome four = runFleet(kSessions, 4, true);
+  const RunOutcome serial = runFleet(kSessions, 1);
+  const RunOutcome four = runFleet(kSessions, 4);
   EXPECT_EQ(four.digest, serial.digest);
 
   EXPECT_EQ(serial.scheduler.steals, 0);
@@ -136,7 +128,7 @@ TEST(FleetSchedulerTest, InlineDigestsMatchLockstep) {
 
 // --------------------------------------------------- steal-heavy skew
 
-TEST(FleetSchedulerTest, SkewedWorkloadStealsAndMatchesLockstep) {
+TEST(FleetSchedulerTest, SkewedWorkloadStealsAndMatchesSerial) {
   // Session 0 is a deliberate straggler: a hyperactive monkey makes its
   // slices far more expensive than everyone else's, so its home worker
   // stays pinned while the siblings drain — and then rob — its shard.
@@ -146,8 +138,8 @@ TEST(FleetSchedulerTest, SkewedWorkloadStealsAndMatchesLockstep) {
       config.monkeyMaxGapMs = 25;
     }
   };
-  const RunOutcome serial = runFleet(16, 1, true, straggler);
-  const RunOutcome ws = runFleet(16, 4, true, straggler);
+  const RunOutcome serial = runFleet(16, 1, straggler);
+  const RunOutcome ws = runFleet(16, 4, straggler);
   EXPECT_EQ(ws.digest, serial.digest)
       << "steal interleavings must never reach the digest";
   EXPECT_GT(ws.scheduler.steals, 0)

@@ -36,9 +36,7 @@ class StubDetector : public cv::Detector {
 
 // ------------------------------------------------------ synchronous detect
 
-// The only detect path is synchronous (the test name predates the deletion
-// of the executor seam): analyzeNow() returns with the pass complete.
-TEST(ExecutorTest, InlineExecutorCompletesSynchronously) {
+TEST(FleetTest, AnalyzeNowDetectsSynchronously) {
   StubDetector detector;
   android::AndroidSystem system;
   core::DarpaService service(detector);

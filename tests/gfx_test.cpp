@@ -51,7 +51,7 @@ TEST(BitmapTest, MovedFromIsEmpty) {
 TEST(BitmapTest, EqualityComparesContentsNotIdentity) {
   Bitmap a(2, 2, colors::kRed);
   Bitmap b(2, 2, colors::kRed);
-  EXPECT_EQ(a, b);  // distinct slabs, same pixels
+  EXPECT_EQ(a, b);  // distinct buffers, same pixels
   b.set(0, 0, colors::kBlue);
   EXPECT_NE(a, b);
   EXPECT_NE(a, Bitmap(2, 3, colors::kRed));  // same area, different shape

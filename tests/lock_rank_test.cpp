@@ -1,14 +1,13 @@
 // Lock-rank validator tests: the strictly-increasing acquisition rule, its
 // abort-on-violation contract (death tests), the registry's view of the
 // runtime's lock population, and a W=4 fleet smoke run proving the rank
-// tags on the scheduler, verdict-tier and FramePool locks hold under real
+// tags on the scheduler and verdict-tier locks hold under real
 // concurrency.
 #include <gtest/gtest.h>
 
 #include "core/work_ledger.h"
 #include "cv/detector.h"
 #include "fleet/fleet.h"
-#include "gfx/frame_pool.h"
 #include "util/lock_rank.h"
 
 namespace darpa::util {
@@ -16,16 +15,16 @@ namespace {
 
 TEST(LockRankTest, IncreasingAcquisitionIsLegal) {
   RankedMutex queue(LockRank::kSessionQueue, "test.queue");
-  RankedMutex pool(LockRank::kFramePool, "test.pool");
+  RankedMutex tier(LockRank::kVerdictTier, "test.tier");
   {
     const LockGuard outer(queue);
     EXPECT_EQ(RankValidator::topRank(),
               static_cast<int>(LockRank::kSessionQueue));
     {
-      const LockGuard inner(pool);  // higher rank under lower: fine
+      const LockGuard inner(tier);  // higher rank under lower: fine
       EXPECT_EQ(RankValidator::heldCount(), 2);
       EXPECT_EQ(RankValidator::topRank(),
-                static_cast<int>(LockRank::kFramePool));
+                static_cast<int>(LockRank::kVerdictTier));
     }
     EXPECT_EQ(RankValidator::heldCount(), 1);
   }
@@ -35,9 +34,9 @@ TEST(LockRankTest, IncreasingAcquisitionIsLegal) {
 
 TEST(LockRankTest, ReleaseRestoresLowerRanksAcquirable) {
   RankedMutex control(LockRank::kFleetControl, "test.control");
-  RankedMutex pool(LockRank::kFramePool, "test.pool");
+  RankedMutex tier(LockRank::kVerdictTier, "test.tier");
   {
-    const LockGuard a(pool);  // take the leaf first...
+    const LockGuard a(tier);  // take the leaf first...
   }
   {
     const LockGuard b(control);  // ...then, after release, a lower rank
@@ -49,10 +48,10 @@ TEST(LockRankTest, ReleaseRestoresLowerRanksAcquirable) {
 TEST(LockRankDeathTest, OutOfOrderAcquisitionAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RankedMutex queue(LockRank::kSessionQueue, "test.queue");
-  RankedMutex pool(LockRank::kFramePool, "test.pool");
+  RankedMutex tier(LockRank::kVerdictTier, "test.tier");
   EXPECT_DEATH(
       {
-        const LockGuard outer(pool);   // leaf rank first...
+        const LockGuard outer(tier);   // leaf rank first...
         const LockGuard inner(queue);  // ...then a LOWER rank: deadlockable
       },
       "lock-rank");
@@ -95,8 +94,6 @@ TEST(LockRankTest, RankNamesCoverTheTable) {
   EXPECT_STREQ(lockRankName(LockRank::kFleetControl), "fleet-control");
   EXPECT_STREQ(lockRankName(LockRank::kSessionQueue), "session-queue");
   EXPECT_STREQ(lockRankName(LockRank::kVerdictTier), "verdict-tier");
-  EXPECT_STREQ(lockRankName(LockRank::kFramePool), "frame-pool");
-  EXPECT_STREQ(lockRankName(LockRank::kFramePoolSpill), "frame-pool-spill");
 }
 
 // ------------------------------------------------- fleet rank smoke (W=4)
@@ -111,10 +108,9 @@ class SmokeDetector : public cv::Detector {
 };
 
 TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
-  // A pooled, tiered fleet at W=4 exercises every ranked lock in the
-  // runtime concurrently: run-queue pops and steals, verdict-tier probes
-  // and publishes, FramePool acquire/release from captures and §IV-E
-  // scrubs, all while the rank validator is live on every thread. An
+  // A tiered fleet at W=4 exercises every ranked lock in the runtime
+  // concurrently: run-queue pops and steals and verdict-tier probes and
+  // publishes, all while the rank validator is live on every thread. An
   // ordering violation anywhere would abort the run.
   SmokeDetector detector;
   fleet::FleetConfig config;
@@ -122,7 +118,6 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
   config.workers = 4;
   config.epoch = ms(500);
   config.duration = ms(2000);
-  config.pooledFrames = true;
   config.sharedVerdictTier = true;  // shards resolve to the worker count
   fleet::Fleet fleet(detector, config);
 
@@ -135,20 +130,14 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
             static_cast<int>(LockRank::kFleetControl));
 
   // The shared verdict tier's stripes: one per worker here, ranked above
-  // the scheduler and below the frame pool.
+  // the scheduler.
   EXPECT_GE(registry.liveCount(LockRank::kVerdictTier), 4);
   EXPECT_GT(static_cast<int>(LockRank::kVerdictTier),
             static_cast<int>(LockRank::kSessionQueue));
 
-  // The shared pool is the leaf: slab release runs at any call depth.
-  EXPECT_GE(registry.liveCount(LockRank::kFramePool), 1);
-  EXPECT_GT(static_cast<int>(LockRank::kFramePool),
-            static_cast<int>(LockRank::kVerdictTier));
-
   fleet.run();
   const fleet::FleetSnapshot snap = fleet.snapshot();
   EXPECT_GT(snap.ledger.analyses(), 0);
-  EXPECT_GT(snap.framePool.acquires, 0);
   // Quiescent at the end: no thread still holds a ranked lock.
   EXPECT_EQ(RankValidator::heldCount(), 0);
 }

@@ -297,7 +297,7 @@ TierRun runSharedFleet(int workers, bool tierEnabled) {
 // Contract 1: with the tier DISABLED the tier is invisible — digests
 // byte-identical to the W=1 serial reference at W=4 and on a rerun (and, by
 // the unchanged code paths, to the pre-tier seed).
-TEST(SharedVerdictTierTest, TierDisabledDigestsByteIdenticalAcrossDrivers) {
+TEST(SharedVerdictTierTest, TierDisabledDigestsByteIdenticalAcrossWorkerCounts) {
   const TierRun reference = runSharedFleet(/*workers=*/1, false);
   ASSERT_FALSE(reference.digest.empty());
   EXPECT_EQ(reference.tier.publishes, 0);  // no tier, no tier traffic

@@ -4,8 +4,8 @@
 // runtime path pays for itself (the AUI lint in src/analysis). detlint
 // applies the same idea to this codebase's own contracts: the properties
 // the last five PRs guarded by hand-review — bit-identical fig8/Table III/
-// Table VII/bench digests across worker counts, pooling modes, and
-// batched/scalar lanes — are exactly the properties a grep-level scanner
+// Table VII/bench digests across worker counts and batched/scalar
+// lanes — are exactly the properties a grep-level scanner
 // can enforce mechanically, before TSan or a digest-diff ever runs.
 //
 // Rules (ids are stable; see DESIGN.md §12 for the catalog):
