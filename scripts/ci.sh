@@ -73,18 +73,20 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the
   # work-stealing fleet scheduler (steal-heavy skewed workload at W=4, the
-  # W=1 serial reference beside it) and the verdict tier.
+  # W=1 serial reference beside it), the verdict tier, and the lock-rank
+  # suite, whose W=4 tiered fleet takes the tier's one lock from four
+  # workers while the rank validator is live.
   # (TSan is incompatible with ASan, hence the separate build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
 
-  echo "== ctest, TSan fleet/scheduler/tier/webview tests (build-tsan/) =="
+  echo "== ctest, TSan fleet/scheduler/tier/lock-rank/webview tests (build-tsan/) =="
   # The webview suites ride along: hybrid dumps flow through the same
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      -R 'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 
   echo "== ctest, TSan, int8 parity with DARPA_KERNEL=scalar forced (build-tsan/) =="
   # The dispatcher's std::call_once + env read is exactly the kind of

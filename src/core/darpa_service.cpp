@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "analysis/lint.h"
 #include "core/decoration.h"
+#include "core/verdict_tier.h"
+#include "cv/one_stage.h"
+#include "util/clock.h"
 #include "util/log.h"
 
 namespace darpa::core {
@@ -12,7 +17,7 @@ namespace darpa::core {
 DarpaService::DarpaService(const cv::Detector& detector, DarpaConfig config)
     : detector_(&detector),
       config_(config),
-      pipeline_(config.verdictCacheCapacity, config.verdictTier) {}
+      verdictCache_(config.verdictCacheCapacity) {}
 
 DarpaService::~DarpaService() {
   if (connected()) clearDecorations();
@@ -86,28 +91,195 @@ void DarpaService::analyzeNow() {
   }
   ledger_.beginAnalysis(now, debounceLatency);
 
-  // Remove our own decorations before the pipeline runs so the model never
-  // sees (and re-detects) DARPA's overlay.
+  // Remove our own decorations before the pass so the model never sees
+  // (and re-detects) DARPA's overlay.
   clearDecorations();
 
-  AnalysisContext ctx;
-  ctx.service = this;
-  ctx.config = &config_;
-  ctx.detector = detector_;
-  ctx.wm = wm;
-  ctx.vault = &vault_;
-  ctx.stats = &stats_;
-  ctx.now = now;
-  pipeline_.run(ctx, ledger_);
-
-  // A cache-served analysis counts against the tier that served it.
-  if (ctx.fromCache) {
-    ++(ctx.fromSharedTier ? stats_.verdictTierHits : stats_.verdictCacheHits);
+  // One ScreenFrame per pass: the UI dump is captured once, shared by the
+  // fingerprint probe and the lint step, and later joined by the pixels —
+  // the frame is the single owner of everything the pass perceives.
+  // Decoration overlays are never part of the dump (they live outside the
+  // app window), so a decorated screen fingerprints like its clean self.
+  // The fingerprint is memoized in the frame on first use.
+  std::shared_ptr<ScreenFrame> frame;
+  if (wm != nullptr) {
+    const android::Window* top = wm->topAppWindow();
+    frame = std::make_shared<ScreenFrame>(
+        wm->dumpTopWindow(),
+        top != nullptr ? top->packageName() : std::string{});
   }
-  lastDetections_ = ctx.detections;
-  lastWasAui_ = ctx.isAui;
+  SharedVerdictTier* tier = config_.verdictTier;
+  std::vector<cv::Detection> detections;
+  bool fromCache = false;       // Verdict served by L1 or L2.
+  bool resolvedByLint = false;  // Confident lint verdict; CV skipped.
+  bool screenshotOk = false;    // A usable capture reached the vault.
+  bool isAui = false;
+
+  // Verdict-cache probe, L1 then L2: a hit in either tier resolves the
+  // whole analysis for the cost of the dump walk + lookup(s) and routes
+  // straight to the act step. An L2 hit is promoted into L1 so the next
+  // repeat of this screen is a session-local hit again. With no tier
+  // wired this block is byte-identical to the historical L1-only probe.
+  if (wm != nullptr && (verdictCache_.enabled() || tier != nullptr)) {
+    ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
+    const VerdictCache::Entry* hit =
+        verdictCache_.enabled() ? verdictCache_.find(frame->fingerprint())
+                                : nullptr;
+    if (hit != nullptr) {
+      ledger_.recordCacheHit();
+      ++stats_.verdictCacheHits;
+      fromCache = true;
+      isAui = hit->isAui;
+      detections = hit->detections;
+    } else if (tier != nullptr) {
+      // The L2 probe is a second lookup; price it as one when the L1
+      // probe above already paid the first.
+      if (verdictCache_.enabled()) {
+        ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
+      }
+      if (auto shared = tier->find(frame->fingerprint())) {
+        ledger_.recordCacheHit();
+        ++stats_.verdictTierHits;
+        fromCache = true;
+        isAui = shared->isAui;
+        detections = std::move(shared->detections);
+        if (verdictCache_.enabled()) {
+          verdictCache_.put(frame->fingerprint(), {isAui, detections});
+        }
+      } else {
+        ledger_.recordCacheMiss();
+      }
+    } else {
+      ledger_.recordCacheMiss();
+    }
+  }
+
+  // Runs one Fig.-5 step, or records it as skipped when the routing does
+  // not want it. Wall-clock observability around the step's real
+  // execution; the step's own recordRun prices the modeled axis. Audited:
+  // both reads feed only recordActual -> StageTally::actualUs, which
+  // nothing digest-stable may consume (work_ledger.h).
+  const auto step = [this](Stage stage, bool runs, const auto& body) {
+    if (!runs) {
+      ledger_.recordSkip(stage);
+      return;
+    }
+    // detlint: begin-allow(wall-clock-in-digest-path) observability axis only
+    const double startUs = wallMicros();
+    body();
+    ledger_.recordActual(stage, wallMicros() - startUs);
+    // detlint: end-allow(wall-clock-in-digest-path)
+  };
+
+  // Lint: the static pre-filter over the UI dump (no pixels). A confident
+  // verdict resolves the pass; lint option boxes stand in for detections.
+  step(Stage::kLint,
+       !fromCache && config_.lintPrefilter != nullptr && wm != nullptr, [&] {
+         const analysis::LintReport lint = config_.lintPrefilter->run(
+             frame->dump(), wm->config().screenSize);
+         ++stats_.lintRuns;
+         ledger_.recordRun(Stage::kLint, ledger_.costs().lintCpuMs);
+         if (!lint.verdict.confident) return;
+         resolvedByLint = true;
+         ++stats_.cvSkippedByLint;
+         if (!lint.verdict.isAui) return;
+         const auto confidence = static_cast<float>(lint.verdict.score);
+         for (const Rect& box : lint.verdict.upoBoxes) {
+           detections.push_back({box, dataset::BoxLabel::kUpo, confidence});
+         }
+         for (const Rect& box : lint.verdict.agoBoxes) {
+           detections.push_back({box, dataset::BoxLabel::kAgo, confidence});
+         }
+       });
+
+  // Screenshot: the capture joins the pass's frame and the vault takes
+  // shared custody of it. Only a usable (non-empty) capture is counted and
+  // priced; a failed one is recorded as a skip and skips detection too.
+  step(Stage::kScreenshot, !fromCache && !resolvedByLint, [&] {
+    gfx::Bitmap shot = takeScreenshot();
+    screenshotOk = frame != nullptr && !shot.empty();
+    if (!screenshotOk) {
+      // A failed capture is not billable work and must not drift the
+      // stats: no screenshot was taken, so none is counted, priced, or
+      // vaulted.
+      ledger_.recordSkip(Stage::kScreenshot);
+      return;
+    }
+    ledger_.recordFrameBytes(shot.pixelBytes());
+    // Zero-copy: one buffer, every holder.
+    frame->attachPixels(std::move(shot));
+    vault_.store(frame);
+    ++stats_.screenshotsTaken;
+    ledger_.recordRun(Stage::kScreenshot, ledger_.costs().screenshotCpuMs);
+  });
+
+  // Detect: the CV model over the held frame, on the session's thread.
+  step(Stage::kDetect, !fromCache && !resolvedByLint && screenshotOk, [&] {
+    // §IV-E custody: the frame leaves the vault for the model run and this
+    // reference is dropped the moment the model returns; the frame scrubs
+    // its pixels when the last holder (this pass) lets go. The scratch
+    // stats are thread-local, so their delta is exactly this call's
+    // warm-up.
+    FramePtr held = vault_.take();
+    const cv::DetectScratchStats before = cv::hotpathScratchStats();
+    detections = detector_->detect(held->pixels());
+    const cv::DetectScratchStats after = cv::hotpathScratchStats();
+    held.reset();
+    ledger_.recordRun(Stage::kDetect, detector_->costMacsPerImage() /
+                                          ledger_.costs().macsPerCpuMs);
+    ledger_.recordScratchGrowth(Stage::kDetect, after.growths - before.growths,
+                                after.grownBytes - before.grownBytes);
+  });
+
+  // Verdict: merges detections into the screen verdict and stores it in
+  // both cache tiers.
+  step(Stage::kVerdict, !fromCache, [&] {
+    bool hasUpo = false;
+    bool hasAgo = false;
+    for (const cv::Detection& det : detections) {
+      if (det.label == dataset::BoxLabel::kUpo) hasUpo = true;
+      if (det.label == dataset::BoxLabel::kAgo) hasAgo = true;
+    }
+    isAui = config_.requireUpoForAui ? hasUpo : (hasUpo || hasAgo);
+    ledger_.recordRun(Stage::kVerdict, ledger_.costs().verdictCpuMs);
+    if (wm == nullptr) return;
+    // Cache only verdicts that rest on real evidence (a lint resolution or
+    // a usable capture); a transient screenshot failure must stay
+    // transient.
+    if (verdictCache_.enabled() && (resolvedByLint || screenshotOk)) {
+      verdictCache_.put(frame->fingerprint(), {isAui, detections});
+    }
+    // Publish to the fleet L2 with the evidence grade attached; the tier's
+    // poisoning guard enforces the same seeding rule fleet-wide (an
+    // unevidenced publish is counted and dropped there, keeping one
+    // session's failed capture from becoming everyone's verdict).
+    if (tier != nullptr) {
+      const auto evidence = resolvedByLint
+                                ? SharedVerdictTier::Evidence::kLint
+                                : (screenshotOk
+                                       ? SharedVerdictTier::Evidence::kCapture
+                                       : SharedVerdictTier::Evidence::kNone);
+      tier->publish(frame->fingerprint(), {isAui, detections}, evidence);
+    }
+  });
+
+  // Act: the auto-bypass click or the decoration overlays. The §IV-D
+  // anchor-overlay offset is measured inside decorate() — only this path
+  // consumes it, so only this path pays for it. Act work is priced inside
+  // the helpers.
+  step(Stage::kAct, isAui, [&] {
+    ++stats_.auisFlagged;
+    if (config_.autoBypass) {
+      tryBypass(detections);
+    } else if (config_.decorate) {
+      decorate(detections);
+    }
+  });
+
+  lastDetections_ = detections;
+  lastWasAui_ = isAui;
   ledger_.endAnalysis();
-  if (analysisListener_) analysisListener_(ctx.isAui, ctx.detections);
+  if (analysisListener_) analysisListener_(isAui, detections);
 }
 
 void DarpaService::decorate(const std::vector<cv::Detection>& detections) {

@@ -7,18 +7,19 @@
 //   2. Event delivery: every UI-update event resets a cut-off timer (ct);
 //      a screen only gets analyzed once it has been stable for ct — the
 //      debounce that makes run-time CV affordable (§IV-B, Table VIII).
-//   3. Analysis: one AnalysisPipeline pass (core/pipeline.h) — lint
-//      pre-filter, screenshot, CV detection, verdict merge, act — with a
-//      screen-fingerprint verdict cache short-circuiting re-stabilized
-//      identical screens past the expensive stages.
+//   3. Analysis: analyzeNow() runs one pass — lint pre-filter,
+//      screenshot, CV detection, verdict merge, act — behind a
+//      screen-fingerprint verdict cache (core/verdict_cache.h) that
+//      short-circuits re-stabilized identical screens past the expensive
+//      steps.
 //   4. AUI decoration: detected options are highlighted with DecorationViews
 //      added through WindowManager.addView, calibrating screen-to-window
 //      coordinates with the invisible anchor-view trick (§IV-D, Fig. 4);
 //      optionally the UPO is auto-clicked instead (the bypass mode).
 //
-// The service itself is reduced to event debouncing plus pipeline
-// invocation; every unit of work is priced into a WorkLedger the simulated
-// device's performance model consumes for Table VII/VIII accounting.
+// Every step of a pass either runs or records a skip, and every unit of
+// work is priced into a WorkLedger the simulated device's performance
+// model consumes for Table VII/VIII accounting.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,8 @@
 
 #include "android/accessibility.h"
 #include "core/decoration.h"
-#include "core/pipeline.h"
 #include "core/security.h"
+#include "core/verdict_cache.h"
 #include "core/work_ledger.h"
 #include "cv/detector.h"
 #include "util/thread_annotations.h"
@@ -41,6 +42,8 @@ class LintEngine;
 }
 
 namespace darpa::core {
+
+class SharedVerdictTier;
 
 struct DarpaConfig {
   /// Cut-off time: analyze a screen only after it stayed stable this long.
@@ -89,15 +92,15 @@ struct DarpaConfig {
   /// Optional fleet-wide shared L2 behind the session cache (borrowed;
   /// must outlive the service). Probed on L1 miss, refilled by promotion,
   /// published to on evidence-backed verdicts. Null (the default) keeps the
-  /// pipeline byte-identical to the tier-less build. Fleets own one tier
+  /// analysis byte-identical to the tier-less build. Fleets own one tier
   /// and point every session at it (FleetConfig::sharedVerdictTier).
   SharedVerdictTier* verdictTier = nullptr;
 };
 
 /// Per-session counters. Session-confined like the WorkLedger (see the
 /// thread-ownership rule in core/work_ledger.h): only the thread advancing
-/// the owning session writes them; fleets merge() value snapshots once the
-/// run is over.
+/// the owning session writes them; fleets sum them with += once the run
+/// is over.
 struct DarpaStats {
   std::int64_t eventsReceived CONFINED_TO("owning session") = 0;
   std::int64_t analysesRun CONFINED_TO("owning session") = 0;
@@ -132,10 +135,6 @@ struct DarpaStats {
     anchorMeasurements += o.anchorMeasurements;
     return *this;
   }
-  /// Named alias of operator+= for the fleet roll-up call sites.
-  DarpaStats& merge(const DarpaStats& o) { return *this += o; }
-  /// Value copy, taken while the session is quiescent.
-  [[nodiscard]] DarpaStats snapshot() const { return *this; }
 };
 
 class DarpaService : public android::AccessibilityService {
@@ -163,14 +162,15 @@ class DarpaService : public android::AccessibilityService {
     return permissions_;
   }
 
-  /// The work ledger every stage prices into (perf accounting). The mutable
+  /// The work ledger every step prices into (perf accounting). The mutable
   /// overload lets harnesses enable tracing or swap cost tables.
   [[nodiscard]] const WorkLedger& ledger() const { return ledger_; }
   [[nodiscard]] WorkLedger& ledger() { return ledger_; }
 
-  /// The analysis pipeline (stage list + verdict cache), for inspection.
-  [[nodiscard]] const AnalysisPipeline& pipeline() const { return pipeline_; }
-  [[nodiscard]] AnalysisPipeline& pipeline() { return pipeline_; }
+  /// The session's L1 screen-fingerprint verdict cache, for inspection.
+  [[nodiscard]] const VerdictCache& verdictCache() const {
+    return verdictCache_;
+  }
 
   /// Detections from the most recent analysis (screen coordinates).
   [[nodiscard]] const std::vector<cv::Detection>& lastDetections() const {
@@ -184,10 +184,13 @@ class DarpaService : public android::AccessibilityService {
   /// Removes all decoration overlays (also done before every screenshot).
   void clearDecorations();
 
-  /// Runs one analysis immediately (normally driven by the ct timer).
+  /// Runs one analysis immediately (normally driven by the ct timer): the
+  /// verdict-cache probe, then lint, screenshot, detect, verdict and act in
+  /// order, each either run or recorded as skipped in the ledger. The pass
+  /// is complete when this returns.
   void analyzeNow();
 
-  // --- act helpers (driven by the pipeline's ActStage) ----------------------
+  // --- act helpers (driven by analyzeNow()'s act step) ---------------------
   /// Decorates the given detections, measuring the §IV-D window offset via
   /// the anchor-overlay trick first — the offset is only ever measured on
   /// this path, where it is actually consumed.
@@ -202,10 +205,10 @@ class DarpaService : public android::AccessibilityService {
   /// id does not resolve in the current top window.
   bool decorateVirtualNode(std::string_view virtualId, bool asUpo = true);
 
+ private:
   /// Clicks the most confident UPO, subject to the bypass cooldown.
   void tryBypass(const std::vector<cv::Detection>& detections);
 
- private:
   /// The §IV-D anchor-view trick: returns the current app window's offset
   /// on screen.
   [[nodiscard]] Point measureWindowOffset();
@@ -218,7 +221,7 @@ class DarpaService : public android::AccessibilityService {
   ScreenshotVault vault_;
   DarpaStats stats_;
   WorkLedger ledger_;
-  AnalysisPipeline pipeline_;
+  VerdictCache verdictCache_;  ///< The session L1; config_.verdictTier is L2.
   std::function<void(bool, const std::vector<cv::Detection>&)>
       analysisListener_;
   android::TaskId pendingAnalysis_ = 0;

@@ -1,6 +1,6 @@
 // Source-compatibility stub. Detection has no executor seam any more: the
-// pipeline's detect stage calls Detector::detect synchronously on the
-// session's thread (core/pipeline.h). This header, the tag type and
+// detect step of DarpaService::analyzeNow() calls Detector::detect
+// synchronously on the session's thread. This header, the tag type and
 // defaultInlineExecutor() remain only because perfbench/main.cpp builds
 // its fleets as Fleet(detector, core::defaultInlineExecutor(), config).
 // Nothing in src/ uses them.

@@ -33,8 +33,8 @@ class ScreenshotVault {
   /// the last reference drops (scrub-on-last-release).
   void rinse();
 
-  /// Transfers custody of the held frame to the caller — the pipeline's
-  /// detect stage, which drops its reference right after the model ran.
+  /// Transfers custody of the held frame to the caller — analyzeNow()'s
+  /// detect step, which drops its reference right after the model ran.
   /// Counts as a rinse for the audit invariant (the vault holds nothing
   /// afterwards); returns null when not holding.
   [[nodiscard]] FramePtr take();

@@ -1,87 +1,57 @@
 #include "core/verdict_tier.h"
 
+#include <utility>
+
 namespace darpa::core {
 
-SharedVerdictTier::SharedVerdictTier() : SharedVerdictTier(Options{}) {}
-
-SharedVerdictTier::SharedVerdictTier(Options options) : options_(options) {
-  if (options_.shards < 1) options_.shards = 8;
-  shards_.reserve(static_cast<std::size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+bool SharedVerdictTier::enabled() const {
+  const util::LockGuard lock(mutex_);
+  return cache_.enabled();
 }
 
-SharedVerdictTier::Shard& SharedVerdictTier::shardFor(
+std::optional<VerdictCache::Entry> SharedVerdictTier::find(
     std::uint64_t fingerprint) {
-  // The fingerprint is already a well-mixed 64-bit hash; fold the high half
-  // in so stripes stay balanced even if a producer only varies one half.
-  const std::uint64_t mixed = fingerprint ^ (fingerprint >> 32);
-  return *shards_[static_cast<std::size_t>(mixed % shards_.size())];
-}
-
-std::optional<SharedVerdictTier::VerdictRecord> SharedVerdictTier::find(
-    std::uint64_t fingerprint) {
-  if (!enabled()) return std::nullopt;
-  Shard& shard = shardFor(fingerprint);
-  const util::LockGuard lock(shard.mutex);
-  const auto it = shard.index.find(fingerprint);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  const util::LockGuard lock(mutex_);
+  if (!cache_.enabled()) return std::nullopt;
+  const VerdictCache::Entry* hit = cache_.find(fingerprint);
+  if (hit == nullptr) {
+    ++misses_;
     return std::nullopt;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return shard.lru.front().second;  // Copied out under the lock.
+  ++hits_;
+  return *hit;  // Copied out under the lock.
 }
 
 bool SharedVerdictTier::publish(std::uint64_t fingerprint,
-                                VerdictRecord record, Evidence evidence) {
-  if (!enabled()) return false;
-  Shard& shard = shardFor(fingerprint);
-  const util::LockGuard lock(shard.mutex);
+                                VerdictCache::Entry record,
+                                Evidence evidence) {
+  const util::LockGuard lock(mutex_);
+  if (!cache_.enabled()) return false;
   if (evidence == Evidence::kNone) {
     // Poisoning guard: an evidence-free verdict (failed capture, lint
     // unconfident) is one session's transient problem, not fleet truth.
-    ++shard.rejected;
+    ++rejected_;
     return false;
   }
-  ++shard.publishes;
-  if (const auto it = shard.index.find(fingerprint);
-      it != shard.index.end()) {
-    it->second->second = std::move(record);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return true;
-  }
-  shard.lru.emplace_front(fingerprint, std::move(record));
-  shard.index[fingerprint] = shard.lru.begin();
-  while (shard.lru.size() > options_.capacityPerShard) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  ++publishes_;
+  cache_.put(fingerprint, std::move(record));
   return true;
 }
 
 void SharedVerdictTier::clear() {
-  for (const auto& shard : shards_) {
-    const util::LockGuard lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
+  const util::LockGuard lock(mutex_);
+  cache_.clear();
 }
 
 SharedVerdictTier::Stats SharedVerdictTier::stats() const {
+  const util::LockGuard lock(mutex_);
   Stats stats;
-  for (const auto& shard : shards_) {
-    const util::LockGuard lock(shard->mutex);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.publishes += shard->publishes;
-    stats.rejectedUnevidenced += shard->rejected;
-    stats.evictions += shard->evictions;
-    stats.entries += static_cast<std::int64_t>(shard->lru.size());
-  }
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.publishes = publishes_;
+  stats.rejectedUnevidenced = rejected_;
+  stats.evictions = cache_.evictions();
+  stats.entries = static_cast<std::int64_t>(cache_.size());
   return stats;
 }
 

@@ -5,18 +5,17 @@
 // fleet scale the same popular screens recur across sessions, so every one
 // of N sessions re-learns identical fingerprints. This tier makes the
 // learning fleet-wide: a two-tier hierarchy where the per-session
-// VerdictCache (core/pipeline.h) stays the unchanged, lock-free L1 and this
-// striped structure is the shared L2 behind it.
+// VerdictCache (core/verdict_cache.h) stays the unchanged, lock-free L1 and
+// one more VerdictCache behind one lock is the shared L2.
 //
 //   probe:   L1 find -> (miss) -> L2 find -> (hit) promote into L1
-//   publish: VerdictStage stores evidence-backed verdicts in L1 AND L2
+//   publish: the verdict step stores evidence-backed verdicts in L1 AND L2
 //
-// Concurrency: N-way sharded by fingerprint; each shard is a bounded LRU
-// under its own RankedMutex at LockRank::kVerdictTier, the leaf rank above
-// the scheduler's control and run-queue ranks. In practice sessions probe
-// and publish from inside a slice, holding no other ranked lock. All
-// shards share one rank: a thread holds at most one shard lock at a time,
-// and nothing is ever called out to while it is held.
+// Concurrency: one RankedMutex at LockRank::kVerdictTier, the leaf rank
+// above the scheduler's control and run-queue ranks. Sessions probe and
+// publish from inside a slice, holding no other ranked lock, and nothing
+// is called out to while the tier lock is held. Striping the LRU by
+// fingerprint, one lock per worker, measured no better (DESIGN.md §14.2).
 //
 // Poisoning guard: publish() mirrors L1's seeding rule — only verdicts
 // resting on real evidence (a confident lint resolution or a usable
@@ -37,15 +36,11 @@
 // contracts). Tier stats are observability and must never feed a digest.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
 #include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "cv/detector.h"
+#include "core/verdict_cache.h"
 #include "util/lock_rank.h"
 #include "util/thread_annotations.h"
 
@@ -53,64 +48,42 @@ namespace darpa::core {
 
 class SharedVerdictTier {
  public:
-  struct Options {
-    /// Stripe count; 0 resolves to a small default (fleets pass their
-    /// worker count). Clamped to >= 1.
-    int shards = 0;
-    /// Bounded LRU capacity per stripe; 0 disables the tier (find always
-    /// misses, publish stores nothing) without unwiring it.
-    std::size_t capacityPerShard = 128;
-  };
-
-  /// What one fingerprint resolves to — the same shape as the L1
-  /// VerdictCache::Entry, kept independent so the tier layers under the
-  /// pipeline instead of on top of it.
-  struct VerdictRecord {
-    bool isAui = false;
-    std::vector<cv::Detection> detections;
-  };
-
   /// What a published verdict rests on; the poisoning guard admits only
   /// evidence-backed records (kLint / kCapture), mirroring L1's seeding
-  /// rule in VerdictStage.
+  /// rule in the verdict step.
   enum class Evidence {
     kNone,     ///< Screenshot failed and lint was unconfident — rejected.
     kLint,     ///< Confident static-lint resolution.
     kCapture,  ///< A usable capture reached the detector.
   };
 
-  /// Aggregate counters, summed over shards at the call. Observability
-  /// only: hit/miss totals depend on cross-session timing, so nothing
-  /// digest-stable may consume them.
+  /// Counters at the call. Observability only: hit/miss totals depend on
+  /// cross-session timing, so nothing digest-stable may consume them.
   struct Stats {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t publishes = 0;             ///< Admitted records.
     std::int64_t rejectedUnevidenced = 0;   ///< Poisoning-guard drops.
     std::int64_t evictions = 0;
-    std::int64_t entries = 0;               ///< Live records, all shards.
+    std::int64_t entries = 0;               ///< Live records.
   };
 
-  SharedVerdictTier();  ///< Default Options.
-  explicit SharedVerdictTier(Options options);
+  /// `capacity` bounds the LRU; 0 disables the tier (find always misses,
+  /// publish stores nothing) without unwiring it.
+  explicit SharedVerdictTier(std::size_t capacity = 512) : cache_(capacity) {}
 
-  [[nodiscard]] bool enabled() const { return options_.capacityPerShard > 0; }
-  [[nodiscard]] int shardCount() const {
-    return static_cast<int>(shards_.size());
-  }
-  [[nodiscard]] std::size_t capacityPerShard() const {
-    return options_.capacityPerShard;
-  }
+  [[nodiscard]] bool enabled() const;
 
-  /// Copy-out lookup (the record is copied under the shard lock — a
-  /// borrowed pointer could be evicted by another session the moment the
-  /// lock drops). A hit refreshes recency. Counts a hit or miss.
-  [[nodiscard]] std::optional<VerdictRecord> find(std::uint64_t fingerprint);
+  /// Copy-out lookup (the record is copied under the lock — a borrowed
+  /// pointer could be evicted by another session the moment the lock
+  /// drops). A hit refreshes recency. Counts a hit or miss.
+  [[nodiscard]] std::optional<VerdictCache::Entry> find(
+      std::uint64_t fingerprint);
 
   /// Admits `record` unless the poisoning guard rejects it (Evidence::
   /// kNone). Returns whether the record was stored; re-publishing an
   /// existing fingerprint refreshes value and recency.
-  bool publish(std::uint64_t fingerprint, VerdictRecord record,
+  bool publish(std::uint64_t fingerprint, VerdictCache::Entry record,
                Evidence evidence);
 
   /// Drops every record (counters are kept; dropped records do not count
@@ -120,29 +93,13 @@ class SharedVerdictTier {
   [[nodiscard]] Stats stats() const;
 
  private:
-  using LruList = std::list<std::pair<std::uint64_t, VerdictRecord>>;
-
-  struct Shard {
-    util::RankedMutex mutex{util::LockRank::kVerdictTier,
-                            "core.SharedVerdictTier.shard"};
-    LruList lru GUARDED_BY(mutex);  ///< Front = most recently used.
-    /// Lookup index only (find/erase/assign) — never iterated, so its
-    /// unordered order cannot leak into eviction order (same contract as
-    /// the L1 cache; detlint guards it).
-    std::unordered_map<std::uint64_t, LruList::iterator> index
-        GUARDED_BY(mutex);
-    std::int64_t hits GUARDED_BY(mutex) = 0;
-    std::int64_t misses GUARDED_BY(mutex) = 0;
-    std::int64_t publishes GUARDED_BY(mutex) = 0;
-    std::int64_t rejected GUARDED_BY(mutex) = 0;
-    std::int64_t evictions GUARDED_BY(mutex) = 0;
-  };
-
-  [[nodiscard]] Shard& shardFor(std::uint64_t fingerprint);
-
-  Options options_;
-  /// Fixed after construction (RankedMutex pins each shard in place).
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable util::RankedMutex mutex_{util::LockRank::kVerdictTier,
+                                   "core.SharedVerdictTier"};
+  VerdictCache cache_ GUARDED_BY(mutex_);
+  std::int64_t hits_ GUARDED_BY(mutex_) = 0;
+  std::int64_t misses_ GUARDED_BY(mutex_) = 0;
+  std::int64_t publishes_ GUARDED_BY(mutex_) = 0;
+  std::int64_t rejected_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace darpa::core

@@ -105,12 +105,6 @@ double WorkLedger::analysisCpuMs() const {
   return totalCpuMs() - tally(Stage::kEvent).cpuMs;
 }
 
-double WorkLedger::totalActualUs() const {
-  double total = 0.0;
-  for (const StageTally& tally : tallies_) total += tally.actualUs;
-  return total;
-}
-
 WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
   for (std::size_t i = 0; i < tallies_.size(); ++i) tallies_[i] += o.tallies_[i];
   analyses_ += o.analyses_;

@@ -26,9 +26,9 @@
 // only the thread currently advancing its DeviceSession may record into it,
 // and sessions never share a ledger. The ledger itself carries no
 // synchronization. Aggregation happens only after Fleet::run() has joined
-// its workers (the happens-before edge): the control thread snapshot()s
-// each session's ledger in session-id order and merge()s the copies, so
-// double addition is bit-reproducible for any worker count.
+// its workers (the happens-before edge): the control thread adds each
+// session's ledger with += in session-id order, so double addition is
+// bit-reproducible for any worker count.
 #pragma once
 
 #include <array>
@@ -165,9 +165,6 @@ class WorkLedger {
   [[nodiscard]] double totalCpuMs() const;
   /// Modeled CPU-ms of the analysis path only (everything but kEvent).
   [[nodiscard]] double analysisCpuMs() const;
-  /// Measured wall-clock microseconds across every stage (observability
-  /// only — varies run to run, never part of any digest).
-  [[nodiscard]] double totalActualUs() const;
 
   [[nodiscard]] std::int64_t analyses() const { return analyses_; }
   [[nodiscard]] std::int64_t decorations() const { return decorations_; }
@@ -189,16 +186,11 @@ class WorkLedger {
     return totalDebounceLatency_;
   }
 
-  /// Merges another ledger's tallies/counters (per-app session roll-up).
-  /// Trace events are appended up to this ledger's trace capacity.
+  /// Merges another ledger's tallies/counters (per-app session roll-up and
+  /// the fleet roll-up). Per the thread-ownership rule above, `o`'s owning
+  /// session must be quiescent. Trace events are appended up to this
+  /// ledger's trace capacity.
   WorkLedger& operator+=(const WorkLedger& o);
-
-  // --- aggregation (fleet roll-up) ------------------------------------------
-  /// Value copy for merging off-thread. Per the thread-ownership rule
-  /// above, call only while the owning session is quiescent.
-  [[nodiscard]] WorkLedger snapshot() const { return *this; }
-  /// Named alias of operator+= for the fleet roll-up call sites.
-  WorkLedger& merge(const WorkLedger& o) { return *this += o; }
 
   // --- Chrome trace ---------------------------------------------------------
   /// Enables the bounded trace-event log. Events beyond `maxEvents` are
@@ -227,7 +219,7 @@ class WorkLedger {
   // Every member is session-confined per the thread-ownership rule above:
   // no lock anywhere in this class is not an accident, it is the contract.
   // CONFINED_TO documents it where the state lives; cross-session merges
-  // happen only on snapshot() copies of quiescent sessions.
+  // (+=) read only quiescent sessions.
   StageCosts costs_ CONFINED_TO("owning session");
   std::array<StageTally, kStageCount> tallies_ CONFINED_TO("owning session"){};
   std::int64_t analyses_ = 0;

@@ -16,10 +16,7 @@ Fleet::Fleet(const cv::Detector& detector, FleetConfig config)
   if (config_.epoch <= Millis{0}) config_.epoch = Millis{1000};
 
   if (config_.sharedVerdictTier) {
-    if (config_.verdictTier.shards < 1) {
-      config_.verdictTier.shards = config_.workers;
-    }
-    tier_ = std::make_unique<core::SharedVerdictTier>(config_.verdictTier);
+    tier_ = std::make_unique<core::SharedVerdictTier>();
   }
 
   // Session seeding mirrors bench_runtime.h's per-app draw order (profile,
@@ -80,8 +77,8 @@ FleetSnapshot Fleet::snapshot() const {
   // Ascending session id: the fixed merge order keeps the double sums
   // bit-identical for any worker count.
   for (const auto& session : sessions_) {
-    snap.stats.merge(session->stats().snapshot());
-    snap.ledger.merge(session->ledger().snapshot());
+    snap.stats += session->stats();
+    snap.ledger += session->ledger();
     snap.eventsEmitted += session->eventsEmitted();
     snap.auiExposures += session->auiExposures();
     snap.auisCovered += session->auisCovered();

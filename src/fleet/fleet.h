@@ -4,18 +4,18 @@
 // The determinism model, in one paragraph: simulated time is sliced into
 // epochs. A session's slice j plays it forward to target(j) =
 // min(duration, j*epoch), and every detect inside it runs synchronously on
-// the worker advancing the session (core/pipeline.h). Sessions share no
-// digest-affecting state, so WHO runs a slice and WHEN in wall clock is
-// irrelevant; only the slice sequence matters, and it is fixed by the
-// config. A fleet run's aggregated DarpaStats/WorkLedger are therefore
+// the worker advancing the session (DarpaService::analyzeNow). Sessions
+// share no digest-affecting state, so WHO runs a slice and WHEN in wall
+// clock is irrelevant; only the slice sequence matters, and it is fixed by
+// the config. A fleet run's aggregated DarpaStats/WorkLedger are therefore
 // identical across repeated runs and across worker counts; only
 // wall-clock changes. W=1 is the serial reference.
 //
 // Aggregation: per-session ledgers and stats are session-confined (the
-// ownership rule in core/work_ledger.h). snapshot() scans them on the
-// control thread in session-id order once run() has joined its workers, so
-// the double summation order is fixed too. perf::DeviceModel consumes the
-// roll-up unchanged.
+// ownership rule in core/work_ledger.h). snapshot() sums them with += on
+// the control thread in session-id order once run() has joined its
+// workers, so the double summation order is fixed too. perf::DeviceModel
+// consumes the roll-up unchanged.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +58,6 @@ struct FleetConfig {
   /// unchanged, only who pays for them moves, so digests trade
   /// byte-equality for verdict equivalence (see verdict_tier.h).
   bool sharedVerdictTier = false;
-  core::SharedVerdictTier::Options verdictTier;  ///< shards=0 resolves to
-                                                 ///< the worker count.
 };
 
 /// Fleet-wide roll-up.
@@ -131,7 +129,7 @@ class Fleet {
   void checkSessionIndex(int i) const;  ///< Aborts when out of range.
 
   FleetConfig config_;
-  /// Declared before sessions_: every session's pipeline holds a borrowed
+  /// Declared before sessions_: every session's service holds a borrowed
   /// tier pointer, so the tier must outlive all session state.
   std::unique_ptr<core::SharedVerdictTier> tier_;
   /// The vector itself is fixed after construction; each element is

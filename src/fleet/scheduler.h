@@ -9,9 +9,9 @@
 //
 // Slice j of a session is one advanceTo(target(j)) with target(j) =
 // min(duration, j * epoch). Detection runs synchronously inside the slice
-// (core/pipeline.h), and sessions share no digest-affecting state, so
-// WHO runs a slice and WHEN in wall clock cannot reach the session's
-// stats or ledger: the merged fig8/Table III/Table VII digests are
+// (DarpaService::analyzeNow), and sessions share no digest-affecting
+// state, so WHO runs a slice and WHEN in wall clock cannot reach the
+// session's stats or ledger: the merged fig8/Table III/Table VII digests are
 // byte-identical for any worker count, any steal interleaving, any rerun.
 // At W=1 the queue order is (wake, id), so every session runs slice j
 // before any runs slice j+1: the single worker is the serial reference.

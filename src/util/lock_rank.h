@@ -54,11 +54,11 @@ enum class LockRank : int {
   /// share this rank, so a thread may never hold two shard locks at once —
   /// the steal protocol releases its own shard before probing a sibling.
   kSessionQueue = 200,
-  /// Fleet-wide shared verdict tier stripes (core::SharedVerdictTier).
-  /// All shards share this rank (at most one shard lock held at a time;
-  /// nothing is called out to under it). Sessions probe and publish from
-  /// inside a slice, where no scheduler lock is held. The leaf rank:
-  /// nothing is acquired under a stripe lock.
+  /// The fleet-wide shared verdict tier's one lock
+  /// (core::SharedVerdictTier; nothing is called out to under it).
+  /// Sessions probe and publish from inside a slice, where no scheduler
+  /// lock is held, so it is taken with no other ranked lock held. The
+  /// leaf rank: nothing is acquired under the tier lock.
   kVerdictTier = 400,
 };
 

@@ -118,7 +118,7 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
   config.workers = 4;
   config.epoch = ms(500);
   config.duration = ms(2000);
-  config.sharedVerdictTier = true;  // shards resolve to the worker count
+  config.sharedVerdictTier = true;
   fleet::Fleet fleet(detector, config);
 
   auto& registry = LockRankRegistry::instance();
@@ -129,9 +129,9 @@ TEST(LockRankTest, FleetRankTagsConsistentUnderFourWorkers) {
   EXPECT_GT(static_cast<int>(LockRank::kSessionQueue),
             static_cast<int>(LockRank::kFleetControl));
 
-  // The shared verdict tier's stripes: one per worker here, ranked above
-  // the scheduler.
-  EXPECT_GE(registry.liveCount(LockRank::kVerdictTier), 4);
+  // The shared verdict tier: one lock for the whole fleet, ranked above
+  // the scheduler and taken by all four workers.
+  EXPECT_EQ(registry.liveCount(LockRank::kVerdictTier), 1);
   EXPECT_GT(static_cast<int>(LockRank::kVerdictTier),
             static_cast<int>(LockRank::kSessionQueue));
 

@@ -1,16 +1,22 @@
-// Unit tests for the staged analysis pipeline: the work ledger, the screen
-// fingerprint, and the verdict cache (hits, invalidation, LRU bounds,
-// trusted-package bypass, screenshot-failure accounting).
+// Unit tests for the analysis pass: the work ledger, the screen
+// fingerprint, the verdict cache (hits, invalidation, LRU bounds,
+// trusted-package bypass, screenshot-failure accounting), and the step
+// routing analyzeNow() records on each path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/lint.h"
 #include "android/system.h"
 #include "core/darpa_service.h"
 #include "core/decoration.h"
-#include "core/pipeline.h"
+#include "core/verdict_cache.h"
+#include "core/verdict_tier.h"
 #include "core/work_ledger.h"
 
 namespace darpa::core {
@@ -295,11 +301,11 @@ TEST(PipelineCacheTest, LruEvictionStaysBounded) {
   for (int round = 0; round < 2; ++round) {
     for (int variant = 0; variant < 3; ++variant) {
       h.showAndSettle("com.app", makeScreen(variant));
-      EXPECT_LE(h.service.pipeline().cache().size(), 2u);
+      EXPECT_LE(h.service.verdictCache().size(), 2u);
     }
   }
-  EXPECT_EQ(h.service.pipeline().cache().capacity(), 2u);
-  EXPECT_GT(h.service.pipeline().cache().evictions(), 0);
+  EXPECT_EQ(h.service.verdictCache().capacity(), 2u);
+  EXPECT_GT(h.service.verdictCache().evictions(), 0);
   // Three screens cycling through a 2-entry cache: every revisit was
   // already evicted, so the detector ran every time.
   EXPECT_EQ(h.detector.calls, 6);
@@ -313,7 +319,7 @@ TEST(PipelineCacheTest, TrustedPackageNeverTouchesCacheOrPipeline) {
   h.showAndSettle("com.untrusted", makeScreen(0));
   const auto analysesBefore = h.service.stats().analysesRun;
   EXPECT_GE(analysesBefore, 1);
-  const std::size_t cacheBefore = h.service.pipeline().cache().size();
+  const std::size_t cacheBefore = h.service.verdictCache().size();
 
   // A trusted app reaches the foreground. Its events are filtered at
   // delivery, and even a directly forced analysis must bail before the
@@ -321,7 +327,7 @@ TEST(PipelineCacheTest, TrustedPackageNeverTouchesCacheOrPipeline) {
   h.showAndSettle("com.trusted", makeScreen(1));
   h.service.analyzeNow();
   EXPECT_EQ(h.service.stats().analysesRun, analysesBefore);
-  EXPECT_EQ(h.service.pipeline().cache().size(), cacheBefore);
+  EXPECT_EQ(h.service.verdictCache().size(), cacheBefore);
   EXPECT_EQ(h.service.stats().verdictCacheHits, 0);
 }
 
@@ -336,9 +342,121 @@ TEST(PipelineCacheTest, FailedScreenshotIsNotCountedOrCached) {
   EXPECT_EQ(h.service.stats().screenshotsTaken, 0);
   EXPECT_EQ(h.detector.calls, 0);
   EXPECT_EQ(h.service.ledger().tally(Stage::kScreenshot).runs, 0);
-  EXPECT_EQ(h.service.pipeline().cache().size(), 0u);
+  EXPECT_EQ(h.service.verdictCache().size(), 0u);
   h.service.analyzeNow();
   EXPECT_EQ(h.service.stats().verdictCacheHits, 0);
+}
+
+// ------------------------------------------------------ step routing
+
+/// {runs, skips} of lint, screenshot, detect, verdict and act, in order.
+using Routing = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+Routing routingOf(const WorkLedger& ledger) {
+  Routing routing;
+  for (const Stage stage : {Stage::kLint, Stage::kScreenshot, Stage::kDetect,
+                            Stage::kVerdict, Stage::kAct}) {
+    routing.emplace_back(ledger.tally(stage).runs, ledger.tally(stage).skips);
+  }
+  return routing;
+}
+
+// Pins which steps run, which are skipped and how many lookups are priced
+// on every route through analyzeNow(). Verdict runs count each cache
+// lookup plus the verdict merge; act runs count decorations drawn.
+TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
+  {
+    SCOPED_TRACE("full CV pass, then a repeat served from L1");
+    Harness h;
+    h.detector.detections = {upoAt({30, 60, 20, 20})};
+    h.system.windowManager.showAppWindow("com.app", makeScreen(0), false);
+    h.service.analyzeNow();
+    const WorkLedger& ledger = h.service.ledger();
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{0, 1}, {1, 0}, {1, 0}, {2, 0}, {1, 0}}));
+    EXPECT_EQ(ledger.cacheHits(), 0);
+    EXPECT_EQ(ledger.cacheMisses(), 1);
+    h.service.analyzeNow();
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{0, 2}, {1, 1}, {1, 1}, {3, 1}, {2, 0}}));
+    EXPECT_EQ(ledger.cacheHits(), 1);
+    EXPECT_EQ(ledger.cacheMisses(), 1);
+    EXPECT_EQ(h.service.stats().verdictCacheHits, 1);
+    EXPECT_EQ(h.detector.calls, 1);
+  }
+  {
+    SCOPED_TRACE("L2 hit on a fresh service, then an L1 hit");
+    SharedVerdictTier tier;
+    DarpaConfig config;
+    config.verdictTier = &tier;
+    Harness first(config);
+    first.detector.detections = {upoAt({30, 60, 20, 20})};
+    first.system.windowManager.showAppWindow("com.app", makeScreen(0), false);
+    first.service.analyzeNow();
+    ASSERT_EQ(tier.stats().publishes, 1);
+
+    Harness fresh(config);
+    fresh.system.windowManager.showAppWindow("com.app", makeScreen(0), false);
+    fresh.service.analyzeNow();
+    const WorkLedger& ledger = fresh.service.ledger();
+    // L1 miss and L2 hit: two lookups priced, the verdict merge skipped.
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{0, 1}, {0, 1}, {0, 1}, {2, 1}, {1, 0}}));
+    EXPECT_EQ(ledger.cacheHits(), 1);
+    EXPECT_EQ(ledger.cacheMisses(), 0);
+    EXPECT_EQ(fresh.service.stats().verdictTierHits, 1);
+    EXPECT_EQ(fresh.service.stats().verdictCacheHits, 0);
+    // The L2 hit was promoted, so the repeat is an L1 hit with no detect.
+    fresh.service.analyzeNow();
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{0, 2}, {0, 2}, {0, 2}, {3, 2}, {2, 0}}));
+    EXPECT_EQ(ledger.cacheHits(), 2);
+    EXPECT_EQ(ledger.cacheMisses(), 0);
+    EXPECT_EQ(fresh.service.stats().verdictTierHits, 1);
+    EXPECT_EQ(fresh.service.stats().verdictCacheHits, 1);
+    EXPECT_EQ(fresh.detector.calls, 0);
+  }
+  {
+    SCOPED_TRACE("confident lint clear");
+    const analysis::LintEngine engine =
+        analysis::LintEngine::withDefaultRules();
+    DarpaConfig config;
+    config.lintPrefilter = &engine;
+    Harness h(config);
+    auto root = std::make_unique<android::View>();  // static, no options
+    root->setBackground(colors::kWhite);
+    h.system.windowManager.showAppWindow("com.app", std::move(root), false);
+    h.service.analyzeNow();
+    const WorkLedger& ledger = h.service.ledger();
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{1, 0}, {0, 1}, {0, 1}, {2, 0}, {0, 1}}));
+    EXPECT_EQ(ledger.cacheHits(), 0);
+    EXPECT_EQ(ledger.cacheMisses(), 1);
+    EXPECT_EQ(h.service.stats().cvSkippedByLint, 1);
+    EXPECT_EQ(h.detector.calls, 0);
+  }
+  {
+    SCOPED_TRACE("failed capture with a tier wired");
+    SharedVerdictTier tier;
+    DarpaConfig config;
+    config.verdictTier = &tier;
+    Harness h(config, android::WindowManager::Config{{0, 0}, 0, 0});
+    h.service.analyzeNow();
+    const WorkLedger& ledger = h.service.ledger();
+    EXPECT_EQ(routingOf(ledger),
+              (Routing{{0, 1}, {0, 1}, {0, 1}, {3, 0}, {0, 1}}));
+    EXPECT_EQ(ledger.cacheHits(), 0);
+    EXPECT_EQ(ledger.cacheMisses(), 1);
+    // Neither tier keeps the evidence-free verdict.
+    const SharedVerdictTier::Stats stats = tier.stats();
+    EXPECT_EQ(stats.rejectedUnevidenced, 1);
+    EXPECT_EQ(stats.publishes, 0);
+    EXPECT_EQ(stats.entries, 0);
+    h.service.analyzeNow();
+    EXPECT_EQ(ledger.cacheHits(), 0);
+    EXPECT_EQ(h.service.stats().verdictCacheHits, 0);
+    EXPECT_EQ(h.service.stats().verdictTierHits, 0);
+  }
 }
 
 // ------------------------------------------- anchor-overlay measurement

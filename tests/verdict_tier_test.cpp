@@ -1,5 +1,5 @@
-// SharedVerdictTier tests: the striped L2's LRU/eviction/poisoning-guard
-// unit contracts, a concurrent publish/find hammer (the TSan lane runs this
+// SharedVerdictTier tests: the L2's LRU/eviction/poisoning-guard unit
+// contracts, a concurrent publish/find hammer (the TSan lane runs this
 // suite), and the tier refactor's two fleet-level contracts:
 //
 //  1. Tier DISABLED (the default): 64-session fleet digests stay
@@ -32,9 +32,8 @@ cv::Detection upo() {
 // ------------------------------------------------------- unit contracts
 
 TEST(SharedVerdictTierTest, PublishFindLruAndEvictions) {
-  SharedVerdictTier tier({.shards = 1, .capacityPerShard = 2});
+  SharedVerdictTier tier(2);
   EXPECT_TRUE(tier.enabled());
-  EXPECT_EQ(tier.shardCount(), 1);
 
   using Evidence = SharedVerdictTier::Evidence;
   EXPECT_TRUE(tier.publish(1, {true, {upo()}}, Evidence::kCapture));
@@ -64,7 +63,7 @@ TEST(SharedVerdictTierTest, PublishFindLruAndEvictions) {
 }
 
 TEST(SharedVerdictTierTest, PoisoningGuardRejectsUnevidencedVerdicts) {
-  SharedVerdictTier tier({.shards = 1, .capacityPerShard = 8});
+  SharedVerdictTier tier(8);
   // A verdict with no lint resolution and no usable capture (a transient
   // screenshot failure) must never become fleet truth.
   EXPECT_FALSE(tier.publish(7, {false, {}},
@@ -77,7 +76,7 @@ TEST(SharedVerdictTierTest, PoisoningGuardRejectsUnevidencedVerdicts) {
 }
 
 TEST(SharedVerdictTierTest, ZeroCapacityDisablesWithoutUnwiring) {
-  SharedVerdictTier tier({.shards = 4, .capacityPerShard = 0});
+  SharedVerdictTier tier(0);
   EXPECT_FALSE(tier.enabled());
   EXPECT_FALSE(tier.publish(1, {true, {upo()}},
                             SharedVerdictTier::Evidence::kCapture));
@@ -85,9 +84,8 @@ TEST(SharedVerdictTierTest, ZeroCapacityDisablesWithoutUnwiring) {
   EXPECT_EQ(tier.stats().entries, 0);
 }
 
-TEST(SharedVerdictTierTest, ShardsResolveAndClearDropsEverything) {
-  SharedVerdictTier tier({.shards = 0, .capacityPerShard = 16});
-  EXPECT_GE(tier.shardCount(), 1);  // 0 resolves to a positive default
+TEST(SharedVerdictTierTest, ClearDropsEverything) {
+  SharedVerdictTier tier(16);
   for (std::uint64_t fp = 1; fp <= 64; ++fp) {
     tier.publish(fp, {fp % 2 == 0, {}}, SharedVerdictTier::Evidence::kLint);
   }
@@ -99,11 +97,12 @@ TEST(SharedVerdictTierTest, ShardsResolveAndClearDropsEverything) {
 
 // --------------------------------------------------- concurrency hammer
 
-// Four threads publish and probe overlapping fingerprint ranges through
-// every shard; run under TSan this proves the stripes actually protect
-// the LRU structures. Assertions are on invariants, not interleavings.
+// Four threads publish and probe overlapping fingerprint ranges; run
+// under TSan this proves the tier lock actually protects the LRU.
+// Assertions are on invariants, not interleavings.
 TEST(SharedVerdictTierTest, ConcurrentPublishFindHammer) {
-  SharedVerdictTier tier({.shards = 4, .capacityPerShard = 32});
+  constexpr std::size_t kCapacity = 128;
+  SharedVerdictTier tier(kCapacity);
   constexpr int kThreads = 4;
   constexpr std::uint64_t kKeys = 256;
   constexpr int kRounds = 200;
@@ -139,7 +138,7 @@ TEST(SharedVerdictTierTest, ConcurrentPublishFindHammer) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::int64_t>(kThreads) * kRounds * (kKeys / kThreads));
   EXPECT_GT(stats.rejectedUnevidenced, 0);
-  EXPECT_LE(stats.entries, 4 * 32);
+  EXPECT_LE(stats.entries, static_cast<std::int64_t>(kCapacity));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "apps/screen_generator.h"
 #include "baselines/frauddroid.h"
 #include "core/darpa_service.h"
-#include "core/pipeline.h"
+#include "core/verdict_cache.h"
 #include "core/verdict_tier.h"
 #include "dataset/dataset.h"
 
@@ -290,7 +290,7 @@ TEST(VirtualFingerprintPropertyTest, VerdictCacheNeverCrossServesWebScreens) {
   ASSERT_NE(cache.find(fpA), nullptr);
   EXPECT_TRUE(cache.find(fpA)->isAui);
 
-  core::SharedVerdictTier tier({.shards = 2, .capacityPerShard = 8});
+  core::SharedVerdictTier tier(8);
   EXPECT_TRUE(tier.publish(fpA, {/*isAui=*/true, {}},
                            core::SharedVerdictTier::Evidence::kCapture));
   EXPECT_FALSE(tier.find(fpB).has_value());
