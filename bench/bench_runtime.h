@@ -35,6 +35,19 @@ struct ConfusionMatrix {
   }
 };
 
+/// FraudDroid id-coverage telemetry: nodes inspected and how many carried a
+/// resource id, i.e. how much of the metadata the string features could
+/// read at all.
+struct IdCoverage {
+  std::int64_t nodesSeen = 0;
+  std::int64_t nodesWithId = 0;
+  [[nodiscard]] double ratio() const {
+    return nodesSeen == 0 ? 0.0
+                          : static_cast<double>(nodesWithId) /
+                                static_cast<double>(nodesSeen);
+  }
+};
+
 struct RuntimeResult {
   ConfusionMatrix darpa;       ///< Screenshot-level verdicts vs ground truth.
   ConfusionMatrix fraudDroid;  ///< Same screenshots, FraudDroid-like verdict.
@@ -51,16 +64,18 @@ struct RuntimeResult {
   int auiExposures = 0;
   int auisCovered = 0;  ///< Exposures with >= 1 positive DARPA analysis.
   double detectorMacs = 0.0;
-  /// FraudDroid id-coverage telemetry summed over every analyzed dump
-  /// (only filled when runFraudDroid): the fraction of metadata nodes the
-  /// string features could even read. Collapses on hybrid populations.
-  std::int64_t fraudDroidNodesSeen = 0;
-  std::int64_t fraudDroidNodesWithId = 0;
+  /// FraudDroid id coverage summed over every analyzed dump (only filled
+  /// when runFraudDroid), split by ground truth. WebView hosting changes
+  /// only AUI screens, so the hybrid collapse shows on AUI screens and is
+  /// diluted by the far more numerous benign ones in the all-screens ratio.
+  IdCoverage fraudDroidIdsOnAui;
+  IdCoverage fraudDroidIdsOnNonAui;
+  /// All-screens id coverage.
   [[nodiscard]] double fraudDroidIdCoverage() const {
-    return fraudDroidNodesSeen == 0
-               ? 0.0
-               : static_cast<double>(fraudDroidNodesWithId) /
-                     static_cast<double>(fraudDroidNodesSeen);
+    return IdCoverage{
+        fraudDroidIdsOnAui.nodesSeen + fraudDroidIdsOnNonAui.nodesSeen,
+        fraudDroidIdsOnAui.nodesWithId + fraudDroidIdsOnNonAui.nodesWithId}
+        .ratio();
   }
 };
 
@@ -148,8 +163,10 @@ inline RuntimeResult runSessions(const cv::Detector& detector,
         const android::UiDump dump = system.windowManager.dumpTopWindow();
         const baselines::FraudDroidResult verdict = fraudDroid.analyze(
             dump, system.windowManager.config().screenSize);
-        result.fraudDroidNodesSeen += verdict.nodesSeen;
-        result.fraudDroidNodesWithId += verdict.nodesWithId;
+        IdCoverage& ids = truth ? result.fraudDroidIdsOnAui
+                                : result.fraudDroidIdsOnNonAui;
+        ids.nodesSeen += verdict.nodesSeen;
+        ids.nodesWithId += verdict.nodesWithId;
         if (truth && verdict.isAui) {
           ++result.fraudDroid.tp;
         } else if (truth && !verdict.isAui) {

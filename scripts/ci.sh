@@ -28,6 +28,23 @@ cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 SKIPPED=()
 
+# ctest over the suites a lane names ("SuiteA|SuiteB"). Every named suite
+# must still match at least one test in the tree, so a renamed suite fails
+# the lane instead of silently dropping out of it.
+ctest_suites() {
+  local dir=$1 suites=$2 suite count
+  IFS='|' read -ra names <<< "$suites"
+  for suite in "${names[@]}"; do
+    count="$(ctest --test-dir "$dir" -N -R "^${suite}\\." |
+             sed -n 's/^Total Tests: //p')"
+    if [ "${count:-0}" -eq 0 ]; then
+      echo "FAIL: suite '$suite' matches no test in $dir/" >&2
+      exit 1
+    fi
+  done
+  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" -R "$suites"
+}
+
 echo "== configure + build (build/) =="
 cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build -j "$JOBS"
@@ -57,8 +74,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # override plumbing itself) sanitizer-covered even on wide hosts.
   DARPA_KERNEL=scalar \
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
+    ctest_suites build-asan 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
 
   echo "== ctest, ASan strict-stack webview/virtual-tree tests (build-asan/) =="
   # Focused rerun of the WebView/virtual-subtree suites with
@@ -67,8 +83,8 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # the deep/wide traversal tests are where a frame-lifetime bug would hide.
   ASAN_OPTIONS=detect_leaks=1:detect_stack_use_after_return=1 \
   UBSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest'
+    ctest_suites build-asan \
+      'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest'
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the
@@ -85,8 +101,8 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+    ctest_suites build-tsan \
+      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 
   echo "== ctest, TSan, int8 parity with DARPA_KERNEL=scalar forced (build-tsan/) =="
   # The dispatcher's std::call_once + env read is exactly the kind of
@@ -95,8 +111,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # so this forced-scalar rerun checks the override path under the same
   # runtime.
   DARPA_KERNEL=scalar TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
+    ctest_suites build-tsan 'MlpBatchTest|QuantizeTest|KernelDispatchTest'
 else
   SKIPPED+=("ASan+UBSan and TSan lanes (SKIP_SANITIZE=1)")
 fi

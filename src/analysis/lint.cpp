@@ -1,5 +1,5 @@
-// Lint context construction and the engine's verdict merge. The individual
-// rules live in rules.cpp.
+// Lint context construction, the engine, and its verdict merge. The rules
+// live in rules.cpp.
 #include "analysis/lint.h"
 
 #include <algorithm>
@@ -17,15 +17,6 @@ double coverage(const Rect& r, const Rect& window) {
 }
 
 }  // namespace
-
-std::string_view severityName(Severity s) {
-  switch (s) {
-    case Severity::kInfo: return "info";
-    case Severity::kWarning: return "warning";
-    case Severity::kError: return "error";
-  }
-  return "unknown";
-}
 
 bool LintReport::has(std::string_view ruleId) const {
   return best(ruleId) != nullptr;
@@ -71,9 +62,23 @@ LintContext::LintContext(const android::UiDump& dump, Size screenSize)
     stack.push_back(i);
   }
 
+  // Option inventory: every clickable, the dominant one, and the
+  // dismiss-sized ones.
+  const double minDominantArea =
+      kMinDominantAreaFrac * static_cast<double>(windowRect_.area());
+  std::int64_t dominantArea = 0;
   for (int i = 0; i < n; ++i) {
-    if (dump[i].clickable && !dump[i].boundsOnScreen.empty()) {
-      clickables_.push_back(i);
+    const Rect& b = dump[i].boundsOnScreen;
+    if (!dump[i].clickable || b.empty()) continue;
+    clickables_.push_back(i);
+    if (static_cast<double>(b.area()) >= minDominantArea &&
+        b.area() > dominantArea) {
+      dominantArea = b.area();
+      dominant_ = i;
+    }
+    if (b.area() <= kMaxDismissArea &&
+        std::min(b.width, b.height) <= kMaxDismissMinSide) {
+      dismiss_.push_back(i);
     }
   }
 
@@ -124,32 +129,6 @@ LintContext::LintContext(const android::UiDump& dump, Size screenSize)
   }
 }
 
-int LintContext::dominantClickable(double minAreaFrac) const {
-  const double minArea = minAreaFrac * static_cast<double>(windowRect_.area());
-  int best = -1;
-  std::int64_t bestArea = 0;
-  for (int i : clickables_) {
-    const std::int64_t area = (*dump_)[i].boundsOnScreen.area();
-    if (static_cast<double>(area) >= minArea && area > bestArea) {
-      bestArea = area;
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::vector<int> LintContext::dismissCandidates(std::int64_t maxArea,
-                                                int maxMinSide) const {
-  std::vector<int> result;
-  for (int i : clickables_) {
-    const Rect& b = (*dump_)[i].boundsOnScreen;
-    if (b.area() <= maxArea && std::min(b.width, b.height) <= maxMinSide) {
-      result.push_back(i);
-    }
-  }
-  return result;
-}
-
 Color LintContext::effectiveBackdrop(int i) const {
   // Pre-order index order is paint order for backgrounds: every node with a
   // smaller index that contains this node's center is painted beneath it.
@@ -166,41 +145,35 @@ Color LintContext::effectiveBackdrop(int i) const {
   return color;
 }
 
-LintEngine::LintEngine() : LintEngine(Config{}) {}
+namespace {
 
-void LintEngine::addRule(std::unique_ptr<LintRule> rule) {
-  rules_.push_back(std::move(rule));
+/// Verdict merge: one aggregated score per rule, weighted...
+constexpr double kSizeAsymmetryWeight = 0.35;
+constexpr double kCornerUpoWeight = 0.25;
+constexpr double kContrastAsymmetryWeight = 0.25;
+constexpr double kIdHintWeight = 0.10;
+constexpr double kTouchTargetWeight = 0.05;
+constexpr double kHiddenClickableWeight = 0.05;
+/// ...then adjusted for screen structure: modal scaffolding is AUI-shaped,
+/// a symmetric option pair is the footnote-4 benign dialog.
+constexpr double kModalBonus = 0.15;
+constexpr double kSymmetricPairPenalty = 0.25;
+/// A merged score at or above this flags the screen as AUI...
+constexpr double kAuiThreshold = 0.45;
+/// ...and the verdict is `confident` outside these margins.
+constexpr double kConfidentAuiScore = 0.60;
+constexpr double kConfidentCleanScore = 0.15;
+/// Suspected option boxes overlapping an earlier one by more than this IoU
+/// collapse into it.
+constexpr double kDuplicateBoxIou = 0.5;
+
+bool isStructural(std::string_view ruleId) {
+  return ruleId == kSizeAsymmetryId || ruleId == kCornerUpoId ||
+         ruleId == kContrastAsymmetryId;
 }
 
-LintEngine LintEngine::withDefaultRules() {
-  return withDefaultRules(Config{});
-}
-
-LintEngine LintEngine::withDefaultRules(Config config) {
-  LintEngine engine(config);
-  engine.addRule(std::make_unique<SizeAsymmetryRule>());
-  engine.addRule(std::make_unique<CornerPlacementRule>());
-  engine.addRule(std::make_unique<ContrastAsymmetryRule>());
-  engine.addRule(std::make_unique<TouchTargetRule>());
-  engine.addRule(std::make_unique<HiddenClickableRule>());
-  engine.addRule(std::make_unique<IdTokenRule>());
-  return engine;
-}
-
-LintReport LintEngine::run(const android::UiDump& dump,
-                           Size screenSize) const {
-  LintReport report;
-  report.nodesVisited = static_cast<int>(dump.size());
-  const LintContext ctx(dump, screenSize);
-  for (const auto& rule : rules_) {
-    rule->run(ctx, report.findings);
-  }
-  report.verdict = merge(ctx, report.findings);
-  return report;
-}
-
-LintVerdict LintEngine::merge(const LintContext& ctx,
-                              const std::vector<LintFinding>& findings) const {
+LintVerdict merge(const LintContext& ctx,
+                  const std::vector<LintFinding>& findings) {
   // Aggregate one score per rule: the best finding, except the id-hint rule
   // whose UPO/AGO hits corroborate each other and therefore sum (capped).
   auto ruleScore = [&](std::string_view ruleId, bool sum) {
@@ -213,62 +186,64 @@ LintVerdict LintEngine::merge(const LintContext& ctx,
   };
   // The structural asymmetry rules must carry the verdict: hygiene findings
   // (touch targets, id vocabulary) alone never flag a screen.
-  auto structuralAt = [&](Severity atLeast) {
-    for (const LintFinding& f : findings) {
-      if (f.severity < atLeast) continue;
-      if (f.ruleId == "aui-size-asymmetry" || f.ruleId == "aui-corner-upo" ||
-          f.ruleId == "aui-contrast-asymmetry") {
-        return true;
-      }
-    }
-    return false;
-  };
+  const bool structural =
+      std::any_of(findings.begin(), findings.end(), [](const LintFinding& f) {
+        return f.severity >= Severity::kWarning && isStructural(f.ruleId);
+      });
 
   LintVerdict verdict;
-  double score =
-      config_.sizeAsymmetryWeight * ruleScore("aui-size-asymmetry", false) +
-      config_.cornerUpoWeight * ruleScore("aui-corner-upo", false) +
-      config_.contrastAsymmetryWeight *
-          ruleScore("aui-contrast-asymmetry", false) +
-      config_.idHintWeight * ruleScore("aui-id-hint", true) +
-      config_.touchTargetWeight * ruleScore("touch-target", false) +
-      config_.hiddenClickableWeight * ruleScore("hidden-clickable", false);
-  if (ctx.modal()) score += config_.modalBonus;
-  if (ctx.symmetricPair()) score -= config_.symmetricPairPenalty;
+  double score = kSizeAsymmetryWeight * ruleScore(kSizeAsymmetryId, false) +
+                 kCornerUpoWeight * ruleScore(kCornerUpoId, false) +
+                 kContrastAsymmetryWeight *
+                     ruleScore(kContrastAsymmetryId, false) +
+                 kIdHintWeight * ruleScore(kIdHintId, true) +
+                 kTouchTargetWeight * ruleScore(kTouchTargetId, false) +
+                 kHiddenClickableWeight * ruleScore(kHiddenClickableId, false);
+  if (ctx.modal()) score += kModalBonus;
+  if (ctx.symmetricPair()) score -= kSymmetricPairPenalty;
   verdict.score = std::clamp(score, 0.0, 1.0);
-  verdict.isAui =
-      verdict.score >= config_.auiThreshold && structuralAt(Severity::kWarning);
-  verdict.confident =
-      verdict.isAui ? verdict.score >= config_.confidentAuiScore
-                    : verdict.score <= config_.confidentCleanScore;
+  verdict.isAui = verdict.score >= kAuiThreshold && structural;
+  verdict.confident = verdict.isAui ? verdict.score >= kConfidentAuiScore
+                                    : verdict.score <= kConfidentCleanScore;
 
   // Suspected option boxes, FraudDroidResult-shaped: dismiss-flavored
   // findings become UPO boxes; the dominant option and CTA-id hits AGO
-  // boxes. Near-duplicates (IoU > 0.5) collapse to the first seen.
+  // boxes. Near-duplicates collapse to the first seen.
   auto pushUnique = [](std::vector<Rect>& boxes, const Rect& box) {
     if (box.empty()) return;
     for (const Rect& seen : boxes) {
-      if (iou(seen, box) > 0.5) return;
+      if (iou(seen, box) > kDuplicateBoxIou) return;
     }
     boxes.push_back(box);
   };
   for (const LintFinding& f : findings) {
-    if (f.ruleId == "aui-size-asymmetry" || f.ruleId == "aui-corner-upo" ||
-        f.ruleId == "aui-contrast-asymmetry") {
+    if (isStructural(f.ruleId)) {
       pushUnique(verdict.upoBoxes, f.box);
-    } else if (f.ruleId == "aui-id-hint") {
-      // The id rule tags its AGO hits by message prefix (see rules.cpp).
-      if (f.message.rfind("CTA", 0) == 0) {
-        pushUnique(verdict.agoBoxes, f.box);
-      } else {
-        pushUnique(verdict.upoBoxes, f.box);
-      }
+    } else if (f.ruleId == kIdHintId) {
+      pushUnique(f.ago ? verdict.agoBoxes : verdict.upoBoxes, f.box);
     }
   }
-  if (const int dominant = ctx.dominantClickable(0.02); dominant >= 0) {
+  if (const int dominant = ctx.dominantClickable(); dominant >= 0) {
     pushUnique(verdict.agoBoxes, ctx.dump()[dominant].boundsOnScreen);
   }
   return verdict;
+}
+
+}  // namespace
+
+LintReport LintEngine::run(const android::UiDump& dump,
+                           Size screenSize) const {
+  LintReport report;
+  report.nodesVisited = static_cast<int>(dump.size());
+  const LintContext ctx(dump, screenSize);
+  runSizeAsymmetry(ctx, report.findings);
+  runCornerPlacement(ctx, report.findings);
+  runContrastAsymmetry(ctx, report.findings);
+  runTouchTarget(ctx, report.findings);
+  runHiddenClickable(ctx, report.findings);
+  runIdHint(ctx, report.findings);
+  report.verdict = merge(ctx, report.findings);
+  return report;
 }
 
 }  // namespace darpa::analysis

@@ -19,22 +19,36 @@
 //    app populations with no detector in the loop at all.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "android/window_manager.h"
-#include "baselines/frauddroid.h"
 #include "util/color.h"
 #include "util/geometry.h"
 
 namespace darpa::analysis {
 
-/// Diagnostic severity; each rule's severity ceiling is configurable.
+/// Diagnostic severity.
 enum class Severity { kInfo = 0, kWarning = 1, kError = 2 };
 
-[[nodiscard]] std::string_view severityName(Severity s);
+/// Rule ids, shared by the rule that emits each and the merge that reads it.
+inline constexpr std::string_view kSizeAsymmetryId = "aui-size-asymmetry";
+inline constexpr std::string_view kCornerUpoId = "aui-corner-upo";
+inline constexpr std::string_view kContrastAsymmetryId =
+    "aui-contrast-asymmetry";
+inline constexpr std::string_view kTouchTargetId = "touch-target";
+inline constexpr std::string_view kHiddenClickableId = "hidden-clickable";
+inline constexpr std::string_view kIdHintId = "aui-id-hint";
+
+/// Option geometry shared by the asymmetry rules and the merge: a clickable
+/// is "dominant" from this fraction of the window area...
+inline constexpr double kMinDominantAreaFrac = 0.02;
+/// ...and a dismiss candidate when its area and its short side are at most
+/// these (close crosses, "skip" strips).
+inline constexpr std::int64_t kMaxDismissArea = 2600;
+inline constexpr int kMaxDismissMinSide = 28;
 
 /// One structured diagnostic emitted by a rule.
 struct LintFinding {
@@ -45,6 +59,9 @@ struct LintFinding {
   int nodeIndex = -1;    ///< Index into the analyzed dump.
   Rect box;              ///< Screen coordinates of the offending view.
   double score = 0.0;    ///< Rule confidence in [0, 1].
+  /// Id-hint hits on app-guided (CTA) vocabulary; the merge files their
+  /// boxes as AGO instead of UPO.
+  bool ago = false;
 };
 
 /// Merged screen-level verdict, shaped like baselines::FraudDroidResult so
@@ -52,7 +69,7 @@ struct LintFinding {
 struct LintVerdict {
   bool isAui = false;
   double score = 0.0;     ///< Merged AUI confidence in [0, 1].
-  bool confident = false; ///< Score clear of the configured margins; the
+  bool confident = false; ///< Score clear of the merge's margins; the
                           ///< runtime may short-circuit CV on this.
   std::vector<Rect> upoBoxes;  ///< Screen coords of suspected user options.
   std::vector<Rect> agoBoxes;  ///< Screen coords of suspected app options.
@@ -101,13 +118,14 @@ class LintContext {
   [[nodiscard]] const std::vector<int>& clickables() const {
     return clickables_;
   }
-  /// Largest-area clickable covering >= minDominantAreaFrac of the window;
+  /// Largest-area clickable covering >= kMinDominantAreaFrac of the window;
   /// -1 when none qualifies.
-  [[nodiscard]] int dominantClickable(double minAreaFrac) const;
-  /// Small clickables sized like dismiss affordances (close crosses, "skip"
-  /// strips): area <= maxArea and min side <= maxMinSide.
-  [[nodiscard]] std::vector<int> dismissCandidates(std::int64_t maxArea,
-                                                   int maxMinSide) const;
+  [[nodiscard]] int dominantClickable() const { return dominant_; }
+  /// Clickables sized like dismiss affordances: area <= kMaxDismissArea and
+  /// min side <= kMaxDismissMinSide, in paint order.
+  [[nodiscard]] const std::vector<int>& dismissCandidates() const {
+    return dismiss_;
+  }
   /// Whether the screen offers two comparably prominent clickable options —
   /// the paper's footnote-4 symmetric dialog that must NOT count as AUI.
   [[nodiscard]] bool symmetricPair() const { return symmetricPair_; }
@@ -124,247 +142,66 @@ class LintContext {
   std::vector<int> subtreeEnd_;
   std::vector<std::string> paths_;
   std::vector<int> clickables_;
+  int dominant_ = -1;
+  std::vector<int> dismiss_;
   int scrimIndex_ = -1;
   int panelIndex_ = -1;
   Rect panelRect_;
   bool symmetricPair_ = false;
 };
 
-/// A lint rule: inspects the context and appends findings. Rules are
-/// independent; each has an enable flag and its own thresholds, and the
-/// engine owns the merge into a verdict.
-class LintRule {
- public:
-  virtual ~LintRule() = default;
-  [[nodiscard]] virtual std::string_view id() const = 0;
-  virtual void run(const LintContext& ctx,
-                   std::vector<LintFinding>& out) const = 0;
-};
-
 // --------------------------------------------------------------- rules
+// Each rule inspects the context and appends its findings. LintEngine::run
+// calls them in the order declared here; the order is part of the output,
+// because the merge keeps the first of near-duplicate option boxes.
 
 /// "aui-size-asymmetry": a tiny dismiss-sized clickable coexists with a
 /// dominant clickable surface (the dominant CTA / whole-creative ad).
-class SizeAsymmetryRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// Dominant-to-dismiss area ratio that starts a finding.
-    double minAreaRatio = 10.0;
-    /// Ratio at which the finding saturates to score 1.
-    double saturationRatio = 40.0;
-    /// A clickable is "dominant" from this fraction of the window area.
-    double minDominantAreaFrac = 0.02;
-    /// Dismiss-candidate geometry.
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  SizeAsymmetryRule();
-  explicit SizeAsymmetryRule(Config config) : config_(config) {}
-  [[nodiscard]] std::string_view id() const override {
-    return "aui-size-asymmetry";
-  }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
-};
+void runSizeAsymmetry(const LintContext& ctx, std::vector<LintFinding>& out);
 
 /// "aui-corner-upo": the suspected user-preferred option hugs a corner or
 /// edge of the modal panel while a dominant option sits centrally (§III-A:
 /// 73.1 % of UPOs are corner-pinned, 94.6 % of AGOs central).
-class CornerPlacementRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// How close (px) to a panel corner/edge counts as pinned.
-    int cornerMargin = 14;
-    double minDominantAreaFrac = 0.02;
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  CornerPlacementRule();
-  explicit CornerPlacementRule(Config config) : config_(config) {}
-  [[nodiscard]] std::string_view id() const override {
-    return "aui-corner-upo";
-  }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
-};
+void runCornerPlacement(const LintContext& ctx, std::vector<LintFinding>& out);
 
 /// "aui-contrast-asymmetry": from declared colors alone, the app-guided
 /// option is visually loud (high contrast against its surround) while the
 /// dismiss option is muted or nearly transparent (ghost UPOs, §VI-B).
-class ContrastAsymmetryRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// AGO-to-UPO perceived-contrast ratio that starts a finding.
-    double minProminenceRatio = 1.35;
-    /// Ratio at which the score saturates.
-    double saturationRatio = 3.5;
-    /// Effective alpha below which a clickable is a "ghost" on its own.
-    double ghostAlpha = 0.45;
-    double minDominantAreaFrac = 0.02;
-    std::int64_t maxDismissArea = 2600;
-    int maxDismissMinSide = 28;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  ContrastAsymmetryRule();
-  explicit ContrastAsymmetryRule(Config config) : config_(config) {}
-  [[nodiscard]] std::string_view id() const override {
-    return "aui-contrast-asymmetry";
-  }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
-};
+void runContrastAsymmetry(const LintContext& ctx,
+                          std::vector<LintFinding>& out);
 
 /// "touch-target": clickable view smaller than the Android accessibility
-/// minimum (48 dp equivalent). A hygiene rule on its own, and the sub-48dp
-/// escape option is one of the paper's recurring AUI traits.
-class TouchTargetRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kWarning;
-    int minSidePx = 48;       ///< Warning below this...
-    int criticalSidePx = 24;  ///< ...max severity below this.
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  TouchTargetRule();
-  explicit TouchTargetRule(Config config) : config_(config) {}
-  [[nodiscard]] std::string_view id() const override { return "touch-target"; }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
-};
+/// minimum (48 dp equivalent), always at warning severity. A hygiene rule
+/// on its own, and the sub-48dp escape option is one of the paper's
+/// recurring AUI traits.
+void runTouchTarget(const LintContext& ctx, std::vector<LintFinding>& out);
 
 /// "hidden-clickable": a clickable view rendered off-screen or fully
 /// occluded by a later-painted opaque sibling — Nighthawk-style display
 /// issues that make an escape option unusable while still technically
 /// present in the hierarchy.
-class HiddenClickableRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kError;
-    /// Fraction of the view's area that must be off-screen to report.
-    double minOffscreenFrac = 0.5;
-    /// Occluders below this effective alpha don't hide what's beneath.
-    double minOccluderAlpha = 0.95;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  HiddenClickableRule();
-  explicit HiddenClickableRule(Config config) : config_(config) {}
-  [[nodiscard]] std::string_view id() const override {
-    return "hidden-clickable";
-  }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
+void runHiddenClickable(const LintContext& ctx, std::vector<LintFinding>& out);
 
- private:
-  Config config_;
-};
-
-/// "aui-id-hint": FraudDroid-compatible resource-id vocabulary hints (small
-/// clickable with a dismiss token, prominent view with a CTA token). Info
-/// severity by default: obfuscation starves it (§VI-C), so it corroborates
-/// the structural rules rather than deciding on its own.
-class IdTokenRule : public LintRule {
- public:
-  struct Config {
-    bool enabled = true;
-    Severity maxSeverity = Severity::kInfo;
-    std::vector<std::string> upoTokens =
-        baselines::FraudDroidDetector::Config{}.upoIdTokens;
-    std::vector<std::string> agoTokens =
-        baselines::FraudDroidDetector::Config{}.agoIdTokens;
-    std::int64_t maxDismissArea = 8100;  ///< FraudDroid's 90x90 UPO cap.
-    double minAgoAreaFrac = 0.01;
-    /// Virtual (WebView) nodes never carry resource ids (§VI-C), so the
-    /// rule would otherwise silently pass over the whole subtree. Instead
-    /// it degrades gracefully: page-global virtual ids and visible labels
-    /// are matched against the same vocabularies, scaled down because web
-    /// ids are weaker evidence (minified, duplicated, page-controlled).
-    bool matchVirtualNodes = true;
-    double virtualEvidenceScale = 0.6;
-  };
-  // Defined out of line: Config's default member initializers are not
-  // available inside the still-incomplete class (cf. WindowManager).
-  IdTokenRule();
-  explicit IdTokenRule(Config config) : config_(std::move(config)) {}
-  [[nodiscard]] std::string_view id() const override { return "aui-id-hint"; }
-  void run(const LintContext& ctx,
-           std::vector<LintFinding>& out) const override;
-
- private:
-  Config config_;
-};
+/// "aui-id-hint": FraudDroid's resource-id vocabulary (small clickable with
+/// a dismiss token, prominent view with a CTA token), always at info
+/// severity: obfuscation starves it (§VI-C), so it corroborates the
+/// structural rules rather than deciding on its own. Virtual (WebView)
+/// nodes never carry resource ids, so their page-global ids and visible
+/// labels are matched instead, at reduced confidence (minified,
+/// duplicated, page-controlled).
+void runIdHint(const LintContext& ctx, std::vector<LintFinding>& out);
 
 // -------------------------------------------------------------- engine
 
+/// The fixed rule set above plus the verdict merge. Stateless.
 class LintEngine {
  public:
-  struct Config {
-    /// Verdict: merged score at/above this flags the screen as AUI...
-    double auiThreshold = 0.45;
-    /// ...and the verdict is `confident` outside these margins.
-    double confidentAuiScore = 0.60;
-    double confidentCleanScore = 0.15;
-    /// Per-rule weights in the merged score (max finding score per rule).
-    double sizeAsymmetryWeight = 0.35;
-    double cornerUpoWeight = 0.25;
-    double contrastAsymmetryWeight = 0.25;
-    double idHintWeight = 0.10;
-    double touchTargetWeight = 0.05;
-    double hiddenClickableWeight = 0.05;
-    /// Screen-structure adjustments: modal scaffolding is AUI-shaped,
-    /// a symmetric option pair is the footnote-4 benign dialog.
-    double modalBonus = 0.15;
-    double symmetricPairPenalty = 0.25;
-  };
-
-  LintEngine();  // Config default initializers need the complete class.
-  explicit LintEngine(Config config) : config_(config) {}
-
-  /// Registers a rule; run() applies them in registration order.
-  void addRule(std::unique_ptr<LintRule> rule);
-  [[nodiscard]] std::size_t ruleCount() const { return rules_.size(); }
-  [[nodiscard]] const Config& config() const { return config_; }
-
   /// Runs every rule over one dump and merges findings into a verdict.
   [[nodiscard]] LintReport run(const android::UiDump& dump,
                                Size screenSize) const;
 
-  /// Engine with the full default rule set registered.
-  [[nodiscard]] static LintEngine withDefaultRules();
-  [[nodiscard]] static LintEngine withDefaultRules(Config config);
-
- private:
-  [[nodiscard]] LintVerdict merge(const LintContext& ctx,
-                                  const std::vector<LintFinding>& findings) const;
-
-  Config config_;
-  std::vector<std::unique_ptr<LintRule>> rules_;
+  /// An engine; every engine runs the same fixed rule set.
+  [[nodiscard]] static LintEngine withDefaultRules() { return {}; }
 };
 
 }  // namespace darpa::analysis

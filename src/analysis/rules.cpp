@@ -1,23 +1,63 @@
-// The built-in lint rules. Each inspects the shared LintContext and appends
-// structured findings; thresholds live in the per-rule Config structs so a
-// deployment can tighten or relax any rule independently.
+// The six lint rules. Each inspects the shared LintContext and appends
+// structured findings; their thresholds are the fixed constants below.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "analysis/lint.h"
+#include "baselines/frauddroid.h"
 
 namespace darpa::analysis {
 
 namespace {
 
-Severity capSeverity(Severity s, Severity cap) { return s < cap ? s : cap; }
+/// aui-size-asymmetry: dominant-to-dismiss area ratio that starts a
+/// finding, and the ratio at which its score saturates to 1.
+constexpr double kMinAreaRatio = 10.0;
+constexpr double kAreaSaturationRatio = 40.0;
 
-LintFinding makeFinding(const LintContext& ctx, const LintRule& rule, int node,
-                        Severity severity, double score, std::string message) {
+/// aui-corner-upo: how close (px) to a panel corner or edge counts as
+/// pinned.
+constexpr int kCornerMargin = 14;
+
+/// aui-contrast-asymmetry: AGO-to-UPO perceived-contrast ratio that starts
+/// a finding, the ratio at which its score saturates, and the effective
+/// alpha below which a dismiss option is a "ghost" on its own.
+constexpr double kMinProminenceRatio = 1.35;
+constexpr double kContrastSaturationRatio = 3.5;
+constexpr double kGhostAlpha = 0.45;
+
+/// touch-target: findings below the 48dp minimum side, with the score
+/// saturating at the critical side.
+constexpr int kMinTouchSidePx = 48;
+constexpr int kCriticalTouchSidePx = 24;
+
+/// hidden-clickable: the off-screen fraction that reports, and the
+/// effective alpha from which a later-painted surface occludes.
+constexpr double kMinOffscreenFrac = 0.5;
+constexpr double kMinOccluderAlpha = 0.95;
+
+/// aui-id-hint: the area cap on a dismiss-vocabulary hit. 90² px, the area
+/// of FraudDroid's largest UPO — but an area cap, unlike FraudDroid's
+/// per-side cap (baselines::kMaxUpoSide), so long strips such as a 200x30
+/// "skip" bar still count.
+constexpr std::int64_t kIdHintMaxUpoArea =
+    std::int64_t{baselines::kMaxUpoSide} * baselines::kMaxUpoSide;
+/// Scores of a native dismiss- and CTA-vocabulary hit; virtual (WebView)
+/// hits are scaled down, because page-global ids and labels are weaker
+/// evidence than resource ids.
+constexpr double kIdHintUpoScore = 0.4;
+constexpr double kIdHintAgoScore = 0.3;
+constexpr double kVirtualEvidenceScale = 0.6;
+
+LintFinding makeFinding(const LintContext& ctx, std::string_view ruleId,
+                        int node, Severity severity, double score,
+                        std::string message) {
   LintFinding finding;
-  finding.ruleId = std::string(rule.id());
+  finding.ruleId = std::string(ruleId);
   finding.severity = severity;
   finding.score = std::clamp(score, 0.0, 1.0);
   finding.message = std::move(message);
@@ -49,39 +89,25 @@ double perceivedContrast(const LintContext& ctx, int node) {
 
 }  // namespace
 
-// Default constructors live here so each Config's default member
-// initializers are instantiated with the class complete (cf. WindowManager).
-SizeAsymmetryRule::SizeAsymmetryRule() : SizeAsymmetryRule(Config{}) {}
-CornerPlacementRule::CornerPlacementRule() : CornerPlacementRule(Config{}) {}
-ContrastAsymmetryRule::ContrastAsymmetryRule()
-    : ContrastAsymmetryRule(Config{}) {}
-TouchTargetRule::TouchTargetRule() : TouchTargetRule(Config{}) {}
-HiddenClickableRule::HiddenClickableRule() : HiddenClickableRule(Config{}) {}
-IdTokenRule::IdTokenRule() : IdTokenRule(Config{}) {}
-
-void SizeAsymmetryRule::run(const LintContext& ctx,
-                            std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
-  const int dominant = ctx.dominantClickable(config_.minDominantAreaFrac);
+void runSizeAsymmetry(const LintContext& ctx, std::vector<LintFinding>& out) {
+  const int dominant = ctx.dominantClickable();
   if (dominant < 0) return;
   const android::UiNode& big = ctx.dump()[dominant];
   const double dominantFrac =
       static_cast<double>(big.boundsOnScreen.area()) /
       static_cast<double>(std::max<std::int64_t>(1, ctx.windowRect().area()));
 
-  for (int i : ctx.dismissCandidates(config_.maxDismissArea,
-                                     config_.maxDismissMinSide)) {
+  for (int i : ctx.dismissCandidates()) {
     if (i == dominant) continue;
     const Rect& small = ctx.dump()[i].boundsOnScreen;
     const double ratio =
         static_cast<double>(big.boundsOnScreen.area()) /
         static_cast<double>(std::max<std::int64_t>(1, small.area()));
-    if (ratio < config_.minAreaRatio) continue;
+    if (ratio < kMinAreaRatio) continue;
 
-    double score = std::min(1.0, ratio / config_.saturationRatio);
-    Severity severity = ratio >= 2.5 * config_.minAreaRatio
-                            ? Severity::kError
-                            : Severity::kWarning;
+    double score = std::min(1.0, ratio / kAreaSaturationRatio);
+    Severity severity = ratio >= 2.5 * kMinAreaRatio ? Severity::kError
+                                                     : Severity::kWarning;
     if (ctx.symmetricPair()) {
       // The screen also offers two comparable options: the tiny control is
       // an ordinary close button on a symmetric dialog, not the only exit.
@@ -94,7 +120,7 @@ void SizeAsymmetryRule::run(const LintContext& ctx,
       score *= 0.5;
     }
     out.push_back(makeFinding(
-        ctx, *this, i, capSeverity(severity, config_.maxSeverity), score,
+        ctx, kSizeAsymmetryId, i, severity, score,
         "clickable " + describeBox(small) + " is " +
             std::to_string(static_cast<int>(ratio)) +
             "x smaller than the dominant option (" +
@@ -102,23 +128,22 @@ void SizeAsymmetryRule::run(const LintContext& ctx,
   }
 }
 
-void CornerPlacementRule::run(const LintContext& ctx,
-                              std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
-  if (ctx.dominantClickable(config_.minDominantAreaFrac) < 0) return;
+void runCornerPlacement(const LintContext& ctx,
+                        std::vector<LintFinding>& out) {
+  if (ctx.dominantClickable() < 0) return;
   const Rect& panel = ctx.panelRect();
-  const int margin = config_.cornerMargin;
 
-  for (int i : ctx.dismissCandidates(config_.maxDismissArea,
-                                     config_.maxDismissMinSide)) {
+  for (int i : ctx.dismissCandidates()) {
     const Rect& b = ctx.dump()[i].boundsOnScreen;
     const bool nearX = std::min(std::abs(b.left() - panel.left()),
-                                std::abs(b.right() - panel.right())) <= margin;
+                                std::abs(b.right() - panel.right())) <=
+                       kCornerMargin;
     const bool nearY = std::min(std::abs(b.top() - panel.top()),
-                                std::abs(b.bottom() - panel.bottom())) <= margin;
+                                std::abs(b.bottom() - panel.bottom())) <=
+                       kCornerMargin;
     // UPOs also float centered just below the panel (§III-A layouts).
     const bool belowPanel = b.top() >= panel.bottom() &&
-                            b.top() - panel.bottom() <= 2 * margin;
+                            b.top() - panel.bottom() <= 2 * kCornerMargin;
     double score = 0.0;
     const char* placement = nullptr;
     if (nearX && nearY) {
@@ -138,21 +163,20 @@ void CornerPlacementRule::run(const LintContext& ctx,
       score *= 0.4;
     }
     out.push_back(makeFinding(
-        ctx, *this, i, capSeverity(severity, config_.maxSeverity), score,
+        ctx, kCornerUpoId, i, severity, score,
         std::string("small dismiss option pinned to the ") + placement +
             " of the " + (ctx.panelIndex() >= 0 ? "dialog panel" : "window") +
             " while a dominant option sits inside"));
   }
 }
 
-void ContrastAsymmetryRule::run(const LintContext& ctx,
-                                std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
+void runContrastAsymmetry(const LintContext& ctx,
+                          std::vector<LintFinding>& out) {
   // The loud side: the most prominent declared styling among large
   // clickables (the dominant surface itself may be an image with no declared
   // colors — a CTA button next to it still sets the loudness bar).
-  const double minArea = config_.minDominantAreaFrac *
-                         static_cast<double>(ctx.windowRect().area());
+  const double minArea =
+      kMinDominantAreaFrac * static_cast<double>(ctx.windowRect().area());
   double loudest = 0.0;
   bool haveLoud = false;
   for (int i : ctx.clickables()) {
@@ -163,13 +187,11 @@ void ContrastAsymmetryRule::run(const LintContext& ctx,
     haveLoud = true;
   }
 
-  for (int i : ctx.dismissCandidates(config_.maxDismissArea,
-                                     config_.maxDismissMinSide)) {
+  for (int i : ctx.dismissCandidates()) {
     const android::UiNode& n = ctx.dump()[i];
-    if (n.effAlpha < config_.ghostAlpha) {
+    if (n.effAlpha < kGhostAlpha) {
       out.push_back(makeFinding(
-          ctx, *this, i, capSeverity(Severity::kError, config_.maxSeverity),
-          1.0,
+          ctx, kContrastAsymmetryId, i, Severity::kError, 1.0,
           "ghost dismiss option: effective alpha " +
               std::to_string(n.effAlpha).substr(0, 4) +
               " renders it nearly invisible"));
@@ -178,13 +200,13 @@ void ContrastAsymmetryRule::run(const LintContext& ctx,
     if (!haveLoud) continue;
     const double muted = std::max(1.0, perceivedContrast(ctx, i));
     const double ratio = loudest / muted;
-    if (ratio < config_.minProminenceRatio) continue;
-    double score = std::min(1.0, ratio / config_.saturationRatio);
+    if (ratio < kMinProminenceRatio) continue;
+    double score = std::min(1.0, ratio / kContrastSaturationRatio);
     if (ctx.symmetricPair()) score *= 0.5;
     const Severity severity = ratio >= 2.0 ? Severity::kError
                                            : Severity::kWarning;
     out.push_back(makeFinding(
-        ctx, *this, i, capSeverity(severity, config_.maxSeverity), score,
+        ctx, kContrastAsymmetryId, i, severity, score,
         "declared contrast asymmetry: dismiss option reads at " +
             std::to_string(muted).substr(0, 4) + ":1 vs " +
             std::to_string(loudest).substr(0, 4) +
@@ -192,30 +214,22 @@ void ContrastAsymmetryRule::run(const LintContext& ctx,
   }
 }
 
-void TouchTargetRule::run(const LintContext& ctx,
-                          std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
+void runTouchTarget(const LintContext& ctx, std::vector<LintFinding>& out) {
+  constexpr double kRange = kMinTouchSidePx - kCriticalTouchSidePx;
   for (int i : ctx.clickables()) {
     const Rect& b = ctx.dump()[i].boundsOnScreen;
     const int minSide = std::min(b.width, b.height);
-    if (minSide >= config_.minSidePx) continue;
-    const double range =
-        std::max(1, config_.minSidePx - config_.criticalSidePx);
+    if (minSide >= kMinTouchSidePx) continue;
     const double score =
-        std::clamp((config_.minSidePx - minSide) / range, 0.0, 1.0);
-    const Severity severity = minSide < config_.criticalSidePx
-                                  ? config_.maxSeverity
-                                  : capSeverity(Severity::kWarning,
-                                                config_.maxSeverity);
+        std::clamp((kMinTouchSidePx - minSide) / kRange, 0.0, 1.0);
     out.push_back(makeFinding(
-        ctx, *this, i, severity, score,
+        ctx, kTouchTargetId, i, Severity::kWarning, score,
         "touch target " + describeBox(b) + " is below the 48dp minimum"));
   }
 }
 
-void HiddenClickableRule::run(const LintContext& ctx,
-                              std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
+void runHiddenClickable(const LintContext& ctx,
+                        std::vector<LintFinding>& out) {
   const Rect screen{0, 0, ctx.screenSize().width, ctx.screenSize().height};
   const android::UiDump& dump = ctx.dump();
   for (int i : ctx.clickables()) {
@@ -223,12 +237,10 @@ void HiddenClickableRule::run(const LintContext& ctx,
     const double visibleFrac =
         static_cast<double>(b.intersect(screen).area()) /
         static_cast<double>(std::max<std::int64_t>(1, b.area()));
-    if (1.0 - visibleFrac >= config_.minOffscreenFrac) {
+    if (1.0 - visibleFrac >= kMinOffscreenFrac) {
       out.push_back(makeFinding(
-          ctx, *this, i,
-          capSeverity(visibleFrac <= 0.0 ? Severity::kError
-                                         : Severity::kWarning,
-                      config_.maxSeverity),
+          ctx, kHiddenClickableId, i,
+          visibleFrac <= 0.0 ? Severity::kError : Severity::kWarning,
           1.0 - visibleFrac,
           "clickable view is " +
               std::to_string(static_cast<int>((1.0 - visibleFrac) * 100)) +
@@ -239,78 +251,64 @@ void HiddenClickableRule::run(const LintContext& ctx,
     // with an opaque surface makes it unreachable (pre-order = paint order).
     for (int j = ctx.subtreeEnd(i); j < static_cast<int>(dump.size()); ++j) {
       const android::UiNode& over = dump[j];
-      if (over.background.a != 255 ||
-          over.effAlpha < config_.minOccluderAlpha) {
+      if (over.background.a != 255 || over.effAlpha < kMinOccluderAlpha) {
         continue;
       }
       if (!over.boundsOnScreen.contains(b)) continue;
       out.push_back(makeFinding(
-          ctx, *this, i, capSeverity(Severity::kError, config_.maxSeverity),
-          1.0, "clickable view is fully occluded by " + ctx.path(j)));
+          ctx, kHiddenClickableId, i, Severity::kError, 1.0,
+          "clickable view is fully occluded by " + ctx.path(j)));
       break;
     }
   }
 }
 
-void IdTokenRule::run(const LintContext& ctx,
-                      std::vector<LintFinding>& out) const {
-  if (!config_.enabled) return;
+void runIdHint(const LintContext& ctx, std::vector<LintFinding>& out) {
   using baselines::FraudDroidDetector;
-  const double minAgoArea = config_.minAgoAreaFrac *
+  const double minAgoArea = baselines::kMinAgoAreaFrac *
                             static_cast<double>(ctx.windowRect().area());
   const android::UiDump& dump = ctx.dump();
   for (int i = 0; i < static_cast<int>(dump.size()); ++i) {
     const android::UiNode& node = dump[i];
     const Rect& b = node.boundsOnScreen;
     if (b.empty()) continue;
-    if (!node.isVirtual) {
-      if (node.resourceId.empty()) continue;
-      if (node.clickable && b.area() <= config_.maxDismissArea &&
-          FraudDroidDetector::idMatchesAny(node.resourceId,
-                                           config_.upoTokens)) {
-        out.push_back(makeFinding(
-            ctx, *this, i, config_.maxSeverity, 0.4,
-            "dismiss-vocabulary resource id '" + node.resourceId + "'"));
-      }
-      if (static_cast<double>(b.area()) >= minAgoArea &&
-          FraudDroidDetector::idMatchesAny(node.resourceId,
-                                           config_.agoTokens)) {
-        // "CTA" prefix is load-bearing: the verdict merge sorts these boxes
-        // into the AGO set by it.
-        out.push_back(makeFinding(
-            ctx, *this, i, config_.maxSeverity, 0.3,
-            "CTA-vocabulary resource id '" + node.resourceId + "'"));
-      }
+    // Native nodes match their resource id. Virtual (WebView) nodes never
+    // carry one, so they match the page-global virtual id and the visible
+    // label (lowercased — web CTAs shout) at reduced confidence.
+    std::string label;
+    if (node.isVirtual) {
+      label = node.text;
+      std::transform(label.begin(), label.end(), label.begin(), [](char c) {
+        return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      });
+    } else if (node.resourceId.empty()) {
       continue;
     }
-    // Virtual (WebView) node: no resource id to match, ever. Degrade
-    // gracefully to the page-global virtual id plus the visible label
-    // (lowercased — web CTAs shout) at reduced confidence, instead of the
-    // old behavior of silently passing over the whole subtree.
-    if (!config_.matchVirtualNodes) continue;
-    std::string label = node.text;
-    std::transform(label.begin(), label.end(), label.begin(), [](char c) {
-      return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    });
-    const bool upoEvidence =
-        FraudDroidDetector::idMatchesAny(node.virtualId, config_.upoTokens) ||
-        FraudDroidDetector::idMatchesAny(label, config_.upoTokens);
-    const bool agoEvidence =
-        FraudDroidDetector::idMatchesAny(node.virtualId, config_.agoTokens) ||
-        FraudDroidDetector::idMatchesAny(label, config_.agoTokens);
-    if (node.clickable && b.area() <= config_.maxDismissArea && upoEvidence) {
-      out.push_back(makeFinding(
-          ctx, *this, i, config_.maxSeverity,
-          0.4 * config_.virtualEvidenceScale,
-          "dismiss-vocabulary virtual node '" +
-              (node.virtualId.empty() ? label : node.virtualId) + "'"));
+    auto matches = [&](std::span<const std::string_view> tokens) {
+      if (!node.isVirtual) {
+        return FraudDroidDetector::idMatchesAny(node.resourceId, tokens);
+      }
+      return FraudDroidDetector::idMatchesAny(node.virtualId, tokens) ||
+             FraudDroidDetector::idMatchesAny(label, tokens);
+    };
+    auto subject = [&] {
+      if (!node.isVirtual) return "resource id '" + node.resourceId + "'";
+      return "virtual node '" +
+             (node.virtualId.empty() ? label : node.virtualId) + "'";
+    };
+    const double scale = node.isVirtual ? kVirtualEvidenceScale : 1.0;
+    if (node.clickable && b.area() <= kIdHintMaxUpoArea &&
+        matches(baselines::kUpoIdTokens)) {
+      out.push_back(makeFinding(ctx, kIdHintId, i, Severity::kInfo,
+                                kIdHintUpoScore * scale,
+                                "dismiss-vocabulary " + subject()));
     }
-    if (static_cast<double>(b.area()) >= minAgoArea && agoEvidence) {
-      out.push_back(makeFinding(
-          ctx, *this, i, config_.maxSeverity,
-          0.3 * config_.virtualEvidenceScale,
-          "CTA-vocabulary virtual node '" +
-              (node.virtualId.empty() ? label : node.virtualId) + "'"));
+    if (static_cast<double>(b.area()) >= minAgoArea &&
+        matches(baselines::kAgoIdTokens)) {
+      out.push_back(makeFinding(ctx, kIdHintId, i, Severity::kInfo,
+                                kIdHintAgoScore * scale,
+                                "CTA-vocabulary " + subject()));
+      out.back().ago = true;
     }
   }
 }

@@ -56,12 +56,19 @@ void AccessibilityManager::onUiEvent(const AccessibilityEvent& event) {
     if ((conn.service->eventTypesMask() & eventCode(event.type)) == 0) continue;
     const Millis timeout = conn.service->notificationTimeout();
     if (timeout.count <= 0) {
-      // Immediate delivery path.
+      // Immediate delivery path. The task re-finds its connection, like the
+      // delayed path: a service disconnected before the looper runs (and
+      // possibly destroyed) must not receive the event.
       AccessibilityService* service = conn.service;
-      const AccessibilityEvent copy = event;
-      looper_->post([service, copy] { service->onAccessibilityEvent(copy); });
-      conn.lastDelivery = looper_->now();
-      ++totalDelivered_;
+      looper_->post([this, service, copy = event] {
+        const auto it = std::find_if(
+            connections_.begin(), connections_.end(),
+            [&](const Connection& c) { return c.service == service; });
+        if (it == connections_.end()) return;
+        it->lastDelivery = looper_->now();
+        ++totalDelivered_;
+        service->onAccessibilityEvent(copy);
+      });
       continue;
     }
     if (conn.pendingTask != 0) {

@@ -4,10 +4,10 @@
 
 namespace darpa::baselines {
 
-bool FraudDroidDetector::idMatchesAny(std::string_view resourceId,
-                                      const std::vector<std::string>& tokens) {
+bool FraudDroidDetector::idMatchesAny(
+    std::string_view resourceId, std::span<const std::string_view> tokens) {
   if (resourceId.empty()) return false;
-  return std::any_of(tokens.begin(), tokens.end(), [&](const std::string& t) {
+  return std::any_of(tokens.begin(), tokens.end(), [&](std::string_view t) {
     return resourceId.find(t) != std::string_view::npos;
   });
 }
@@ -38,13 +38,13 @@ FraudDroidResult FraudDroidDetector::analyze(const android::UiDump& dump,
     if (!node.resourceId.empty()) ++result.nodesWithId;
 
     // UPO: id token match + small-size placement feature.
-    if (node.clickable && idMatchesAny(node.resourceId, config_.upoIdTokens) &&
-        b.width <= config_.maxUpoSide && b.height <= config_.maxUpoSide) {
+    if (node.clickable && idMatchesAny(node.resourceId, kUpoIdTokens) &&
+        b.width <= kMaxUpoSide && b.height <= kMaxUpoSide) {
       pushUniqueBox(result.upoBoxes, b);
     }
     // AGO: id token match + prominent size.
-    if (idMatchesAny(node.resourceId, config_.agoIdTokens) &&
-        static_cast<double>(b.area()) >= config_.minAgoAreaFrac * screenArea) {
+    if (idMatchesAny(node.resourceId, kAgoIdTokens) &&
+        static_cast<double>(b.area()) >= kMinAgoAreaFrac * screenArea) {
       pushUniqueBox(result.agoBoxes, b);
     }
     // Fallback placement feature: any clickable surface dominating the

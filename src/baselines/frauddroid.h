@@ -9,6 +9,8 @@
 // tool would get — and applies the same two feature families.
 #pragma once
 
+#include <array>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -34,27 +36,20 @@ struct FraudDroidResult {
   }
 };
 
+/// Resource-id substrings marking a user-preferred (dismiss) option.
+inline constexpr std::array<std::string_view, 7> kUpoIdTokens = {
+    "close", "skip", "cancel", "later", "dismiss", "deny", "no_thanks"};
+/// Resource-id substrings marking an app-guided option.
+inline constexpr std::array<std::string_view, 11> kAgoIdTokens = {
+    "cta",     "ad",    "creative", "open",  "buy", "promo",
+    "upgrade", "allow", "rate",     "claim", "pay"};
+/// Placement heuristics: a UPO is small (at most this on each side)...
+inline constexpr int kMaxUpoSide = 90;
+/// ...and an AGO is large relative to the screen.
+inline constexpr double kMinAgoAreaFrac = 0.01;
+
 class FraudDroidDetector {
  public:
-  struct Config {
-    /// Resource-id substrings marking a user-preferred (dismiss) option.
-    std::vector<std::string> upoIdTokens = {"close",  "skip", "cancel",
-                                            "later",  "dismiss", "deny",
-                                            "no_thanks"};
-    /// Resource-id substrings marking an app-guided option.
-    std::vector<std::string> agoIdTokens = {"cta",    "ad",    "creative",
-                                            "open",   "buy",   "promo",
-                                            "upgrade", "allow", "rate",
-                                            "claim",  "pay"};
-    /// Placement heuristics: a UPO is small...
-    int maxUpoSide = 90;
-    /// ...and an AGO is large relative to the screen.
-    double minAgoAreaFrac = 0.01;
-  };
-
-  FraudDroidDetector() = default;
-  explicit FraudDroidDetector(Config config) : config_(std::move(config)) {}
-
   /// Analyzes one UI dump. A screen is flagged as AUI when an id-matched
   /// small UPO co-occurs with an id-matched prominent AGO (or a dominant
   /// clickable surface). Empty ids never match, and nodes sharing both a
@@ -66,11 +61,8 @@ class FraudDroidDetector {
   /// Substring match of a resource id against a token vocabulary. Public so
   /// other metadata analyzers (the static lint's id-hint rule) share exactly
   /// the FraudDroid matching semantics.
-  [[nodiscard]] static bool idMatchesAny(std::string_view resourceId,
-                                         const std::vector<std::string>& tokens);
-
- private:
-  Config config_{};
+  [[nodiscard]] static bool idMatchesAny(
+      std::string_view resourceId, std::span<const std::string_view> tokens);
 };
 
 }  // namespace darpa::baselines

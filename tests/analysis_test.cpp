@@ -5,12 +5,17 @@
 // pre-filter short-circuiting CV on confident verdicts.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/lint.h"
 #include "android/system.h"
+#include "apps/screen_generator.h"
 #include "baselines/frauddroid.h"
 #include "core/darpa_service.h"
 
@@ -157,8 +162,8 @@ TEST(LintContextTest, DetectsModalScaffolding) {
   EXPECT_EQ(ctx.scrimIndex(), 1);
   EXPECT_EQ(ctx.panelIndex(), 2);
   EXPECT_EQ(ctx.panelRect(), (Rect{40, 200, 280, 300}));
-  EXPECT_EQ(ctx.dominantClickable(0.02), 3);
-  const std::vector<int> dismiss = ctx.dismissCandidates(2600, 28);
+  EXPECT_EQ(ctx.dominantClickable(), 3);
+  const std::vector<int>& dismiss = ctx.dismissCandidates();
   ASSERT_EQ(dismiss.size(), 1u);
   EXPECT_EQ(dismiss[0], 4);
   EXPECT_FALSE(ctx.symmetricPair());
@@ -192,7 +197,7 @@ TEST(SizeAsymmetryRuleTest, FlagsTinyDismissNextToDominantOption) {
   const android::UiDump dump = auiDump();
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  SizeAsymmetryRule().run(ctx, findings);
+  runSizeAsymmetry(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].ruleId, "aui-size-asymmetry");
   EXPECT_EQ(findings[0].nodeIndex, 4);
@@ -205,27 +210,17 @@ TEST(SizeAsymmetryRuleTest, SymmetricDialogDowngradesToInfo) {
   const android::UiDump dump = symmetricDialogDump();
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  SizeAsymmetryRule().run(ctx, findings);
+  runSizeAsymmetry(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);  // the close button still trips the ratio
   EXPECT_EQ(findings[0].severity, Severity::kInfo);
   EXPECT_LE(findings[0].score, 0.25);
-}
-
-TEST(SizeAsymmetryRuleTest, DisabledRuleEmitsNothing) {
-  SizeAsymmetryRule::Config config;
-  config.enabled = false;
-  const android::UiDump dump = auiDump();
-  const LintContext ctx(dump, kScreen);
-  std::vector<LintFinding> findings;
-  SizeAsymmetryRule(config).run(ctx, findings);
-  EXPECT_TRUE(findings.empty());
 }
 
 TEST(CornerPlacementRuleTest, FlagsCornerPinnedDismissOnModal) {
   const android::UiDump dump = auiDump();
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  CornerPlacementRule().run(ctx, findings);
+  runCornerPlacement(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].ruleId, "aui-corner-upo");
   EXPECT_EQ(findings[0].severity, Severity::kError);
@@ -239,7 +234,7 @@ TEST(CornerPlacementRuleTest, CentralDismissDoesNotFire) {
   dump[4].boundsOnScreen = {171, 340, 18, 18};
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  CornerPlacementRule().run(ctx, findings);
+  runCornerPlacement(ctx, findings);
   EXPECT_TRUE(findings.empty());
 }
 
@@ -247,7 +242,7 @@ TEST(ContrastAsymmetryRuleTest, FlagsMutedDismissNextToLoudCta) {
   const android::UiDump dump = auiDump();
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  ContrastAsymmetryRule().run(ctx, findings);
+  runContrastAsymmetry(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].ruleId, "aui-contrast-asymmetry");
   EXPECT_EQ(findings[0].nodeIndex, 4);
@@ -259,7 +254,7 @@ TEST(ContrastAsymmetryRuleTest, GhostDismissIsAnErrorOnItsOwn) {
   dump[4].effAlpha = 0.2;  // the generator's ghost-UPO range
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  ContrastAsymmetryRule().run(ctx, findings);
+  runContrastAsymmetry(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].severity, Severity::kError);
   EXPECT_DOUBLE_EQ(findings[0].score, 1.0);
@@ -270,7 +265,7 @@ TEST(ContrastAsymmetryRuleTest, HighContrastDismissDoesNotFire) {
   const android::UiDump dump = symmetricDialogDump();
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  ContrastAsymmetryRule().run(ctx, findings);
+  runContrastAsymmetry(ctx, findings);
   EXPECT_TRUE(findings.empty());  // dark-on-white close reads louder than CTA
 }
 
@@ -278,20 +273,13 @@ TEST(TouchTargetRuleTest, FlagsSubMinimumTargetsAndSpares48dp) {
   const android::UiDump dump = auiDump();
   const LintContext aui(dump, kScreen);
   std::vector<LintFinding> findings;
-  TouchTargetRule().run(aui, findings);
+  runTouchTarget(aui, findings);
   ASSERT_EQ(findings.size(), 1u);  // only the 18x18 close; the CTA is fine
   EXPECT_EQ(findings[0].ruleId, "touch-target");
   EXPECT_EQ(findings[0].nodeIndex, 4);
   EXPECT_DOUBLE_EQ(findings[0].score, 1.0);  // 18 < the 24px critical floor
-
-  // Default ceiling is kWarning; a stricter deployment can raise it.
+  // Hygiene: a warning even below the critical floor.
   EXPECT_EQ(findings[0].severity, Severity::kWarning);
-  TouchTargetRule::Config strict;
-  strict.maxSeverity = Severity::kError;
-  std::vector<LintFinding> strictFindings;
-  TouchTargetRule(strict).run(aui, strictFindings);
-  ASSERT_EQ(strictFindings.size(), 1u);
-  EXPECT_EQ(strictFindings[0].severity, Severity::kError);
 }
 
 TEST(HiddenClickableRuleTest, FlagsOffscreenClickable) {
@@ -305,7 +293,7 @@ TEST(HiddenClickableRuleTest, FlagsOffscreenClickable) {
 
   const LintContext ctx(dump, kScreen);
   std::vector<LintFinding> findings;
-  HiddenClickableRule().run(ctx, findings);
+  runHiddenClickable(ctx, findings);
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].ruleId, "hidden-clickable");
   EXPECT_EQ(findings[0].severity, Severity::kError);  // fully off-screen
@@ -327,7 +315,7 @@ TEST(HiddenClickableRuleTest, FlagsOpaqueOcclusionButNotTranslucent) {
   {
     const LintContext ctx(dump, kScreen);
     std::vector<LintFinding> findings;
-    HiddenClickableRule().run(ctx, findings);
+    runHiddenClickable(ctx, findings);
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_NE(findings[0].message.find("occluded"), std::string::npos);
   }
@@ -335,7 +323,7 @@ TEST(HiddenClickableRuleTest, FlagsOpaqueOcclusionButNotTranslucent) {
   {
     const LintContext ctx(dump, kScreen);
     std::vector<LintFinding> findings;
-    HiddenClickableRule().run(ctx, findings);
+    runHiddenClickable(ctx, findings);
     EXPECT_TRUE(findings.empty());
   }
 }
@@ -344,18 +332,19 @@ TEST(IdTokenRuleTest, FlagsFraudDroidVocabularyAndStarvesOnObfuscation) {
   const android::UiDump bannerDump = benignBannerDump();
   const LintContext banner(bannerDump, kScreen);
   std::vector<LintFinding> findings;
-  IdTokenRule().run(banner, findings);
+  runIdHint(banner, findings);
   ASSERT_EQ(findings.size(), 2u);
   EXPECT_NE(findings[0].message.find("iv_ad_banner"), std::string::npos);
-  EXPECT_EQ(findings[0].message.rfind("CTA", 0), 0u);  // tagged as AGO hit
+  EXPECT_TRUE(findings[0].ago);  // CTA vocabulary: an AGO hit
   EXPECT_NE(findings[1].message.find("btn_close"), std::string::npos);
+  EXPECT_FALSE(findings[1].ago);
 
   // The AUI fixture is fully obfuscated: the id rule sees nothing — the
   // asymmetry that FraudDroid-style matching goes blind on (§VI-C).
   const android::UiDump auiFixture = auiDump();
   const LintContext aui(auiFixture, kScreen);
   std::vector<LintFinding> none;
-  IdTokenRule().run(aui, none);
+  runIdHint(aui, none);
   EXPECT_TRUE(none.empty());
 }
 
@@ -363,7 +352,6 @@ TEST(IdTokenRuleTest, FlagsFraudDroidVocabularyAndStarvesOnObfuscation) {
 
 TEST(LintEngineTest, FlagsObfuscatedAuiConfidently) {
   const LintEngine engine = LintEngine::withDefaultRules();
-  EXPECT_EQ(engine.ruleCount(), 6u);
   const LintReport report = engine.run(auiDump(), kScreen);
   EXPECT_TRUE(report.verdict.isAui);
   EXPECT_TRUE(report.verdict.confident);
@@ -429,6 +417,93 @@ TEST(LintEngineTest, EmptyDumpIsConfidentlyClean) {
   EXPECT_FALSE(report.verdict.isAui);
   EXPECT_TRUE(report.verdict.confident);
   EXPECT_TRUE(report.findings.empty());
+}
+
+/// FNV-1a 64-bit, fed little-endian words so the digest is host-independent.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ULL;
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void real(double v) { word(std::bit_cast<std::uint64_t>(v)); }
+  void text(std::string_view s) {
+    word(s.size());
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  }
+  void box(const Rect& r) {
+    for (const int v : {r.x, r.y, r.width, r.height}) {
+      word(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+    }
+  }
+};
+
+TEST(LintEngineTest, GeneratedPopulationDigestIsStable) {
+  // Pins the whole lint output over a fixed-seed generated population:
+  // benign screens, footnote-4 hard negatives, native AUIs, and AUIs with
+  // 75 % of third-party interstitials hosted in WebViews. Every finding
+  // field and every verdict field goes into the digest (scores by bit
+  // pattern), so a change to any rule, threshold, rule order, or the merge
+  // that moves one finding, verdict, or box fails here.
+  const LintEngine engine = LintEngine::withDefaultRules();
+  apps::ScreenGenerator native({}, /*seed=*/3);
+  apps::ScreenGenerator::Params webParams;
+  webParams.webViewAuiProb = 0.75;
+  apps::ScreenGenerator web(webParams, /*seed=*/1003);
+
+  Fnv1a digest;
+  std::map<std::string, int> firings;
+  int auiVerdicts = 0;
+  int virtualIdHints = 0;
+  auto lint = [&](apps::GeneratedScreen screen) {
+    android::WindowManager wm;
+    wm.showAppWindow("com.lint.digest", std::move(screen.root), false);
+    const android::UiDump dump = wm.dumpTopWindow();
+    const LintReport report = engine.run(dump, wm.config().screenSize);
+    digest.word(static_cast<std::uint64_t>(report.nodesVisited));
+    digest.word(report.findings.size());
+    for (const LintFinding& f : report.findings) {
+      ++firings[f.ruleId];
+      virtualIdHints +=
+          f.ruleId == "aui-id-hint" && dump[f.nodeIndex].isVirtual;
+      digest.text(f.ruleId);
+      digest.word(static_cast<std::uint64_t>(f.severity));
+      digest.text(f.message);
+      digest.text(f.viewPath);
+      digest.word(static_cast<std::uint64_t>(f.nodeIndex));
+      digest.box(f.box);
+      digest.real(f.score);
+    }
+    const LintVerdict& v = report.verdict;
+    auiVerdicts += v.isAui;
+    digest.word(v.isAui);
+    digest.real(v.score);
+    digest.word(v.confident);
+    for (const auto* boxes : {&v.upoBoxes, &v.agoBoxes}) {
+      digest.word(boxes->size());
+      for (const Rect& b : *boxes) digest.box(b);
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    lint(native.makeBenign());
+    lint(native.makeHardNegative());
+    lint(native.makeAui(native.randomSpec()));
+    lint(web.makeAui(web.randomSpec()));
+  }
+
+  for (const char* rule :
+       {"aui-size-asymmetry", "aui-corner-upo", "aui-contrast-asymmetry",
+        "touch-target", "hidden-clickable", "aui-id-hint"}) {
+    EXPECT_GT(firings[rule], 0) << rule;
+  }
+  EXPECT_GT(auiVerdicts, 0);
+  EXPECT_GT(virtualIdHints, 0);
+  EXPECT_EQ(digest.h, 0xB3E2313A1A9920DFULL);
 }
 
 // ---------------------------------------------- dump style metadata

@@ -494,6 +494,21 @@ TEST(AccessibilityTest, DisconnectStopsDelivery) {
   EXPECT_TRUE(service.events.empty());
 }
 
+TEST(AccessibilityTest, DisconnectDropsQueuedImmediateDelivery) {
+  // Timeout 0 (the service default) takes the immediate path: events are
+  // queued on the looper at emission. A disconnect before the looper runs
+  // must drop them, and only deliveries that happen are counted.
+  AndroidSystem sys;
+  RecordingService service;
+  ASSERT_EQ(service.notificationTimeout().count, 0);
+  sys.accessibility.connect(service);
+  sys.windowManager.showAppWindow("com.app", makeScreenRoot(), false);
+  sys.accessibility.disconnect(service);
+  sys.looper.runUntilIdle();
+  EXPECT_TRUE(service.events.empty());
+  EXPECT_EQ(sys.accessibility.totalDelivered(), 0);
+}
+
 TEST(AccessibilityTest, TakeScreenshotMatchesComposite) {
   AndroidSystem sys;
   RecordingService service;

@@ -500,21 +500,16 @@ TEST(IdTokenRuleVirtualTest, MatchesVirtualIdsAndLabelsAtReducedScale) {
   cta.text = "OPEN NOW";  // CTA vocabulary only in the visible label
   dump.push_back(cta);
 
-  analysis::LintEngine engine;
-  engine.addRule(std::make_unique<analysis::IdTokenRule>());
-  const analysis::LintReport report = engine.run(dump, {360, 720});
+  const analysis::LintContext ctx(dump, {360, 720});
+  analysis::LintReport report;
+  analysis::runIdHint(ctx, report.findings);
   ASSERT_TRUE(report.has("aui-id-hint"));
   // Reduced confidence: virtual evidence is scaled below the native 0.4.
   EXPECT_LT(report.best("aui-id-hint")->score, 0.4);
-  EXPECT_GE(report.findings.size(), 2u);
-
-  // Graceful, not silent: disabling virtual matching reverts to the old
-  // pass-over, without touching native behavior.
-  analysis::IdTokenRule::Config offConfig;
-  offConfig.matchVirtualNodes = false;
-  analysis::LintEngine offEngine;
-  offEngine.addRule(std::make_unique<analysis::IdTokenRule>(offConfig));
-  EXPECT_FALSE(offEngine.run(dump, {360, 720}).has("aui-id-hint"));
+  ASSERT_GE(report.findings.size(), 2u);
+  // The label-only CTA hit still files as an AGO box.
+  EXPECT_FALSE(report.findings[0].ago);
+  EXPECT_TRUE(report.findings[1].ago);
 }
 
 // ----------------------------- decoration through the host (tentpole)
