@@ -42,11 +42,9 @@ inline std::string artifactPath(const std::string& name) {
   return dir.empty() ? name : dir + "/" + name;
 }
 
-/// Parses common bench flags (currently just --quick) and captures the
-/// binary's directory for artifactPath(). Call first thing in main();
-/// returns argc with the consumed flags compacted away so benches that
-/// forward argv (google-benchmark) see only what they understand.
-inline int initFromArgs(int argc, char** argv) {
+/// Parses the common bench flag (--quick) and captures the binary's
+/// directory for artifactPath(). Call first thing in main().
+inline void initFromArgs(int argc, char** argv) {
   if (argc > 0 && argv[0] != nullptr) {
     const std::string_view self(argv[0]);
     const std::size_t slash = self.find_last_of('/');
@@ -54,16 +52,10 @@ inline int initFromArgs(int argc, char** argv) {
       artifactDirStorage() = std::string(self.substr(0, slash));
     }
   }
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") {
-      quickFlag() = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
+    if (std::string_view(argv[i]) == "--quick") quickFlag() = true;
   }
   if (quick()) std::printf("[bench] --quick: CI smoke mode, reduced scale\n");
-  return kept;
 }
 
 /// `full` normally, `reduced` under --quick.

@@ -175,38 +175,43 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   done
 
   echo "== perf floor gate (BENCH_detector.json) =="
-  # Hard floor on the head's batched throughput and the end-to-end batched
-  # detect: fail the lane when either regresses past 0.5x of the SIMD-era
-  # baseline (ceilings are 2x the measured PR 10 numbers on the reference
-  # AVX2 host: fp32 batched ~198 ns/candidate, batched detect ~8.5
-  # ms/image, int8 avx2 lane ~171 ns, sse4 ~252 ns). Absolute ceilings
-  # deliberately complement the bench's in-run speedup ratios, whose
-  # scalar denominators are link-layout-sensitive.
-  # Deliberately loose enough to absorb machine jitter, tight enough that
-  # "the dispatcher fell back to scalar" (~870 ns) or "the batched GEMM
-  # lost its tiling" cannot slip through as a green run.
+  # Absolute ceilings on the head's batched throughput, the end-to-end
+  # batched detect and the dispatched int8 lane. They complement the
+  # bench's in-run speedup ratios, whose scalar denominators are
+  # link-layout-sensitive, and each catches one regression: "the batched
+  # GEMM lost its tiling" (fp32 batched ~198 ns/candidate, batched detect
+  # ~8.5 ms/image on the reference AVX2 host; ceilings 2x those) and "the
+  # dispatched lane runs at scalar speed". The bench's own SIMD contract
+  # takes the best SIMD lane, so an avx2 lane at scalar speed passes it
+  # while the sse4 lane still works; the lane ceiling catches that. The
+  # avx2 ceiling sits between the same-commit spread and the scalar lane,
+  # not at 2x one reading: one unchanged binary read 150-386 ns over 13
+  # runs and another commit up to 411 ns, while the scalar lane reads
+  # ~870 ns or more. The sse4 ceiling is 2x its ~252 ns reading.
   python3 - <<'PYEOF'
 import json, sys
 
 d = json.load(open("BENCH_detector.json"))
-checks = [("forward_batched_ns_per_candidate", 400.0),
-          ("detect_batched_ms_per_image", 17.0)]
+checks = [("forward_batched_ns_per_candidate", 400.0, "ns"),
+          ("detect_batched_ms_per_image", 17.0, "ms")]
 lane = d.get("int8_kernel_lane")
-ceil_by_lane = {"avx2": 350.0, "sse4": 520.0}
+ceil_by_lane = {"avx2": 600.0, "sse4": 520.0}
 if lane in ceil_by_lane:
-    checks.append((f"int8_lane_{lane}_ns_per_candidate", ceil_by_lane[lane]))
+    checks.append((f"int8_lane_{lane}_ns_per_candidate", ceil_by_lane[lane],
+                   "ns"))
 failed = False
-for key, ceiling in checks:
+for key, ceiling, unit in checks:
     value = d.get(key)
     if value is None or value < 0:
         print(f"FAIL: perf floor gate: {key} missing from BENCH_detector.json")
         failed = True
     elif value > ceiling:
-        print(f"FAIL: perf floor gate: {key} = {value:.1f} ns exceeds the "
-              f"{ceiling:.0f} ns ceiling (0.5x SIMD baseline)")
+        print(f"FAIL: perf floor gate: {key} = {value:.1f} {unit} exceeds "
+              f"the {ceiling:.0f} {unit} ceiling")
         failed = True
     else:
-        print(f"perf floor OK: {key} = {value:.1f} ns <= {ceiling:.0f} ns")
+        print(f"perf floor OK: {key} = {value:.1f} {unit} <= "
+              f"{ceiling:.0f} {unit}")
 sys.exit(1 if failed else 0)
 PYEOF
 else

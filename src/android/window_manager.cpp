@@ -1,42 +1,13 @@
 #include "android/window_manager.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <string_view>
 
 #include "android/webview.h"
 
 namespace darpa::android {
-
-namespace {
-
-/// Inlines a WebView's virtual accessibility tree into the dump, directly
-/// below the host's own node. Depth continues past the host, bounds are
-/// carried into screen space through the host's position, the host's
-/// effective alpha multiplies into every node's opacity chain, and
-/// resourceId stays empty throughout — virtual nodes only ever have a
-/// page-global virtualId. The walk itself is iterative (forEachVirtual),
-/// so hostile page depth cannot overflow the dumping service's stack.
-void appendVirtualNodes(const WebView& web, const Rect& hostAbs,
-                        int hostDepth, double hostEffAlpha, UiDump& out) {
-  web.forEachVirtual([&](const VirtualNode& vn, int depth, double effOpacity) {
-    UiNode node;
-    node.className = std::string(virtualRoleClassName(vn.role));
-    node.boundsOnScreen = vn.bounds.translated(hostAbs.x, hostAbs.y);
-    node.clickable = vn.clickable;
-    node.text = vn.text;
-    node.depth = hostDepth + 1 + depth;
-    node.background = vn.background;
-    if (!vn.text.empty() || vn.crossGlyph) {
-      node.contentColor = vn.contentColor;
-      node.hasContentColor = true;
-    }
-    node.effAlpha = hostEffAlpha * effOpacity;
-    node.isVirtual = true;
-    node.virtualId = vn.virtualId;
-    out.push_back(std::move(node));
-  });
-}
-
-}  // namespace
 
 WindowManager::WindowManager() : WindowManager(Config{}) {}
 WindowManager::WindowManager(Config config) : config_(config) {}
@@ -170,21 +141,49 @@ gfx::Bitmap WindowManager::composite() const {
   return screen;
 }
 
-void WindowManager::dumpViewRecursive(const View& view, Point origin,
-                                      int depth, double parentAlpha,
-                                      UiDump& out) const {
+namespace {
+
+/// One node of the top window as the walk hands it to a sink. The strings
+/// are borrowed from the live views (or from a UiNode), never copied.
+struct NodeFields {
+  std::string_view className;
+  std::string_view resourceId;
+  std::string_view text;
+  Rect bounds;
+  bool clickable = false;
+  int depth = 0;
+  Color background = colors::kTransparent;
+  Color contentColor = colors::kTransparent;
+  bool hasContentColor = false;
+  double effAlpha = 1.0;
+  bool isVirtual = false;
+  std::string_view virtualId;
+};
+
+/// Pre-order walk of one view subtree in dump order: the view, then the
+/// virtual tree of a WebView with a page, then the children. An invisible
+/// view prunes its subtree. `origin` is the parent's screen position.
+///
+/// A page's virtual tree goes inline directly below its host: depth
+/// continues past the host, bounds are carried into screen space through
+/// the host's position, the host's effective alpha multiplies into every
+/// node's opacity chain, and resourceId stays empty — virtual nodes only
+/// ever have a page-global virtualId. forEachVirtual walks iteratively, so
+/// hostile page depth cannot overflow the walking service's stack.
+template <typename Sink>
+void walkView(const View& view, Point origin, int depth, double parentAlpha,
+              Sink& sink) {
   if (!view.visible()) return;
-  const Rect abs{origin.x + view.frame().x, origin.y + view.frame().y,
-                 view.frame().width, view.frame().height};
-  const double effAlpha = parentAlpha * view.alpha();
-  UiNode node;
-  node.className = std::string(view.className());
+  NodeFields node;
+  node.className = view.className();
   node.resourceId = view.resourceId();
-  node.boundsOnScreen = abs;
+  node.bounds = {origin.x + view.frame().x, origin.y + view.frame().y,
+                 view.frame().width, view.frame().height};
   node.clickable = view.clickable();
   node.depth = depth;
   node.background = view.background();
-  node.effAlpha = effAlpha;
+  node.effAlpha = parentAlpha * view.alpha();
+  const WebView* web = nullptr;
   if (const auto* text = dynamic_cast<const TextView*>(&view)) {
     node.text = text->text();
     node.contentColor = text->textColor();
@@ -192,101 +191,167 @@ void WindowManager::dumpViewRecursive(const View& view, Point origin,
   } else if (const auto* icon = dynamic_cast<const IconView*>(&view)) {
     node.contentColor = icon->glyphColor();
     node.hasContentColor = true;
+  } else {
+    web = dynamic_cast<const WebView*>(&view);
   }
-  out.push_back(std::move(node));
-  if (const auto* web = dynamic_cast<const WebView*>(&view);
-      web != nullptr && web->hasPage()) {
-    appendVirtualNodes(*web, abs, depth, effAlpha, out);
+  sink(node);
+  if (web != nullptr && web->hasPage()) {
+    web->forEachVirtual([&](const VirtualNode& vn, int virtualDepth,
+                            double effOpacity) {
+      NodeFields v;
+      v.className = virtualRoleClassName(vn.role);
+      v.text = vn.text;
+      v.bounds = vn.bounds.translated(node.bounds.x, node.bounds.y);
+      v.clickable = vn.clickable;
+      v.depth = depth + 1 + virtualDepth;
+      v.background = vn.background;
+      if (!vn.text.empty() || vn.crossGlyph) {
+        v.contentColor = vn.contentColor;
+        v.hasContentColor = true;
+      }
+      v.effAlpha = node.effAlpha * effOpacity;
+      v.isVirtual = true;
+      v.virtualId = vn.virtualId;
+      sink(v);
+    });
   }
   for (const auto& child : view.children()) {
-    dumpViewRecursive(*child, {abs.x, abs.y}, depth + 1, effAlpha, out);
+    walkView(*child, {node.bounds.x, node.bounds.y}, depth + 1, node.effAlpha,
+             sink);
   }
 }
 
-namespace {
-
-/// FNV-1a 64-bit, with a finalizing mix borrowed from splitmix64 so nearby
-/// integer inputs (bounds off by one pixel) diverge across the whole word.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void hashBytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
+/// Walks the top app window, if there is one, from its frame's origin.
+template <typename Sink>
+void walkTopWindow(const WindowManager& wm, Sink& sink) {
+  const Window* top = wm.topAppWindow();
+  if (top == nullptr) return;
+  const Rect frame = wm.appFrame(top->fullscreen());
+  walkView(top->content(), {frame.x, frame.y}, 0, 1.0, sink);
 }
 
-void hashString(std::uint64_t& h, const std::string& s) {
-  hashBytes(h, s.data(), s.size());
-  hashBytes(h, "\x1f", 1);  // field separator: ("ab","c") != ("a","bc")
+/// One mixing step: h takes one 64-bit word per multiply. For a fixed w
+/// the step is a bijection of h, so two equal-length word streams that
+/// differ in one word cannot collide.
+constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
+  return (std::rotl(h, 5) ^ w) * 0x9E3779B97F4A7C15ULL;
 }
 
-void hashInt(std::uint64_t& h, std::int64_t v) { hashBytes(h, &v, sizeof(v)); }
-
-std::uint64_t finalize(std::uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t WindowManager::fingerprint(const UiDump& dump) {
-  std::uint64_t h = kFnvOffset;
-  std::int64_t hashedNodes = 0;
-  for (const UiNode& node : dump) {
+/// The fingerprint sink. Each int is one word. A string goes in 8-byte
+/// chunks, and its tail word carries the length in its top byte, so
+/// ("ab","c") and ("a","bc") hash apart. A splitmix64 finalizer spreads
+/// nearby inputs (bounds off by one pixel) across the whole word.
+class Fingerprinter {
+ public:
+  void operator()(const NodeFields& node) {
     // Never hash DARPA's own decoration views: the fingerprint must be
     // identical before and after the service decorates a screen, or every
     // decorated screen would invalidate its own cache entry.
-    if (node.className == "DarpaDecorationView") continue;
-    ++hashedNodes;
-    hashString(h, node.className);
-    hashString(h, node.resourceId);
-    hashString(h, node.text);
-    hashInt(h, node.boundsOnScreen.x);
-    hashInt(h, node.boundsOnScreen.y);
-    hashInt(h, node.boundsOnScreen.width);
-    hashInt(h, node.boundsOnScreen.height);
-    hashInt(h, node.depth);
-    hashInt(h, node.clickable ? 1 : 0);
-    hashInt(h, node.background.toArgb());
-    hashInt(h, node.hasContentColor
-                   ? static_cast<std::int64_t>(node.contentColor.toArgb())
-                   : std::int64_t{-1});
+    if (node.className == "DarpaDecorationView") return;
+    ++nodes_;
+    addString(node.className);
+    addString(node.resourceId);
+    addString(node.text);
+    addInt(node.bounds.x);
+    addInt(node.bounds.y);
+    addInt(node.bounds.width);
+    addInt(node.bounds.height);
+    addInt(node.depth);
+    addInt(node.clickable ? 1 : 0);
+    addInt(node.background.toArgb());
+    addInt(node.hasContentColor
+               ? static_cast<std::int64_t>(node.contentColor.toArgb())
+               : std::int64_t{-1});
     // Alpha is a double; quantize to 1/1024 so float noise cannot split
     // visually identical screens into distinct fingerprints.
-    hashInt(h, static_cast<std::int64_t>(node.effAlpha * 1024.0));
+    addInt(static_cast<std::int64_t>(node.effAlpha * 1024.0));
     // Virtual (WebView) nodes have no resource id to mix, so their
     // page-global id enters the stream instead, plus a marker that keeps a
     // virtual node from colliding with a native one that happens to share
-    // class/bounds/text. Native nodes hash exactly as before: the
-    // fingerprint of an all-native dump is bit-identical across versions.
+    // class/bounds/text. Only virtual nodes carry these two fields.
     if (node.isVirtual) {
-      hashString(h, node.virtualId);
-      hashInt(h, 1);
+      addString(node.virtualId);
+      addInt(1);
     }
   }
-  hashInt(h, hashedNodes);
-  return finalize(h);
-}
 
-std::uint64_t WindowManager::topWindowFingerprint() const {
-  const UiDump dump = dumpTopWindow();
-  return fingerprint(dump);
-}
+  [[nodiscard]] std::uint64_t finish() const {
+    std::uint64_t h = mix(h_, static_cast<std::uint64_t>(nodes_));
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+    return h;
+  }
+
+ private:
+  void addInt(std::int64_t v) { h_ = mix(h_, static_cast<std::uint64_t>(v)); }
+
+  void addString(std::string_view s) {
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, s.data() + i, sizeof(word));
+      h_ = mix(h_, word);
+    }
+    std::uint64_t tail = static_cast<std::uint64_t>(s.size()) << 56;
+    for (std::size_t k = 0; i + k < s.size(); ++k) {
+      tail |= std::uint64_t{static_cast<unsigned char>(s[i + k])} << (8 * k);
+    }
+    h_ = mix(h_, tail);
+  }
+
+  std::uint64_t h_ = 0x6A09E667F3BCC909ULL;
+  std::int64_t nodes_ = 0;
+};
+
+}  // namespace
 
 UiDump WindowManager::dumpTopWindow() const {
   UiDump dump;
-  const Window* top = topAppWindow();
-  if (top == nullptr) return dump;
-  const Rect frame = appFrame(top->fullscreen());
-  dumpViewRecursive(top->content(), {frame.x, frame.y}, 0, 1.0, dump);
+  const auto append = [&dump](const NodeFields& f) {
+    UiNode& node = dump.emplace_back();
+    node.className = f.className;
+    node.resourceId = f.resourceId;
+    node.boundsOnScreen = f.bounds;
+    node.clickable = f.clickable;
+    node.text = f.text;
+    node.depth = f.depth;
+    node.background = f.background;
+    node.contentColor = f.contentColor;
+    node.hasContentColor = f.hasContentColor;
+    node.effAlpha = f.effAlpha;
+    node.isVirtual = f.isVirtual;
+    node.virtualId = f.virtualId;
+  };
+  walkTopWindow(*this, append);
   return dump;
+}
+
+std::uint64_t WindowManager::fingerprint(const UiDump& dump) {
+  Fingerprinter hash;
+  for (const UiNode& n : dump) {
+    hash({.className = n.className,
+          .resourceId = n.resourceId,
+          .text = n.text,
+          .bounds = n.boundsOnScreen,
+          .clickable = n.clickable,
+          .depth = n.depth,
+          .background = n.background,
+          .contentColor = n.contentColor,
+          .hasContentColor = n.hasContentColor,
+          .effAlpha = n.effAlpha,
+          .isVirtual = n.isVirtual,
+          .virtualId = n.virtualId});
+  }
+  return hash.finish();
+}
+
+std::uint64_t WindowManager::topWindowFingerprint() const {
+  Fingerprinter hash;
+  walkTopWindow(*this, hash);
+  return hash.finish();
 }
 
 View* WindowManager::clickAt(Point screen) {

@@ -174,21 +174,26 @@ class WindowManager {
   [[nodiscard]] UiDump dumpTopWindow() const;
 
   /// Stable 64-bit fingerprint of a UI dump: a hash over every node's
-  /// geometry, class, text, and declared style. Two dumps hash equal iff
-  /// the screens are structurally identical, so a re-stabilized unchanged
-  /// screen (app switch back, dialog re-show) is recognizable without
-  /// pixels. DARPA's own overlay views never poison the fingerprint: the
-  /// dump only covers the top *app* window, and decoration nodes are
-  /// skipped defensively besides.
+  /// geometry, class, text, and declared style. Identical screens hash
+  /// equal, so a re-stabilized unchanged screen (app switch back, dialog
+  /// re-show) is recognizable without pixels; distinct screens collide
+  /// only by 64-bit chance (no resistance against a crafted tree). DARPA's
+  /// own overlay views never poison the fingerprint: the dump only covers
+  /// the top *app* window, and decoration nodes are skipped defensively
+  /// besides.
   ///
   /// The hash never leans on resource ids alone — class, bounds, text,
   /// depth and style all mix in, and virtual (WebView) nodes additionally
-  /// mix their page-global virtualId — so all-empty-`resourceId` virtual
-  /// subtrees still fingerprint apart when structurally distinct. Native
-  /// nodes hash byte-for-byte as they always did: the virtual fields only
-  /// enter the stream for nodes with `isVirtual` set.
+  /// mix their page-global virtualId and a virtual marker — so
+  /// all-empty-`resourceId` virtual subtrees still fingerprint apart when
+  /// structurally distinct. The mix takes one 64-bit word per multiply
+  /// (strings in 8-byte chunks). Values are in-process cache keys only:
+  /// nothing persists or orders by them.
   [[nodiscard]] static std::uint64_t fingerprint(const UiDump& dump);
-  /// dumpTopWindow() + fingerprint() in one call.
+  /// fingerprint(dumpTopWindow()) without building the dump: the verdict
+  /// cache's probe key. One walk of the live view tree serves both this
+  /// and dumpTopWindow(), and both fingerprints feed the same per-node
+  /// hash, so the two values are equal by construction.
   [[nodiscard]] std::uint64_t topWindowFingerprint() const;
 
   // --- input ------------------------------------------------------------------
@@ -206,8 +211,6 @@ class WindowManager {
 
   void emit(EventType type, const std::string& package);
   [[nodiscard]] Millis now() const { return clock_ ? clock_->now() : Millis{}; }
-  void dumpViewRecursive(const View& view, Point origin, int depth,
-                         double parentAlpha, UiDump& out) const;
 
   Config config_;
   UiEventSink* sink_ = nullptr;

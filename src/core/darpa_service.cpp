@@ -1,8 +1,10 @@
 #include "core/darpa_service.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/lint.h"
@@ -13,6 +15,22 @@
 #include "util/log.h"
 
 namespace darpa::core {
+
+namespace {
+
+/// Mixes the foreground package into the screen fingerprint so two apps
+/// that happen to render structurally identical trees (bare class names,
+/// no resource ids) can never share a cached verdict.
+std::uint64_t mixPackage(std::uint64_t fp, std::string_view package) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : package) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return fp ^ (h | 1);  // |1 keeps the mix non-zero for the empty package.
+}
+
+}  // namespace
 
 DarpaService::DarpaService(const cv::Detector& detector, DarpaConfig config)
     : detector_(&detector),
@@ -95,20 +113,21 @@ void DarpaService::analyzeNow() {
   // (and re-detects) DARPA's overlay.
   clearDecorations();
 
-  // One ScreenFrame per pass: the UI dump is captured once, shared by the
-  // fingerprint probe and the lint step, and later joined by the pixels —
-  // the frame is the single owner of everything the pass perceives.
-  // Decoration overlays are never part of the dump (they live outside the
-  // app window), so a decorated screen fingerprints like its clean self.
-  // The fingerprint is memoized in the frame on first use.
-  std::shared_ptr<ScreenFrame> frame;
-  if (wm != nullptr) {
-    const android::Window* top = wm->topAppWindow();
-    frame = std::make_shared<ScreenFrame>(
-        wm->dumpTopWindow(),
-        top != nullptr ? top->packageName() : std::string{});
-  }
+  // The verdict-cache key: the top window's fingerprint, taken by walking
+  // the live view tree with no UI dump built, and salted with the
+  // foreground package. It is computed only when a cache tier is on.
+  // Decoration overlays live outside the app window, so a decorated screen
+  // fingerprints like its clean self.
   SharedVerdictTier* tier = config_.verdictTier;
+  const bool probe =
+      wm != nullptr && (verdictCache_.enabled() || tier != nullptr);
+  std::uint64_t key = 0;
+  if (probe) {
+    const android::Window* top = wm->topAppWindow();
+    key = mixPackage(wm->topWindowFingerprint(),
+                     top != nullptr ? std::string_view(top->packageName())
+                                    : std::string_view());
+  }
   std::vector<cv::Detection> detections;
   bool fromCache = false;       // Verdict served by L1 or L2.
   bool resolvedByLint = false;  // Confident lint verdict; CV skipped.
@@ -116,15 +135,14 @@ void DarpaService::analyzeNow() {
   bool isAui = false;
 
   // Verdict-cache probe, L1 then L2: a hit in either tier resolves the
-  // whole analysis for the cost of the dump walk + lookup(s) and routes
+  // whole analysis for the cost of the live walk + lookup(s) and routes
   // straight to the act step. An L2 hit is promoted into L1 so the next
   // repeat of this screen is a session-local hit again. With no tier
   // wired this block is byte-identical to the historical L1-only probe.
-  if (wm != nullptr && (verdictCache_.enabled() || tier != nullptr)) {
+  if (probe) {
     ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
     const VerdictCache::Entry* hit =
-        verdictCache_.enabled() ? verdictCache_.find(frame->fingerprint())
-                                : nullptr;
+        verdictCache_.enabled() ? verdictCache_.find(key) : nullptr;
     if (hit != nullptr) {
       ledger_.recordCacheHit();
       ++stats_.verdictCacheHits;
@@ -137,14 +155,14 @@ void DarpaService::analyzeNow() {
       if (verdictCache_.enabled()) {
         ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
       }
-      if (auto shared = tier->find(frame->fingerprint())) {
+      if (auto shared = tier->find(key)) {
         ledger_.recordCacheHit();
         ++stats_.verdictTierHits;
         fromCache = true;
         isAui = shared->isAui;
         detections = std::move(shared->detections);
         if (verdictCache_.enabled()) {
-          verdictCache_.put(frame->fingerprint(), {isAui, detections});
+          verdictCache_.put(key, {isAui, detections});
         }
       } else {
         ledger_.recordCacheMiss();
@@ -171,12 +189,13 @@ void DarpaService::analyzeNow() {
     // detlint: end-allow(wall-clock-in-digest-path)
   };
 
-  // Lint: the static pre-filter over the UI dump (no pixels). A confident
-  // verdict resolves the pass; lint option boxes stand in for detections.
+  // Lint: the static pre-filter over the UI dump (no pixels), the only
+  // reader of the dump, so the dump is built here. A confident verdict
+  // resolves the pass; lint option boxes stand in for detections.
   step(Stage::kLint,
        !fromCache && config_.lintPrefilter != nullptr && wm != nullptr, [&] {
          const analysis::LintReport lint = config_.lintPrefilter->run(
-             frame->dump(), wm->config().screenSize);
+             wm->dumpTopWindow(), wm->config().screenSize);
          ++stats_.lintRuns;
          ledger_.recordRun(Stage::kLint, ledger_.costs().lintCpuMs);
          if (!lint.verdict.confident) return;
@@ -192,12 +211,13 @@ void DarpaService::analyzeNow() {
          }
        });
 
-  // Screenshot: the capture joins the pass's frame and the vault takes
-  // shared custody of it. Only a usable (non-empty) capture is counted and
-  // priced; a failed one is recorded as a skip and skips detection too.
+  // Screenshot: a usable capture becomes the pass's frame and the vault
+  // takes shared custody of it. Only a usable (non-empty) capture is
+  // counted and priced; a failed one is recorded as a skip and skips
+  // detection too.
   step(Stage::kScreenshot, !fromCache && !resolvedByLint, [&] {
     gfx::Bitmap shot = takeScreenshot();
-    screenshotOk = frame != nullptr && !shot.empty();
+    screenshotOk = wm != nullptr && !shot.empty();
     if (!screenshotOk) {
       // A failed capture is not billable work and must not drift the
       // stats: no screenshot was taken, so none is counted, priced, or
@@ -207,8 +227,7 @@ void DarpaService::analyzeNow() {
     }
     ledger_.recordFrameBytes(shot.pixelBytes());
     // Zero-copy: one buffer, every holder.
-    frame->attachPixels(std::move(shot));
-    vault_.store(frame);
+    vault_.store(std::make_shared<const ScreenFrame>(std::move(shot)));
     ++stats_.screenshotsTaken;
     ledger_.recordRun(Stage::kScreenshot, ledger_.costs().screenshotCpuMs);
   });
@@ -247,7 +266,7 @@ void DarpaService::analyzeNow() {
     // a usable capture); a transient screenshot failure must stay
     // transient.
     if (verdictCache_.enabled() && (resolvedByLint || screenshotOk)) {
-      verdictCache_.put(frame->fingerprint(), {isAui, detections});
+      verdictCache_.put(key, {isAui, detections});
     }
     // Publish to the fleet L2 with the evidence grade attached; the tier's
     // poisoning guard enforces the same seeding rule fleet-wide (an
@@ -259,7 +278,7 @@ void DarpaService::analyzeNow() {
                                 : (screenshotOk
                                        ? SharedVerdictTier::Evidence::kCapture
                                        : SharedVerdictTier::Evidence::kNone);
-      tier->publish(frame->fingerprint(), {isAui, detections}, evidence);
+      tier->publish(key, {isAui, detections}, evidence);
     }
   });
 

@@ -1,8 +1,9 @@
 // VerdictCache — the screen-fingerprint verdict cache, a bounded LRU.
 //
 // Before any Fig.-5 step runs, DarpaService::analyzeNow() fingerprints the
-// top window's UI dump (64-bit hash over node geometry/style — DARPA's own
-// overlays never enter the dump) and looks it up here. A re-stabilized
+// top window by walking its live view tree (a 64-bit hash over node
+// geometry/style, with no UI dump built — DARPA's own overlays are not in
+// the app window) and looks the key up here. A re-stabilized
 // identical screen (app switch back, dialog re-show, taps that changed
 // nothing) skips lint, screenshot AND CV: the cached verdict goes straight
 // to the act step, which is the dominant modeled-CPU win on repeat-screen

@@ -38,11 +38,8 @@ std::unique_ptr<android::View> blankScreen() {
 }
 
 // ---------------------------------------------------------------- security
-/// Frame with pixels but no UI dump — all the vault cares about.
 FramePtr pixelFrame(gfx::Bitmap pixels) {
-  auto frame = std::make_shared<ScreenFrame>(android::UiDump{}, "test");
-  frame->attachPixels(std::move(pixels));
-  return frame;
+  return std::make_shared<const ScreenFrame>(std::move(pixels));
 }
 
 TEST(ScreenshotVaultTest, SingleScreenshotInvariant) {
@@ -88,9 +85,7 @@ TEST(ScreenFrameTest, FrameIsImmutableWhileDecorationIsDrawn) {
   content->setBackground(colors::kWhite);
   wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/true);
 
-  auto frame =
-      std::make_shared<ScreenFrame>(wm.dumpTopWindow(), "com.test.app");
-  frame->attachPixels(wm.composite());
+  const FramePtr frame = pixelFrame(wm.composite());
   EXPECT_EQ(frame->pixels().at(180, 360), colors::kWhite);
 
   // Decorate the screen: a loud overlay across the middle.
@@ -112,7 +107,7 @@ TEST(ScreenFrameTest, FrameIsImmutableWhileDecorationIsDrawn) {
 }
 
 // 16 captures of one unchanged screen, each frame scrubbed and freed before
-// the next, perceive it identically: same fingerprint, same pixels.
+// the next, perceive it identically: same live fingerprint, same pixels.
 TEST(ScreenFrameTest, FingerprintsStableAcrossRecaptures) {
   android::WindowManager wm;
   auto content = std::make_unique<android::View>();
@@ -123,14 +118,12 @@ TEST(ScreenFrameTest, FingerprintsStableAcrossRecaptures) {
   gfx::Bitmap firstPixels;
   constexpr int kRounds = 16;
   for (int round = 0; round < kRounds; ++round) {
-    auto frame =
-        std::make_shared<ScreenFrame>(wm.dumpTopWindow(), "com.test.app");
-    frame->attachPixels(wm.composite());
+    const FramePtr frame = pixelFrame(wm.composite());
     if (round == 0) {
-      firstFp = frame->fingerprint();
+      firstFp = wm.topWindowFingerprint();
       firstPixels = frame->pixels().clone();
     } else {
-      EXPECT_EQ(frame->fingerprint(), firstFp);
+      EXPECT_EQ(wm.topWindowFingerprint(), firstFp);
       EXPECT_EQ(frame->pixels(), firstPixels);
     }
   }

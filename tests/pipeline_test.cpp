@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 
 #include "analysis/lint.h"
 #include "android/system.h"
+#include "apps/screen_generator.h"
 #include "core/darpa_service.h"
 #include "core/decoration.h"
 #include "core/verdict_cache.h"
@@ -238,6 +240,134 @@ TEST(FingerprintTest, IgnoresOverlaysAndDecorationNodes) {
   decoration.boundsOnScreen = {20, 20, 40, 40};
   dump.push_back(decoration);
   EXPECT_EQ(android::WindowManager::fingerprint(dump), clean);
+}
+
+/// A three-node dump whose middle node sets every hashed field, with a
+/// virtual id and a content color so both conditional fields are live.
+android::UiDump fieldProbeDump() {
+  android::UiDump dump(3);
+  dump[0].className = "FrameLayout";
+  dump[0].boundsOnScreen = {0, 24, 360, 648};
+  dump[2].className = "TextView";
+  dump[2].boundsOnScreen = {20, 600, 100, 20};
+  dump[2].depth = 1;
+  android::UiNode& node = dump[1];
+  node.className = "android.widget.Button";
+  node.resourceId = "btn_close";
+  node.text = "SKIP";
+  node.boundsOnScreen = {300, 40, 24, 24};
+  node.depth = 2;
+  node.clickable = true;
+  node.background = Color::rgb(30, 136, 80);
+  node.contentColor = colors::kWhite;
+  node.hasContentColor = true;
+  node.effAlpha = 0.5;
+  node.isVirtual = true;
+  node.virtualId = "gwd-close";
+  return dump;
+}
+
+TEST(FingerprintTest, EveryHashedFieldMovesTheFingerprint) {
+  using Perturb = void (*)(android::UiNode&);
+  const std::pair<const char*, Perturb> perturbations[] = {
+      {"x", [](android::UiNode& n) { n.boundsOnScreen.x += 1; }},
+      {"y", [](android::UiNode& n) { n.boundsOnScreen.y += 1; }},
+      {"width", [](android::UiNode& n) { n.boundsOnScreen.width += 1; }},
+      {"height", [](android::UiNode& n) { n.boundsOnScreen.height += 1; }},
+      {"depth", [](android::UiNode& n) { n.depth += 1; }},
+      {"clickable", [](android::UiNode& n) { n.clickable = !n.clickable; }},
+      {"background",
+       [](android::UiNode& n) { n.background = Color::rgb(30, 136, 81); }},
+      {"contentColor",
+       [](android::UiNode& n) { n.contentColor = Color::rgb(254, 255, 255); }},
+      {"hasContentColor",
+       [](android::UiNode& n) { n.hasContentColor = false; }},
+      {"effAlpha", [](android::UiNode& n) { n.effAlpha += 1.0 / 1024.0; }},
+      {"className", [](android::UiNode& n) { n.className += "X"; }},
+      {"resourceId", [](android::UiNode& n) { n.resourceId += "X"; }},
+      {"text", [](android::UiNode& n) { n.text += "X"; }},
+      {"virtualId", [](android::UiNode& n) { n.virtualId += "X"; }},
+      {"isVirtual", [](android::UiNode& n) { n.isVirtual = false; }},
+  };
+  const std::uint64_t base =
+      android::WindowManager::fingerprint(fieldProbeDump());
+  for (const auto& [field, perturb] : perturbations) {
+    android::UiDump dump = fieldProbeDump();
+    perturb(dump[1]);
+    EXPECT_NE(android::WindowManager::fingerprint(dump), base) << field;
+  }
+}
+
+TEST(FingerprintTest, CharactersCannotMoveAcrossStringBoundaries) {
+  const auto withStrings = [](std::string className, std::string resourceId,
+                              std::string text) {
+    android::UiDump dump = fieldProbeDump();
+    dump[1].className = std::move(className);
+    dump[1].resourceId = std::move(resourceId);
+    dump[1].text = std::move(text);
+    return android::WindowManager::fingerprint(dump);
+  };
+  EXPECT_NE(withStrings("ab", "c", ""), withStrings("a", "bc", ""));
+  EXPECT_NE(withStrings("", "ab", "c"), withStrings("", "a", "bc"));
+  EXPECT_NE(withStrings("", "", "abc"), withStrings("abc", "", ""));
+  // Past one 8-byte word: a long class name against a split of it.
+  EXPECT_NE(withStrings("android.widget.Button", "", ""),
+            withStrings("android.", "widget.Button", ""));
+}
+
+/// Everything the fingerprint promises to see, as a byte string: equal
+/// strings mean field-by-field equal dumps up to the hash's declared
+/// equivalences (alpha at 1/1024, content color only when present, the
+/// virtual id only on virtual nodes).
+std::string hashedFields(const android::UiDump& dump) {
+  std::ostringstream out;
+  const auto str = [&](const std::string& s) {
+    out << s.size() << ':' << s << ';';
+  };
+  for (const android::UiNode& n : dump) {
+    str(n.className);
+    str(n.resourceId);
+    str(n.text);
+    out << n.boundsOnScreen.x << ',' << n.boundsOnScreen.y << ','
+        << n.boundsOnScreen.width << ',' << n.boundsOnScreen.height << ','
+        << n.depth << ',' << n.clickable << ',' << n.background.toArgb()
+        << ','
+        << (n.hasContentColor ? std::int64_t{n.contentColor.toArgb()} : -1)
+        << ',' << static_cast<std::int64_t>(n.effAlpha * 1024.0) << ','
+        << n.isVirtual << ';';
+    if (n.isVirtual) str(n.virtualId);
+  }
+  return out.str();
+}
+
+TEST(FingerprintTest, DistinctGeneratedScreensNeverCollide) {
+  // 2,400 fixed-seed screens: every fourth generator draws from a small
+  // seed pool, so exact repeats exist and must hash equal, and the rest
+  // must keep every distinct screen apart.
+  apps::ScreenGenerator::Params native;
+  apps::ScreenGenerator::Params hybrid;
+  hybrid.webViewAuiProb = 0.75;
+  android::WindowManager wm;
+  std::set<std::string> distinctDumps;
+  std::set<std::uint64_t> distinctFingerprints;
+  for (int i = 0; i < 2400; ++i) {
+    const bool repeat = i % 4 == 0;
+    const std::uint64_t seed = repeat ? 9000 + (i / 4) % 40 : 5000 + i;
+    apps::ScreenGenerator gen(i % 2 == 0 ? native : hybrid, seed);
+    apps::GeneratedScreen screen;
+    switch (i % 3) {
+      case 0: screen = gen.makeBenign(); break;
+      case 1: screen = gen.makeHardNegative(); break;
+      default: screen = gen.makeAui(gen.randomSpec()); break;
+    }
+    if (wm.appWindowCount() > 0) wm.popAppWindow();
+    wm.showAppWindow("com.gen", std::move(screen.root), false);
+    const android::UiDump dump = wm.dumpTopWindow();
+    distinctDumps.insert(hashedFields(dump));
+    distinctFingerprints.insert(android::WindowManager::fingerprint(dump));
+  }
+  EXPECT_LT(distinctDumps.size(), 2400u);  // the repeats did repeat
+  EXPECT_EQ(distinctFingerprints.size(), distinctDumps.size());
 }
 
 // -------------------------------------------------- pipeline + cache

@@ -298,6 +298,81 @@ TEST(VirtualFingerprintPropertyTest, VerdictCacheNeverCrossServesWebScreens) {
   EXPECT_TRUE(tier.find(fpA)->isAui);
 }
 
+/// Flags every screenshot as an AUI with one UPO, so the service decorates
+/// every screen it analyzes.
+class AlwaysUpoDetector : public cv::Detector {
+ public:
+  std::vector<cv::Detection> detect(const gfx::Bitmap&) const override {
+    return {{Rect{300, 40, 24, 24}, dataset::BoxLabel::kUpo, 0.9f}};
+  }
+  double costMacsPerImage() const override { return 1.0; }
+};
+
+TEST(VirtualFingerprintPropertyTest, LiveWalkEqualsDumpHashOnGeneratedScreens) {
+  // topWindowFingerprint() hashes the live view tree without building a
+  // dump; it must agree with fingerprint(dumpTopWindow()) on every screen
+  // shape the generator makes: benign screens, hard negatives, native AUIs
+  // and AUIs that a WebView hosts three times in four. Every sixth screen
+  // is also analyzed and decorated by the service, and must fingerprint
+  // the same afterwards.
+  AlwaysUpoDetector detector;
+  android::AndroidSystem system;
+  core::DarpaService service(detector);
+  system.accessibility.connect(service);
+  const Rect frame = system.windowManager.appFrame(false);
+
+  apps::ScreenGenerator::Params nativeParams;
+  nativeParams.frame = {frame.width, frame.height};
+  apps::ScreenGenerator::Params hybridParams = nativeParams;
+  hybridParams.webViewAuiProb = 0.75;
+  apps::ScreenGenerator benignGen(nativeParams, 4101);
+  apps::ScreenGenerator hardGen(nativeParams, 4102);
+  apps::ScreenGenerator nativeAuiGen(nativeParams, 4103);
+  apps::ScreenGenerator hybridAuiGen(hybridParams, 4104);
+
+  constexpr int kPerKind = 300;
+  int screens = 0;
+  int decorated = 0;
+  int virtualScreens = 0;
+  for (int i = 0; i < kPerKind; ++i) {
+    apps::GeneratedScreen batch[] = {
+        benignGen.makeBenign(), hardGen.makeHardNegative(),
+        nativeAuiGen.makeAui(nativeAuiGen.randomSpec()),
+        hybridAuiGen.makeAui(hybridAuiGen.randomSpec())};
+    for (apps::GeneratedScreen& screen : batch) {
+      if (system.windowManager.appWindowCount() > 0) {
+        system.windowManager.popAppWindow();
+      }
+      system.windowManager.showAppWindow("com.gen", std::move(screen.root),
+                                         false);
+      const UiDump dump = system.windowManager.dumpTopWindow();
+      const std::uint64_t fromDump = android::WindowManager::fingerprint(dump);
+      ASSERT_EQ(system.windowManager.topWindowFingerprint(), fromDump)
+          << "screen " << screens;
+      for (const UiNode& node : dump) {
+        if (node.isVirtual) {
+          ++virtualScreens;
+          break;
+        }
+      }
+      if (screens % 6 == 0) {
+        system.looper.runUntilIdle();
+        ASSERT_FALSE(service.decorationRects().empty());
+        ++decorated;
+        ASSERT_EQ(system.windowManager.topWindowFingerprint(), fromDump)
+            << "decorated screen " << screens;
+        ASSERT_EQ(android::WindowManager::fingerprint(
+                      system.windowManager.dumpTopWindow()),
+                  fromDump);
+      }
+      ++screens;
+    }
+  }
+  EXPECT_EQ(screens, 4 * kPerKind);
+  EXPECT_EQ(decorated, 200);
+  EXPECT_GT(virtualScreens, kPerKind / 4);  // the hybrid kind took hold
+}
+
 // ------------------------------------ hostile page shapes (satellite 3)
 
 VirtualNode deepChain(int levels) {
@@ -318,7 +393,14 @@ TEST(VirtualLintTraversalTest, DeepFlattenedChainDoesNotOverflow) {
   // Real pages nest hundreds of levels; the dump walk and every consumer
   // above it must survive a 300-deep chain (well past the 64 levels a
   // recursive visitor's stack frame budget gets nervous at).
-  const UiDump dump = dumpOfWebScreen(deepChain(300));
+  android::AndroidSystem system;
+  const Rect frame = system.windowManager.appFrame(false);
+  system.windowManager.showAppWindow(
+      "com.web",
+      webScreen({frame.width, frame.height}, {10, 10, 300, 400},
+                deepChain(300)),
+      false);
+  const UiDump dump = system.windowManager.dumpTopWindow();
   const UiNode* leaf = findVirtualNode(dump, "leaf");
   ASSERT_NE(leaf, nullptr);
   EXPECT_GE(leaf->depth, 300);
@@ -326,7 +408,10 @@ TEST(VirtualLintTraversalTest, DeepFlattenedChainDoesNotOverflow) {
   const analysis::LintEngine engine = analysis::LintEngine::withDefaultRules();
   const analysis::LintReport report = engine.run(dump, {360, 720});
   EXPECT_GE(report.nodesVisited, 300);
-  EXPECT_NE(android::WindowManager::fingerprint(dump), 0u);
+  const std::uint64_t fromDump = android::WindowManager::fingerprint(dump);
+  EXPECT_NE(fromDump, 0u);
+  // The live walk goes through the same chain without a dump.
+  EXPECT_EQ(system.windowManager.topWindowFingerprint(), fromDump);
 }
 
 TEST(VirtualLintTraversalTest, WideFlattenedForestTraversesInDocumentOrder) {
