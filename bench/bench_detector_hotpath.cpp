@@ -1,4 +1,4 @@
-// Detector hot-path microbench: the batched/fused compute core's three
+// Detector hot-path microbench: the batched compute core's three
 // contracts, measured on fixed seeded frames (exit nonzero on failure):
 //
 //  1. Throughput, single thread, same weights: scoring the anchor grid
@@ -17,17 +17,23 @@
 //     size, repeated batched detects never grow the thread's scratch
 //     arenas (descriptor matrix, GEMM ping-pong buffers, feature planes).
 //
-// Results land in BENCH_detector.json (throughput, ns/candidate,
-// allocs/frame) for trend tracking. Its absolute times are each side's
-// fastest round; its speedups are the gated median ratios.
+// It also times the capture and the first detect layer on their own:
+// WindowManager::composite over generated screens and the FeatureMap build
+// over the bench frames. Results land in BENCH_detector.json (throughput,
+// ns/candidate, allocs/frame, layer ms) for trend tracking. Its absolute
+// times are each side's fastest round; its speedups are the gated median
+// ratios.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "android/window_manager.h"
+#include "apps/screen_generator.h"
 #include "bench_common.h"
 #include "cv/features.h"
 #include "nn/kernels/int8_kernels.h"
@@ -110,7 +116,7 @@ int main(int argc, char** argv) {
   using namespace darpa::bench;
   initFromArgs(argc, argv);
 
-  printHeader("Detector hot path: batched GEMM + fused features");
+  printHeader("Detector hot path: batched GEMM, layer times");
   const dataset::AuiDataset data = paperDataset();
   const cv::OneStageDetector detector = trainOrLoadOneStage(data, "default");
 
@@ -323,34 +329,55 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
-  // --- fused feature pass vs naive per-channel timing ---------------------
-  // The pre-fusion shape rebuilt for comparison: five separate traversals
-  // (one FeatureMap per single channel costs one full pass each).
-  const int featureReps = scaled(20, 5);
-  const std::vector<std::vector<double>> featureMs = interleavedMs({
+  // --- layer timings: composite and FeatureMap ----------------------------
+  // The served capture renders the live windows through
+  // WindowManager::composite; the generated screens mix benign screens,
+  // hard negatives, native AUIs and WebView-hosted AUIs. The FeatureMap
+  // build is the first layer of every detect.
+  apps::ScreenGenerator native({}, 77);
+  apps::ScreenGenerator::Params webParams;
+  webParams.webViewAuiProb = 0.75;
+  apps::ScreenGenerator web(webParams, 1077);
+  std::vector<std::unique_ptr<android::WindowManager>> screens;
+  for (int i = 0; i < scaled(12, 4); ++i) {
+    apps::GeneratedScreen screen =
+        i % 4 == 0   ? native.makeBenign()
+        : i % 4 == 1 ? native.makeHardNegative()
+        : i % 4 == 2 ? native.makeAui(native.randomSpec())
+                     : web.makeAui(web.randomSpec());
+    auto wm = std::make_unique<android::WindowManager>();
+    wm->showAppWindow("com.bench.hotpath", std::move(screen.root), false);
+    screens.push_back(std::move(wm));
+  }
+  const int layerReps = scaled(10, 3);
+  const std::vector<std::vector<double>> layerMs = interleavedMs({
       [&] {
-        for (int rep = 0; rep < featureReps; ++rep) {
-          const cv::FeatureMap m(frames[0], cv::ChannelSet::all(), 2);
-          sink = sink + m.globalMean(cv::Channel::kLuma);
+        for (int rep = 0; rep < layerReps; ++rep) {
+          for (const auto& wm : screens) {
+            sink = sink + wm->composite().at(0, 0).r;
+          }
         }
       },
       [&] {
-        for (int rep = 0; rep < featureReps; ++rep) {
-          for (int c = 0; c < cv::kChannelCount; ++c) {
-            const cv::Channel one[] = {static_cast<cv::Channel>(c)};
-            const cv::FeatureMap m(frames[0], cv::ChannelSet::only(one), 2);
-            sink = sink + m.globalMean(one[0]);
+        for (int rep = 0; rep < layerReps; ++rep) {
+          for (const gfx::Bitmap& frame : frames) {
+            const cv::FeatureMap m(frame, detector.config().channels,
+                                   detector.config().featureScale);
+            sink = sink + m.globalMean(cv::Channel::kLuma);
           }
         }
       },
   });
-  const double fusedFeatureMs = fastest(featureMs[0]);
-  const double naiveFeatureMs = fastest(featureMs[1]);
+  const double compositeMsPerScreen =
+      fastest(layerMs[0]) / (static_cast<double>(screens.size()) * layerReps);
+  const double featureMapMsPerImage =
+      fastest(layerMs[1]) / (static_cast<double>(frames.size()) * layerReps);
   std::printf(
-      "\n  FeatureMap build x %d reps: fused %8.2f ms, per-channel %8.2f ms "
-      "(%.2fx median)\n",
-      featureReps, fusedFeatureMs, naiveFeatureMs,
-      median(ratios(featureMs[1], featureMs[0])));
+      "\n  layer times (fastest of %zu interleaved rounds):\n"
+      "    composite  %7.3f ms/screen (%zu generated screens x %d reps)\n"
+      "    FeatureMap %7.3f ms/image  (%zu frames x %d reps)\n",
+      kAbRounds, compositeMsPerScreen, screens.size(), layerReps,
+      featureMapMsPerImage, frames.size(), layerReps);
 
   // --- contract 2: bit-equality on every frame ----------------------------
   std::vector<std::vector<cv::Detection>> batchedDets;
@@ -489,15 +516,16 @@ int main(int argc, char** argv) {
     }
     std::fprintf(
         f,
-        "  \"feature_fused_ms\": %.3f,\n"
-        "  \"feature_per_channel_ms\": %.3f,\n"
+        "  \"composite_ms_per_screen\": %.3f,\n"
+        "  \"feature_map_ms_per_image\": %.3f,\n"
         "  \"detect_scalar_ms_per_image\": %.3f,\n"
         "  \"detect_batched_ms_per_image\": %.3f,\n"
         "  \"detect_speedup\": %.3f,\n"
         "  \"steady_state_allocs_per_frame\": %.4f,\n"
         "  \"steady_state_scratch_growths\": %lld\n"
         "}\n",
-        fusedFeatureMs, naiveFeatureMs, scalarDetectMs / detectImages,
+        compositeMsPerScreen, featureMapMsPerImage,
+        scalarDetectMs / detectImages,
         batchedDetectMs / detectImages, detectSpeedup, allocsPerFrame,
         static_cast<long long>(steadyGrowths));
     std::fclose(f);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
+#include <utility>
 
 namespace darpa::cv {
 
@@ -22,17 +24,20 @@ inline std::int32_t intLuma(Color c) {
 }
 constexpr double kIntLumaScale = 255'000.0;
 
-// Per-thread arena for the fused feature pass: plane buffers reused across
-// FeatureMap constructions, growth-counted for the zero-steady-state-
+// Per-thread arena for the feature pass: plane and row buffers reused
+// across FeatureMap constructions, growth-counted for the zero-steady-state-
 // allocation contract.
 struct FeatureScratch {
   std::vector<float> lumaF;         ///< Float luma plane (Sobel input).
   std::vector<std::int32_t> lumaI;  ///< Integer luma plane (contrast input).
   std::vector<std::int32_t> hsum;   ///< Horizontal 5-tap sums, full plane.
   std::vector<std::int32_t> vsum;   ///< Vertical sliding sums, one row.
-  /// Retired integral-plane buffers, recycled by the next FeatureMap on
-  /// this thread (bounded; see ~FeatureMap).
-  std::vector<std::vector<double>> planePool;
+  /// One row each of edge, contrast, saturation and saliency values (luma
+  /// reads its plane row), and a zero row that disabled channels sum.
+  std::vector<float> values;
+  /// Retired integral buffers, recycled by the next FeatureMap on this
+  /// thread (bounded; see ~FeatureMap).
+  std::vector<std::vector<double>> integralPool;
   FeatureScratchStats stats;
 
   template <typename T>
@@ -54,6 +59,24 @@ FeatureScratch& featureScratch() {
   return scratch;
 }
 
+/// One row of Sobel magnitudes over the float luma rows above, at and below
+/// it (already clamped to the frame). Clamped columns reproduce the
+/// reference lumaAt() lambda's values exactly; the interior loop has no
+/// clamps, so the compiler vectorizes it.
+void edgeRow(const float* up, const float* mid, const float* dn, int w,
+             float* out) {
+  auto sobel = [&](int x, int xl, int xr) {
+    const float gx = (up[xr] + 2 * mid[xr] + dn[xr]) -
+                     (up[xl] + 2 * mid[xl] + dn[xl]);
+    const float gy = (dn[xl] + 2 * dn[x] + dn[xr]) -
+                     (up[xl] + 2 * up[x] + up[xr]);
+    return std::min(std::sqrt(gx * gx + gy * gy) / 4.0f, 1.0f);
+  };
+  out[0] = sobel(0, 0, std::min(1, w - 1));
+  for (int x = 1; x < w - 1; ++x) out[x] = sobel(x, x - 1, x + 1);
+  if (w > 1) out[w - 1] = sobel(w - 1, w - 2, w - 1);
+}
+
 }  // namespace
 
 const FeatureScratchStats& featureScratchStats() {
@@ -72,26 +95,22 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       std::max(screenshot.height() / scale_, 1));
   width_ = small.width();
   height_ = small.height();
-  planeStride_ = static_cast<std::size_t>(width_ + 1) * (height_ + 1);
-
-  const bool wantLuma = channels_.enabled(Channel::kLuma);
-  const bool wantEdge = channels_.enabled(Channel::kEdge);
-  const bool wantContrast = channels_.enabled(Channel::kContrast);
-  const bool wantSat = channels_.enabled(Channel::kSaturation);
-  const bool wantSal = channels_.enabled(Channel::kSaliency);
+  const int w = width_;
+  const std::size_t cornerRow =
+      static_cast<std::size_t>(w + 1) * kChannelCount;
 
   FeatureScratch& s = featureScratch();
   ++s.stats.frames;
 
-  // Integral planes: recycle a retired buffer when one is pooled, and zero
-  // only what the fused pass will not overwrite — row 0 and column 0 of
-  // enabled planes (the integral borders), whole planes of disabled
-  // channels. A cold buffer is a counted growth like any other arena.
-  if (!s.planePool.empty()) {
-    integrals_ = std::move(s.planePool.back());
-    s.planePool.pop_back();
+  // Integral buffer: recycle a retired one when one is pooled, and zero only
+  // what the row sums below do not overwrite — corner row 0 and corner
+  // column 0 (the integral borders). A cold buffer is a counted growth like
+  // any other arena.
+  if (!s.integralPool.empty()) {
+    integrals_ = std::move(s.integralPool.back());
+    s.integralPool.pop_back();
   }
-  const std::size_t need = kChannelCount * planeStride_;
+  const std::size_t need = cornerRow * (static_cast<std::size_t>(height_) + 1);
   const std::size_t beforeCap = integrals_.capacity();
   if (need > beforeCap) {
     integrals_.reserve(need);
@@ -100,68 +119,31 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
         (integrals_.capacity() - beforeCap) * sizeof(double));
   }
   integrals_.resize(need);
-  for (int c = 0; c < kChannelCount; ++c) {
-    double* plane = integrals_.data() + static_cast<std::size_t>(c) * planeStride_;
-    if (channels_.enabled(static_cast<Channel>(c))) {
-      std::fill(plane, plane + width_ + 1, 0.0);  // row 0
-      for (int y = 1; y <= height_; ++y) {        // column 0
-        plane[static_cast<std::size_t>(y) * (width_ + 1)] = 0.0;
-      }
-    } else {
-      std::fill(plane, plane + planeStride_, 0.0);
-    }
+  std::fill_n(integrals_.data(), cornerRow, 0.0);
+  for (int y = 1; y <= height_; ++y) {
+    std::fill_n(integrals_.data() + y * cornerRow, kChannelCount, 0.0);
   }
 
-  const std::size_t n = static_cast<std::size_t>(width_) * height_;
   // The luma planes always exist: edge and contrast derive from luma even
-  // when the luma channel itself is disabled (only its integral is zeroed).
+  // when the luma channel itself is disabled.
+  const std::size_t n = static_cast<std::size_t>(w) * height_;
   float* lumaF = s.ensure(s.lumaF, n);
   std::int32_t* lumaI = s.ensure(s.lumaI, n);
-
-  double* lumaInt = integrals_.data();
-  double* edgeInt = integrals_.data() + 1 * planeStride_;
-  double* contrastInt = integrals_.data() + 2 * planeStride_;
-  double* satInt = integrals_.data() + 3 * planeStride_;
-  double* salInt = integrals_.data() + 4 * planeStride_;
-  const std::size_t stride = static_cast<std::size_t>(width_) + 1;
-
-  // Global mean color for the saliency channel.
-  const Color meanColor = small.meanColor(small.bounds());
-
-  // Pass 1 — everything with no neighborhood dependence, fused into one
-  // traversal: both luma planes, saturation, saliency, and their integral
-  // rows (disabled channels skip the work; their integrals stay zero).
   for (int y = 0; y < height_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    const std::size_t iUp = static_cast<std::size_t>(y) * stride;
-    const std::size_t iDn = static_cast<std::size_t>(y + 1) * stride;
-    double rowLuma = 0.0, rowSat = 0.0, rowSal = 0.0;
-    for (int x = 0; x < width_; ++x) {
-      const Color c = small.at(x, y);
-      const float lf = static_cast<float>(luma(c) / 255.0);
-      lumaF[row + x] = lf;
-      lumaI[row + x] = intLuma(c);
-      if (wantLuma) {
-        rowLuma += lf;
-        lumaInt[iDn + x + 1] = lumaInt[iUp + x + 1] + rowLuma;
-      }
-      if (wantSat) {
-        const int mx = std::max({c.r, c.g, c.b});
-        const int mn = std::min({c.r, c.g, c.b});
-        rowSat += static_cast<float>(mx - mn) / 255.0f;
-        satInt[iDn + x + 1] = satInt[iUp + x + 1] + rowSat;
-      }
-      if (wantSal) {
-        const float dr = static_cast<float>(c.r - meanColor.r);
-        const float dg = static_cast<float>(c.g - meanColor.g);
-        const float db = static_cast<float>(c.b - meanColor.b);
-        rowSal += std::sqrt(dr * dr + dg * dg + db * db) / 442.0f;
-        salInt[iDn + x + 1] = salInt[iUp + x + 1] + rowSal;
-      }
+    const Color* px = small.row(y).data();
+    float* lf = lumaF + static_cast<std::size_t>(y) * w;
+    std::int32_t* li = lumaI + static_cast<std::size_t>(y) * w;
+    for (int x = 0; x < w; ++x) {
+      lf[x] = static_cast<float>(luma(px[x]) / 255.0);
+      li[x] = intLuma(px[x]);
     }
   }
 
-  if (wantEdge || wantContrast) {
+  const bool wantEdge = channels_.enabled(Channel::kEdge);
+  const bool wantContrast = channels_.enabled(Channel::kContrast);
+  const bool wantSat = channels_.enabled(Channel::kSaturation);
+  const bool wantSal = channels_.enabled(Channel::kSaliency);
+
   // Contrast pre-pass: horizontal 5-tap sliding sums of integer luma per
   // row (clamped columns), then a vertical sliding sum over those rows.
   // Integer sums are exact, so the incremental updates are bit-identical
@@ -171,74 +153,110 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
   if (wantContrast) {
     hsum = s.ensure(s.hsum, n);
     for (int y = 0; y < height_; ++y) {
-      const std::int32_t* L = lumaI + static_cast<std::size_t>(y) * width_;
-      std::int32_t* H = hsum + static_cast<std::size_t>(y) * width_;
-      auto at = [&](int x) { return L[std::clamp(x, 0, width_ - 1)]; };
+      const std::int32_t* L = lumaI + static_cast<std::size_t>(y) * w;
+      std::int32_t* H = hsum + static_cast<std::size_t>(y) * w;
+      auto at = [&](int x) { return L[std::clamp(x, 0, w - 1)]; };
       std::int32_t window = at(-2) + at(-1) + at(0) + at(1) + at(2);
       H[0] = window;
-      for (int x = 1; x < width_; ++x) {
+      for (int x = 1; x < w; ++x) {
         window += at(x + 2) - at(x - 3);
         H[x] = window;
       }
     }
-    vsum = s.ensure(s.vsum, static_cast<std::size_t>(width_));
-    for (int x = 0; x < width_; ++x) {
+    vsum = s.ensure(s.vsum, static_cast<std::size_t>(w));
+    for (int x = 0; x < w; ++x) {
       std::int32_t v = 0;
       for (int dy = -2; dy <= 2; ++dy) {
         const int yy = std::clamp(dy, 0, height_ - 1);
-        v += hsum[static_cast<std::size_t>(yy) * width_ + x];
+        v += hsum[static_cast<std::size_t>(yy) * w + x];
       }
       vsum[x] = v;
     }
   }
 
-  // Pass 2 — edge (Sobel over float luma; clamped row pointers + clamped
-  // columns reproduce the reference lumaAt() lambda's values exactly) and
-  // contrast, with their integral rows, in one traversal.
+  // Global mean color for the saliency channel.
+  const Color meanColor = small.meanColor(small.bounds());
+
+  // Four value rows (luma's is its plane row) and the zero row.
+  float* values = s.ensure(s.values, 5 * static_cast<std::size_t>(w));
+  float* edge = values;
+  float* contrast = values + w;
+  float* sat = values + 2 * w;
+  float* sal = values + 3 * w;
+  float* zero = values + 4 * w;
+  std::fill_n(zero, w, 0.0f);
   for (int y = 0; y < height_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    const std::size_t iUp = static_cast<std::size_t>(y) * stride;
-    const std::size_t iDn = static_cast<std::size_t>(y + 1) * stride;
-    const float* rowUp =
-        lumaF + static_cast<std::size_t>(std::max(y - 1, 0)) * width_;
-    const float* rowMid = lumaF + row;
-    const float* rowDn =
-        lumaF + static_cast<std::size_t>(std::min(y + 1, height_ - 1)) * width_;
-    double rowEdge = 0.0, rowContrast = 0.0;
-    for (int x = 0; x < width_; ++x) {
-      if (wantEdge) {
-        const int xl = std::max(x - 1, 0);
-        const int xr = std::min(x + 1, width_ - 1);
-        const float gx = (rowUp[xr] + 2 * rowMid[xr] + rowDn[xr]) -
-                         (rowUp[xl] + 2 * rowMid[xl] + rowDn[xl]);
-        const float gy = (rowDn[xl] + 2 * rowDn[x] + rowDn[xr]) -
-                         (rowUp[xl] + 2 * rowUp[x] + rowUp[xr]);
-        rowEdge += std::min(std::sqrt(gx * gx + gy * gy) / 4.0f, 1.0f);
-        edgeInt[iDn + x + 1] = edgeInt[iUp + x + 1] + rowEdge;
-      }
-      if (wantContrast) {
-        // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
-        // exact integers until the final division.
-        const std::int64_t diff =
-            25LL * lumaI[row + x] - static_cast<std::int64_t>(vsum[x]);
-        rowContrast += static_cast<float>(
+    const float* lumaRow = lumaF + static_cast<std::size_t>(y) * w;
+    // Step 1: the row's channel values. Disabled channels read the zero
+    // row, so their integrals sum to +0.0 everywhere.
+    if (wantEdge) {
+      edgeRow(lumaF + static_cast<std::size_t>(std::max(y - 1, 0)) * w,
+              lumaRow,
+              lumaF + static_cast<std::size_t>(std::min(y + 1, height_ - 1)) * w,
+              w, edge);
+    }
+    if (wantContrast) {
+      // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
+      // exact integers until the final division (|diff| < 2^31).
+      const std::int32_t* li = lumaI + static_cast<std::size_t>(y) * w;
+      for (int x = 0; x < w; ++x) {
+        const std::int32_t diff = 25 * li[x] - vsum[x];
+        contrast[x] = static_cast<float>(
             static_cast<double>(diff < 0 ? -diff : diff) /
             (25.0 * kIntLumaScale));
-        contrastInt[iDn + x + 1] = contrastInt[iUp + x + 1] + rowContrast;
       }
     }
+    const Color* px = small.row(y).data();
+    if (wantSat) {
+      for (int x = 0; x < w; ++x) {
+        const int mx = std::max(std::max(px[x].r, px[x].g), px[x].b);
+        const int mn = std::min(std::min(px[x].r, px[x].g), px[x].b);
+        sat[x] = static_cast<float>(mx - mn) / 255.0f;
+      }
+    }
+    if (wantSal) {
+      for (int x = 0; x < w; ++x) {
+        const float dr = static_cast<float>(px[x].r - meanColor.r);
+        const float dg = static_cast<float>(px[x].g - meanColor.g);
+        const float db = static_cast<float>(px[x].b - meanColor.b);
+        sal[x] = std::sqrt(dr * dr + dg * dg + db * db) / 442.0f;
+      }
+    }
+
+    // Step 2: the five double running sums, each in x order as a separate
+    // chain, into integral corner row y + 1.
+    const float* v0 = channels_.enabled(Channel::kLuma) ? lumaRow : zero;
+    const float* v1 = wantEdge ? edge : zero;
+    const float* v2 = wantContrast ? contrast : zero;
+    const float* v3 = wantSat ? sat : zero;
+    const float* v4 = wantSal ? sal : zero;
+    const double* above = integrals_.data() + y * cornerRow + kChannelCount;
+    double* out = integrals_.data() + (y + 1) * cornerRow + kChannelCount;
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0, s4 = 0.0;
+    for (int x = 0; x < w; ++x) {
+      s0 += v0[x];
+      s1 += v1[x];
+      s2 += v2[x];
+      s3 += v3[x];
+      s4 += v4[x];
+      out[0] = above[0] + s0;
+      out[1] = above[1] + s1;
+      out[2] = above[2] + s2;
+      out[3] = above[3] + s3;
+      out[4] = above[4] + s4;
+      above += kChannelCount;
+      out += kChannelCount;
+    }
+
     // Slide the vertical window down one row: add the row entering the
     // window, drop the row leaving it (both clamped).
     if (wantContrast && y + 1 < height_) {
       const std::int32_t* add =
-          hsum + static_cast<std::size_t>(std::clamp(y + 3, 0, height_ - 1)) *
-                     width_;
+          hsum + static_cast<std::size_t>(std::clamp(y + 3, 0, height_ - 1)) * w;
       const std::int32_t* drop =
-          hsum + static_cast<std::size_t>(std::clamp(y - 2, 0, height_ - 1)) *
-                     width_;
-      for (int x = 0; x < width_; ++x) vsum[x] += add[x] - drop[x];
+          hsum + static_cast<std::size_t>(std::clamp(y - 2, 0, height_ - 1)) * w;
+      for (int x = 0; x < w; ++x) vsum[x] += add[x] - drop[x];
     }
-  }
   }
 
   // Map-constant context cues, cached once: per-channel global means and the
@@ -265,33 +283,38 @@ FeatureMap::~FeatureMap() {
   if (integrals_.capacity() == 0) return;
   FeatureScratch& s = featureScratch();
   constexpr std::size_t kMaxPooled = 8;
-  if (s.planePool.size() < kMaxPooled) {
-    s.planePool.push_back(std::move(integrals_));
+  if (s.integralPool.size() < kMaxPooled) {
+    s.integralPool.push_back(std::move(integrals_));
   }
 }
 
+namespace {
+
+/// The cells [first, first + count) that full-res pixels [pos, pos + len)
+/// touch along one axis of a grid of `cells` cells at downscale `scale`:
+/// FeatureMap::toCells, one axis at a time.
+std::pair<int, int> cellSpan(int pos, int len, int scale, int cells) {
+  const int first = std::clamp(pos / scale, 0, cells);
+  const int end = std::clamp((pos + len + scale - 1) / scale, 0, cells);
+  return {first, std::max(end - first, 0)};
+}
+
+}  // namespace
+
 Rect FeatureMap::toCells(const Rect& fullResRect) const {
-  const int x0 = std::clamp(fullResRect.x / scale_, 0, width_);
-  const int y0 = std::clamp(fullResRect.y / scale_, 0, height_);
-  const int x1 = std::clamp((fullResRect.right() + scale_ - 1) / scale_, 0, width_);
-  const int y1 =
-      std::clamp((fullResRect.bottom() + scale_ - 1) / scale_, 0, height_);
-  return {x0, y0, std::max(x1 - x0, 0), std::max(y1 - y0, 0)};
+  const auto [x, w] =
+      cellSpan(fullResRect.x, fullResRect.width, scale_, width_);
+  const auto [y, h] =
+      cellSpan(fullResRect.y, fullResRect.height, scale_, height_);
+  return {x, y, w, h};
 }
 
 double FeatureMap::integralSum(int channel, const Rect& cells) const {
   if (cells.empty()) return 0.0;
-  const double* integral =
-      integrals_.data() + static_cast<std::size_t>(channel) * planeStride_;
-  const int stride = width_ + 1;
-  const double a =
-      integral[static_cast<std::size_t>(cells.y) * stride + cells.x];
-  const double b =
-      integral[static_cast<std::size_t>(cells.y) * stride + cells.right()];
-  const double c =
-      integral[static_cast<std::size_t>(cells.bottom()) * stride + cells.x];
-  const double d = integral[static_cast<std::size_t>(cells.bottom()) * stride +
-                            cells.right()];
+  const double a = integralCorner(cells.x, cells.y)[channel];
+  const double b = integralCorner(cells.right(), cells.y)[channel];
+  const double c = integralCorner(cells.x, cells.bottom())[channel];
+  const double d = integralCorner(cells.right(), cells.bottom())[channel];
   return d - b - c + a;
 }
 
@@ -351,35 +374,85 @@ void candidateGeometryInto(Size fullSize, const Rect& box,
   f[k++] = std::hypot(cx - W / 2, cy - H / 2) / halfDiag;
 }
 
-namespace {
+DescriptorAxis planDescriptorAxis(const FeatureMap& map, int pos, int len,
+                                  int minSide, bool vertical) {
+  const int ring = std::max(minSide / 2, 2) + 2;
+  const int shrink = std::max(2, minSide / 4);
+  // The left/right neighbours step one box length along x only, the up/down
+  // neighbours along y only.
+  const int sideStep = vertical ? 0 : len;
+  const int upDownStep = vertical ? len : 0;
+  const std::array<std::pair<int, int>, kDescriptorRects> extents = {{
+      {pos, len},                            // the box
+      {pos - ring, len + 2 * ring},          // ring outer: inflated(ring)
+      {pos - 2, len + 4},                    // border: inflated(2)
+      {pos + shrink, len - 2 * shrink},      // inflated(-shrink)
+      {pos - sideStep, len},                 // left neighbour
+      {pos + sideStep, len},                 // right neighbour
+      {pos - upDownStep, len},               // up neighbour
+      {pos + upDownStep, len},               // down neighbour
+  }};
+  const int cells = vertical ? map.height() : map.width();
+  DescriptorAxis axis;
+  for (int i = 0; i < kDescriptorRects; ++i) {
+    std::tie(axis.first[i], axis.count[i]) =
+        cellSpan(extents[i].first, extents[i].second, map.scale(), cells);
+  }
+  return axis;
+}
 
-/// Shared descriptor fill. The channel block sums each (channel, rect) pair
-/// once — boxMean and ringContrast both need the inner sum, and the ring's
-/// outer rect is channel-independent — with arithmetic identical to the
-/// public accessors'. The geometric block is copied from `plannedGeometry`
-/// when the caller precomputed it (the batched grid plan), else computed in
-/// place.
-void fillCandidateFeatures(const FeatureMap& map, const Rect& box,
-                           const float* plannedGeometry, std::span<float> out) {
+void candidateFeaturesFromPlan(const FeatureMap& map, const DescriptorAxis& x,
+                               const DescriptorAxis& y,
+                               std::span<const float> geometry,
+                               std::span<float> out) {
+  // Planned rect i: its area in cells (0 when empty) and its four integral
+  // corners, each serving all five channels. Sums and means use the
+  // arithmetic of FeatureMap::integralSum and boxMean.
+  struct Cells {
+    std::int64_t area = 0;
+    const double* tl = nullptr;
+    const double* tr = nullptr;
+    const double* bl = nullptr;
+    const double* br = nullptr;
+  };
+  auto cells = [&](int i) {
+    Cells r;
+    r.area = static_cast<std::int64_t>(x.count[i]) * y.count[i];
+    if (r.area == 0) return r;
+    const int x1 = x.first[i] + x.count[i];
+    const int y1 = y.first[i] + y.count[i];
+    r.tl = map.integralCorner(x.first[i], y.first[i]);
+    r.tr = map.integralCorner(x1, y.first[i]);
+    r.bl = map.integralCorner(x.first[i], y1);
+    r.br = map.integralCorner(x1, y1);
+    return r;
+  };
+  auto sum = [](const Cells& r, int c) {
+    return r.br[c] - r.tr[c] - r.bl[c] + r.tl[c];
+  };
+  auto mean = [&](const Cells& r, Channel c) {
+    if (r.area == 0) return 0.0f;
+    return static_cast<float>(sum(r, static_cast<int>(c)) /
+                              static_cast<double>(r.area));
+  };
+
   float* f = out.data();
   int k = 0;
-  const Rect innerCells = map.toCells(box);
-  const double innerArea = static_cast<double>(innerCells.area());
-  const int ringMargin =
-      std::max(std::min(box.width, box.height) / 2, 2) + 2;
-  const Rect outerCells = map.toCells(box.inflated(ringMargin));
-  const double ringArea =
-      static_cast<double>(outerCells.area()) - innerCells.area();
+  // Per channel: box mean, and box mean minus ring mean.
+  const Cells inner = cells(0);
+  const Cells outer = cells(1);
+  const double innerArea = static_cast<double>(inner.area);
+  const double ringArea = static_cast<double>(outer.area) - inner.area;
   for (int c = 0; c < kChannelCount; ++c) {
     double innerSum = 0.0;
-    if (!innerCells.empty()) {
-      innerSum = map.integralSum(c, innerCells);
+    if (inner.area != 0) {
+      innerSum = sum(inner, c);
       f[k++] = static_cast<float>(innerSum / innerArea);
     } else {
       f[k++] = 0.0f;
     }
-    if (!innerCells.empty() && !outerCells.empty() && ringArea > 0.0) {
-      const double outerSum = map.integralSum(c, outerCells);
+    if (inner.area != 0 && outer.area != 0 && ringArea > 0.0) {
+      const double outerSum = sum(outer, c);
       const double innerMean = innerSum / innerArea;
       const double ringMean = (outerSum - innerSum) / ringArea;
       f[k++] = static_cast<float>(innerMean - ringMean);
@@ -387,49 +460,38 @@ void fillCandidateFeatures(const FeatureMap& map, const Rect& box,
       f[k++] = 0.0f;
     }
   }
-  if (plannedGeometry != nullptr) {
-    for (int g = 0; g < kCandidateGeometryDim; ++g) f[k++] = plannedGeometry[g];
-  } else {
-    candidateGeometryInto(map.fullSize(), box,
-                          {f + k, static_cast<std::size_t>(
-                                      kCandidateGeometryDim)});
-    k += kCandidateGeometryDim;
-  }
+  for (int g = 0; g < kCandidateGeometryDim; ++g) f[k++] = geometry[g];
   // Global context: overall darkness (scrim cue), edge business, and the
   // center-vs-surround luma difference (modal panel cue).
   f[k++] = map.globalMean(Channel::kLuma);
   f[k++] = map.globalMean(Channel::kEdge);
   f[k++] = map.centerSurroundLuma();
   // Border edge density: edges concentrated on the candidate's perimeter.
-  const Rect border = box.inflated(2);
-  f[k++] = map.boxMean(Channel::kEdge, border) -
-           map.boxMean(Channel::kEdge,
-                       box.inflated(-std::max(
-                           2, std::min(box.width, box.height) / 4)));
+  f[k++] = mean(cells(2), Channel::kEdge) - mean(cells(3), Channel::kEdge);
   // Edge continuation: an isolated option has quiet neighbors on both sides
   // of each axis, while a panel border continues across them. min() over the
   // opposite pair is high only when the structure runs through.
-  const Rect leftN = box.translated(-box.width, 0);
-  const Rect rightN = box.translated(box.width, 0);
-  const Rect upN = box.translated(0, -box.height);
-  const Rect downN = box.translated(0, box.height);
-  f[k++] = std::min(map.boxMean(Channel::kContrast, leftN),
-                    map.boxMean(Channel::kContrast, rightN));
-  f[k++] = std::min(map.boxMean(Channel::kContrast, upN),
-                    map.boxMean(Channel::kContrast, downN));
-}
-
-}  // namespace
-
-void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
-                           std::span<float> out) {
-  fillCandidateFeatures(map, box, nullptr, out);
+  f[k++] = std::min(mean(cells(4), Channel::kContrast),
+                    mean(cells(5), Channel::kContrast));
+  f[k++] = std::min(mean(cells(6), Channel::kContrast),
+                    mean(cells(7), Channel::kContrast));
 }
 
 void candidateFeaturesPlannedInto(const FeatureMap& map, const Rect& box,
                                   std::span<const float> geometry,
                                   std::span<float> out) {
-  fillCandidateFeatures(map, box, geometry.data(), out);
+  const int minSide = std::min(box.width, box.height);
+  candidateFeaturesFromPlan(
+      map, planDescriptorAxis(map, box.x, box.width, minSide, false),
+      planDescriptorAxis(map, box.y, box.height, minSide, true), geometry,
+      out);
+}
+
+void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
+                           std::span<float> out) {
+  std::array<float, kCandidateGeometryDim> geometry;
+  candidateGeometryInto(map.fullSize(), box, geometry);
+  candidateFeaturesPlannedInto(map, box, geometry, out);
 }
 
 std::vector<float> candidateFeatures(const FeatureMap& map, const Rect& box) {

@@ -62,12 +62,12 @@ struct ChannelSet {
   [[nodiscard]] int count() const;
 };
 
-/// Per-thread statistics for the fused feature pass's scratch arena. The
-/// plane buffers (luma, sliding-window sums) live in a thread_local arena
-/// reused across FeatureMap constructions; `growths` counts the heap
-/// allocations that arena performed and stops increasing once frames of the
-/// working size have been seen. The hot-path bench's zero-steady-state-
-/// allocation contract reads these counters.
+/// Per-thread statistics for the feature pass's scratch arena. The plane
+/// buffers (luma, sliding-window sums, per-row channel values) live in a
+/// thread_local arena reused across FeatureMap constructions; `growths`
+/// counts the heap allocations that arena performed and stops increasing
+/// once frames of the working size have been seen. The hot-path bench's
+/// zero-steady-state-allocation contract reads these counters.
 struct FeatureScratchStats {
   std::int64_t frames = 0;      ///< FeatureMaps built on this thread.
   std::int64_t growths = 0;     ///< Scratch buffer growths (heap allocs).
@@ -81,17 +81,19 @@ void resetFeatureScratchStats();
 /// Downscaled multi-channel feature planes with integral images.
 class FeatureMap {
  public:
-  /// Extracts features from a full-resolution screenshot in one fused
-  /// traversal (all enabled channels + their integral images; the 5x5
-  /// contrast window runs as a two-pass separable integer sliding window,
-  /// O(1) per pixel and exactly equal to the naive 25-tap sum). `scale` is
-  /// the downscale factor (default 4). Disabled channels read as all-zero.
+  /// Extracts features from a full-resolution screenshot, one row at a
+  /// time in two steps: the row's five channel values into float rows
+  /// (loops the compiler vectorizes; the 5x5 contrast window runs as a
+  /// two-pass separable integer sliding window, O(1) per pixel and exactly
+  /// equal to the naive 25-tap sum), then the five double running sums into
+  /// the integral image. `scale` is the downscale factor (default 4).
+  /// Disabled channels read as all-zero.
   FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels = ChannelSet::all(),
              int scale = 4);
 
-  /// Returns the integral-plane buffer to the thread-local pool so the next
+  /// Returns the integral buffer to the thread-local pool so the next
   /// FeatureMap on this thread skips the multi-megabyte allocation (and
-  /// zeroes only the integral borders instead of whole planes).
+  /// zeroes only the integral borders instead of the whole buffer).
   ~FeatureMap();
   FeatureMap(const FeatureMap&) = delete;
   FeatureMap& operator=(const FeatureMap&) = delete;
@@ -119,9 +121,16 @@ class FeatureMap {
   /// Full-res rect -> downscaled integral-grid cells (clipped).
   [[nodiscard]] Rect toCells(const Rect& fullResRect) const;
 
-  /// Raw channel sum over integral-grid cells (see toCells). The descriptor
-  /// fill uses this directly so each (channel, rect) pair is summed once.
+  /// Raw channel sum over integral-grid cells (see toCells).
   [[nodiscard]] double integralSum(int channel, const Rect& cells) const;
+
+  /// The kChannelCount integral values at integral-grid corner (x, y), for
+  /// 0 <= x <= width() and 0 <= y <= height(). A corner's channels sit
+  /// together, so one fetch serves every channel.
+  [[nodiscard]] const double* integralCorner(int x, int y) const {
+    return integrals_.data() +
+           (static_cast<std::size_t>(y) * (width_ + 1) + x) * kChannelCount;
+  }
 
  private:
   int width_ = 0;
@@ -129,11 +138,9 @@ class FeatureMap {
   int scale_ = 4;
   Size fullSize_;
   ChannelSet channels_;
-  // kChannelCount concatenated integral planes of (width_+1)*(height_+1)
-  // doubles each (plane c starts at c * planeStride_) — one allocation per
-  // map instead of five.
+  // The integral image, interleaved per corner: (width_+1)*(height_+1)
+  // corners of kChannelCount doubles (see integralCorner).
   std::vector<double> integrals_;
-  std::size_t planeStride_ = 0;
   // Map-constant context cues, computed once at construction (the candidate
   // descriptor reads them per grid position — thousands of times per frame).
   std::array<float, kChannelCount> globalMeans_{};
@@ -173,5 +180,33 @@ void candidateGeometryInto(Size fullSize, const Rect& box,
 void candidateFeaturesPlannedInto(const FeatureMap& map, const Rect& box,
                                   std::span<const float> geometry,
                                   std::span<float> out);
+
+/// The rects a descriptor reads, in order: the box, the ring's outer rect,
+/// the border rect, the shrunk inner rect, and the left, right, up and down
+/// neighbours.
+inline constexpr int kDescriptorRects = 8;
+
+/// One axis of a box's descriptor rects in integral-grid cells. Each is
+/// FeatureMap::toCells of that rect, which is separable, so a candidate's
+/// rects are the product of its column's plan and its row's plan: a grid
+/// plans each column and each row once, and the fill divides nothing.
+struct DescriptorAxis {
+  std::array<int, kDescriptorRects> first{};  ///< First cell.
+  std::array<int, kDescriptorRects> count{};  ///< Cells; 0 when empty.
+};
+
+/// Plans one axis for a box spanning [pos, pos + len) along it, whose
+/// smaller side is `minSide` (the ring and shrink margins depend on it),
+/// in `map`'s cell grid. `vertical` selects the y axis.
+[[nodiscard]] DescriptorAxis planDescriptorAxis(const FeatureMap& map,
+                                                int pos, int len, int minSide,
+                                                bool vertical);
+
+/// The descriptor from a planned box (its x and y axis plans) and its
+/// geometric block — the fill every candidateFeatures*() form runs.
+void candidateFeaturesFromPlan(const FeatureMap& map, const DescriptorAxis& x,
+                               const DescriptorAxis& y,
+                               std::span<const float> geometry,
+                               std::span<float> out);
 
 }  // namespace darpa::cv

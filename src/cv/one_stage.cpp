@@ -55,60 +55,105 @@ std::vector<GridPos> enumerateGrid(const OneStageConfig& config, Size size) {
   return grid;
 }
 
-/// Per-thread arena for the batched detect path: the anchor grid (cached
-/// across same-sized frames), the descriptor matrix, the logit matrix, and
-/// the MLP forward scratch. Buffer growths are counted so the detect stage
-/// and the hot-path bench can assert the steady state allocates nothing.
+/// One anchor's slice of the descriptor plan: its grid columns' x-axis
+/// plans, then its grid rows' y-axis plans, from `first` in
+/// DetectScratch::axes.
+struct AnchorAxes {
+  std::size_t first = 0;
+  int columns = 0;
+  int rows = 0;
+};
+
+/// Per-thread arena for the batched detect path: the anchor grid and its
+/// descriptor plan (cached across same-sized frames), the descriptor
+/// matrix, the logit matrix, and the MLP forward scratch. Buffer growths
+/// are counted so the detect stage and the hot-path bench can assert the
+/// steady state allocates nothing.
 struct DetectScratch {
   std::vector<GridPos> grid;
-  Size gridSize{-1, -1};
-  std::vector<Anchor> gridAnchors;
   /// Per-grid-entry geometric descriptor blocks (kCandidateGeometryDim
-  /// floats each), regenerated with the grid: geometry depends only on
-  /// (frame size, anchor box), so the batched fill replays these across
-  /// every frame of the cached size instead of recomputing hypot/log per
-  /// candidate.
+  /// floats each): geometry depends only on (frame size, anchor box), so
+  /// the fill replays these across every frame of the cached size instead
+  /// of recomputing hypot/log per candidate.
   std::vector<float> geometry;
+  /// Per-axis cell plans of every anchor's descriptor rects (see
+  /// DescriptorAxis): a few hundred entries where a per-candidate rect
+  /// table would hold thousands.
+  std::vector<DescriptorAxis> axes;
+  std::vector<AnchorAxes> anchorAxes;
+  /// What the grid and plan were built for.
+  Size planSize{-1, -1};
+  int planScale = 0;
+  std::vector<Anchor> planAnchors;
   std::vector<float> features;
   std::vector<float> logits;
   nn::ForwardScratch forward;
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;
 
-  float* ensure(std::vector<float>& v, std::size_t n) {
-    const std::size_t before = v.capacity();
-    if (n > before) {
-      v.reserve(n);
+  template <typename T>
+  void noteGrowth(const std::vector<T>& v, std::size_t before) {
+    if (v.capacity() > before) {
       ++growths;
       grownBytes +=
-          static_cast<std::int64_t>((v.capacity() - before) * sizeof(float));
+          static_cast<std::int64_t>((v.capacity() - before) * sizeof(T));
     }
+  }
+
+  float* ensure(std::vector<float>& v, std::size_t n) {
+    const std::size_t before = v.capacity();
+    if (n > before) v.reserve(n);
+    noteGrowth(v, before);
     if (v.size() < n) v.resize(n);
     return v.data();
   }
 
-  const std::vector<GridPos>& gridFor(const OneStageConfig& config,
-                                      Size size) {
-    if (size.width != gridSize.width || size.height != gridSize.height ||
-        gridAnchors != config.anchors) {
-      const std::size_t before = grid.capacity();
-      enumerateGridInto(config, size, grid);
-      if (grid.capacity() > before) {
-        ++growths;
-        grownBytes += static_cast<std::int64_t>(
-            (grid.capacity() - before) * sizeof(GridPos));
-      }
-      float* geo = ensure(geometry, grid.size() * kCandidateGeometryDim);
-      for (std::size_t r = 0; r < grid.size(); ++r) {
-        candidateGeometryInto(
-            size, grid[r].box(config.anchors),
-            {geo + r * kCandidateGeometryDim,
-             static_cast<std::size_t>(kCandidateGeometryDim)});
-      }
-      gridSize = size;
-      gridAnchors = config.anchors;
+  /// Rebuilds the grid, its geometry blocks and the descriptor plan when
+  /// the frame size, the feature scale or the anchors differ from the
+  /// cached ones.
+  void planFor(const OneStageConfig& config, const FeatureMap& map) {
+    const Size size = map.fullSize();
+    if (size == planSize && map.scale() == planScale &&
+        config.anchors == planAnchors) {
+      return;
     }
-    return grid;
+    std::size_t before = grid.capacity();
+    enumerateGridInto(config, size, grid);
+    noteGrowth(grid, before);
+    float* geo = ensure(geometry, grid.size() * kCandidateGeometryDim);
+    for (std::size_t r = 0; r < grid.size(); ++r) {
+      candidateGeometryInto(
+          size, grid[r].box(config.anchors),
+          {geo + r * kCandidateGeometryDim,
+           static_cast<std::size_t>(kCandidateGeometryDim)});
+    }
+    // The same column/row enumeration as enumerateGridInto, one axis at a
+    // time.
+    const std::size_t axesBefore = axes.capacity();
+    const std::size_t anchorsBefore = anchorAxes.capacity();
+    axes.clear();
+    anchorAxes.clear();
+    for (const Anchor& anchor : config.anchors) {
+      const int stride = anchor.stride();
+      const int minSide = std::min(anchor.width, anchor.height);
+      AnchorAxes slice{axes.size(), 0, 0};
+      for (int cx = stride / 2; cx < size.width; cx += stride) {
+        axes.push_back(planDescriptorAxis(map, cx - anchor.width / 2,
+                                          anchor.width, minSide, false));
+        ++slice.columns;
+      }
+      for (int cy = stride / 2; cy < size.height; cy += stride) {
+        axes.push_back(planDescriptorAxis(map, cy - anchor.height / 2,
+                                          anchor.height, minSide, true));
+        ++slice.rows;
+      }
+      anchorAxes.push_back(slice);
+    }
+    noteGrowth(axes, axesBefore);
+    noteGrowth(anchorAxes, anchorsBefore);
+    planSize = size;
+    planScale = map.scale();
+    planAnchors = config.anchors;
   }
 };
 
@@ -421,6 +466,29 @@ std::vector<Detection> OneStageDetector::postprocess(
   return nonMaxSuppression(std::move(refined), 0.8);
 }
 
+std::span<const float> OneStageDetector::fillDescriptors(
+    const FeatureMap& map) const {
+  DetectScratch& s = detectScratch();
+  s.planFor(config_, map);
+  const std::size_t dim = kCandidateFeatureDim;
+  const std::size_t geoDim = kCandidateGeometryDim;
+  float* feats = s.ensure(s.features, s.grid.size() * dim);
+  // Grid order: per anchor, rows top to bottom, columns left to right.
+  std::size_t r = 0;
+  for (const AnchorAxes& slice : s.anchorAxes) {
+    const DescriptorAxis* columns = s.axes.data() + slice.first;
+    const DescriptorAxis* rows = columns + slice.columns;
+    for (int j = 0; j < slice.rows; ++j) {
+      for (int i = 0; i < slice.columns; ++i, ++r) {
+        candidateFeaturesFromPlan(map, columns[i], rows[j],
+                                  {s.geometry.data() + r * geoDim, geoDim},
+                                  {feats + r * dim, dim});
+      }
+    }
+  }
+  return {feats, s.grid.size() * dim};
+}
+
 std::vector<Detection> OneStageDetector::detect(
     const gfx::Bitmap& screenshot) const {
   const FeatureMap map(screenshot, config_.channels, config_.featureScale);
@@ -429,24 +497,14 @@ std::vector<Detection> OneStageDetector::detect(
     // Batched path: fill the descriptor matrix for the whole anchor grid,
     // score it in one GEMM, decode in grid order (identical to the scalar
     // loop's order, so the Detection stream is bit-equal).
+    const std::span<const float> feats = fillDescriptors(map);
     DetectScratch& s = detectScratch();
-    const std::vector<GridPos>& grid = s.gridFor(config_, screenshot.size());
-    const int rows = static_cast<int>(grid.size());
-    const std::size_t dim = kCandidateFeatureDim;
-    float* feats = s.ensure(s.features, static_cast<std::size_t>(rows) * dim);
-    for (int r = 0; r < rows; ++r) {
-      candidateFeaturesPlannedInto(
-          map, grid[static_cast<std::size_t>(r)].box(config_.anchors),
-          {s.geometry.data() +
-               static_cast<std::size_t>(r) * kCandidateGeometryDim,
-           static_cast<std::size_t>(kCandidateGeometryDim)},
-          {feats + static_cast<std::size_t>(r) * dim, dim});
-    }
+    const int rows = static_cast<int>(s.grid.size());
     float* logits = s.ensure(s.logits, static_cast<std::size_t>(rows) * 6);
-    runHeadBatch({feats, static_cast<std::size_t>(rows) * dim}, rows,
-                 {logits, static_cast<std::size_t>(rows) * 6}, s.forward);
+    runHeadBatch(feats, rows, {logits, static_cast<std::size_t>(rows) * 6},
+                 s.forward);
     for (int r = 0; r < rows; ++r) {
-      decodeCandidate(config_, grid[static_cast<std::size_t>(r)],
+      decodeCandidate(config_, s.grid[static_cast<std::size_t>(r)],
                       logits + static_cast<std::size_t>(r) * 6, raw);
     }
   } else {

@@ -131,6 +131,13 @@ class OneStageDetector : public Detector {
   /// All candidate boxes for an image of `size` — exposed for tests.
   [[nodiscard]] std::vector<Rect> candidateBoxes(Size size) const;
 
+  /// The batched detect's descriptor fill: one kCandidateFeatureDim row per
+  /// candidate of `map`'s frame, in candidateBoxes() order, from the
+  /// thread's cached per-axis plan. The span lives in this thread's scratch
+  /// until its next detect. Exposed for tests.
+  [[nodiscard]] std::span<const float> fillDescriptors(
+      const FeatureMap& map) const;
+
   /// Persists / restores the trained head (fp32). The config is NOT stored;
   /// the loader must pass the same OneStageConfig used at training time.
   bool saveModel(const std::string& path) const;
@@ -156,11 +163,11 @@ class OneStageDetector : public Detector {
 };
 
 /// Per-thread scratch statistics for the detector hot path: the batched
-/// detect path's arenas (grid cache, descriptor matrix, logits, MLP forward
-/// scratch) plus the fused feature pass's arena. Growths stop once the
-/// working sizes have been seen; the pipeline's detect stage diffs this
-/// around detect calls and the hot-path bench asserts zero steady-state
-/// growth.
+/// detect path's arenas (grid and descriptor-plan cache, descriptor matrix,
+/// logits, MLP forward scratch) plus the feature pass's arena. Growths stop
+/// once the working sizes have been seen; the pipeline's detect stage diffs
+/// this around detect calls and the hot-path bench asserts zero
+/// steady-state growth.
 struct DetectScratchStats {
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,23 @@ class Bitmap {
     checkBounds(x, y);
 #endif
     pixels_[static_cast<std::size_t>(y) * width_ + x] = c;
+  }
+
+  /// Row `y`'s width() pixels; caller guarantees 0 <= y < height(). The
+  /// canvas paints and the feature pass reads whole rows through this.
+  [[nodiscard]] std::span<Color> row(int y) {
+#if DARPA_BOUNDS_CHECKS
+    checkBounds(0, y);
+#endif
+    return {pixels_.data() + static_cast<std::size_t>(y) * width_,
+            static_cast<std::size_t>(width_)};
+  }
+  [[nodiscard]] std::span<const Color> row(int y) const {
+#if DARPA_BOUNDS_CHECKS
+    checkBounds(0, y);
+#endif
+    return {pixels_.data() + static_cast<std::size_t>(y) * width_,
+            static_cast<std::size_t>(width_)};
   }
 
   /// Bounds-checked read; out-of-range returns transparent.

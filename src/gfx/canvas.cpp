@@ -7,16 +7,58 @@
 
 namespace darpa::gfx {
 
-void Canvas::fillRect(const Rect& r, Color c) {
-  const Rect clipped = r.intersect(target_->bounds());
+namespace {
+
+/// Offset of `v` from the nearest point of [lo, hi], the span a rounded
+/// rect's corner discs are centred on along one axis. Spelled min(max())
+/// rather than std::clamp: the bounds cross (hi = lo - 1) when the radius
+/// is half an even side, which std::clamp does not allow.
+int cornerOffset(int v, int lo, int hi) {
+  return v - std::min(std::max(v, lo), hi);
+}
+
+/// Whether (x, y) lies inside the rounded rect (r, radius).
+bool insideRounded(const Rect& r, int radius, int x, int y) {
+  if (!r.contains(Point{x, y})) return false;
+  const int dx = cornerOffset(x, r.x + radius, r.right() - 1 - radius);
+  const int dy = cornerOffset(y, r.y + radius, r.bottom() - 1 - radius);
+  return dx * dx + dy * dy <= radius * radius;
+}
+
+}  // namespace
+
+void Canvas::blendRun(int y, int x0, int x1, Color c) {
+  x0 = std::max(x0, 0);
+  x1 = std::min(x1, target_->width() - 1);
+  if (x0 > x1 || c.a == 0) return;
+  Color* const run = target_->row(y).data();
   if (c.a == 255) {
-    target_->fillRect(clipped, c);
+    std::fill(run + x0, run + x1 + 1, c);
     return;
   }
-  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
-    for (int x = clipped.left(); x < clipped.right(); ++x) {
-      target_->blendPixel(x, y, c);
+  // Over an opaque destination pixel (every pixel of a composited screen)
+  // blend()'s output alpha is 255 and its divisor 255 * 255, which folds to
+  // one division by 255: (s * a + d * (255 - a)) / 255.
+  const int keep = 255 - c.a;
+  const int r = c.r * c.a;
+  const int g = c.g * c.a;
+  const int b = c.b * c.a;
+  for (int x = x0; x <= x1; ++x) {
+    Color& d = run[x];
+    if (d.a == 255) {
+      d.r = static_cast<std::uint8_t>((r + d.r * keep) / 255);
+      d.g = static_cast<std::uint8_t>((g + d.g * keep) / 255);
+      d.b = static_cast<std::uint8_t>((b + d.b * keep) / 255);
+    } else {
+      d = blend(d, c);
     }
+  }
+}
+
+void Canvas::fillRect(const Rect& r, Color c) {
+  const Rect clipped = r.intersect(target_->bounds());
+  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
+    blendRun(y, clipped.left(), clipped.right() - 1, c);
   }
 }
 
@@ -31,40 +73,32 @@ void Canvas::strokeRect(const Rect& r, Color c, int thickness) {
 }
 
 void Canvas::fillRoundedRect(const Rect& r, Color c, int radius) {
-  radius = std::clamp(radius, 0, std::min(r.width, r.height) / 2);
+  radius = std::min(std::max(radius, 0), std::min(r.width, r.height) / 2);
   if (radius == 0) {
     fillRect(r, c);
     return;
   }
   const Rect clipped = r.intersect(target_->bounds());
   for (int y = clipped.top(); y < clipped.bottom(); ++y) {
-    for (int x = clipped.left(); x < clipped.right(); ++x) {
-      // Distance to the nearest corner disc center; outside the disc in a
-      // corner square means outside the rounded rect.
-      const int cx = std::clamp(x, r.x + radius, r.right() - 1 - radius);
-      const int cy = std::clamp(y, r.y + radius, r.bottom() - 1 - radius);
-      const int dx = x - cx;
-      const int dy = y - cy;
-      if (dx * dx + dy * dy <= radius * radius) target_->blendPixel(x, y, c);
-    }
+    // A pixel is inside when it lies within `radius` of the nearest corner
+    // disc centre. On one row that holds on a single run: walk in from each
+    // end of the rect (at most `radius` steps) to its ends.
+    const int dy = cornerOffset(y, r.y + radius, r.bottom() - 1 - radius);
+    auto inside = [&](int x) {
+      const int dx = cornerOffset(x, r.x + radius, r.right() - 1 - radius);
+      return dx * dx + dy * dy <= radius * radius;
+    };
+    int x0 = r.left();
+    while (x0 < r.right() && !inside(x0)) ++x0;
+    int x1 = r.right() - 1;
+    while (x1 > x0 && !inside(x1)) --x1;
+    if (x0 < r.right()) blendRun(y, x0, x1, c);
   }
 }
 
-namespace {
-/// Whether (x, y) lies inside the rounded rect (r, radius).
-bool insideRounded(const Rect& r, int radius, int x, int y) {
-  if (!r.contains(Point{x, y})) return false;
-  const int cx = std::clamp(x, r.x + radius, r.right() - 1 - radius);
-  const int cy = std::clamp(y, r.y + radius, r.bottom() - 1 - radius);
-  const int dx = x - cx;
-  const int dy = y - cy;
-  return dx * dx + dy * dy <= radius * radius;
-}
-}  // namespace
-
 void Canvas::strokeRoundedRect(const Rect& r, Color c, int radius,
                                int thickness) {
-  radius = std::clamp(radius, 0, std::min(r.width, r.height) / 2);
+  radius = std::min(std::max(radius, 0), std::min(r.width, r.height) / 2);
   thickness = std::max(thickness, 1);
   const Rect inner = r.inflated(-thickness);
   const int innerRadius = std::max(radius - thickness, 0);
@@ -85,11 +119,12 @@ void Canvas::fillCircle(Point center, int radius, Color c) {
                  2 * radius + 1};
   const Rect clipped = box.intersect(target_->bounds());
   for (int y = clipped.top(); y < clipped.bottom(); ++y) {
-    for (int x = clipped.left(); x < clipped.right(); ++x) {
-      const int dx = x - center.x;
-      const int dy = y - center.y;
-      if (dx * dx + dy * dy <= radius * radius) target_->blendPixel(x, y, c);
-    }
+    // Walk in from the box's left edge to the row's first covered pixel;
+    // the covered run is symmetric about the centre column.
+    const int dy = y - center.y;
+    int dx = -radius;
+    while (dx < 0 && dx * dx + dy * dy > radius * radius) ++dx;
+    blendRun(y, center.x + dx, center.x - dx, c);
   }
 }
 
@@ -115,10 +150,7 @@ void Canvas::fillVerticalGradient(const Rect& r, Color top, Color bottom) {
   for (int y = clipped.top(); y < clipped.bottom(); ++y) {
     const double t =
         r.height <= 1 ? 0.0 : static_cast<double>(y - r.y) / (r.height - 1);
-    const Color row = lerp(top, bottom, t);
-    for (int x = clipped.left(); x < clipped.right(); ++x) {
-      target_->blendPixel(x, y, row);
-    }
+    blendRun(y, clipped.left(), clipped.right() - 1, lerp(top, bottom, t));
   }
 }
 

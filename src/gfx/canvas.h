@@ -64,6 +64,11 @@ class Canvas {
   void drawBitmap(const Bitmap& src, Point origin, std::uint8_t layerAlpha = 255);
 
  private:
+  /// blend(pixel, c) over row y's pixels x0..x1 (inclusive), clipped to
+  /// the bitmap's columns; y must be a row of the bitmap. Every fill paints
+  /// through this, one row run at a time.
+  void blendRun(int y, int x0, int x1, Color c);
+
   Bitmap* target_;
 };
 

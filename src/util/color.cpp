@@ -10,22 +10,6 @@ std::ostream& operator<<(std::ostream& os, const Color& c) {
             << "," << int{c.a} << "}";
 }
 
-Color blend(Color dst, Color src) {
-  if (src.a == 255) return src;
-  if (src.a == 0) return dst;
-  const int sa = src.a;
-  const int da = dst.a;
-  const int outA = sa + da * (255 - sa) / 255;
-  if (outA == 0) return colors::kTransparent;
-  auto channel = [&](int s, int d) {
-    const int num = s * sa * 255 + d * da * (255 - sa);
-    return static_cast<std::uint8_t>(
-        std::clamp(num / (outA * 255), 0, 255));
-  };
-  return {channel(src.r, dst.r), channel(src.g, dst.g), channel(src.b, dst.b),
-          static_cast<std::uint8_t>(outA)};
-}
-
 namespace {
 double linearize(std::uint8_t channel) {
   const double c = channel / 255.0;
@@ -53,8 +37,6 @@ Color lerp(Color a, Color b, double t) {
   };
   return {mix(a.r, b.r), mix(a.g, b.g), mix(a.b, b.b), mix(a.a, b.a)};
 }
-
-double luma(Color c) { return 0.299 * c.r + 0.587 * c.g + 0.114 * c.b; }
 
 Color highContrastAgainst(Color background) {
   const double cWhite = contrastRatio(background, colors::kWhite);

@@ -5,6 +5,7 @@
 // citizen of this codebase.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 
@@ -61,8 +62,22 @@ inline constexpr Color kLightGray = Color::rgb(200, 200, 200);
 inline constexpr Color kTransparent = Color::rgba(0, 0, 0, 0);
 }  // namespace colors
 
-/// Source-over alpha blend of `src` onto opaque-ish `dst`.
-[[nodiscard]] Color blend(Color dst, Color src);
+/// Source-over alpha blend of `src` onto opaque-ish `dst`. Inline, like
+/// luma(): the compositor calls it once per pixel.
+[[nodiscard]] inline Color blend(Color dst, Color src) {
+  if (src.a == 255) return src;
+  if (src.a == 0) return dst;
+  const int sa = src.a;
+  const int da = dst.a;
+  const int outA = sa + da * (255 - sa) / 255;
+  if (outA == 0) return colors::kTransparent;
+  auto channel = [&](int s, int d) {
+    const int num = s * sa * 255 + d * da * (255 - sa);
+    return static_cast<std::uint8_t>(std::clamp(num / (outA * 255), 0, 255));
+  };
+  return {channel(src.r, dst.r), channel(src.g, dst.g), channel(src.b, dst.b),
+          static_cast<std::uint8_t>(outA)};
+}
 
 /// Relative luminance per WCAG (sRGB linearization), in [0, 1].
 [[nodiscard]] double relativeLuminance(Color c);
@@ -73,8 +88,11 @@ inline constexpr Color kTransparent = Color::rgba(0, 0, 0, 0);
 /// Linear interpolation between two colors, t in [0, 1].
 [[nodiscard]] Color lerp(Color a, Color b, double t);
 
-/// Perceptual grayscale value (ITU-R BT.601 luma) in [0, 255].
-[[nodiscard]] double luma(Color c);
+/// Perceptual grayscale value (ITU-R BT.601 luma) in [0, 255]. Inline: the
+/// feature pass calls it once per pixel.
+[[nodiscard]] inline double luma(Color c) {
+  return 0.299 * c.r + 0.587 * c.g + 0.114 * c.b;
+}
 
 /// A color with maximal contrast against `background` (black or white, or a
 /// saturated accent when both are mid-gray). Used by the decoration module to

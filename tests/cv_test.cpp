@@ -6,6 +6,8 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "cv/refine.h"
 #include "cv/two_stage.h"
 #include "gfx/canvas.h"
+#include "nn/mlp.h"
 #include "util/rng.h"
 
 namespace darpa::cv {
@@ -288,10 +291,10 @@ TEST(OneStageTest, TinyTrainedModelDetectsObviousAui) {
   EXPECT_GT(detector.costMacsPerImage(), 0.0);
 }
 
-// ----------------------------------------------- fused feature-pass parity
-// Naive single-channel-at-a-time reference for the fused FeatureMap pass:
+// ----------------------------------------------------- feature-pass parity
+// Naive single-channel-at-a-time reference for the FeatureMap pass:
 // per-pixel 25-tap clamped contrast window, per-pixel clamped Sobel, and the
-// same integral accumulation order. The fused implementation must match it
+// same integral accumulation order. The implementation must match it
 // BIT-exactly (EXPECT_EQ on floats) — including every border pixel, which is
 // where the separable sliding window's clamping could drift.
 struct ReferencePlanes {
@@ -570,6 +573,62 @@ TEST(FusedFeatureParityTest, PlannedGeometryDescriptorMatchesDirect) {
       EXPECT_EQ(direct[i], planned[i]) << "feature i=" << i;
     }
   }
+}
+
+TEST(DescriptorPlanTest, ServedFillEqualsDirectDescriptorOnEveryGridEntry) {
+  // The batched detect fills descriptors from a per-thread plan cached per
+  // (frame size, feature scale, anchors). Every row it writes must equal
+  // the direct per-candidate descriptor bit for bit, on an even and an odd
+  // frame size. The two detectors differ only in featureScale and run
+  // alternately on this thread, so a plan keyed on too little serves one
+  // detector the other's cells and fails here.
+  const std::string path = testing::TempDir() + "/descriptor_plan_head.bin";
+  {
+    Rng rng(17);
+    const nn::Mlp head({kCandidateFeatureDim, 8, 6}, rng);
+    std::ofstream out(path, std::ios::binary);
+    head.save(out);
+  }
+  OneStageConfig scale2;
+  OneStageConfig scale3;
+  scale3.featureScale = 3;
+  const auto detector2 = OneStageDetector::loadModel(path, scale2);
+  const auto detector3 = OneStageDetector::loadModel(path, scale3);
+  ASSERT_TRUE(detector2.has_value());
+  ASSERT_TRUE(detector3.has_value());
+  const std::array<gfx::Bitmap, 2> frames = {randomBitmap(360, 720, 71),
+                                              randomBitmap(361, 719, 72)};
+
+  auto checkRound = [&](bool compare) {
+    for (const gfx::Bitmap& frame : frames) {
+      for (const OneStageDetector* detector : {&*detector2, &*detector3}) {
+        const FeatureMap map(frame, detector->config().channels,
+                             detector->config().featureScale);
+        const std::span<const float> served = detector->fillDescriptors(map);
+        if (!compare) continue;
+        const std::vector<Rect> boxes = detector->candidateBoxes(frame.size());
+        ASSERT_EQ(served.size(), boxes.size() * kCandidateFeatureDim);
+        for (std::size_t r = 0; r < boxes.size(); ++r) {
+          const std::vector<float> direct = candidateFeatures(map, boxes[r]);
+          ASSERT_EQ(std::memcmp(direct.data(),
+                                served.data() + r * kCandidateFeatureDim,
+                                direct.size() * sizeof(float)),
+                    0)
+              << frame.width() << "x" << frame.height() << " featureScale "
+              << detector->config().featureScale << " grid entry " << r;
+        }
+      }
+    }
+  };
+  checkRound(true);
+  checkRound(true);
+  // Steady state: re-planning for the other detector reuses the buffers.
+  const DetectScratchStats before = hotpathScratchStats();
+  checkRound(false);
+  checkRound(false);
+  const DetectScratchStats after = hotpathScratchStats();
+  EXPECT_EQ(after.growths, before.growths);
+  EXPECT_EQ(after.grownBytes, before.grownBytes);
 }
 
 // ------------------------------------------------ batched detect parity

@@ -1,13 +1,20 @@
 // Unit tests for src/gfx: Bitmap operations and Canvas drawing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <utility>
 
+#include "android/window_manager.h"
+#include "apps/screen_generator.h"
+#include "core/decoration.h"
 #include "gfx/bitmap.h"
 #include "gfx/canvas.h"
+#include "util/rng.h"
 
 namespace darpa::gfx {
 namespace {
@@ -334,6 +341,283 @@ TEST(CanvasTest, DrawBitmapHonorsLayerAlpha) {
   EXPECT_EQ(dst.at(1, 1), colors::kWhite);
   canvas.drawBitmap(src, {0, 0}, 255);
   EXPECT_EQ(dst.at(1, 1), colors::kBlack);
+}
+
+// ------------------------------------------- span fills vs per-pixel blend
+// Per-pixel references for the row-span fills: every covered pixel goes
+// through one blend() call, and coverage is the per-pixel predicate each
+// fill is specified by. The span fills must paint the same bytes.
+
+void refBlendPixel(Bitmap& bmp, int x, int y, Color c) {
+  if (x < 0 || y < 0 || x >= bmp.width() || y >= bmp.height()) return;
+  bmp.set(x, y, blend(bmp.at(x, y), c));
+}
+
+void refFillRect(Bitmap& bmp, const Rect& r, Color c) {
+  const Rect clipped = r.intersect(bmp.bounds());
+  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
+    for (int x = clipped.left(); x < clipped.right(); ++x) {
+      refBlendPixel(bmp, x, y, c);
+    }
+  }
+}
+
+void refFillRoundedRect(Bitmap& bmp, const Rect& r, Color c, int radius) {
+  radius = std::min(std::max(radius, 0), std::min(r.width, r.height) / 2);
+  if (radius == 0) {
+    refFillRect(bmp, r, c);
+    return;
+  }
+  const Rect clipped = r.intersect(bmp.bounds());
+  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
+    for (int x = clipped.left(); x < clipped.right(); ++x) {
+      // Nearest point of the rect's core (inset by the radius); its bounds
+      // cross by one when the radius is half an even side.
+      const int cx = std::min(std::max(x, r.x + radius), r.right() - 1 - radius);
+      const int cy =
+          std::min(std::max(y, r.y + radius), r.bottom() - 1 - radius);
+      const int dx = x - cx;
+      const int dy = y - cy;
+      if (dx * dx + dy * dy <= radius * radius) refBlendPixel(bmp, x, y, c);
+    }
+  }
+}
+
+void refFillCircle(Bitmap& bmp, Point center, int radius, Color c) {
+  for (int y = center.y - radius; y <= center.y + radius; ++y) {
+    for (int x = center.x - radius; x <= center.x + radius; ++x) {
+      const int dx = x - center.x;
+      const int dy = y - center.y;
+      if (dx * dx + dy * dy <= radius * radius) refBlendPixel(bmp, x, y, c);
+    }
+  }
+}
+
+void refFillVerticalGradient(Bitmap& bmp, const Rect& r, Color top,
+                             Color bottom) {
+  const Rect clipped = r.intersect(bmp.bounds());
+  for (int y = clipped.top(); y < clipped.bottom(); ++y) {
+    const double t =
+        r.height <= 1 ? 0.0 : static_cast<double>(y - r.y) / (r.height - 1);
+    const Color row = lerp(top, bottom, t);
+    for (int x = clipped.left(); x < clipped.right(); ++x) {
+      refBlendPixel(bmp, x, y, row);
+    }
+  }
+}
+
+/// Alphas that hit every blend() branch: skip, replace, and the weights
+/// next to both ends.
+std::uint8_t randomAlpha(Rng& rng) {
+  constexpr std::uint8_t kEdges[] = {0, 1, 2, 127, 128, 253, 254, 255};
+  return rng.chance(0.5) ? kEdges[rng.uniformInt(0, 7)]
+                         : static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+}
+
+Color randomColor(Rng& rng) {
+  return Color::rgba(static_cast<std::uint8_t>(rng.uniformInt(0, 255)),
+                     static_cast<std::uint8_t>(rng.uniformInt(0, 255)),
+                     static_cast<std::uint8_t>(rng.uniformInt(0, 255)),
+                     randomAlpha(rng));
+}
+
+/// A 37x29 destination: opaque everywhere (every composited screen pixel)
+/// or with random per-pixel alpha, including fully transparent pixels.
+Bitmap randomDestination(Rng& rng, bool opaque) {
+  Bitmap bmp(37, 29);
+  for (int y = 0; y < bmp.height(); ++y) {
+    for (int x = 0; x < bmp.width(); ++x) {
+      Color c = randomColor(rng);
+      if (opaque) c.a = 255;
+      bmp.set(x, y, c);
+    }
+  }
+  return bmp;
+}
+
+/// A rect that may hang off any of the four edges of a 37x29 bitmap (or
+/// miss it entirely), with zero-sized and even-sided shapes well covered.
+Rect randomRect(Rng& rng) {
+  const int w = rng.uniformInt(0, 3) == 0 ? 2 * rng.uniformInt(0, 12)
+                                          : rng.uniformInt(0, 30);
+  const int h = rng.uniformInt(0, 3) == 0 ? 2 * rng.uniformInt(0, 12)
+                                          : rng.uniformInt(0, 30);
+  return {rng.uniformInt(-20, 45), rng.uniformInt(-20, 36), w, h};
+}
+
+template <typename Paint, typename Reference>
+void expectSameAsReference(Rng& rng, int trials, Paint paint,
+                           Reference reference, const char* what) {
+  for (int trial = 0; trial < trials; ++trial) {
+    const bool opaque = trial % 2 == 0;
+    Bitmap span = randomDestination(rng, opaque);
+    Bitmap ref = span.clone();
+    const std::uint64_t shapeSeed = rng.next();
+    Rng spanShape(shapeSeed);
+    Rng refShape(shapeSeed);
+    Canvas canvas(span);
+    paint(canvas, spanShape);
+    reference(ref, refShape);
+    ASSERT_EQ(span, ref) << what << " trial " << trial
+                         << (opaque ? " (opaque dst)" : " (translucent dst)");
+  }
+}
+
+TEST(CanvasSpanTest, FillRectMatchesPerPixelBlend) {
+  Rng rng(101);
+  expectSameAsReference(
+      rng, 600,
+      [](Canvas& canvas, Rng& shape) {
+        const Rect r = randomRect(shape);
+        canvas.fillRect(r, randomColor(shape));
+      },
+      [](Bitmap& bmp, Rng& shape) {
+        const Rect r = randomRect(shape);
+        refFillRect(bmp, r, randomColor(shape));
+      },
+      "fillRect");
+}
+
+TEST(CanvasSpanTest, FillRoundedRectMatchesPerPixelBlend) {
+  Rng rng(202);
+  // Radius from 0 up past half the shorter side (the fill clamps it), so
+  // radius = half an even side is hit often.
+  expectSameAsReference(
+      rng, 1200,
+      [](Canvas& canvas, Rng& shape) {
+        const Rect r = randomRect(shape);
+        const Color c = randomColor(shape);
+        canvas.fillRoundedRect(r, c, shape.uniformInt(0, 16));
+      },
+      [](Bitmap& bmp, Rng& shape) {
+        const Rect r = randomRect(shape);
+        const Color c = randomColor(shape);
+        refFillRoundedRect(bmp, r, c, shape.uniformInt(0, 16));
+      },
+      "fillRoundedRect");
+}
+
+TEST(CanvasSpanTest, RoundedRectWithRadiusHalfAnEvenSide) {
+  // The shapes that cross the core bounds: a 40x20 toggle with radius 10,
+  // s x s close buttons with radius s/2, and d x d round CTAs — placed
+  // inside, and clipped by each of the four edges.
+  const std::array<std::array<int, 3>, 6> shapes = {
+      {{40, 20, 10}, {20, 40, 10}, {2, 2, 1}, {8, 8, 4}, {24, 24, 12},
+       {30, 30, 15}}};
+  const std::array<Point, 5> origins = {
+      {{4, 3}, {-9, 5}, {20, -7}, {25, 8}, {6, 18}}};
+  Rng rng(303);
+  for (const auto& s : shapes) {
+    for (const Point o : origins) {
+      for (const bool opaque : {true, false}) {
+        Bitmap span = randomDestination(rng, opaque);
+        Bitmap ref = span.clone();
+        const Color c = randomColor(rng);
+        Canvas(span).fillRoundedRect({o.x, o.y, s[0], s[1]}, c, s[2]);
+        refFillRoundedRect(ref, {o.x, o.y, s[0], s[1]}, c, s[2]);
+        ASSERT_EQ(span, ref) << s[0] << "x" << s[1] << " r=" << s[2]
+                             << " at (" << o.x << "," << o.y << ")";
+      }
+    }
+  }
+}
+
+TEST(CanvasSpanTest, FillCircleMatchesPerPixelBlend) {
+  Rng rng(404);
+  expectSameAsReference(
+      rng, 800,
+      [](Canvas& canvas, Rng& shape) {
+        const Point center{shape.uniformInt(-12, 48), shape.uniformInt(-12, 40)};
+        const int radius =
+            shape.chance(0.4) ? shape.uniformInt(0, 2) : shape.uniformInt(0, 18);
+        canvas.fillCircle(center, radius, randomColor(shape));
+      },
+      [](Bitmap& bmp, Rng& shape) {
+        const Point center{shape.uniformInt(-12, 48), shape.uniformInt(-12, 40)};
+        const int radius =
+            shape.chance(0.4) ? shape.uniformInt(0, 2) : shape.uniformInt(0, 18);
+        refFillCircle(bmp, center, radius, randomColor(shape));
+      },
+      "fillCircle");
+}
+
+TEST(CanvasSpanTest, FillVerticalGradientMatchesPerPixelBlend) {
+  Rng rng(505);
+  expectSameAsReference(
+      rng, 600,
+      [](Canvas& canvas, Rng& shape) {
+        const Rect r = randomRect(shape);
+        const Color top = randomColor(shape);
+        canvas.fillVerticalGradient(r, top, randomColor(shape));
+      },
+      [](Bitmap& bmp, Rng& shape) {
+        const Rect r = randomRect(shape);
+        const Color top = randomColor(shape);
+        refFillVerticalGradient(bmp, r, top, randomColor(shape));
+      },
+      "fillVerticalGradient");
+}
+
+// ------------------------------------------------ composited screen digest
+
+TEST(CompositeDigestTest, GeneratedScreensDigestIsStable) {
+  // Pins every composited pixel of a fixed-seed generated population:
+  // benign screens, footnote-4 hard negatives, native AUIs, AUIs with 75 %
+  // of third-party interstitials hosted in WebViews, and decorated AUI
+  // screens (one decoration style per screen, all four in rotation). A
+  // change to any fill, blend, or draw order that moves one byte fails.
+  apps::ScreenGenerator native({}, /*seed=*/5);
+  apps::ScreenGenerator::Params webParams;
+  webParams.webViewAuiProb = 0.75;
+  apps::ScreenGenerator web(webParams, /*seed=*/1005);
+
+  std::uint64_t digest = 1469598103934665603ULL;
+  auto mix = [&digest](std::uint64_t v) {
+    digest ^= v;
+    digest *= 1099511628211ULL;
+  };
+  int screens = 0;
+  int decorations = 0;
+  auto composite = [&](apps::GeneratedScreen screen, int decorate) {
+    android::WindowManager wm;
+    wm.showAppWindow("com.composite.digest", std::move(screen.root), false);
+    if (decorate >= 0) {
+      const auto style = static_cast<core::DecorationStyle>(decorate % 4);
+      for (const auto* boxes : {&screen.truth.upoBoxes, &screen.truth.agoBoxes}) {
+        for (const Rect& box : *boxes) {
+          const Rect target = box.inflated(5);
+          android::LayoutParams lp;
+          lp.x = target.x;
+          lp.y = target.y - wm.config().statusBarHeight;
+          lp.width = target.width;
+          lp.height = target.height;
+          wm.addOverlay(std::make_unique<core::DecorationView>(
+                            boxes == &screen.truth.upoBoxes ? colors::kRed
+                                                            : colors::kBlue,
+                            4, style),
+                        lp);
+          ++decorations;
+        }
+      }
+    }
+    const Bitmap pixels = wm.composite();
+    mix(static_cast<std::uint64_t>(pixels.width()));
+    mix(static_cast<std::uint64_t>(pixels.height()));
+    for (int y = 0; y < pixels.height(); ++y) {
+      for (int x = 0; x < pixels.width(); ++x) mix(pixels.at(x, y).toArgb());
+    }
+    ++screens;
+  };
+  for (int i = 0; i < 24; ++i) {
+    composite(native.makeBenign(), -1);
+    composite(native.makeHardNegative(), -1);
+    composite(native.makeAui(native.randomSpec()), -1);
+    composite(web.makeAui(web.randomSpec()), -1);
+    composite(native.makeAui(native.randomSpec()), i);
+  }
+  EXPECT_EQ(screens, 120);
+  EXPECT_GT(decorations, 24);
+  EXPECT_EQ(digest, 0x2E7A2EB8E6A8BF47ULL);
 }
 
 }  // namespace
