@@ -90,7 +90,7 @@ struct StageTally {
   double actualUs = 0.0;  ///< Measured wall-clock microseconds.
 
   // Scratch-arena axis: warm-up growths of the detector hot path's reusable
-  // buffers (descriptor matrix, GEMM activations, feature planes). Kept
+  // buffers (descriptor, activation and logit tiles, feature planes). Kept
   // apart from peakFrameBytes so scratch warm-up can never move the Table
   // VII memory row.
   std::int64_t scratchGrowths = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -55,6 +56,27 @@ std::vector<GridPos> enumerateGrid(const OneStageConfig& config, Size size) {
   return grid;
 }
 
+/// Grid centers along one axis: stride / 2, then every stride below extent.
+std::size_t gridSteps(int extent, int stride) {
+  const int first = stride / 2;
+  return first < extent
+             ? static_cast<std::size_t>((extent - first + stride - 1) / stride)
+             : 0;
+}
+
+/// enumerateGrid(config, size).size(), counted without enumerating.
+std::size_t gridSize(const OneStageConfig& config, Size size) {
+  std::size_t n = 0;
+  for (const Anchor& anchor : config.anchors) {
+    n += gridSteps(size.width, anchor.stride()) *
+         gridSteps(size.height, anchor.stride());
+  }
+  return n;
+}
+
+/// Candidates per streamed detect tile: one tile of the head kernel.
+constexpr std::size_t kTileRows = nn::kForwardTileRows;
+
 /// One anchor's slice of the descriptor plan: its grid columns' x-axis
 /// plans, then its grid rows' y-axis plans, from `first` in
 /// DetectScratch::axes.
@@ -65,10 +87,10 @@ struct AnchorAxes {
 };
 
 /// Per-thread arena for the batched detect path: the anchor grid and its
-/// descriptor plan (cached across same-sized frames), the descriptor
-/// matrix, the logit matrix, and the MLP forward scratch. Buffer growths
-/// are counted so the detect stage and the hot-path bench can assert the
-/// steady state allocates nothing.
+/// descriptor plan (cached across same-sized frames), one tile of
+/// descriptors and logits, and the MLP forward scratch. Buffer growths are
+/// counted so the detect stage and the hot-path bench can assert the steady
+/// state allocates nothing.
 struct DetectScratch {
   std::vector<GridPos> grid;
   /// Per-grid-entry geometric descriptor blocks (kCandidateGeometryDim
@@ -85,8 +107,8 @@ struct DetectScratch {
   Size planSize{-1, -1};
   int planScale = 0;
   std::vector<Anchor> planAnchors;
-  std::vector<float> features;
-  std::vector<float> logits;
+  std::vector<float> features;  ///< kTileRows descriptor rows.
+  std::vector<float> logits;    ///< kTileRows x 6 head outputs.
   nn::ForwardScratch forward;
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;
@@ -154,6 +176,44 @@ struct DetectScratch {
     planSize = size;
     planScale = map.scale();
     planAnchors = config.anchors;
+  }
+
+  /// Fills descriptor rows [first, first + rows) of the planned grid into
+  /// `features`, 0 < rows <= kTileRows. Grid order: per anchor, rows top to
+  /// bottom, columns left to right.
+  std::span<const float> fillRows(const FeatureMap& map, std::size_t first,
+                                  std::size_t rows) {
+    assert(0 < rows && rows <= kTileRows && first + rows <= grid.size());
+    constexpr std::size_t dim = kCandidateFeatureDim;
+    constexpr std::size_t geoDim = kCandidateGeometryDim;
+    float* feats = ensure(features, kTileRows * dim);
+    auto entries = [&](std::size_t a) {
+      return static_cast<std::size_t>(anchorAxes[a].columns) *
+             static_cast<std::size_t>(anchorAxes[a].rows);
+    };
+    // Cursor: anchor a, grid row j, grid column i of entry `first`.
+    std::size_t a = 0;
+    std::size_t offset = first;
+    while (offset >= entries(a)) offset -= entries(a++);
+    int i = static_cast<int>(offset % anchorAxes[a].columns);
+    int j = static_cast<int>(offset / anchorAxes[a].columns);
+    for (std::size_t k = 0; k < rows; ++k) {
+      const AnchorAxes& slice = anchorAxes[a];
+      const DescriptorAxis* columns = axes.data() + slice.first;
+      candidateFeaturesFromPlan(
+          map, columns[i], columns[slice.columns + j],
+          {geometry.data() + (first + k) * geoDim, geoDim},
+          {feats + k * dim, dim});
+      // Advance in grid order, past anchors with no entries.
+      if (++i < slice.columns) continue;
+      i = 0;
+      if (++j < slice.rows) continue;
+      j = 0;
+      do {
+        ++a;
+      } while (a < anchorAxes.size() && entries(a) == 0);
+    }
+    return {feats, rows * dim};
   }
 };
 
@@ -326,26 +386,28 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
         negPos.push_back(&pos);
       }
     }
-    // Hard-negative scoring in one batched head call (bit-equal to the old
-    // per-candidate forward loop, so mining picks the same negatives).
+    // Hard-negative scoring through the batched head, one tile at a time
+    // (bit-equal to a per-candidate forward loop, so mining picks the same
+    // negatives).
     std::vector<ScoredNegative> negatives;
-    if (!negPos.empty()) {
-      DetectScratch& s = detectScratch();
-      const std::size_t rows = negPos.size();
-      const std::size_t dim = kCandidateFeatureDim;
-      float* feats = s.ensure(s.features, rows * dim);
+    negatives.reserve(negPos.size());
+    DetectScratch& s = detectScratch();
+    const std::size_t dim = kCandidateFeatureDim;
+    float* feats = s.ensure(s.features, kTileRows * dim);
+    float* logits = s.ensure(s.logits, kTileRows * 6);
+    for (std::size_t first = 0; first < negPos.size(); first += kTileRows) {
+      const std::size_t rows = std::min(kTileRows, negPos.size() - first);
       for (std::size_t i = 0; i < rows; ++i) {
-        candidateFeaturesInto(map, negPos[i]->box(config.anchors),
+        candidateFeaturesInto(map, negPos[first + i]->box(config.anchors),
                               {feats + i * dim, dim});
       }
-      float* logits = s.ensure(s.logits, rows * 6);
       detector.head_->forwardBatch({feats, rows * dim},
                                    static_cast<int>(rows), {logits, rows * 6},
                                    s.forward);
-      negatives.reserve(rows);
       for (std::size_t i = 0; i < rows; ++i) {
         negatives.push_back(ScoredNegative{
-            std::max(logits[i * 6 + 0], logits[i * 6 + 1]), negPos[i]});
+            std::max(logits[i * 6 + 0], logits[i * 6 + 1]),
+            negPos[first + i]});
       }
     }
     std::sort(negatives.begin(), negatives.end(),
@@ -467,26 +529,10 @@ std::vector<Detection> OneStageDetector::postprocess(
 }
 
 std::span<const float> OneStageDetector::fillDescriptors(
-    const FeatureMap& map) const {
+    const FeatureMap& map, std::size_t first, std::size_t rows) const {
   DetectScratch& s = detectScratch();
   s.planFor(config_, map);
-  const std::size_t dim = kCandidateFeatureDim;
-  const std::size_t geoDim = kCandidateGeometryDim;
-  float* feats = s.ensure(s.features, s.grid.size() * dim);
-  // Grid order: per anchor, rows top to bottom, columns left to right.
-  std::size_t r = 0;
-  for (const AnchorAxes& slice : s.anchorAxes) {
-    const DescriptorAxis* columns = s.axes.data() + slice.first;
-    const DescriptorAxis* rows = columns + slice.columns;
-    for (int j = 0; j < slice.rows; ++j) {
-      for (int i = 0; i < slice.columns; ++i, ++r) {
-        candidateFeaturesFromPlan(map, columns[i], rows[j],
-                                  {s.geometry.data() + r * geoDim, geoDim},
-                                  {feats + r * dim, dim});
-      }
-    }
-  }
-  return {feats, s.grid.size() * dim};
+  return s.fillRows(map, first, rows);
 }
 
 std::vector<Detection> OneStageDetector::detect(
@@ -494,18 +540,19 @@ std::vector<Detection> OneStageDetector::detect(
   const FeatureMap map(screenshot, config_.channels, config_.featureScale);
   std::vector<Detection> raw;
   if (config_.batchedHead) {
-    // Batched path: fill the descriptor matrix for the whole anchor grid,
-    // score it in one GEMM, decode in grid order (identical to the scalar
-    // loop's order, so the Detection stream is bit-equal).
-    const std::span<const float> feats = fillDescriptors(map);
+    // Batched path: fill, score and decode the anchor grid one head tile
+    // at a time, in grid order (the scalar loop's order, so the Detection
+    // stream is bit-equal). No per-frame descriptor or logit matrix exists.
     DetectScratch& s = detectScratch();
-    const int rows = static_cast<int>(s.grid.size());
-    float* logits = s.ensure(s.logits, static_cast<std::size_t>(rows) * 6);
-    runHeadBatch(feats, rows, {logits, static_cast<std::size_t>(rows) * 6},
-                 s.forward);
-    for (int r = 0; r < rows; ++r) {
-      decodeCandidate(config_, s.grid[static_cast<std::size_t>(r)],
-                      logits + static_cast<std::size_t>(r) * 6, raw);
+    s.planFor(config_, map);
+    float* logits = s.ensure(s.logits, kTileRows * 6);
+    for (std::size_t first = 0; first < s.grid.size(); first += kTileRows) {
+      const std::size_t rows = std::min(kTileRows, s.grid.size() - first);
+      runHeadBatch(s.fillRows(map, first, rows), static_cast<int>(rows),
+                   {logits, rows * 6}, s.forward);
+      for (std::size_t r = 0; r < rows; ++r) {
+        decodeCandidate(config_, s.grid[first + r], logits + r * 6, raw);
+      }
     }
   } else {
     for (const GridPos& pos : enumerateGrid(config_, screenshot.size())) {
@@ -521,8 +568,7 @@ std::vector<Detection> OneStageDetector::detect(
 double OneStageDetector::costMacsPerImage() const {
   // Head cost over all grid candidates plus the feature-extraction sweep.
   const Size size{360, 720};
-  const double candidates =
-      static_cast<double>(enumerateGrid(config_, size).size());
+  const double candidates = static_cast<double>(gridSize(config_, size));
   const double headMacs =
       head_ ? static_cast<double>(head_->parameterCount()) : 0.0;
   const double featureMacs =

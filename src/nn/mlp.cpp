@@ -44,63 +44,108 @@ std::size_t Mlp::parameterCount() const {
 
 namespace {
 
-// Batched dense layer: out[n][j] = act(bias[j] + sum_i W[j][i] * in[n][i]).
-// Each tile of input rows is transposed into column-major `tile` (tile[i][n])
-// so the inner loop advances kRowTile INDEPENDENT accumulators per weight
-// element instead of one serial dependency chain per sample — that is where
-// the batched speedup comes from: the chains interleave (ILP) and the loop
-// over n vectorizes. The per-(n, j) accumulation — bias first, then
-// ascending i — is exactly the scalar order; transposing moves data, never
-// reorders a sum, so every output is bit-identical to the unbatched path.
-constexpr int kRowTile = 64;
+// The fp32 head kernel. forwardBatch walks the batch in tiles of
+// kForwardTileRows rows: it transposes a tile once into column-major
+// tile[i][n], runs every layer on it (each layer writes its output tile
+// column-major, which is the next layer's input tile) and writes only the
+// logits back row-major. A partial last tile pads its unused rows with zero
+// lanes whose results are dropped. Within a layer a register block holds U
+// output units x V row vectors, U * V = 8 accumulators, so one load of a
+// tile column feeds U units: 4 units, then 2 and 1 for unit counts that are
+// not a multiple of 4 (4 x 16, 2 x 32 and 1 x 64 rows with 256-bit vectors).
+//
+// Bit-exactness: every SIMD lane carries one (row, unit) chain in the
+// scalar order of denseRow() -- bias first, then + w[j][i] * x[i] for
+// ascending i, one multiply and one add (FMA stays off, see CMakeLists.txt)
+// -- and ReLU is a select that keeps -0.0. Blocking, tiling and the vector
+// width only reorder independent chains, so every output is bit-identical
+// to forward().
+//
+// 256-bit vectors where the target has AVX (the default -march=native
+// build); 128-bit ones elsewhere, e.g. a -DDARPA_NATIVE_SIMD=OFF x86-64
+// build, where GCC would keep 256-bit vectors in memory.
+#ifdef __AVX__
+constexpr int kLanes = 8;
+#else
+constexpr int kLanes = 4;
+#endif
+using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
 
-/// One transposed tile of the batched dense layer. NT is the tile's row
-/// count as a compile-time constant for full tiles (fixed-trip inner loops
-/// vectorize without runtime prologues) and 0 for the runtime-sized
-/// remainder tile. Both instantiations evaluate the identical expressions.
-template <int NT>
-void denseForwardTile(const DenseLayer& layer, const float* in, int n0,
-                      int ntRuntime, float* out, bool relu, float* tile) {
-  const int nt = NT > 0 ? NT : ntRuntime;
-  for (int n = 0; n < nt; ++n) {
-    const float* x = in + static_cast<std::size_t>(n0 + n) * layer.inSize;
-    for (int i = 0; i < layer.inSize; ++i) {
-      tile[static_cast<std::size_t>(i) * nt + n] = x[i];
-    }
+/// Units [j0, j0 + U) over every row of a tile, V vectors of rows at a time.
+/// The unroll pragmas matter: GCC at -O2 leaves these constant-trip loops
+/// rolled, and then the accumulators live on the stack.
+template <int U, int V>
+void denseBlock(const DenseLayer& layer, int j0, const float* in, float* out,
+                bool relu) {
+  const std::size_t inSize = static_cast<std::size_t>(layer.inSize);
+  const float* w =
+      layer.weights.data() + static_cast<std::size_t>(j0) * inSize;
+  Vec bias[U];
+#pragma GCC unroll 8
+  for (int u = 0; u < U; ++u) {
+    float lanes[kLanes];
+    std::fill_n(lanes, kLanes, layer.bias[static_cast<std::size_t>(j0 + u)]);
+    std::memcpy(&bias[u], lanes, sizeof(Vec));
   }
-  float acc[kRowTile];
-  for (int j = 0; j < layer.outSize; ++j) {
-    const float* row =
-        layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
-    const float bias = layer.bias[static_cast<std::size_t>(j)];
-    for (int n = 0; n < nt; ++n) acc[n] = bias;
-    for (int i = 0; i < layer.inSize; ++i) {
-      const float w = row[i];
-      const float* col = tile + static_cast<std::size_t>(i) * nt;
-      for (int n = 0; n < nt; ++n) acc[n] += w * col[n];
+  for (int n0 = 0; n0 < kForwardTileRows; n0 += V * kLanes) {
+    Vec acc[U][V];
+#pragma GCC unroll 8
+    for (int u = 0; u < U; ++u) {
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) acc[u][v] = bias[u];
     }
-    for (int n = 0; n < nt; ++n) {
-      const float sum = acc[n];
-      out[static_cast<std::size_t>(n0 + n) * layer.outSize + j] =
-          relu && sum < 0.0f ? 0.0f : sum;
+    for (std::size_t i = 0; i < inSize; ++i) {
+      const float* col = in + i * kForwardTileRows + n0;
+      Vec x[V];
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        std::memcpy(&x[v], col + v * kLanes, sizeof(Vec));
+      }
+#pragma GCC unroll 8
+      for (int u = 0; u < U; ++u) {
+        const float wi = w[static_cast<std::size_t>(u) * inSize + i];
+#pragma GCC unroll 8
+        for (int v = 0; v < V; ++v) acc[u][v] += wi * x[v];
+      }
+    }
+#pragma GCC unroll 8
+    for (int u = 0; u < U; ++u) {
+      float* unit =
+          out + static_cast<std::size_t>(j0 + u) * kForwardTileRows + n0;
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        Vec y = acc[u][v];
+        if (relu) y = y < 0.0f ? Vec{} : y;
+        std::memcpy(unit + v * kLanes, &y, sizeof(Vec));
+      }
     }
   }
 }
 
-void denseForwardBatch(const DenseLayer& layer, const float* in, int batch,
-                       float* out, bool relu, float* tile) {
-  for (int n0 = 0; n0 < batch; n0 += kRowTile) {
-    const int nt = std::min(batch, n0 + kRowTile) - n0;
-    if (nt == kRowTile) {
-      denseForwardTile<kRowTile>(layer, in, n0, nt, out, relu, tile);
-    } else if (nt == 1) {
-      // Single-row calls (forward / forwardCachedInto in the training inner
-      // loop) collapse to a plain dot product; the runtime-stride remainder
-      // path would pay an address multiply and a loop branch per element.
-      denseForwardTile<1>(layer, in, n0, nt, out, relu, tile);
-    } else {
-      denseForwardTile<0>(layer, in, n0, nt, out, relu, tile);
-    }
+/// One dense layer over column-major tiles: `in` holds inSize columns of
+/// kForwardTileRows floats, `out` outSize columns.
+void denseTile(const DenseLayer& layer, const float* in, float* out,
+               bool relu) {
+  int j = 0;
+  for (; j + 4 <= layer.outSize; j += 4) {
+    denseBlock<4, 2>(layer, j, in, out, relu);
+  }
+  if (j + 2 <= layer.outSize) {
+    denseBlock<2, 4>(layer, j, in, out, relu);
+    j += 2;
+  }
+  if (j < layer.outSize) denseBlock<1, 8>(layer, j, in, out, relu);
+}
+
+/// One row through a dense layer, the plain dot product in the order each
+/// lane of denseBlock keeps.
+void denseRow(const DenseLayer& layer, const float* x, float* out, bool relu) {
+  for (int j = 0; j < layer.outSize; ++j) {
+    const float* w =
+        layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
+    float sum = layer.bias[static_cast<std::size_t>(j)];
+    for (int i = 0; i < layer.inSize; ++i) sum += w[i] * x[i];
+    out[j] = relu && sum < 0.0f ? 0.0f : sum;
   }
 }
 
@@ -124,18 +169,6 @@ float* ForwardScratch::ensureFloats(bool second, std::size_t n) {
   return v.data();
 }
 
-float* ForwardScratch::ensureTile(std::size_t n) {
-  const std::size_t before = t_.capacity();
-  if (n > before) {
-    t_.reserve(n);
-    ++growths_;
-    grownBytes_ +=
-        static_cast<std::int64_t>((t_.capacity() - before) * sizeof(float));
-  }
-  if (t_.size() < n) t_.resize(n);
-  return t_.data();
-}
-
 std::int8_t* ForwardScratch::ensureInt8(std::size_t n) {
   const std::size_t before = q_.capacity();
   if (n > before) {
@@ -155,18 +188,49 @@ void Mlp::forwardBatch(std::span<const float> inputs, int batch,
   assert(outputs.size() ==
          static_cast<std::size_t>(batch) * static_cast<std::size_t>(outputSize()));
   if (batch <= 0) return;
-  const float* cur = inputs.data();
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool hidden = l + 1 < layers_.size();
-    float* dst =
-        hidden ? scratch.ensureFloats(l % 2 != 0,
-                                      static_cast<std::size_t>(batch) *
-                                          layers_[l].outSize)
-               : outputs.data();
-    float* tile = scratch.ensureTile(static_cast<std::size_t>(kRowTile) *
-                                     layers_[l].inSize);
-    denseForwardBatch(layers_[l], cur, batch, dst, hidden, tile);
-    cur = dst;
+  const std::size_t widest = static_cast<std::size_t>(
+      *std::max_element(layerSizes_.begin(), layerSizes_.end()));
+  if (batch == 1) {
+    const float* cur = inputs.data();
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const bool hidden = l + 1 < layers_.size();
+      float* dst =
+          hidden ? scratch.ensureFloats(l % 2 != 0, widest) : outputs.data();
+      denseRow(layers_[l], cur, dst, hidden);
+      cur = dst;
+    }
+    return;
+  }
+  float* a = scratch.ensureFloats(false, widest * kForwardTileRows);
+  float* b = scratch.ensureFloats(true, widest * kForwardTileRows);
+  const int in = inputSize();
+  const int out = outputSize();
+  for (int n0 = 0; n0 < batch; n0 += kForwardTileRows) {
+    const int nt = std::min(kForwardTileRows, batch - n0);
+    for (int n = 0; n < nt; ++n) {
+      const float* x = inputs.data() + static_cast<std::size_t>(n0 + n) * in;
+      for (int i = 0; i < in; ++i) {
+        a[static_cast<std::size_t>(i) * kForwardTileRows + n] = x[i];
+      }
+    }
+    if (nt < kForwardTileRows) {
+      for (int i = 0; i < in; ++i) {
+        float* col = a + static_cast<std::size_t>(i) * kForwardTileRows;
+        std::fill(col + nt, col + kForwardTileRows, 0.0f);
+      }
+    }
+    float* cur = a;
+    float* next = b;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      denseTile(layers_[l], cur, next, l + 1 < layers_.size());
+      std::swap(cur, next);
+    }
+    for (int n = 0; n < nt; ++n) {
+      float* y = outputs.data() + static_cast<std::size_t>(n0 + n) * out;
+      for (int j = 0; j < out; ++j) {
+        y[j] = cur[static_cast<std::size_t>(j) * kForwardTileRows + n];
+      }
+    }
   }
 }
 
@@ -190,15 +254,11 @@ void Mlp::forwardCachedInto(std::span<const float> x, Cache& cache) const {
     cache.activations.resize(layers_.size() + 1);
   }
   cache.activations[0].assign(x.begin(), x.end());
-  ForwardScratch& scratch = threadScratch();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool hidden = l + 1 < layers_.size();
     std::vector<float>& out = cache.activations[l + 1];
     out.resize(static_cast<std::size_t>(layers_[l].outSize));
-    float* tile =
-        scratch.ensureTile(static_cast<std::size_t>(layers_[l].inSize));
-    denseForwardBatch(layers_[l], cache.activations[l].data(), 1, out.data(),
-                      hidden, tile);
+    denseRow(layers_[l], cache.activations[l].data(), out.data(),
+             l + 1 < layers_.size());
   }
 }
 

@@ -43,12 +43,18 @@ struct AdamConfig {
   float epsilon = 1e-8f;
 };
 
-/// Caller-owned scratch arena for the forward paths. Holds the intermediate
-/// activation matrices (and the int8 staging buffer for QuantizedMlp) so
-/// that repeated forward/forwardBatch calls reuse capacity instead of
-/// heap-allocating: after the first call at a given batch size every later
-/// call is allocation-free. Not thread-safe — keep one per thread (the
-/// detectors keep a thread_local one).
+/// Rows per tile of Mlp::forwardBatch. A caller that streams a large batch
+/// (the one-stage detect) hands it tiles of this many rows.
+inline constexpr int kForwardTileRows = 64;
+
+/// Caller-owned scratch arena for the forward paths, so repeated
+/// forward/forwardBatch calls reuse capacity instead of heap-allocating.
+/// The fp32 Mlp uses two tiles of kForwardTileRows x its widest layer,
+/// whatever the batch; the int8 QuantizedMlp sizes its activation matrices
+/// and int8 staging buffer to the batch (one tile on the detect path).
+/// After the first call at a given size every later call is
+/// allocation-free. Not thread-safe — keep one per thread (the detectors
+/// keep a thread_local one).
 class ForwardScratch {
  public:
   /// Number of buffer growths (i.e. heap allocations) since the last
@@ -67,11 +73,9 @@ class ForwardScratch {
   friend class QuantizedMlp;
 
   float* ensureFloats(bool second, std::size_t n);
-  float* ensureTile(std::size_t n);
   std::int8_t* ensureInt8(std::size_t n);
 
-  std::vector<float> a_, b_;     ///< Ping-pong activation matrices.
-  std::vector<float> t_;         ///< Transposed row tile (column-major).
+  std::vector<float> a_, b_;     ///< Ping-pong activation tiles/matrices.
   std::vector<std::int8_t> q_;   ///< Quantized-activation staging.
   std::int64_t growths_ = 0;
   std::int64_t grownBytes_ = 0;
@@ -100,10 +104,12 @@ class Mlp {
 
   /// Scores `batch` inputs at once. `inputs` is row-major (batch x
   /// inputSize()); `outputs` receives row-major (batch x outputSize()).
-  /// Each dense layer runs as a cache-blocked GEMM, but the per-(row, unit)
-  /// accumulation order — bias first, then ascending input index — is
-  /// exactly the scalar forward() order, so every output is bit-identical
-  /// to calling forward() per row. Allocation-free once `scratch` is warm.
+  /// Runs every layer through one 64-row tile at a time with a
+  /// register-blocked SIMD kernel; each lane keeps one (row, unit) chain in
+  /// the scalar forward() order — bias first, then ascending input index —
+  /// so every output is bit-identical to calling forward() per row. A batch
+  /// of 1 runs the plain dot product. Allocation-free once `scratch` has
+  /// seen one tile.
   void forwardBatch(std::span<const float> inputs, int batch,
                     std::span<float> outputs, ForwardScratch& scratch) const;
 

@@ -272,6 +272,24 @@ TEST(OneStageTest, AnchorStrideScalesWithSize) {
   EXPECT_EQ((Anchor{130, 130}).stride(), 32);  // clamped high
 }
 
+TEST(OneStageTest, CostMacsPerImageOfThePaperHead) {
+  // The ledger prices every served detect with this value: the paper head
+  // {24, 48, 24, 6} (2,526 parameters) over the 6,484-entry anchor grid of
+  // a 360x720 frame, plus three channel sweeps.
+  const std::string path = testing::TempDir() + "/cost_macs_head.bin";
+  {
+    Rng rng(5);
+    const nn::Mlp head({kCandidateFeatureDim, 48, 24, 6}, rng);
+    std::ofstream out(path, std::ios::binary);
+    head.save(out);
+  }
+  const auto detector = OneStageDetector::loadModel(path, OneStageConfig{});
+  ASSERT_TRUE(detector.has_value());
+  ASSERT_EQ(kCandidateFeatureDim, 24);
+  EXPECT_EQ(detector->candidateBoxes({360, 720}).size(), 6484u);
+  EXPECT_EQ(detector->costMacsPerImage(), 17156184.0);
+}
+
 TEST(OneStageTest, TinyTrainedModelDetectsObviousAui) {
   // A deliberately tiny dataset/short schedule: this is a smoke test that
   // the full train->detect->refine pipeline is wired correctly end to end.
@@ -576,12 +594,13 @@ TEST(FusedFeatureParityTest, PlannedGeometryDescriptorMatchesDirect) {
 }
 
 TEST(DescriptorPlanTest, ServedFillEqualsDirectDescriptorOnEveryGridEntry) {
-  // The batched detect fills descriptors from a per-thread plan cached per
-  // (frame size, feature scale, anchors). Every row it writes must equal
-  // the direct per-candidate descriptor bit for bit, on an even and an odd
-  // frame size. The two detectors differ only in featureScale and run
-  // alternately on this thread, so a plan keyed on too little serves one
-  // detector the other's cells and fails here.
+  // The batched detect fills descriptors one head tile at a time from a
+  // per-thread plan cached per (frame size, feature scale, anchors). Every
+  // row of every tile must equal the direct per-candidate descriptor bit
+  // for bit, on an even and an odd frame size. The two detectors differ
+  // only in featureScale and run alternately on this thread, so a plan
+  // keyed on too little serves one detector the other's cells and fails
+  // here.
   const std::string path = testing::TempDir() + "/descriptor_plan_head.bin";
   {
     Rng rng(17);
@@ -604,18 +623,25 @@ TEST(DescriptorPlanTest, ServedFillEqualsDirectDescriptorOnEveryGridEntry) {
       for (const OneStageDetector* detector : {&*detector2, &*detector3}) {
         const FeatureMap map(frame, detector->config().channels,
                              detector->config().featureScale);
-        const std::span<const float> served = detector->fillDescriptors(map);
-        if (!compare) continue;
         const std::vector<Rect> boxes = detector->candidateBoxes(frame.size());
-        ASSERT_EQ(served.size(), boxes.size() * kCandidateFeatureDim);
-        for (std::size_t r = 0; r < boxes.size(); ++r) {
-          const std::vector<float> direct = candidateFeatures(map, boxes[r]);
-          ASSERT_EQ(std::memcmp(direct.data(),
-                                served.data() + r * kCandidateFeatureDim,
-                                direct.size() * sizeof(float)),
-                    0)
-              << frame.width() << "x" << frame.height() << " featureScale "
-              << detector->config().featureScale << " grid entry " << r;
+        const std::size_t tile = nn::kForwardTileRows;
+        for (std::size_t first = 0; first < boxes.size(); first += tile) {
+          const std::size_t rows = std::min(tile, boxes.size() - first);
+          const std::span<const float> served =
+              detector->fillDescriptors(map, first, rows);
+          if (!compare) continue;
+          ASSERT_EQ(served.size(), rows * kCandidateFeatureDim);
+          for (std::size_t k = 0; k < rows; ++k) {
+            const std::vector<float> direct =
+                candidateFeatures(map, boxes[first + k]);
+            ASSERT_EQ(std::memcmp(direct.data(),
+                                  served.data() + k * kCandidateFeatureDim,
+                                  direct.size() * sizeof(float)),
+                      0)
+                << frame.width() << "x" << frame.height() << " featureScale "
+                << detector->config().featureScale << " grid entry "
+                << first + k;
+          }
         }
       }
     }
@@ -629,6 +655,44 @@ TEST(DescriptorPlanTest, ServedFillEqualsDirectDescriptorOnEveryGridEntry) {
   const DetectScratchStats after = hotpathScratchStats();
   EXPECT_EQ(after.growths, before.growths);
   EXPECT_EQ(after.grownBytes, before.grownBytes);
+}
+
+TEST(DescriptorPlanTest, AnyRowRangeMatchesDirectDescriptorOnTinyFrames) {
+  // Frames narrower than some anchors' first grid column leave those
+  // anchors with no grid entries, at the start of the grid and between
+  // non-empty anchors; a fill may start at any grid entry.
+  const std::string path = testing::TempDir() + "/descriptor_plan_tiny.bin";
+  {
+    Rng rng(19);
+    const nn::Mlp head({kCandidateFeatureDim, 8, 6}, rng);
+    std::ofstream out(path, std::ios::binary);
+    head.save(out);
+  }
+  OneStageConfig config;
+  config.anchors = {{20, 20}, {210, 48}, {56, 18}};  // strides 10, 24, 9
+  const auto detector = OneStageDetector::loadModel(path, config);
+  ASSERT_TRUE(detector.has_value());
+  for (const gfx::Bitmap& frame :
+       {randomBitmap(12, 40, 81), randomBitmap(5, 40, 82)}) {
+    const FeatureMap map(frame, config.channels, config.featureScale);
+    const std::vector<Rect> boxes = detector->candidateBoxes(frame.size());
+    ASSERT_FALSE(boxes.empty());
+    for (std::size_t first = 0; first < boxes.size(); ++first) {
+      const std::size_t rows = std::min<std::size_t>(5, boxes.size() - first);
+      const std::span<const float> served =
+          detector->fillDescriptors(map, first, rows);
+      for (std::size_t k = 0; k < rows; ++k) {
+        const std::vector<float> direct =
+            candidateFeatures(map, boxes[first + k]);
+        ASSERT_EQ(std::memcmp(direct.data(),
+                              served.data() + k * kCandidateFeatureDim,
+                              direct.size() * sizeof(float)),
+                  0)
+            << frame.width() << "x" << frame.height() << " rows from "
+            << first << " entry " << first + k;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ batched detect parity

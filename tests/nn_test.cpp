@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
 
 #include "nn/kernels/int8_kernels.h"
 #include "nn/losses.h"
@@ -228,6 +231,149 @@ TEST(MlpBatchTest, ForwardBatchBitEqualsLoopedForward) {
       }
     }
   }
+}
+
+// --- tile kernel vs a textbook dense layer ----------------------------------
+// The reference every fp32 path must equal byte for byte: out[j] starts at
+// bias[j] and adds w[j][i] * x[i] for ascending i, one multiply and one add
+// per term; hidden layers apply ReLU as a select, so a -0.0 sum stays -0.0.
+// memcmp, not EXPECT_EQ: +0.0 == -0.0 compares equal as floats.
+
+std::vector<float> textbookForward(const Mlp& mlp, const float* x) {
+  std::vector<float> cur(x, x + mlp.inputSize());
+  const std::span<const DenseLayer> layers = mlp.layers();
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    const DenseLayer& layer = layers[l];
+    const bool hidden = l + 1 < layers.size();
+    std::vector<float> next(static_cast<std::size_t>(layer.outSize));
+    for (int j = 0; j < layer.outSize; ++j) {
+      float sum = layer.bias[static_cast<std::size_t>(j)];
+      for (int i = 0; i < layer.inSize; ++i) {
+        const float product =
+            layer.weights[static_cast<std::size_t>(j) * layer.inSize + i] *
+            cur[static_cast<std::size_t>(i)];
+        sum = sum + product;
+      }
+      next[static_cast<std::size_t>(j)] = hidden && sum < 0.0f ? 0.0f : sum;
+    }
+    cur.swap(next);
+  }
+  return cur;
+}
+
+/// `mlp` with every bias set to -0.0, through the save format (magic, layer
+/// count, sizes, then each layer's weights and biases). With a -0.0 bias, a
+/// unit whose products are all -0.0 sums to -0.0, which ReLU must keep.
+Mlp withNegativeZeroBiases(const Mlp& mlp) {
+  std::ostringstream out;
+  mlp.save(out);
+  std::string blob = out.str();
+  std::size_t offset = 2 * sizeof(std::uint32_t) +
+                       (mlp.layers().size() + 1) * sizeof(std::int32_t);
+  const float negativeZero = -0.0f;
+  for (const DenseLayer& layer : mlp.layers()) {
+    offset += layer.weights.size() * sizeof(float);
+    for (std::size_t j = 0; j < layer.bias.size(); ++j) {
+      std::memcpy(blob.data() + offset, &negativeZero, sizeof(float));
+      offset += sizeof(float);
+    }
+  }
+  std::istringstream in(blob);
+  std::optional<Mlp> patched = Mlp::load(in);
+  EXPECT_TRUE(patched.has_value());
+  return std::move(*patched);
+}
+
+TEST(MlpBatchTest, TileKernelBitEqualsTextbookDenseLayer) {
+  // Unit counts and batch sizes leave every remainder on 4-unit and
+  // 16/32/64-row blocks; {24, 48, 24, 6} is the paper head; {1, 9, 6} with
+  // -0.0 biases makes about half its hidden sums -0.0.
+  const std::vector<std::vector<int>> shapes = {
+      {13, 24, 17, 6}, {7, 3, 5, 1}, {24, 48, 24, 6}, {1, 9, 6}};
+  constexpr int kRows = 6484;  // the paper anchor grid at 360x720
+  std::uint64_t seed = 900;
+  for (const std::vector<int>& shape : shapes) {
+    Rng rng(++seed);
+    const Mlp heInit(shape, rng);
+    for (const Mlp& mlp : {heInit, withNegativeZeroBiases(heInit)}) {
+      const int in = mlp.inputSize();
+      const int out = mlp.outputSize();
+      std::vector<float> inputs(static_cast<std::size_t>(kRows) * in);
+      for (std::size_t k = 0; k < inputs.size(); ++k) {
+        const std::size_t row = k / static_cast<std::size_t>(in);
+        if (row % 13 == 0) {
+          inputs[k] = -0.0f;
+        } else if (row % 17 == 0 || k % 7 == 0) {
+          inputs[k] = 0.0f;
+        } else if (k % 11 == 0) {
+          inputs[k] = -0.0f;
+        } else {
+          inputs[k] = static_cast<float>(rng.uniform(-2.0, 2.0));
+        }
+      }
+      std::vector<float> reference;
+      for (int n = 0; n < kRows; ++n) {
+        const std::vector<float> y = textbookForward(
+            mlp, inputs.data() + static_cast<std::size_t>(n) * in);
+        reference.insert(reference.end(), y.begin(), y.end());
+      }
+      const std::string label = "shape[0]=" + std::to_string(shape[0]) +
+                                " layers=" + std::to_string(shape.size()) +
+                                " bias[0]=" +
+                                std::to_string(mlp.layers()[0].bias[0]);
+      for (const int batch : {1, 2, 15, 16, 17, 63, 64, 65, 129, kRows}) {
+        std::vector<float> logits(static_cast<std::size_t>(batch) * out,
+                                  -1.0f);
+        ForwardScratch scratch;
+        mlp.forwardBatch(
+            {inputs.data(), static_cast<std::size_t>(batch) * in}, batch,
+            logits, scratch);
+        EXPECT_EQ(std::memcmp(logits.data(), reference.data(),
+                              logits.size() * sizeof(float)),
+                  0)
+            << label << " batch=" << batch;
+      }
+      Mlp::Cache cache;
+      for (int n = 0; n < kRows; ++n) {
+        const std::span<const float> x(
+            inputs.data() + static_cast<std::size_t>(n) * in,
+            static_cast<std::size_t>(in));
+        const float* expected =
+            reference.data() + static_cast<std::size_t>(n) * out;
+        ASSERT_EQ(std::memcmp(mlp.forward(x).data(), expected,
+                              static_cast<std::size_t>(out) * sizeof(float)),
+                  0)
+            << label << " forward() row=" << n;
+        if (n % 97 != 0) continue;
+        mlp.forwardCachedInto(x, cache);
+        ASSERT_EQ(std::memcmp(cache.output().data(), expected,
+                              static_cast<std::size_t>(out) * sizeof(float)),
+                  0)
+            << label << " forwardCachedInto() row=" << n;
+      }
+    }
+  }
+}
+
+TEST(MlpBatchTest, ScratchDoesNotScaleWithBatch) {
+  // The fp32 head works through one 64-row tile at a time, so a scratch
+  // warmed at one tile scores the whole anchor grid without growing.
+  Rng rng(71);
+  const Mlp mlp({24, 48, 24, 6}, rng);
+  constexpr int kRows = 6484;
+  const std::vector<std::vector<float>> rows = randomInputs(kRows, 24, 73);
+  std::vector<float> packed;
+  for (const std::vector<float>& x : rows) {
+    packed.insert(packed.end(), x.begin(), x.end());
+  }
+  std::vector<float> logits(static_cast<std::size_t>(kRows) * 6);
+  ForwardScratch scratch;
+  mlp.forwardBatch({packed.data(), 64 * 24}, 64, {logits.data(), 64 * 6},
+                   scratch);
+  scratch.resetStats();
+  mlp.forwardBatch(packed, kRows, logits, scratch);
+  EXPECT_EQ(scratch.growths(), 0);
+  EXPECT_EQ(scratch.grownBytes(), 0);
 }
 
 TEST(MlpBatchTest, QuantizedForwardBatchBitEqualsLoopedForward) {
