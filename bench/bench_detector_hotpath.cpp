@@ -19,16 +19,19 @@
 //
 // It also times the capture and the first detect layer on their own:
 // WindowManager::composite over generated screens and the FeatureMap build
-// over the bench frames. Results land in BENCH_detector.json (throughput,
-// ns/candidate, allocs/frame, layer ms) for trend tracking. Its absolute
-// times are each side's fastest round; its speedups are the gated median
-// ratios.
+// over the bench frames, and the capture's opaque pixel fill
+// (Canvas::fillRect against std::fill over a 360x720 frame, as an in-run
+// ratio that scripts/ci.sh's perf floor gate reads). Results land in
+// BENCH_detector.json (throughput, ns/candidate, allocs/frame, layer ms)
+// for trend tracking. Its absolute times are each side's fastest round;
+// its speedups are the median per-round ratios.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +39,8 @@
 #include "apps/screen_generator.h"
 #include "bench_common.h"
 #include "cv/features.h"
+#include "gfx/bitmap.h"
+#include "gfx/canvas.h"
 #include "nn/kernels/int8_kernels.h"
 #include "nn/mlp.h"
 #include "nn/quantize.h"
@@ -379,6 +384,47 @@ int main(int argc, char** argv) {
       kAbRounds, compositeMsPerScreen, screens.size(), layerReps,
       featureMapMsPerImage, frames.size(), layerReps);
 
+  // --- pixel fill: std::fill against the canvas's opaque runs ------------
+  // Every opaque run the compositor paints is stored by gfx::fillPixels,
+  // eight pixels per vector store. GCC 12 stores a plain std::fill over the
+  // 4-byte Color one pixel at a time. Both sides fill a 360x720 frame row
+  // by row: std::fill here, Canvas::fillRect through the library. The
+  // ratio falls to ~1 or below if the runs lose their vector stores.
+  gfx::Bitmap fillFrame(360, 720);
+  gfx::Canvas fillCanvas(fillFrame);
+  const int fillReps = scaled(400, 100);
+  auto fillSide = [&](bool canvas) {
+    return [&, canvas] {
+      for (int rep = 0; rep < fillReps; ++rep) {
+        const Color c = Color::rgb(static_cast<std::uint8_t>(rep), 7, 9);
+        if (canvas) {
+          fillCanvas.fillRect(fillFrame.bounds(), c);
+        } else {
+          for (int y = 0; y < fillFrame.height(); ++y) {
+            const std::span<Color> row = fillFrame.row(y);
+            std::fill(row.begin(), row.end(), c);
+          }
+        }
+        sink = sink + fillFrame.at(rep % fillFrame.width(), rep % 2).r;
+      }
+    };
+  };
+  const std::vector<std::vector<double>> fillMs =
+      interleavedMs({fillSide(false), fillSide(true)});
+  const double stdFillUsPerFrame = 1e3 * fastest(fillMs[0]) / fillReps;
+  const double canvasFillUsPerFrame = 1e3 * fastest(fillMs[1]) / fillReps;
+  const std::vector<double> fillRatios = ratios(fillMs[0], fillMs[1]);
+  const double fillSpeedup = median(fillRatios);
+  std::printf(
+      "\n  opaque pixel fill, 360x720 frame x %d reps (fastest of %zu "
+      "interleaved rounds):\n"
+      "    std::fill by row    %7.1f us/frame\n"
+      "    Canvas::fillRect    %7.1f us/frame\n"
+      "    speedup %.2fx median\n",
+      fillReps, kAbRounds, stdFillUsPerFrame, canvasFillUsPerFrame,
+      fillSpeedup);
+  printRatios(fillRatios);
+
   // --- contract 2: bit-equality on every frame ----------------------------
   std::vector<std::vector<cv::Detection>> batchedDets;
   for (const gfx::Bitmap& frame : frames) {
@@ -518,14 +564,17 @@ int main(int argc, char** argv) {
         f,
         "  \"composite_ms_per_screen\": %.3f,\n"
         "  \"feature_map_ms_per_image\": %.3f,\n"
+        "  \"fill_std_us_per_frame\": %.2f,\n"
+        "  \"fill_canvas_us_per_frame\": %.2f,\n"
+        "  \"fill_speedup\": %.3f,\n"
         "  \"detect_scalar_ms_per_image\": %.3f,\n"
         "  \"detect_batched_ms_per_image\": %.3f,\n"
         "  \"detect_speedup\": %.3f,\n"
         "  \"steady_state_allocs_per_frame\": %.4f,\n"
         "  \"steady_state_scratch_growths\": %lld\n"
         "}\n",
-        compositeMsPerScreen, featureMapMsPerImage,
-        scalarDetectMs / detectImages,
+        compositeMsPerScreen, featureMapMsPerImage, stdFillUsPerFrame,
+        canvasFillUsPerFrame, fillSpeedup, scalarDetectMs / detectImages,
         batchedDetectMs / detectImages, detectSpeedup, allocsPerFrame,
         static_cast<long long>(steadyGrowths));
     std::fclose(f);

@@ -1,7 +1,9 @@
 #include "cv/features.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <utility>
 
@@ -28,10 +30,11 @@ constexpr double kIntLumaScale = 255'000.0;
 // across FeatureMap constructions, growth-counted for the zero-steady-state-
 // allocation contract.
 struct FeatureScratch {
-  std::vector<float> lumaF;         ///< Float luma plane (Sobel input).
-  std::vector<std::int32_t> lumaI;  ///< Integer luma plane (contrast input).
-  std::vector<std::int32_t> hsum;   ///< Horizontal 5-tap sums, full plane.
-  std::vector<std::int32_t> vsum;   ///< Vertical sliding sums, one row.
+  std::vector<Color> pixels;           ///< Decimated capture plane.
+  std::vector<float> lumaF;            ///< Float luma plane (Sobel input).
+  std::vector<std::int32_t> hsum;      ///< Horizontal 5-tap sums, full plane.
+  std::vector<std::int32_t> lumaIRow;  ///< Integer luma, one row (hsum input).
+  std::vector<std::int32_t> vsum;      ///< Vertical sliding sums, one row.
   /// One row each of edge, contrast, saturation and saliency values (luma
   /// reads its plane row), and a zero row that disabled channels sum.
   std::vector<float> values;
@@ -57,6 +60,72 @@ struct FeatureScratch {
 FeatureScratch& featureScratch() {
   thread_local FeatureScratch scratch;
   return scratch;
+}
+
+/// One decimated row from two capture rows at exactly 2x: each output
+/// pixel is its 2x2 block's per-channel sum shifted right by 2, the sum and
+/// truncating division of the general box filter. The four channels are
+/// summed as 16-bit lanes of two 32-bit words (even bytes r and b, odd
+/// bytes g and a; a lane peaks at 4 * 255), a loop the compiler vectorizes.
+void decimate2xRow(const Color* r0, const Color* r1, int w, Color* out) {
+  constexpr std::uint32_t kLanes = 0x00ff00ffu;
+  for (int x = 0; x < w; ++x) {
+    std::uint32_t a, b, c, d;
+    std::memcpy(&a, r0 + 2 * x, sizeof a);
+    std::memcpy(&b, r0 + 2 * x + 1, sizeof b);
+    std::memcpy(&c, r1 + 2 * x, sizeof c);
+    std::memcpy(&d, r1 + 2 * x + 1, sizeof d);
+    const std::uint32_t even =
+        (a & kLanes) + (b & kLanes) + (c & kLanes) + (d & kLanes);
+    const std::uint32_t odd = ((a >> 8) & kLanes) + ((b >> 8) & kLanes) +
+                              ((c >> 8) & kLanes) + ((d >> 8) & kLanes);
+    const std::uint32_t mean =
+        ((even >> 2) & kLanes) | (((odd >> 2) & kLanes) << 8);
+    std::memcpy(static_cast<void*>(out + x), &mean, sizeof mean);
+  }
+}
+
+/// Output row `oy` of a box-filter decimation of `src` to `w` x `h`: each
+/// output pixel is the truncated per-channel mean of its source block.
+void decimateRow(const gfx::Bitmap& src, int w, int h, int oy, Color* out) {
+  const int sw = src.width();
+  const int sh = src.height();
+  const int y0 = oy * sh / h;
+  const int y1 = std::min(std::max((oy + 1) * sh / h, y0 + 1), sh);
+  for (int ox = 0; ox < w; ++ox) {
+    const int x0 = ox * sw / w;
+    const int x1 = std::min(std::max((ox + 1) * sw / w, x0 + 1), sw);
+    std::uint64_t r = 0, g = 0, b = 0, a = 0;
+    for (int y = y0; y < y1; ++y) {
+      const Color* row = src.row(y).data();
+      for (int x = x0; x < x1; ++x) {
+        r += row[x].r;
+        g += row[x].g;
+        b += row[x].b;
+        a += row[x].a;
+      }
+    }
+    const std::uint64_t n = static_cast<std::uint64_t>(y1 - y0) * (x1 - x0);
+    out[ox] = {static_cast<std::uint8_t>(r / n), static_cast<std::uint8_t>(g / n),
+               static_cast<std::uint8_t>(b / n), static_cast<std::uint8_t>(a / n)};
+  }
+}
+
+/// Horizontal 5-tap sums of one integer luma row, taps clamped to the row.
+/// Only the first and last two columns can reach past an end.
+void fiveTapRow(const std::int32_t* L, int w, std::int32_t* out) {
+  auto clamped = [&](int x) {
+    std::int32_t sum = 0;
+    for (int d = -2; d <= 2; ++d) sum += L[std::clamp(x + d, 0, w - 1)];
+    return sum;
+  };
+  const int lo = std::min(2, w);
+  const int hi = std::max(w - 2, lo);
+  for (int x = 0; x < lo; ++x) out[x] = clamped(x);
+  for (int x = lo; x < hi; ++x) {
+    out[x] = L[x - 2] + L[x - 1] + L[x] + L[x + 1] + L[x + 2];
+  }
+  for (int x = hi; x < w; ++x) out[x] = clamped(x);
 }
 
 /// One row of Sobel magnitudes over the float luma rows above, at and below
@@ -87,14 +156,11 @@ void resetFeatureScratchStats() { featureScratch().stats = {}; }
 
 FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
                        int scale)
-    : scale_(std::max(scale, 1)),
+    : width_(std::max(screenshot.width() / std::max(scale, 1), 1)),
+      height_(std::max(screenshot.height() / std::max(scale, 1), 1)),
+      scale_(std::max(scale, 1)),
       fullSize_(screenshot.size()),
       channels_(channels) {
-  const gfx::Bitmap small = screenshot.downscale(
-      std::max(screenshot.width() / scale_, 1),
-      std::max(screenshot.height() / scale_, 1));
-  width_ = small.width();
-  height_ = small.height();
   const int w = width_;
   const std::size_t cornerRow =
       static_cast<std::size_t>(w + 1) * kChannelCount;
@@ -124,45 +190,66 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
     std::fill_n(integrals_.data() + y * cornerRow, kChannelCount, 0.0);
   }
 
-  // The luma planes always exist: edge and contrast derive from luma even
-  // when the luma channel itself is disabled.
-  const std::size_t n = static_cast<std::size_t>(w) * height_;
-  float* lumaF = s.ensure(s.lumaF, n);
-  std::int32_t* lumaI = s.ensure(s.lumaI, n);
-  for (int y = 0; y < height_; ++y) {
-    const Color* px = small.row(y).data();
-    float* lf = lumaF + static_cast<std::size_t>(y) * w;
-    std::int32_t* li = lumaI + static_cast<std::size_t>(y) * w;
-    for (int x = 0; x < w; ++x) {
-      lf[x] = static_cast<float>(luma(px[x]) / 255.0);
-      li[x] = intLuma(px[x]);
-    }
-  }
-
   const bool wantEdge = channels_.enabled(Channel::kEdge);
   const bool wantContrast = channels_.enabled(Channel::kContrast);
   const bool wantSat = channels_.enabled(Channel::kSaturation);
   const bool wantSal = channels_.enabled(Channel::kSaliency);
 
-  // Contrast pre-pass: horizontal 5-tap sliding sums of integer luma per
-  // row (clamped columns), then a vertical sliding sum over those rows.
-  // Integer sums are exact, so the incremental updates are bit-identical
-  // to re-summing the clamped 5x5 window from scratch at every pixel.
-  std::int32_t* hsum = nullptr;
+  // Pass 1 reads the capture once. Per output row: decimate it (a box
+  // filter; an empty capture decimates to white), then the row's float
+  // luma (Sobel input), its horizontal 5-tap sums of integer luma (contrast
+  // input; the luma plane always exists, since edge and contrast derive
+  // from it even when the luma channel is off) and its share of the mean
+  // colour. Integer sums are exact, so the 5-tap sums equal a sliding
+  // window and the mean equals the decimated plane's meanColor().
+  const std::size_t n = static_cast<std::size_t>(w) * height_;
+  Color* pixels = s.ensure(s.pixels, n);
+  float* lumaF = s.ensure(s.lumaF, n);
+  std::int32_t* hsum = wantContrast ? s.ensure(s.hsum, n) : nullptr;
+  std::int32_t* lumaIRow =
+      wantContrast ? s.ensure(s.lumaIRow, static_cast<std::size_t>(w)) : nullptr;
+  const bool exact2x = screenshot.width() == 2 * w &&
+                       screenshot.height() == 2 * height_;
+  static_assert(std::endian::native == std::endian::little);
+  std::uint64_t sumR = 0, sumG = 0, sumB = 0;
+  for (int y = 0; y < height_; ++y) {
+    Color* px = pixels + static_cast<std::size_t>(y) * w;
+    if (screenshot.empty()) {
+      gfx::fillPixels({px, static_cast<std::size_t>(w)}, colors::kWhite);
+    } else if (exact2x) {
+      decimate2xRow(screenshot.row(2 * y).data(),
+                    screenshot.row(2 * y + 1).data(), w, px);
+    } else {
+      decimateRow(screenshot, w, height_, y, px);
+    }
+    float* lf = lumaF + static_cast<std::size_t>(y) * w;
+    for (int x = 0; x < w; ++x) lf[x] = static_cast<float>(luma(px[x]) / 255.0);
+    // The row's r and b sums share one 64-bit word, 32 bits each; r, g
+    // and b are the pixel word's low three bytes (little-endian, asserted
+    // above).
+    std::uint64_t rowRB = 0, rowG = 0;
+    for (int x = 0; x < w; ++x) {
+      std::uint32_t p;
+      std::memcpy(&p, px + x, sizeof p);
+      rowRB += (p & 0xffu) | (static_cast<std::uint64_t>(p & 0xff0000u) << 16);
+      rowG += (p >> 8) & 0xffu;
+    }
+    sumR += rowRB & 0xffffffffu;
+    sumG += rowG;
+    sumB += rowRB >> 32;
+    if (wantContrast) {
+      for (int x = 0; x < w; ++x) lumaIRow[x] = intLuma(px[x]);
+      fiveTapRow(lumaIRow, w, hsum + static_cast<std::size_t>(y) * w);
+    }
+  }
+  const Color meanColor = Color::rgb(static_cast<std::uint8_t>(sumR / n),
+                                     static_cast<std::uint8_t>(sumG / n),
+                                     static_cast<std::uint8_t>(sumB / n));
+
+  // The contrast window's vertical sums start at row 0 (rows above it
+  // clamp to it) and slide down one row per output row below.
   std::int32_t* vsum = nullptr;
   if (wantContrast) {
-    hsum = s.ensure(s.hsum, n);
-    for (int y = 0; y < height_; ++y) {
-      const std::int32_t* L = lumaI + static_cast<std::size_t>(y) * w;
-      std::int32_t* H = hsum + static_cast<std::size_t>(y) * w;
-      auto at = [&](int x) { return L[std::clamp(x, 0, w - 1)]; };
-      std::int32_t window = at(-2) + at(-1) + at(0) + at(1) + at(2);
-      H[0] = window;
-      for (int x = 1; x < w; ++x) {
-        window += at(x + 2) - at(x - 3);
-        H[x] = window;
-      }
-    }
     vsum = s.ensure(s.vsum, static_cast<std::size_t>(w));
     for (int x = 0; x < w; ++x) {
       std::int32_t v = 0;
@@ -173,9 +260,6 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       vsum[x] = v;
     }
   }
-
-  // Global mean color for the saliency channel.
-  const Color meanColor = small.meanColor(small.bounds());
 
   // Four value rows (luma's is its plane row) and the zero row.
   float* values = s.ensure(s.values, 5 * static_cast<std::size_t>(w));
@@ -195,18 +279,17 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
               lumaF + static_cast<std::size_t>(std::min(y + 1, height_ - 1)) * w,
               w, edge);
     }
+    const Color* px = pixels + static_cast<std::size_t>(y) * w;
     if (wantContrast) {
       // |luma - mean(5x5)| = |25*luma - windowSum| / (25 * lumaScale),
       // exact integers until the final division (|diff| < 2^31).
-      const std::int32_t* li = lumaI + static_cast<std::size_t>(y) * w;
       for (int x = 0; x < w; ++x) {
-        const std::int32_t diff = 25 * li[x] - vsum[x];
+        const std::int32_t diff = 25 * intLuma(px[x]) - vsum[x];
         contrast[x] = static_cast<float>(
             static_cast<double>(diff < 0 ? -diff : diff) /
             (25.0 * kIntLumaScale));
       }
     }
-    const Color* px = small.row(y).data();
     if (wantSat) {
       for (int x = 0; x < w; ++x) {
         const int mx = std::max(std::max(px[x].r, px[x].g), px[x].b);

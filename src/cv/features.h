@@ -63,7 +63,7 @@ struct ChannelSet {
 };
 
 /// Per-thread statistics for the feature pass's scratch arena. The plane
-/// buffers (luma, sliding-window sums, per-row channel values) live in a
+/// buffers (decimated pixels, luma, 5-tap sums, per-row values) live in a
 /// thread_local arena reused across FeatureMap constructions; `growths`
 /// counts the heap allocations that arena performed and stops increasing
 /// once frames of the working size have been seen. The hot-path bench's
@@ -81,13 +81,15 @@ void resetFeatureScratchStats();
 /// Downscaled multi-channel feature planes with integral images.
 class FeatureMap {
  public:
-  /// Extracts features from a full-resolution screenshot, one row at a
-  /// time in two steps: the row's five channel values into float rows
-  /// (loops the compiler vectorizes; the 5x5 contrast window runs as a
-  /// two-pass separable integer sliding window, O(1) per pixel and exactly
-  /// equal to the naive 25-tap sum), then the five double running sums into
-  /// the integral image. `scale` is the downscale factor (default 4).
-  /// Disabled channels read as all-zero.
+  /// Extracts features from a full-resolution screenshot in two passes
+  /// over output rows. Pass 1 reads the screenshot once: it box-filters
+  /// each row down by `scale` (default 4) and computes the row's luma, its
+  /// horizontal 5-tap contrast sums and its share of the mean colour. Pass
+  /// 2 writes each row's five channel values into float rows (loops the
+  /// compiler vectorizes; the 5x5 contrast window slides down the 5-tap
+  /// sums, exactly equal to the naive 25-tap sum), then the five double
+  /// running sums into the integral image. Disabled channels read as
+  /// all-zero.
   FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels = ChannelSet::all(),
              int scale = 4);
 

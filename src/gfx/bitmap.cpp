@@ -9,10 +9,15 @@
 
 namespace darpa::gfx {
 
+// Value-initialised pixels are Color{}, opaque black (every capture's
+// background); other colours are stored over them by fillPixels, which is
+// far cheaper than vector's own per-pixel copy-fill.
 Bitmap::Bitmap(int width, int height, Color fill)
     : width_(std::max(width, 0)),
       height_(std::max(height, 0)),
-      pixels_(pixelCount(), fill) {}
+      pixels_(pixelCount()) {
+  if (fill != Color{}) fillPixels(pixels_, fill);
+}
 
 // The moved-from bitmap must be a valid empty bitmap: at()/set() on it
 // would otherwise index pixels it no longer owns. (A moved-from vector is
@@ -63,7 +68,7 @@ void Bitmap::blendPixel(int x, int y, Color c) {
   set(x, y, blend(at(x, y), c));
 }
 
-void Bitmap::fill(Color c) { std::fill(pixels_.begin(), pixels_.end(), c); }
+void Bitmap::fill(Color c) { fillPixels(pixels_, c); }
 
 void Bitmap::fillRect(const Rect& r, Color c) {
   const Rect clipped = r.intersect(bounds());
@@ -78,68 +83,6 @@ Bitmap Bitmap::crop(const Rect& r) const {
   for (int y = 0; y < clipped.height; ++y) {
     for (int x = 0; x < clipped.width; ++x) {
       out.set(x, y, at(clipped.x + x, clipped.y + y));
-    }
-  }
-  return out;
-}
-
-Bitmap Bitmap::downscale(int newWidth, int newHeight) const {
-  newWidth = std::max(newWidth, 1);
-  newHeight = std::max(newHeight, 1);
-  Bitmap out(newWidth, newHeight);
-  if (empty()) return out;
-  if (width_ == 2 * newWidth && height_ == 2 * newHeight) {
-    // Exact 2x decimation (the detector's featureScale=2 case): every output
-    // pixel averages a full 2x2 block, so the general path's bounds
-    // arithmetic and per-pixel divides collapse to a shift. The sums and the
-    // truncating division by 4 are the very ones the general path computes.
-    for (int oy = 0; oy < newHeight; ++oy) {
-      const int y0 = 2 * oy;
-      for (int ox = 0; ox < newWidth; ++ox) {
-        const int x0 = 2 * ox;
-        const Color c00 = at(x0, y0), c01 = at(x0 + 1, y0);
-        const Color c10 = at(x0, y0 + 1), c11 = at(x0 + 1, y0 + 1);
-        const std::uint32_t r = static_cast<std::uint32_t>(c00.r) + c01.r +
-                                c10.r + c11.r;
-        const std::uint32_t g = static_cast<std::uint32_t>(c00.g) + c01.g +
-                                c10.g + c11.g;
-        const std::uint32_t b = static_cast<std::uint32_t>(c00.b) + c01.b +
-                                c10.b + c11.b;
-        const std::uint32_t a = static_cast<std::uint32_t>(c00.a) + c01.a +
-                                c10.a + c11.a;
-        out.set(ox, oy,
-                {static_cast<std::uint8_t>(r >> 2),
-                 static_cast<std::uint8_t>(g >> 2),
-                 static_cast<std::uint8_t>(b >> 2),
-                 static_cast<std::uint8_t>(a >> 2)});
-      }
-    }
-    return out;
-  }
-  for (int oy = 0; oy < newHeight; ++oy) {
-    const int y0 = oy * height_ / newHeight;
-    const int y1 = std::max((oy + 1) * height_ / newHeight, y0 + 1);
-    for (int ox = 0; ox < newWidth; ++ox) {
-      const int x0 = ox * width_ / newWidth;
-      const int x1 = std::max((ox + 1) * width_ / newWidth, x0 + 1);
-      std::uint64_t r = 0, g = 0, b = 0, a = 0;
-      for (int y = y0; y < std::min(y1, height_); ++y) {
-        for (int x = x0; x < std::min(x1, width_); ++x) {
-          const Color c = at(x, y);
-          r += c.r;
-          g += c.g;
-          b += c.b;
-          a += c.a;
-        }
-      }
-      const std::uint64_t n =
-          static_cast<std::uint64_t>(std::min(y1, height_) - y0) *
-          (std::min(x1, width_) - x0);
-      out.set(ox, oy,
-              {static_cast<std::uint8_t>(r / n),
-               static_cast<std::uint8_t>(g / n),
-               static_cast<std::uint8_t>(b / n),
-               static_cast<std::uint8_t>(a / n)});
     }
   }
   return out;

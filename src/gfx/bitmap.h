@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,6 +34,28 @@
 #endif
 
 namespace darpa::gfx {
+
+/// Stores `c` into every pixel of `pixels`: eight pixels per 32-byte vector
+/// store, then the tail one pixel at a time. The canvas's opaque runs, the
+/// Bitmap constructor's non-black fill and Bitmap::fill (the scrub) all
+/// store through it. The vector is spelled out because GCC 12 stores a
+/// std::fill over the 4-byte Color one pixel at a time in the canvas's run
+/// loop, at -O2 and -O3 alike; memcpy writes the bytes, so no aliasing rule
+/// is bent.
+inline void fillPixels(std::span<Color> pixels, Color c) {
+  using Pixels8 = std::uint32_t __attribute__((vector_size(32)));
+  static_assert(sizeof(Color) == sizeof(std::uint32_t));
+  std::uint32_t word;
+  std::memcpy(&word, &c, sizeof word);
+  const Pixels8 eight = {word, word, word, word, word, word, word, word};
+  Color* const p = pixels.data();
+  const std::size_t n = pixels.size();
+  const std::size_t vectorEnd = n - n % 8;
+  for (std::size_t i = 0; i < vectorEnd; i += 8) {
+    std::memcpy(static_cast<void*>(p + i), &eight, sizeof eight);
+  }
+  for (std::size_t i = vectorEnd; i < n; ++i) p[i] = c;
+}
 
 class Bitmap {
  public:
@@ -102,14 +125,14 @@ class Bitmap {
   /// Alpha-blends `c` onto the pixel if in bounds, else no-op.
   void blendPixel(int x, int y, Color c);
 
+  /// Overwrites every pixel with `c`. Out of line on purpose: it is the
+  /// §IV-E scrub, and an inlined fill just before operator delete is a dead
+  /// store the optimizer may drop (core/screen_frame.cpp).
   void fill(Color c);
   void fillRect(const Rect& r, Color c);
 
   /// Copy of the sub-region clipped to bounds.
   [[nodiscard]] Bitmap crop(const Rect& r) const;
-
-  /// Box-filter downscale to the given size (both dims >= 1).
-  [[nodiscard]] Bitmap downscale(int newWidth, int newHeight) const;
 
   /// Separable box blur with the given radius (>= 1), clipped to `region`.
   void boxBlur(const Rect& region, int radius);

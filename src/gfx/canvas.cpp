@@ -33,7 +33,7 @@ void Canvas::blendRun(int y, int x0, int x1, Color c) {
   if (x0 > x1 || c.a == 0) return;
   Color* const run = target_->row(y).data();
   if (c.a == 255) {
-    std::fill(run + x0, run + x1 + 1, c);
+    fillPixels({run + x0, run + x1 + 1}, c);
     return;
   }
   // Over an opaque destination pixel (every pixel of a composited screen)
@@ -212,12 +212,20 @@ Rect Canvas::drawPseudoText(Point origin, std::string_view text, Color c,
       x += 3 * cell;
       continue;
     }
+    // Each run of adjacent set dots in a glyph row is one rect, so every
+    // covered pixel is still painted exactly once.
     const std::uint16_t mask = glyphMask(ch);
     for (int row = 0; row < 5; ++row) {
-      for (int col = 0; col < 3; ++col) {
-        if (mask & (1u << (row * 3 + col))) {
-          fillRect({x + col * cell, origin.y + row * cell, cell, cell}, c);
+      for (int col = 0; col < 3;) {
+        if (!(mask & (1u << (row * 3 + col)))) {
+          ++col;
+          continue;
         }
+        const int first = col;
+        while (col < 3 && (mask & (1u << (row * 3 + col)))) ++col;
+        fillRect({x + first * cell, origin.y + row * cell, (col - first) * cell,
+                  cell},
+                 c);
       }
     }
     x += 4 * cell;

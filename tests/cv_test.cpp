@@ -16,6 +16,8 @@
 #include "cv/one_stage.h"
 #include "cv/refine.h"
 #include "cv/two_stage.h"
+#include "dataset/dataset.h"
+#include "downscale_reference.h"
 #include "gfx/canvas.h"
 #include "nn/mlp.h"
 #include "util/rng.h"
@@ -342,8 +344,8 @@ std::int32_t refIntLuma(Color c) { return 299 * c.r + 587 * c.g + 114 * c.b; }
 
 ReferencePlanes naiveReference(const gfx::Bitmap& screenshot,
                                ChannelSet channels, int scale) {
-  const gfx::Bitmap small = screenshot.downscale(
-      std::max(screenshot.width() / scale, 1),
+  const gfx::Bitmap small = gfx::referenceDownscale(
+      screenshot, std::max(screenshot.width() / scale, 1),
       std::max(screenshot.height() / scale, 1));
   ReferencePlanes ref;
   ref.w = small.width();
@@ -479,7 +481,7 @@ TEST(FusedFeatureParityTest, FusedMatchesNaiveReferenceOnRandomBitmaps) {
       {{64, 48}, {33, 17}, {5, 5}, {3, 9}, {9, 3}, {7, 40}}};
   std::uint64_t seed = 1000;
   for (const auto& shape : shapes) {
-    for (const int scale : {1, 2}) {
+    for (const int scale : {1, 2, 3, 4}) {
       const gfx::Bitmap bmp = randomBitmap(shape[0], shape[1], ++seed);
       expectFusedMatchesReference(
           bmp, ChannelSet::all(), scale,
@@ -491,13 +493,44 @@ TEST(FusedFeatureParityTest, FusedMatchesNaiveReferenceOnRandomBitmaps) {
 
 TEST(FusedFeatureParityTest, TinyAndDegenerateSizes) {
   // 1x1 through sizes smaller than the 5x5 window: every pixel is a border
-  // pixel and the clamped window folds onto itself.
-  for (const auto& shape :
-       std::array<std::array<int, 2>, 5>{{{1, 1}, {2, 2}, {1, 7}, {7, 1}, {4, 4}}}) {
+  // pixel and the clamped window folds onto itself. With the shapes above,
+  // every width from 1 to 9 runs at scale 1, so the 5-tap sums' first and
+  // last two clamped columns meet, overlap and part.
+  for (const auto& shape : std::array<std::array<int, 2>, 7>{
+           {{1, 1}, {2, 2}, {1, 7}, {7, 1}, {4, 4}, {6, 6}, {8, 2}}}) {
     const gfx::Bitmap bmp = randomBitmap(shape[0], shape[1], 7700 + shape[0]);
     expectFusedMatchesReference(bmp, ChannelSet::all(), 1,
                                 std::to_string(shape[0]) + "x" +
                                     std::to_string(shape[1]));
+  }
+}
+
+TEST(FusedFeatureParityTest, ServedSizeScreens) {
+  // Generated screens at the served feature scale 2: 360x720 decimates by
+  // exactly 2x, 361x719 through the general box filter.
+  const std::array<gfx::Bitmap, 2> screens = {
+      dataset::materializeBenign(41, {360, 720}, false).image,
+      dataset::materializeBenign(42, {361, 719}, true).image};
+  for (const gfx::Bitmap& screen : screens) {
+    expectFusedMatchesReference(screen, ChannelSet::all(), 2,
+                                std::to_string(screen.width()) + "x" +
+                                    std::to_string(screen.height()));
+  }
+}
+
+TEST(FusedFeatureParityTest, EmptyBitmapMapsToOneWhiteCell) {
+  const gfx::Bitmap empty;
+  for (const int scale : {1, 2, 4}) {
+    expectFusedMatchesReference(empty, ChannelSet::all(), scale,
+                                "empty scale=" + std::to_string(scale));
+    const FeatureMap map(empty, ChannelSet::all(), scale);
+    ASSERT_EQ(map.width(), 1);
+    ASSERT_EQ(map.height(), 1);
+    const Rect cell{0, 0, scale, scale};
+    EXPECT_EQ(map.boxMean(Channel::kLuma, cell),
+              static_cast<float>(luma(colors::kWhite) / 255.0));
+    EXPECT_EQ(map.boxMean(Channel::kSaturation, cell), 0.0f);
+    EXPECT_EQ(map.boxMean(Channel::kSaliency, cell), 0.0f);
   }
 }
 

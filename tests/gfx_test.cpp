@@ -3,15 +3,18 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "android/window_manager.h"
 #include "apps/screen_generator.h"
 #include "core/decoration.h"
+#include "downscale_reference.h"
 #include "gfx/bitmap.h"
 #include "gfx/canvas.h"
 #include "util/rng.h"
@@ -28,6 +31,33 @@ TEST(BitmapTest, ConstructionAndFill) {
   EXPECT_EQ(bmp.at(3, 2), colors::kRed);
   bmp.fill(colors::kBlue);
   EXPECT_EQ(bmp.at(2, 1), colors::kBlue);
+}
+
+TEST(BitmapTest, ConstructAndFillEveryTailWidth) {
+  // Pixel fills store eight pixels at a time and finish the row's tail one
+  // pixel at a time: sweep every tail length, from a bitmap narrower than
+  // one store to five stores wide, against a per-pixel set() reference.
+  auto reference = [](int w, int h, Color c) {
+    Bitmap ref(w, h);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) ref.set(x, y, c);
+    }
+    return ref;
+  };
+  const Color translucent = Color::rgba(10, 200, 30, 77);
+  for (const Color initial : {Color{}, colors::kWhite, translucent}) {
+    const Color refill = initial == colors::kWhite ? translucent : colors::kWhite;
+    for (int h = 1; h <= 3; ++h) {
+      for (int w = 1; w <= 40; ++w) {
+        Bitmap bmp(w, h, initial);
+        ASSERT_EQ(bmp, reference(w, h, initial))
+            << w << "x" << h << " constructed with " << initial;
+        bmp.fill(refill);
+        ASSERT_EQ(bmp, reference(w, h, refill))
+            << w << "x" << h << " filled with " << refill;
+      }
+    }
+  }
 }
 
 TEST(BitmapTest, EmptyBitmap) {
@@ -112,7 +142,7 @@ TEST(BitmapTest, CropClipsOutOfBounds) {
 TEST(BitmapTest, DownscaleAveragesRegions) {
   Bitmap bmp(4, 4, colors::kWhite);
   bmp.fillRect({0, 0, 2, 4}, colors::kBlack);  // left half black
-  const Bitmap small = bmp.downscale(2, 1);
+  const Bitmap small = referenceDownscale(bmp, 2, 1);
   EXPECT_EQ(small.at(0, 0), colors::kBlack);
   EXPECT_EQ(small.at(1, 0), colors::kWhite);
 }
@@ -125,7 +155,7 @@ TEST(BitmapTest, DownscalePreservesMeanLuma) {
                                static_cast<std::uint8_t>((y * 4) & 0xff), 128));
     }
   }
-  const Bitmap small = bmp.downscale(16, 16);
+  const Bitmap small = referenceDownscale(bmp, 16, 16);
   EXPECT_NEAR(small.meanLuma(small.bounds()), bmp.meanLuma(bmp.bounds()), 2.0);
 }
 
@@ -143,7 +173,7 @@ TEST(BitmapTest, DownscaleTwoXFastPathMatchesBlockAverage) {
       bmp.set(x, y, {next(), next(), next(), next()});
     }
   }
-  const Bitmap small = bmp.downscale(13, 7);
+  const Bitmap small = referenceDownscale(bmp, 13, 7);
   for (int oy = 0; oy < 7; ++oy) {
     for (int ox = 0; ox < 13; ++ox) {
       std::uint32_t r = 0, g = 0, b = 0, a = 0;
@@ -556,6 +586,88 @@ TEST(CanvasSpanTest, FillVerticalGradientMatchesPerPixelBlend) {
         refFillVerticalGradient(bmp, r, top, randomColor(shape));
       },
       "fillVerticalGradient");
+}
+
+TEST(CanvasSpanTest, OpaqueRunsAtEveryOffsetAndLength) {
+  // An opaque run is stored eight pixels at a time from wherever it starts:
+  // every start offset 0-15 (two full store widths of alignment) and every
+  // length 0-40 must paint exactly the run and nothing beside it.
+  Rng rng(606);
+  const Bitmap dst = [&] {
+    Bitmap bmp(64, 2);
+    for (int y = 0; y < bmp.height(); ++y) {
+      for (int x = 0; x < bmp.width(); ++x) {
+        bmp.set(x, y, randomColor(rng).withAlpha(255));
+      }
+    }
+    return bmp;
+  }();
+  for (int offset = 0; offset <= 15; ++offset) {
+    for (int length = 0; length <= 40; ++length) {
+      const Color c = randomColor(rng).withAlpha(255);
+      Bitmap span = dst.clone();
+      Bitmap ref = dst.clone();
+      Canvas(span).fillRect({offset, 1, length, 1}, c);
+      refFillRect(ref, {offset, 1, length, 1}, c);
+      ASSERT_EQ(span, ref) << "run at " << offset << " length " << length;
+    }
+  }
+}
+
+/// The 3x5 dot pattern drawPseudoText is specified by, one bit per dot.
+std::uint16_t refGlyphMask(char ch) {
+  std::uint32_t h = static_cast<std::uint32_t>(static_cast<unsigned char>(ch));
+  h ^= h << 13;
+  h *= 0x9e3779b1u;
+  h ^= h >> 15;
+  std::uint16_t mask = static_cast<std::uint16_t>(h & 0x7fff);
+  if (std::popcount(static_cast<unsigned>(mask)) < 5) mask |= 0x2955;
+  return mask;
+}
+
+/// Pseudo-text as one blended cell x cell square per set dot.
+void refDrawPseudoText(Bitmap& bmp, Point origin, std::string_view text,
+                       Color c, int cell) {
+  int x = origin.x;
+  for (const char ch : text) {
+    if (ch == ' ') {
+      x += 3 * cell;
+      continue;
+    }
+    const std::uint16_t mask = refGlyphMask(ch);
+    for (int row = 0; row < 5; ++row) {
+      for (int col = 0; col < 3; ++col) {
+        if (mask & (1u << (row * 3 + col))) {
+          refFillRect(bmp, {x + col * cell, origin.y + row * cell, cell, cell},
+                      c);
+        }
+      }
+    }
+    x += 4 * cell;
+  }
+}
+
+TEST(CanvasSpanTest, PseudoTextMatchesPerDotBlend) {
+  // Every dot is painted exactly once, so translucent text blends each
+  // covered pixel once, whatever runs the glyph rows are painted as.
+  Rng rng(707);
+  constexpr std::string_view kTexts[] = {"12:00", "close", "Skip ad >", "x",
+                                         "Allow all cookies"};
+  expectSameAsReference(
+      rng, 400,
+      [&](Canvas& canvas, Rng& shape) {
+        const Point origin{shape.uniformInt(-30, 36), shape.uniformInt(-12, 28)};
+        const std::string_view text = kTexts[shape.uniformInt(0, 4)];
+        const Color c = randomColor(shape);
+        canvas.drawPseudoText(origin, text, c, shape.uniformInt(1, 3));
+      },
+      [&](Bitmap& bmp, Rng& shape) {
+        const Point origin{shape.uniformInt(-30, 36), shape.uniformInt(-12, 28)};
+        const std::string_view text = kTexts[shape.uniformInt(0, 4)];
+        const Color c = randomColor(shape);
+        refDrawPseudoText(bmp, origin, text, c, shape.uniformInt(1, 3));
+      },
+      "drawPseudoText");
 }
 
 // ------------------------------------------------ composited screen digest
