@@ -591,14 +591,14 @@ void OneStageDetector::enableQuantized(
   }
   quantizedHead_ = nn::QuantizedMlp::fromMlp(*head_, calibration);
   useQuantized_ = true;
-  // Surface the dispatched lane once: when a perf trend moves, the first
+  // Surface the int8 body once: when a perf trend moves, the first
   // question is whether the kernel changed under us.
   logDebug("one-stage quantized head enabled; int8 kernel lane ",
            quantizedKernelLane());
 }
 
 const char* OneStageDetector::quantizedKernelLane() {
-  return nn::kernels::laneName(nn::kernels::activeInt8Lane());
+  return nn::kernels::kCompiledInt8Body;
 }
 
 std::size_t OneStageDetector::modelBytes() const {

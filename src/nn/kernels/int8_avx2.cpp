@@ -1,32 +1,28 @@
-// AVX2 lane: 32 int8 MACs per vpmaddubsw, widened exactly through
-// vpmaddwd into int32 accumulators. Compiled with a per-function
-// target("avx2") attribute so this TU builds — and the default binary
-// ships it — without any global -mavx2/-march flag; the dispatcher only
-// calls in after __builtin_cpu_supports("avx2").
+// AVX2 int8 body: 32 int8 MACs per vpmaddubsw, widened exactly through
+// vpmaddwd into int32 accumulators. Compiled only when the compiler
+// targets AVX2; QuantizedMlp::forwardBatch then calls it.
 //
 // Signed x signed int8 through an unsigned x signed instruction: vpmaddubsw
 // computes u8*s8 pairs. We feed |a| (fits u8: activations are clamped to
 // +-127) against sign(w, a) so each product is exactly a*w, and the i16
 // pair sums max out at 127*127*2 = 32258 < 32767 — no saturation, every
-// intermediate exact, hence bit-equality with the scalar lane for free.
-#include "nn/kernels/int8_lanes.h"
+// intermediate exact, hence bit-equality with the scalar body for free.
+#include "nn/kernels/int8_kernels.h"
 
-#if DARPA_INT8_X86_LANES
+#ifdef __AVX2__
 
 #include <immintrin.h>
 
 #include <cstring>
 
-namespace darpa::nn::kernels::detail {
+namespace darpa::nn::kernels {
 namespace {
-
-#define DARPA_AVX2 __attribute__((target("avx2")))
 
 /// Exact std::round (half away from zero) for 8 floats. roundps only
 /// offers nearest-even, so: t = trunc(q); step where |q - t| >= 0.5 by
 /// +-1 with q's sign. q - trunc(q) is exact (Sterbenz for |q| >= 1,
 /// trivially for |q| < 1), so the comparison is exact too.
-DARPA_AVX2 inline __m256 roundHalfAway(__m256 q) {
+inline __m256 roundHalfAway(__m256 q) {
   const __m256 signMask = _mm256_set1_ps(-0.0f);
   const __m256 t =
       _mm256_round_ps(q, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
@@ -41,8 +37,8 @@ DARPA_AVX2 inline __m256 roundHalfAway(__m256 q) {
 
 /// Horizontal-sums four int32 accumulators into one __m128i lane each:
 /// [sum(acc0), sum(acc1), sum(acc2), sum(acc3)].
-DARPA_AVX2 inline __m128i hsum4x8(__m256i acc0, __m256i acc1, __m256i acc2,
-                                  __m256i acc3) {
+inline __m128i hsum4x8(__m256i acc0, __m256i acc1, __m256i acc2,
+                       __m256i acc3) {
   const __m256i h01 = _mm256_hadd_epi32(acc0, acc1);
   const __m256i h23 = _mm256_hadd_epi32(acc2, acc3);
   const __m256i h = _mm256_hadd_epi32(h01, h23);
@@ -50,7 +46,7 @@ DARPA_AVX2 inline __m128i hsum4x8(__m256i acc0, __m256i acc1, __m256i acc2,
                        _mm256_extracti128_si256(h, 1));
 }
 
-DARPA_AVX2 inline std::int32_t hsum8(__m256i acc) {
+inline std::int32_t hsum8(__m256i acc) {
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
                             _mm256_extracti128_si256(acc, 1));
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
@@ -59,8 +55,8 @@ DARPA_AVX2 inline std::int32_t hsum8(__m256i acc) {
 }
 
 /// One weight row's contribution for 32 activation bytes.
-DARPA_AVX2 inline __m256i dot32(__m256i absA, __m256i a, const std::int8_t* w,
-                                __m256i acc, __m256i ones16) {
+inline __m256i dot32(__m256i absA, __m256i a, const std::int8_t* w,
+                     __m256i acc, __m256i ones16) {
   const __m256i wv =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w));
   const __m256i signedW = _mm256_sign_epi8(wv, a);
@@ -70,9 +66,8 @@ DARPA_AVX2 inline __m256i dot32(__m256i absA, __m256i a, const std::int8_t* w,
 
 }  // namespace
 
-DARPA_AVX2 void quantizeRowsAvx2(const float* in, int rows, int inSize,
-                                 int rowStride, float scale,
-                                 std::int8_t* out) {
+void quantizeRowsAvx2(const float* in, int rows, int inSize, int rowStride,
+                      float scale, std::int8_t* out) {
   const __m256 vScale = _mm256_set1_ps(scale);
   const __m256 vLo = _mm256_set1_ps(-127.0f);
   const __m256 vHi = _mm256_set1_ps(127.0f);
@@ -97,9 +92,9 @@ DARPA_AVX2 void quantizeRowsAvx2(const float* in, int rows, int inSize,
   }
 }
 
-DARPA_AVX2 void gemmAvx2(const std::int8_t* act, const std::int8_t* weights,
-                         const float* bias, float dequantScale, int rows,
-                         int rowStride, int outSize, bool relu, float* out) {
+void gemmAvx2(const std::int8_t* act, const std::int8_t* weights,
+              const float* bias, float dequantScale, int rows, int rowStride,
+              int outSize, bool relu, float* out) {
   const __m256i ones16 = _mm256_set1_epi16(1);
   const __m128 vDequant = _mm_set1_ps(dequantScale);
   const __m128 vZero = _mm_setzero_ps();
@@ -148,8 +143,6 @@ DARPA_AVX2 void gemmAvx2(const std::int8_t* act, const std::int8_t* weights,
   }
 }
 
-#undef DARPA_AVX2
+}  // namespace darpa::nn::kernels
 
-}  // namespace darpa::nn::kernels::detail
-
-#endif  // DARPA_INT8_X86_LANES
+#endif  // __AVX2__

@@ -1,15 +1,19 @@
-// Hand-vectorized int8 GEMM microkernels with runtime per-arch dispatch.
+// Hand-vectorized int8 GEMM for the quantized head, one body per build.
 //
 // The paper ships its YOLOv5 detector through ncnn's int8 conversion
 // because on-device inference lives or dies on the quantized inner loop.
-// This directory is the analogous move for our QuantizedMlp: explicit
-// SIMD dot-product kernels (SSE4.1 pmaddubsw, AVX2 vpmaddubsw/vpmaddwd)
-// next to an always-available scalar reference lane, selected ONCE at
-// runtime from CPUID — not at configure time — so one default (non
-// -march=native) binary runs the best kernel any host offers.
+// This directory is the analogous move for our QuantizedMlp: an AVX2
+// dot-product body (vpmaddubsw/vpmaddwd) next to a portable scalar body.
+// The compile target picks the one QuantizedMlp::forwardBatch runs, the
+// way it picks the fp32 head's vector width (src/nn/mlp.cpp): the AVX2
+// body when the compiler targets AVX2 (the default -march=native on an
+// AVX2 host), the scalar body otherwise. There is no runtime dispatch.
+// The scalar body is compiled into every build: it is the served body
+// without AVX2, and the reference the parity test and the hot-path bench
+// compare the AVX2 body with in the same binary.
 //
 // Bit-equality contract. The int8 path accumulates dot products in exact
-// int32 arithmetic, so every lane computes the same accumulator no matter
+// int32 arithmetic, so both bodies compute the same accumulator no matter
 // how the multiplies are grouped — unlike fp32, reassociation is free.
 // The float stages around the core are kept bit-equal by construction:
 //
@@ -18,13 +22,13 @@
 //    x - trunc(x) is exact in IEEE floats), the same divps as the scalar
 //    division, and the same +-127 clamp;
 //  * dequant epilogue: float(acc) * dequantScale + bias evaluates the
-//    identical mul-then-add sequence (no FMA in any lane), and ReLU is a
-//    sign-exact `sum < 0 ? 0 : sum` blend, not max(sum, 0) — maxps would
-//    flip the sign of a -0.0 sum.
+//    identical mul-then-add sequence (no FMA in either body), and ReLU is
+//    a sign-exact `sum < 0 ? 0 : sum` blend, not max(sum, 0) — maxps
+//    would flip the sign of a -0.0 sum.
 //
-// Every lane therefore produces byte-identical outputs, which is what
-// lets the fleet digests stay stable while different hosts run different
-// kernels. tests/nn_test.cpp MlpBatchTest.* enforces this per lane.
+// Both bodies therefore produce byte-identical outputs, so a build
+// without AVX2 serves the same detections and digests, only slower.
+// tests/nn_test.cpp MlpBatchTest.* enforces this.
 //
 // Layout contract. Activations are quantized into a row-major int8
 // matrix whose rows are padded to kInt8KernelPad bytes with zeros, and
@@ -42,9 +46,8 @@
 namespace darpa::nn::kernels {
 
 /// Row padding (bytes) for quantized activations and packed weights.
-/// 32 = one AVX2 register; also a whole number of SSE registers, and the
-/// scalar lane is indifferent. Padding bytes are zero, contributing
-/// nothing to the exact int32 accumulation.
+/// 32 = one AVX2 register; the scalar body is indifferent. Padding bytes
+/// are zero, contributing nothing to the exact int32 accumulation.
 inline constexpr int kInt8KernelPad = 32;
 
 /// Rounds `n` up to the kernel row padding.
@@ -52,73 +55,46 @@ inline constexpr int kInt8KernelPad = 32;
   return (n + kInt8KernelPad - 1) / kInt8KernelPad * kInt8KernelPad;
 }
 
-/// The shared scalar quantizer — the definition of correctness for every
-/// lane's vectorized equivalent (and the tail path inside SIMD lanes).
+/// The shared scalar quantizer — the definition of correctness for the
+/// AVX2 body's vectorized equivalent (and its tail path).
 [[nodiscard]] inline std::int8_t quantizeOne(float x, float scale) {
   const float q = std::round(x / scale);
   return static_cast<std::int8_t>(std::clamp(q, -127.0f, 127.0f));
 }
 
-enum class Int8Lane : int { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
-inline constexpr int kInt8LaneCount = 3;
+/// The exact dequant+activation epilogue both bodies evaluate: cast,
+/// multiply, add (never fused), then a sign-exact ReLU compare.
+[[nodiscard]] inline float int8Epilogue(std::int32_t acc, float dequantScale,
+                                        float bias, bool relu) {
+  const float sum = static_cast<float>(acc) * dequantScale + bias;
+  return relu && sum < 0.0f ? 0.0f : sum;
+}
 
 /// Quantizes `rows` rows of `inSize` floats (contiguous, stride inSize)
 /// into row-major int8 with row stride `rowStride` (>= inSize, a multiple
 /// of kInt8KernelPad); bytes [inSize, rowStride) of each row are zeroed.
-using Int8QuantizeRowsFn = void (*)(const float* in, int rows, int inSize,
-                                    int rowStride, float scale,
-                                    std::int8_t* out);
+void quantizeRowsScalar(const float* in, int rows, int inSize, int rowStride,
+                        float scale, std::int8_t* out);
 
 /// out[n][j] = relu?(float(sum_i act[n][i] * weights[j][i]) * dequantScale
 ///             + bias[j]) over `rowStride`-wide zero-padded int8 rows.
 /// `out` is row-major rows x outSize (unpadded).
-using Int8GemmFn = void (*)(const std::int8_t* act,
-                            const std::int8_t* weights, const float* bias,
-                            float dequantScale, int rows, int rowStride,
-                            int outSize, bool relu, float* out);
+void gemmScalar(const std::int8_t* act, const std::int8_t* weights,
+                const float* bias, float dequantScale, int rows, int rowStride,
+                int outSize, bool relu, float* out);
 
-struct Int8Kernel {
-  Int8Lane lane = Int8Lane::kScalar;
-  const char* name = "scalar";
-  /// int8 elements touched per vector op (1 / 16 / 32) — roofline metadata.
-  int vectorWidth = 1;
-  /// int8 MACs retired per multiply-accumulate instruction in the inner
-  /// loop (1 scalar, 16 pmaddubsw, 32 vpmaddubsw) — roofline metadata.
-  int macsPerInstruction = 1;
-  Int8QuantizeRowsFn quantizeRows = nullptr;
-  Int8GemmFn gemm = nullptr;
-};
+#ifdef __AVX2__
+/// AVX2 bodies of quantizeRowsScalar and gemmScalar, bit-equal to them.
+void quantizeRowsAvx2(const float* in, int rows, int inSize, int rowStride,
+                      float scale, std::int8_t* out);
+void gemmAvx2(const std::int8_t* act, const std::int8_t* weights,
+              const float* bias, float dequantScale, int rows, int rowStride,
+              int outSize, bool relu, float* out);
 
-/// Lane name for logs/JSON ("scalar", "sse4", "avx2").
-[[nodiscard]] const char* laneName(Int8Lane lane);
-
-/// True when the lane's kernel was compiled into this binary (x86 builds
-/// compile all three via per-function target attributes; other arches
-/// compile only the scalar lane).
-[[nodiscard]] bool laneCompiled(Int8Lane lane);
-
-/// True when the lane is compiled AND the host CPU reports the ISA.
-[[nodiscard]] bool laneSupported(Int8Lane lane);
-
-/// Kernel table entry for an explicitly chosen lane (tests, benches).
-/// Pre: laneSupported(lane).
-[[nodiscard]] const Int8Kernel& kernelForLane(Int8Lane lane);
-
-/// Resolution logic behind activeInt8Kernel(), exposed for tests:
-/// `envOverride` plays the role of getenv("DARPA_KERNEL"). nullptr or ""
-/// picks the best supported lane; a known, supported lane name forces
-/// that lane; anything else — unknown name or a lane this host cannot
-/// run — aborts with a diagnostic (a typo'd DARPA_KERNEL silently
-/// falling back would make every perf number it was set to pin down
-/// unattributable).
-[[nodiscard]] const Int8Kernel& resolveInt8Kernel(const char* envOverride);
-
-/// The process-wide kernel: resolved exactly once (std::once_flag) from
-/// CPUID + the DARPA_KERNEL env override, then immutable. All QuantizedMlp
-/// forwards route through this table.
-[[nodiscard]] const Int8Kernel& activeInt8Kernel();
-
-/// Lane of activeInt8Kernel() — for logs, benches, and BENCH JSON.
-[[nodiscard]] Int8Lane activeInt8Lane();
+/// Name of the body QuantizedMlp::forwardBatch runs in this build.
+inline constexpr char kCompiledInt8Body[] = "avx2";
+#else
+inline constexpr char kCompiledInt8Body[] = "scalar";
+#endif
 
 }  // namespace darpa::nn::kernels

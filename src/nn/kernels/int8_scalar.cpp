@@ -1,13 +1,13 @@
-// Scalar reference lane — the semantic ground truth the SIMD lanes are
-// bit-equal to, and the kernel every host (any arch, DARPA_KERNEL=scalar,
-// sanitizer lanes) can always run. This is the PR 5 cache-blocked kernel
-// reshaped onto the padded row-major layout: the int32 accumulation is
-// exact, so the loop order change is invisible in the results; four
-// independent accumulator chains per activation row keep the ILP the old
-// batch-transposed tile bought, without the transpose.
-#include "nn/kernels/int8_lanes.h"
+// Scalar int8 body — the semantic ground truth the AVX2 body is bit-equal
+// to, and the body a build without AVX2 serves. This is the original
+// cache-blocked kernel reshaped onto the padded row-major layout: the
+// int32 accumulation is exact, so the loop order change is invisible in
+// the results; four independent accumulator chains per activation row
+// keep the ILP the old batch-transposed tile bought, without the
+// transpose.
+#include "nn/kernels/int8_kernels.h"
 
-namespace darpa::nn::kernels::detail {
+namespace darpa::nn::kernels {
 
 void quantizeRowsScalar(const float* in, int rows, int inSize, int rowStride,
                         float scale, std::int8_t* out) {
@@ -57,4 +57,4 @@ void gemmScalar(const std::int8_t* act, const std::int8_t* weights,
   }
 }
 
-}  // namespace darpa::nn::kernels::detail
+}  // namespace darpa::nn::kernels

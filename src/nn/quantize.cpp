@@ -54,56 +54,53 @@ QuantizedMlp QuantizedMlp::fromMlp(
     float weightMax = 0.0f;
     for (float w : layer.weights) weightMax = std::max(weightMax, std::fabs(w));
     const float weightScale = weightMax > 0.0f ? weightMax / 127.0f : 1.0f;
-    q.weights.resize(layer.weights.size());
-    for (std::size_t i = 0; i < layer.weights.size(); ++i) {
-      q.weights[i] = quantizeValue(layer.weights[i], weightScale);
-    }
     q.bias = layer.bias;
     q.inputScale = inputMax[l] > 0.0f ? inputMax[l] / 127.0f : 1.0f;
     // Constant folding: one multiplier per layer instead of two.
     q.dequantScale = weightScale * q.inputScale;
-    // Pre-pack for the SIMD microkernels: pad each weight row to the
-    // kernel stride with zeros once at conversion time, so every lane
-    // runs full-width vector loops over arbitrary inSize.
+    // Pack for the GEMM: pad each weight row to the kernel stride with
+    // zeros once at conversion time, so the kernel runs full-width vector
+    // loops over arbitrary inSize.
     q.paddedInSize = kernels::padInt8RowSize(layer.inSize);
     q.packedWeights.assign(
         static_cast<std::size_t>(layer.outSize) * q.paddedInSize, 0);
     for (int j = 0; j < layer.outSize; ++j) {
-      std::copy_n(
-          q.weights.begin() + static_cast<std::size_t>(j) * layer.inSize,
-          layer.inSize,
-          q.packedWeights.begin() +
-              static_cast<std::size_t>(j) * q.paddedInSize);
+      for (int i = 0; i < layer.inSize; ++i) {
+        q.packedWeights[static_cast<std::size_t>(j) * q.paddedInSize + i] =
+            quantizeValue(
+                layer.weights[static_cast<std::size_t>(j) * layer.inSize + i],
+                weightScale);
+      }
     }
     out.layers_.push_back(std::move(q));
   }
   return out;
 }
 
-// The batched int8 layer walk. PR 5's in-place tile-transposed kernel
-// moved to src/nn/kernels/ as the scalar reference lane; this body is now
-// just layout staging (quantize the whole batch into a padded row-major
-// int8 matrix) around the dispatched microkernel. Exact int32
-// accumulation makes every lane — and the old tile kernel — bit-equal.
-void QuantizedMlp::forwardBatchWithKernel(
-    std::span<const float> inputs, int batch, std::span<float> outputs,
-    ForwardScratch& scratch, const kernels::Int8Kernel& kernel) const {
+// The batched int8 layer walk: quantize the whole batch into a padded
+// row-major int8 matrix, then run one GEMM per layer. Exact int32
+// accumulation makes both bodies — and the old tile kernel — bit-equal.
+template <typename QuantizeRows, typename Gemm>
+void QuantizedMlp::forwardLayers(std::span<const float> inputs, int batch,
+                                 std::span<float> outputs,
+                                 ForwardScratch& scratch,
+                                 QuantizeRows quantizeRows, Gemm gemm) const {
   if (batch <= 0 || layers_.empty()) return;
   const float* cur = inputs.data();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const QuantizedLayer& layer = layers_[l];
     std::int8_t* qact = scratch.ensureInt8(static_cast<std::size_t>(batch) *
                                            layer.paddedInSize);
-    kernel.quantizeRows(cur, batch, layer.inSize, layer.paddedInSize,
-                        layer.inputScale, qact);
+    quantizeRows(cur, batch, layer.inSize, layer.paddedInSize,
+                 layer.inputScale, qact);
     const bool hidden = l + 1 < layers_.size();
     float* dst = hidden ? scratch.ensureFloats(
                               l % 2 != 0, static_cast<std::size_t>(batch) *
                                               layer.outSize)
                         : outputs.data();
-    kernel.gemm(qact, layer.packedWeights.data(), layer.bias.data(),
-                layer.dequantScale, batch, layer.paddedInSize, layer.outSize,
-                hidden, dst);
+    gemm(qact, layer.packedWeights.data(), layer.bias.data(),
+         layer.dequantScale, batch, layer.paddedInSize, layer.outSize, hidden,
+         dst);
     cur = dst;
   }
 }
@@ -111,8 +108,19 @@ void QuantizedMlp::forwardBatchWithKernel(
 void QuantizedMlp::forwardBatch(std::span<const float> inputs, int batch,
                                 std::span<float> outputs,
                                 ForwardScratch& scratch) const {
-  forwardBatchWithKernel(inputs, batch, outputs, scratch,
-                         kernels::activeInt8Kernel());
+#ifdef __AVX2__
+  forwardLayers(inputs, batch, outputs, scratch, kernels::quantizeRowsAvx2,
+                kernels::gemmAvx2);
+#else
+  forwardBatchScalar(inputs, batch, outputs, scratch);
+#endif
+}
+
+void QuantizedMlp::forwardBatchScalar(std::span<const float> inputs,
+                                      int batch, std::span<float> outputs,
+                                      ForwardScratch& scratch) const {
+  forwardLayers(inputs, batch, outputs, scratch, kernels::quantizeRowsScalar,
+                kernels::gemmScalar);
 }
 
 void QuantizedMlp::forwardInto(std::span<const float> x, std::span<float> out,
@@ -130,7 +138,9 @@ std::vector<float> QuantizedMlp::forward(std::span<const float> x) const {
 std::size_t QuantizedMlp::modelBytes() const {
   std::size_t bytes = 0;
   for (const QuantizedLayer& layer : layers_) {
-    bytes += layer.weights.size() * sizeof(std::int8_t);
+    // Unpadded: the row padding is kernel layout, not model data.
+    bytes += static_cast<std::size_t>(layer.outSize) * layer.inSize *
+             sizeof(std::int8_t);
     bytes += layer.bias.size() * sizeof(float);
     bytes += 2 * sizeof(float);  // inputScale + dequantScale
   }

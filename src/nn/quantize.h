@@ -29,16 +29,15 @@ namespace darpa::nn {
 struct QuantizedLayer {
   int inSize = 0;
   int outSize = 0;
-  std::vector<std::int8_t> weights;  ///< Row-major (outSize x inSize).
   std::vector<float> bias;           ///< Kept fp32 (as ncnn does).
   float inputScale = 1.0f;           ///< Activation quantization step.
   float dequantScale = 1.0f;         ///< Folded weightScale * inputScale.
   /// inSize rounded up to kernels::kInt8KernelPad — the row stride of
   /// packedWeights and of the quantized-activation scratch matrix.
   int paddedInSize = 0;
-  /// Kernel-ready weights: outSize rows of paddedInSize int8, the tail of
-  /// each row zero-filled. Zeros add exactly zero to the int32 dot
-  /// product, so ragged inSize costs no in-kernel edge handling.
+  /// The int8 weights, kernel-ready: outSize rows of paddedInSize, the
+  /// tail of each row zero-filled. Zeros add exactly zero to the int32
+  /// dot product, so ragged inSize costs no in-kernel edge handling.
   std::vector<std::int8_t> packedWeights;
 };
 
@@ -69,20 +68,18 @@ class QuantizedMlp {
                    ForwardScratch& scratch) const;
 
   /// Batched int8 inference, same layout contract as Mlp::forwardBatch.
-  /// Routes through the process-wide kernel table
-  /// (kernels::activeInt8Kernel()): scalar, SSE4.1, or AVX2 picked once
-  /// from CPUID / DARPA_KERNEL. Int32 accumulation is exact, so every
-  /// lane — and any batch size — is bit-equal to per-row forward().
+  /// Runs the body the build compiles in (kernels::kCompiledInt8Body):
+  /// AVX2 when the compiler targets it, scalar otherwise. Int32
+  /// accumulation is exact, so either body — and any batch size — is
+  /// bit-equal to per-row forward().
   void forwardBatch(std::span<const float> inputs, int batch,
                     std::span<float> outputs, ForwardScratch& scratch) const;
 
-  /// forwardBatch through an explicitly chosen kernel, bypassing the
-  /// dispatcher — the hook the lane-parity tests and the per-lane
-  /// roofline bench stand on. Same contract and results as forwardBatch.
-  void forwardBatchWithKernel(std::span<const float> inputs, int batch,
-                              std::span<float> outputs,
-                              ForwardScratch& scratch,
-                              const kernels::Int8Kernel& kernel) const;
+  /// forwardBatch through the scalar body in every build: the reference
+  /// the parity test and the hot-path bench compare forwardBatch with.
+  void forwardBatchScalar(std::span<const float> inputs, int batch,
+                          std::span<float> outputs,
+                          ForwardScratch& scratch) const;
 
   /// Serialized parameter footprint in bytes (int8 weights + fp32 biases +
   /// two scales per layer) — compare with 4 bytes/weight for the fp32 model.
@@ -93,6 +90,12 @@ class QuantizedMlp {
   }
 
  private:
+  /// The batched layer walk around one body's quantizeRows and gemm.
+  template <typename QuantizeRows, typename Gemm>
+  void forwardLayers(std::span<const float> inputs, int batch,
+                     std::span<float> outputs, ForwardScratch& scratch,
+                     QuantizeRows quantizeRows, Gemm gemm) const;
+
   std::vector<QuantizedLayer> layers_;
 };
 

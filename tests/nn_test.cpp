@@ -467,35 +467,20 @@ TEST(MlpBatchTest, ScratchStopsGrowingAfterWarmup) {
   EXPECT_EQ(scratch.grownBytes(), 0);
 }
 
-// --- dispatch-lane parity suite ---------------------------------------------
-// Every compiled-in SIMD lane must be BIT-equal to the scalar reference
-// lane: the int8 core accumulates in exact int32 and the float quantize/
-// dequant stages are written to evaluate identical IEEE sequences (see
-// src/nn/kernels/int8_kernels.h). EXPECT_EQ on floats, no tolerance —
-// this is what lets different hosts dispatch different kernels while the
-// fleet digests stay byte-identical. Lanes the host CPU lacks are skipped
-// (and reported), not failed.
-
-std::vector<kernels::Int8Lane> supportedSimdLanes() {
-  std::vector<kernels::Int8Lane> lanes;
-  for (const kernels::Int8Lane lane :
-       {kernels::Int8Lane::kSse4, kernels::Int8Lane::kAvx2}) {
-    if (kernels::laneSupported(lane)) lanes.push_back(lane);
-  }
-  return lanes;
-}
+// --- int8 body parity suite -------------------------------------------------
+// The compiled int8 body (AVX2 when the build targets it) must be
+// BIT-equal to the scalar body: the int8 core accumulates in exact int32
+// and the float quantize/dequant stages are written to evaluate identical
+// IEEE sequences (see src/nn/kernels/int8_kernels.h). EXPECT_EQ on
+// floats, no tolerance — this is what lets a build without AVX2 serve
+// byte-identical fleet digests. In such a build both sides run the scalar
+// body.
 
 TEST(MlpBatchTest, KernelLanesBitEqualToScalarLane) {
-  const std::vector<kernels::Int8Lane> lanes = supportedSimdLanes();
-  if (lanes.empty()) {
-    GTEST_SKIP() << "host CPU offers no SIMD lane; scalar-only build";
-  }
   // Layer widths straddling the kernel pad (32): 1, width-1, width+1,
   // plus the production head shape. Batches straddle the old row tile.
   const std::vector<std::vector<int>> shapes = {
       {1, 4, 1}, {31, 33, 5}, {33, 31, 4}, {24, 48, 24, 6}};
-  const kernels::Int8Kernel& scalarKernel =
-      kernels::kernelForLane(kernels::Int8Lane::kScalar);
   std::uint64_t seed = 500;
   for (const std::vector<int>& shape : shapes) {
     Rng rng(++seed);
@@ -517,57 +502,21 @@ TEST(MlpBatchTest, KernelLanesBitEqualToScalarLane) {
             static_cast<std::size_t>(batch) * quantized.outputSize();
         std::vector<float> reference(outCount);
         ForwardScratch scratch;
-        quantized.forwardBatchWithKernel(packed, batch, reference, scratch,
-                                         scalarKernel);
-        for (const kernels::Int8Lane lane : lanes) {
-          std::vector<float> simd(outCount, -1.0f);
-          quantized.forwardBatchWithKernel(packed, batch, simd, scratch,
-                                           kernels::kernelForLane(lane));
-          for (std::size_t i = 0; i < outCount; ++i) {
-            EXPECT_EQ(simd[i], reference[i])
-                << "lane=" << kernels::laneName(lane)
-                << " shape[0]=" << shape[0] << " calibrated=" << calibrated
-                << " batch=" << batch << " out=" << i;
-          }
+        quantized.forwardBatchScalar(packed, batch, reference, scratch);
+        std::vector<float> compiled(outCount, -1.0f);
+        quantized.forwardBatch(packed, batch, compiled, scratch);
+        for (std::size_t i = 0; i < outCount; ++i) {
+          EXPECT_EQ(compiled[i], reference[i])
+              << "body=" << kernels::kCompiledInt8Body
+              << " shape[0]=" << shape[0] << " calibrated=" << calibrated
+              << " batch=" << batch << " out=" << i;
         }
       }
     }
   }
 }
 
-TEST(KernelDispatchTest, ActiveKernelIsASupportedLaneAndStable) {
-  const kernels::Int8Kernel& active = kernels::activeInt8Kernel();
-  EXPECT_TRUE(kernels::laneSupported(active.lane));
-  EXPECT_STREQ(active.name, kernels::laneName(active.lane));
-  // once_flag resolution: the table is resolved exactly once per process.
-  EXPECT_EQ(&kernels::activeInt8Kernel(), &active);
-  EXPECT_EQ(kernels::activeInt8Lane(), active.lane);
-}
-
-TEST(KernelDispatchTest, ResolveHonorsOverrideAndPicksWidestByDefault) {
-  // "scalar" is compiled and supported everywhere.
-  EXPECT_EQ(kernels::resolveInt8Kernel("scalar").lane,
-            kernels::Int8Lane::kScalar);
-  EXPECT_EQ(kernels::resolveInt8Kernel(nullptr).lane,
-            kernels::resolveInt8Kernel("").lane);
-  const kernels::Int8Kernel& best = kernels::resolveInt8Kernel(nullptr);
-  EXPECT_TRUE(kernels::laneSupported(best.lane));
-  if (kernels::laneSupported(kernels::Int8Lane::kAvx2)) {
-    EXPECT_EQ(best.lane, kernels::Int8Lane::kAvx2);
-  }
-  for (const kernels::Int8Lane lane : supportedSimdLanes()) {
-    EXPECT_EQ(kernels::resolveInt8Kernel(kernels::laneName(lane)).lane, lane);
-  }
-}
-
-TEST(KernelDispatchTest, UnknownLaneAborts) {
-  // DARPA_KERNEL typos must fail loudly, not silently fall back — perf
-  // numbers pinned to a lane that was never selected are worse than none.
-  EXPECT_DEATH(static_cast<void>(kernels::resolveInt8Kernel("neon")),
-               "unknown kernel lane");
-}
-
-TEST(KernelDispatchTest, PaddingIsKernelSized) {
+TEST(QuantizeTest, PaddingIsKernelSized) {
   EXPECT_EQ(kernels::padInt8RowSize(1), kernels::kInt8KernelPad);
   EXPECT_EQ(kernels::padInt8RowSize(kernels::kInt8KernelPad),
             kernels::kInt8KernelPad);
@@ -576,18 +525,28 @@ TEST(KernelDispatchTest, PaddingIsKernelSized) {
   Rng rng(71);
   const Mlp mlp({33, 31, 4}, rng);
   const QuantizedMlp quantized = QuantizedMlp::fromMlp(mlp, {});
-  for (const QuantizedLayer& layer : quantized.layers()) {
+  ASSERT_EQ(quantized.layers().size(), mlp.layers().size());
+  for (std::size_t l = 0; l < mlp.layers().size(); ++l) {
+    const DenseLayer& dense = mlp.layers()[l];
+    const QuantizedLayer& layer = quantized.layers()[l];
     EXPECT_EQ(layer.paddedInSize, kernels::padInt8RowSize(layer.inSize));
     ASSERT_EQ(layer.packedWeights.size(),
               static_cast<std::size_t>(layer.outSize) * layer.paddedInSize);
+    // Per-layer symmetric scale: max |w| maps to 127.
+    float weightMax = 0.0f;
+    for (float w : dense.weights) weightMax = std::max(weightMax, std::fabs(w));
+    const float weightScale = weightMax / 127.0f;
     for (int j = 0; j < layer.outSize; ++j) {
       const std::int8_t* packed =
           layer.packedWeights.data() +
           static_cast<std::size_t>(j) * layer.paddedInSize;
       for (int i = 0; i < layer.inSize; ++i) {
         EXPECT_EQ(packed[i],
-                  layer.weights[static_cast<std::size_t>(j) * layer.inSize +
-                                i]);
+                  kernels::quantizeOne(
+                      dense.weights[static_cast<std::size_t>(j) *
+                                        layer.inSize +
+                                    i],
+                      weightScale));
       }
       for (int i = layer.inSize; i < layer.paddedInSize; ++i) {
         EXPECT_EQ(packed[i], 0) << "padding must be zero (exactness)";
@@ -601,7 +560,7 @@ TEST(QuantizeTest, WeightsAreInt8Range) {
   const Mlp mlp({4, 8, 2}, rng);
   const QuantizedMlp quantized = QuantizedMlp::fromMlp(mlp, {});
   for (const QuantizedLayer& layer : quantized.layers()) {
-    for (std::int8_t w : layer.weights) {
+    for (std::int8_t w : layer.packedWeights) {
       EXPECT_GE(w, -127);
       EXPECT_LE(w, 127);
     }

@@ -1,8 +1,9 @@
 // Fixture: env-config-in-digest-path must fire on every ambient host
 // configuration read (env vars, CPUID) in digest-affecting code, and the
 // allow machinery must be able to carve out the one legal shape: a
-// documented one-time init whose every outcome is bit-equal, like the
-// int8 kernel dispatcher (src/nn/kernels/int8_dispatch.cpp).
+// documented one-time init whose every outcome is bit-equal, such as a
+// runtime pick among bit-equal kernels. src/ has no such read: its int8
+// GEMM body is chosen at compile time (src/nn/kernels/).
 #include <cstdlib>
 
 extern "C" char* secure_getenv(const char*);  // expect: env-config-in-digest-path
