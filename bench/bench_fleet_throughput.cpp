@@ -51,6 +51,9 @@ struct Sample {
   double stragglerP50Ms = 0.0;  ///< Median session finish.
   double stragglerP99Ms = 0.0;  ///< Tail session finish.
   double peakRssMb = 0.0;       ///< VmHWM over fleet construction + run.
+  /// Fingerprint probes that walked a view tree, per analysis; the
+  /// window manager's memo served the others.
+  double walksPerAnalysis = 0.0;
   std::string digest;           ///< Paper-facing outputs (see digestOf).
   // Shared-verdict-tier sweep only (zeros elsewhere):
   bool tiered = false;
@@ -172,6 +175,10 @@ Sample runFleet(const cv::Detector& detector,
   sample.stragglerP50Ms = percentile(metrics.finishWallMs, 0.50);
   sample.stragglerP99Ms = percentile(metrics.finishWallMs, 0.99);
   sample.peakRssMb = peakRssMb();
+  sample.walksPerAnalysis =
+      sample.analyses == 0 ? 0.0
+                           : static_cast<double>(snap.fingerprintWalks) /
+                                 static_cast<double>(sample.analyses);
   sample.digest = digestOf(snap);
   sample.tiered = config.sharedVerdictTier;
   sample.l2Hits = snap.verdictTier.hits;
@@ -303,14 +310,15 @@ void writeJson(const std::vector<Sample>& samples, const char* path) {
                  "\"sessions_per_sec\": %.3f, "
                  "\"analyses\": %lld, \"detect_cpu_ms\": %.3f, "
                  "\"straggler_p50_ms\": %.3f, \"straggler_p99_ms\": %.3f, "
-                 "\"peak_rss_mb\": %.1f, "
+                 "\"peak_rss_mb\": %.1f, \"walks_per_analysis\": %.4f, "
                  "\"tiered\": %s, \"l2_hit_rate\": %.4f, "
                  "\"l2_hits\": %lld, \"l2_misses\": %lld, "
                  "\"publishes\": %lld}%s\n",
                  s.sessions, s.workers, s.wallMs, s.screensPerSec,
                  s.sessionsPerSec, static_cast<long long>(s.analyses),
                  s.detectCpuMs, s.stragglerP50Ms, s.stragglerP99Ms,
-                 s.peakRssMb, s.tiered ? "true" : "false", s.l2HitRate,
+                 s.peakRssMb, s.walksPerAnalysis,
+                 s.tiered ? "true" : "false", s.l2HitRate,
                  static_cast<long long>(s.l2Hits),
                  static_cast<long long>(s.l2Misses),
                  static_cast<long long>(s.publishes),
@@ -393,14 +401,15 @@ int main(int argc, char** argv) {
   // on at each size. Hit rates depend on cross-session timing, so this is
   // reported, not gated (SharedVerdictTierTest holds the tier's contract).
   printHeader("Shared verdict tier: shared app population, tier off vs on");
-  std::printf("  %-8s %-5s %10s %9s %8s %12s\n", "sessions", "tier",
-              "wall ms", "hit rate", "l2 hits", "detect cpu");
+  std::printf("  %-8s %-5s %10s %9s %8s %12s %12s\n", "sessions", "tier",
+              "wall ms", "hit rate", "l2 hits", "detect cpu", "walks/anal.");
   for (const int sessions : {16, 64, 256}) {
     for (const bool tierEnabled : {false, true}) {
       const Sample s = runTierFleet(detector, sessions, tierEnabled);
-      std::printf("  %-8d %-5s %10.1f %8.1f%% %8lld %12.1f\n", s.sessions,
-                  s.tiered ? "on" : "off", s.wallMs, 100.0 * s.l2HitRate,
-                  static_cast<long long>(s.l2Hits), s.detectCpuMs);
+      std::printf("  %-8d %-5s %10.1f %8.1f%% %8lld %12.1f %12.3f\n",
+                  s.sessions, s.tiered ? "on" : "off", s.wallMs,
+                  100.0 * s.l2HitRate, static_cast<long long>(s.l2Hits),
+                  s.detectCpuMs, s.walksPerAnalysis);
       std::fflush(stdout);
       samples.push_back(s);
     }

@@ -72,10 +72,14 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # stack-use-after-return detection on: the iterative virtual-tree walk
   # exists precisely so hostile page depth stays off the native stack, and
   # the deep/wide traversal tests are where a frame-lifetime bug would hide.
+  # FingerprintMemoTest rides along: its WebView cases walk virtual trees.
+  # This tree defines DARPA_BOUNDS_CHECKS, so every fingerprint memo hit in
+  # these suites (and in the full run above) re-walks the view tree and
+  # aborts with "fingerprint memo is stale" when the two values differ.
   ASAN_OPTIONS=detect_leaks=1:detect_stack_use_after_return=1 \
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest_suites build-asan \
-      'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest'
+      'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest|FingerprintMemoTest'
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the

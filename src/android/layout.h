@@ -57,7 +57,10 @@ class LayoutContainer : public View {
   virtual void performLayout() = 0;
 
   [[nodiscard]] int padding() const { return padding_; }
-  void setPadding(int p) { padding_ = p; }
+  void setPadding(int p) {
+    padding_ = p;
+    touch();
+  }
 
  protected:
   /// Default (wrap-content) size of a child, before layout resolution:
@@ -91,7 +94,10 @@ class LinearLayout : public LayoutContainer {
 
   [[nodiscard]] Orientation orientation() const { return orientation_; }
   [[nodiscard]] int spacing() const { return spacing_; }
-  void setSpacing(int s) { spacing_ = s; }
+  void setSpacing(int s) {
+    spacing_ = s;
+    touch();
+  }
 
   void performLayout() override;
 

@@ -15,6 +15,7 @@ bool View::performClick() {
 View* View::addChild(std::unique_ptr<View> child) {
   child->parent_ = this;
   children_.push_back(std::move(child));
+  touch();
   return children_.back().get();
 }
 

@@ -9,6 +9,7 @@
 // detection (§VI-C of the paper).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -27,6 +28,13 @@ enum class IconGlyph { kCross, kCircle, kRing, kArrow, kChevron, kStar };
 
 class View {
  public:
+  /// Which subclass fields the UI walk reads besides the View's own: a
+  /// TextView's text and text colour, an IconView's glyph colour, a
+  /// WebView's page. The constructors of those three classes set it; every
+  /// other view is kPlain. The walk switches on it instead of probing the
+  /// dynamic type.
+  enum class Kind : std::uint8_t { kPlain, kText, kIcon, kWeb };
+
   View() = default;
   virtual ~View() = default;
   View(const View&) = delete;
@@ -34,37 +42,70 @@ class View {
 
   // --- identity -----------------------------------------------------------
   /// SDK-style class name, used by the UI-hierarchy dump (ADB-like metadata
-  /// consumed by the FraudDroid baseline).
+  /// consumed by the FraudDroid baseline). Constant per class: the version
+  /// below cannot see a name that changes.
   [[nodiscard]] virtual std::string_view className() const { return "View"; }
+  [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] int id() const { return id_; }
-  void setId(int id) { id_ = id; }
+  void setId(int id) {
+    id_ = id;
+    touch();
+  }
   /// Android-style resource entry name, e.g. "btn_close". Empty when the app
   /// obfuscated or dynamically generated it.
   [[nodiscard]] const std::string& resourceId() const { return resourceId_; }
-  void setResourceId(std::string rid) { resourceId_ = std::move(rid); }
+  void setResourceId(std::string rid) {
+    resourceId_ = std::move(rid);
+    touch();
+  }
+
+  /// Moves on every mutation of this view or of any view below it: every
+  /// mutator, a subclass's included, calls touch(). Equal versions of one
+  /// root mean an unchanged tree unless exactly a multiple of 2^32
+  /// mutations came between the two reads.
+  [[nodiscard]] std::uint32_t version() const { return version_; }
 
   // --- geometry -----------------------------------------------------------
   /// Frame relative to the parent view (or the window for the root).
   [[nodiscard]] const Rect& frame() const { return frame_; }
-  void setFrame(const Rect& f) { frame_ = f; }
+  void setFrame(const Rect& f) {
+    frame_ = f;
+    touch();
+  }
 
   // --- appearance ---------------------------------------------------------
   [[nodiscard]] Color background() const { return background_; }
-  void setBackground(Color c) { background_ = c; }
+  void setBackground(Color c) {
+    background_ = c;
+    touch();
+  }
   [[nodiscard]] int cornerRadius() const { return cornerRadius_; }
-  void setCornerRadius(int r) { cornerRadius_ = r; }
+  void setCornerRadius(int r) {
+    cornerRadius_ = r;
+    touch();
+  }
   /// View alpha in [0, 1]; multiplies into children (Android semantics).
   [[nodiscard]] double alpha() const { return alpha_; }
-  void setAlpha(double a) { alpha_ = a < 0 ? 0 : (a > 1 ? 1 : a); }
+  void setAlpha(double a) {
+    alpha_ = a < 0 ? 0 : (a > 1 ? 1 : a);
+    touch();
+  }
   [[nodiscard]] bool visible() const { return visible_; }
-  void setVisible(bool v) { visible_ = v; }
+  void setVisible(bool v) {
+    visible_ = v;
+    touch();
+  }
 
   // --- interaction --------------------------------------------------------
   [[nodiscard]] bool clickable() const { return clickable_; }
-  void setClickable(bool c) { clickable_ = c; }
+  void setClickable(bool c) {
+    clickable_ = c;
+    touch();
+  }
   void setOnClick(std::function<void()> handler) {
     onClick_ = std::move(handler);
     clickable_ = true;
+    touch();
   }
   /// Invokes the click handler if any; returns whether one ran.
   bool performClick();
@@ -76,7 +117,10 @@ class View {
     return children_;
   }
   [[nodiscard]] View* parent() const { return parent_; }
-  void removeAllChildren() { children_.clear(); }
+  void removeAllChildren() {
+    children_.clear();
+    touch();
+  }
 
   /// Depth-first search by view id; nullptr when absent.
   [[nodiscard]] View* findViewById(int id);
@@ -101,6 +145,12 @@ class View {
   void draw(gfx::Canvas& canvas, Point origin, double parentAlpha = 1.0) const;
 
  protected:
+  /// Records a mutation: bumps the version of this view and of each
+  /// ancestor.
+  void touch() {
+    for (View* v = this; v != nullptr; v = v->parent_) ++v->version_;
+  }
+
   /// Subclass content painting, after background and before children.
   /// `absRect` is the view's absolute rect; `effAlpha` the effective alpha.
   virtual void paintContent(gfx::Canvas& canvas, const Rect& absRect,
@@ -110,7 +160,17 @@ class View {
   [[nodiscard]] static Color withEffAlpha(Color c, double effAlpha);
 
  private:
+  // Only the classes whose fields the walk reads may set a kind, so the
+  // walk's static_cast on it always names the view's real class.
+  friend class TextView;
+  friend class IconView;
+  friend class WebView;
+  explicit View(Kind kind) : kind_(kind) {}
+
+  // version_ and kind_ fill padding holes after id_ and after the bools:
+  // sizeof(View) is the same as without them.
   int id_ = 0;
+  std::uint32_t version_ = 0;
   std::string resourceId_;
   Rect frame_;
   Color background_ = colors::kTransparent;
@@ -118,6 +178,7 @@ class View {
   double alpha_ = 1.0;
   bool visible_ = true;
   bool clickable_ = false;
+  Kind kind_ = Kind::kPlain;
   std::function<void()> onClick_;
   View* parent_ = nullptr;
   std::vector<std::unique_ptr<View>> children_;
@@ -126,16 +187,26 @@ class View {
 /// A view that renders pseudo-text (see gfx::Canvas::drawPseudoText).
 class TextView : public View {
  public:
+  TextView() : View(Kind::kText) {}
   [[nodiscard]] std::string_view className() const override {
     return "TextView";
   }
   [[nodiscard]] const std::string& text() const { return text_; }
-  void setText(std::string t) { text_ = std::move(t); }
+  void setText(std::string t) {
+    text_ = std::move(t);
+    touch();
+  }
   [[nodiscard]] Color textColor() const { return textColor_; }
-  void setTextColor(Color c) { textColor_ = c; }
+  void setTextColor(Color c) {
+    textColor_ = c;
+    touch();
+  }
   /// Dot cell size in pixels; glyphs are 3x5 cells.
   [[nodiscard]] int textCell() const { return textCell_; }
-  void setTextCell(int cell) { textCell_ = cell > 0 ? cell : 1; }
+  void setTextCell(int cell) {
+    textCell_ = cell > 0 ? cell : 1;
+    touch();
+  }
 
  protected:
   void paintContent(gfx::Canvas& canvas, const Rect& absRect,
@@ -166,7 +237,10 @@ class ImageView : public View {
     return "ImageView";
   }
   [[nodiscard]] std::uint64_t patternSeed() const { return patternSeed_; }
-  void setPatternSeed(std::uint64_t seed) { patternSeed_ = seed; }
+  void setPatternSeed(std::uint64_t seed) {
+    patternSeed_ = seed;
+    touch();
+  }
 
  protected:
   void paintContent(gfx::Canvas& canvas, const Rect& absRect,
@@ -179,15 +253,25 @@ class ImageView : public View {
 /// A small glyph view (close crosses, chevrons, stars...).
 class IconView : public View {
  public:
+  IconView() : View(Kind::kIcon) {}
   [[nodiscard]] std::string_view className() const override {
     return "IconView";
   }
   [[nodiscard]] IconGlyph glyph() const { return glyph_; }
-  void setGlyph(IconGlyph g) { glyph_ = g; }
+  void setGlyph(IconGlyph g) {
+    glyph_ = g;
+    touch();
+  }
   [[nodiscard]] Color glyphColor() const { return glyphColor_; }
-  void setGlyphColor(Color c) { glyphColor_ = c; }
+  void setGlyphColor(Color c) {
+    glyphColor_ = c;
+    touch();
+  }
   [[nodiscard]] int thickness() const { return thickness_; }
-  void setThickness(int t) { thickness_ = t > 0 ? t : 1; }
+  void setThickness(int t) {
+    thickness_ = t > 0 ? t : 1;
+    touch();
+  }
 
  protected:
   void paintContent(gfx::Canvas& canvas, const Rect& absRect,

@@ -72,16 +72,23 @@ struct VirtualNode {
 /// toolkit's perspective whose accessibility payload is the virtual tree.
 class WebView : public View {
  public:
+  WebView() : View(Kind::kWeb) {}
   [[nodiscard]] std::string_view className() const override {
     return "android.webkit.WebView";
   }
 
-  /// Installs the page's virtual tree (replacing any previous page).
+  /// Installs the page's virtual tree (replacing any previous page). The
+  /// page is immutable once installed: only setPage and clearPage change
+  /// it, and both touch() the view.
   void setPage(VirtualNode root) {
     page_ = std::move(root);
     hasPage_ = true;
+    touch();
   }
-  void clearPage() { hasPage_ = false; }
+  void clearPage() {
+    hasPage_ = false;
+    touch();
+  }
   [[nodiscard]] bool hasPage() const { return hasPage_; }
   /// Page root; nullptr when no page is loaded.
   [[nodiscard]] const VirtualNode* page() const {

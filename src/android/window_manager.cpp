@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string_view>
 
@@ -183,16 +185,26 @@ void walkView(const View& view, Point origin, int depth, double parentAlpha,
   node.depth = depth;
   node.background = view.background();
   node.effAlpha = parentAlpha * view.alpha();
+  // Only TextView, IconView and WebView construct these kinds, so each
+  // cast names the view's real class (or a class derived from it).
   const WebView* web = nullptr;
-  if (const auto* text = dynamic_cast<const TextView*>(&view)) {
-    node.text = text->text();
-    node.contentColor = text->textColor();
-    node.hasContentColor = true;
-  } else if (const auto* icon = dynamic_cast<const IconView*>(&view)) {
-    node.contentColor = icon->glyphColor();
-    node.hasContentColor = true;
-  } else {
-    web = dynamic_cast<const WebView*>(&view);
+  switch (view.kind()) {
+    case View::Kind::kText: {
+      const auto& text = static_cast<const TextView&>(view);
+      node.text = text.text();
+      node.contentColor = text.textColor();
+      node.hasContentColor = true;
+      break;
+    }
+    case View::Kind::kIcon:
+      node.contentColor = static_cast<const IconView&>(view).glyphColor();
+      node.hasContentColor = true;
+      break;
+    case View::Kind::kWeb:
+      web = static_cast<const WebView*>(&view);
+      break;
+    case View::Kind::kPlain:
+      break;
   }
   sink(node);
   if (web != nullptr && web->hasPage()) {
@@ -349,9 +361,30 @@ std::uint64_t WindowManager::fingerprint(const UiDump& dump) {
 }
 
 std::uint64_t WindowManager::topWindowFingerprint() const {
-  Fingerprinter hash;
-  walkTopWindow(*this, hash);
-  return hash.finish();
+  const auto walk = [this] {
+    Fingerprinter hash;
+    walkTopWindow(*this, hash);
+    return hash.finish();
+  };
+  const Window* top = topAppWindow();
+  if (top == nullptr) return walk();
+  const std::uint32_t version = top->content().version();
+  if (memo_.windowId == top->id() && memo_.version == version) {
+#if DARPA_BOUNDS_CHECKS
+    if (walk() != memo_.fingerprint) {
+      std::fprintf(stderr,
+                   "fingerprint memo is stale: window %d, version %u; a "
+                   "mutator skipped View::touch() or a className() "
+                   "changed\n",
+                   top->id(), version);
+      std::abort();
+    }
+#endif
+    return memo_.fingerprint;
+  }
+  ++fingerprintWalks_;
+  memo_ = {top->id(), version, walk()};
+  return memo_.fingerprint;
 }
 
 View* WindowManager::clickAt(Point screen) {

@@ -28,6 +28,7 @@
 #include "android/accessibility_event.h"
 #include "android/view.h"
 #include "gfx/bitmap.h"
+#include "util/thread_annotations.h"
 
 namespace darpa::android {
 
@@ -194,7 +195,19 @@ class WindowManager {
   /// cache's probe key. One walk of the live view tree serves both this
   /// and dumpTopWindow(), and both fingerprints feed the same per-node
   /// hash, so the two values are equal by construction.
+  ///
+  /// Memoized: while the top window and its root's View::version() are
+  /// those of the last walk, the stored value is returned without walking.
+  /// Every view mutator bumps that version, and a WebView's page is
+  /// immutable once set. Builds with DARPA_BOUNDS_CHECKS re-walk on every
+  /// memo hit and abort with "fingerprint memo is stale" on a mismatch.
   [[nodiscard]] std::uint64_t topWindowFingerprint() const;
+  /// Calls of topWindowFingerprint() that walked the view tree: those the
+  /// memo could not serve (a top window exists and it or its version
+  /// changed since the last walk).
+  [[nodiscard]] std::int64_t fingerprintWalks() const {
+    return fingerprintWalks_;
+  }
 
   // --- input ------------------------------------------------------------------
   /// Dispatches a tap at screen coordinates: overlays first (topmost wins),
@@ -209,6 +222,15 @@ class WindowManager {
     Rect screenRect;  ///< Resolved at add time.
   };
 
+  /// topWindowFingerprint()'s one entry: the fingerprint of window
+  /// `windowId` when its root view was at `version`. Window ids start at
+  /// 1, so the empty entry matches no window.
+  struct FingerprintMemo {
+    int windowId = 0;
+    std::uint32_t version = 0;
+    std::uint64_t fingerprint = 0;
+  };
+
   void emit(EventType type, const std::string& package);
   [[nodiscard]] Millis now() const { return clock_ ? clock_->now() : Millis{}; }
 
@@ -219,6 +241,8 @@ class WindowManager {
   std::vector<Overlay> overlays_;
   int nextWindowId_ = 1;
   int nextOverlayId_ = 1;
+  mutable FingerprintMemo memo_ CONFINED_TO("owning session");
+  mutable std::int64_t fingerprintWalks_ CONFINED_TO("owning session") = 0;
 };
 
 }  // namespace darpa::android

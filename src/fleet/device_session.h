@@ -96,6 +96,11 @@ class DeviceSession {
   [[nodiscard]] std::int64_t eventsEmitted() const {
     return system_.accessibility.totalEmitted();
   }
+  /// Verdict-cache probes that walked the view tree (the rest were served
+  /// by the window manager's fingerprint memo).
+  [[nodiscard]] std::int64_t fingerprintWalks() const {
+    return system_.windowManager.fingerprintWalks();
+  }
   [[nodiscard]] std::int64_t auiExposures() const {
     return static_cast<std::int64_t>(app_.exposures().size());
   }

@@ -82,6 +82,7 @@ FleetSnapshot Fleet::snapshot() const {
     snap.eventsEmitted += session->eventsEmitted();
     snap.auiExposures += session->auiExposures();
     snap.auisCovered += session->auisCovered();
+    snap.fingerprintWalks += session->fingerprintWalks();
   }
   if (tier_ != nullptr) snap.verdictTier = tier_->stats();
   return snap;

@@ -69,6 +69,8 @@ struct FleetSnapshot {
   std::int64_t eventsEmitted = 0;
   std::int64_t auiExposures = 0;
   std::int64_t auisCovered = 0;
+  /// Fingerprint probes that walked a view tree (the memo served the rest).
+  std::int64_t fingerprintWalks = 0;
   /// Shared L2 counters (zeroed when the tier is off). Observability only
   /// — hit totals depend on cross-session timing, so nothing digest-stable
   /// may consume them.

@@ -20,6 +20,7 @@
 #include "core/verdict_cache.h"
 #include "core/verdict_tier.h"
 #include "dataset/dataset.h"
+#include "util/rng.h"
 
 namespace darpa {
 namespace {
@@ -308,13 +309,104 @@ class AlwaysUpoDetector : public cv::Detector {
   double costMacsPerImage() const override { return 1.0; }
 };
 
+/// Replaces a WebView's page with a copy that has one more button, or
+/// clears it.
+void mutatePage(WebView& web, Rng& rng) {
+  if (web.hasPage() && rng.chance(0.75)) {
+    VirtualNode page = *web.page();
+    page.children.push_back(
+        vnode(VirtualRole::kButton, "late", {4, 4, 30, 12}, true, "Go"));
+    web.setPage(std::move(page));
+  } else {
+    web.clearPage();
+  }
+}
+
+/// Calls one random public setter on a random view of `root`'s tree:
+/// fields the walk reads, a subclass's content, a WebView's page, the
+/// tree's shape, or a field the walk ignores. A tree with a WebView has
+/// its page changed one call in three. Returns true when the call
+/// replaced or cleared a page.
+bool mutateRandomView(android::View& root, Rng& rng) {
+  std::vector<android::View*> views;
+  WebView* web = nullptr;
+  std::vector<android::View*> pending{&root};
+  while (!pending.empty()) {
+    android::View* view = pending.back();
+    pending.pop_back();
+    views.push_back(view);
+    if (auto* w = dynamic_cast<WebView*>(view)) web = w;
+    for (const auto& child : view->children()) pending.push_back(child.get());
+  }
+  if (web != nullptr && rng.chance(1.0 / 3.0)) {
+    mutatePage(*web, rng);
+    return true;
+  }
+  android::View& v =
+      *views[static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<int>(views.size()) - 1))];
+  const auto channel = [&rng] {
+    return static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+  };
+  switch (rng.uniformInt(0, 7)) {
+    case 0:
+      v.setBackground(Color::rgba(channel(), channel(), channel(), channel()));
+      break;
+    case 1:
+      v.setAlpha(rng.uniform(0.0, 1.0));
+      break;
+    case 2:
+      v.setVisible(!v.visible());
+      break;
+    case 3: {
+      Rect f = v.frame();
+      f.x += rng.uniformInt(-3, 3);
+      f.height += rng.uniformInt(0, 3);
+      v.setFrame(f);
+      break;
+    }
+    case 4:
+      v.setClickable(!v.clickable());
+      break;
+    case 5:
+      v.setResourceId(rng.chance(0.5) ? "" : "rid_" + std::to_string(channel()));
+      break;
+    case 6:
+      if (auto* text = dynamic_cast<android::TextView*>(&v)) {
+        if (rng.chance(0.5)) {
+          text->setText(text->text() + "x");
+        } else {
+          text->setTextColor(Color::rgb(channel(), channel(), channel()));
+        }
+      } else if (auto* icon = dynamic_cast<android::IconView*>(&v)) {
+        icon->setGlyphColor(Color::rgb(channel(), channel(), channel()));
+      } else if (auto* hosted = dynamic_cast<WebView*>(&v)) {
+        mutatePage(*hosted, rng);
+        return true;
+      } else {
+        auto child = std::make_unique<android::TextView>();
+        child->setFrame({2, 2, 40, 12});
+        child->setText("new");
+        v.addChild(std::move(child));
+      }
+      break;
+    default:
+      // Fields the walk does not read still count as mutations.
+      v.setCornerRadius(rng.uniformInt(0, 9));
+      break;
+  }
+  return false;
+}
+
 TEST(VirtualFingerprintPropertyTest, LiveWalkEqualsDumpHashOnGeneratedScreens) {
   // topWindowFingerprint() hashes the live view tree without building a
   // dump; it must agree with fingerprint(dumpTopWindow()) on every screen
   // shape the generator makes: benign screens, hard negatives, native AUIs
   // and AUIs that a WebView hosts three times in four. Every sixth screen
   // is also analyzed and decorated by the service, and must fingerprint
-  // the same afterwards.
+  // the same afterwards. Then each screen takes three rounds of random
+  // setter calls, each between two probes, and the memoized probe must
+  // still agree with a fresh dump after every round.
   AlwaysUpoDetector detector;
   android::AndroidSystem system;
   core::DarpaService service(detector);
@@ -334,6 +426,10 @@ TEST(VirtualFingerprintPropertyTest, LiveWalkEqualsDumpHashOnGeneratedScreens) {
   int screens = 0;
   int decorated = 0;
   int virtualScreens = 0;
+  Rng mutations(4105);
+  int rounds = 0;
+  int moved = 0;
+  int pageMutations = 0;
   for (int i = 0; i < kPerKind; ++i) {
     apps::GeneratedScreen batch[] = {
         benignGen.makeBenign(), hardGen.makeHardNegative(),
@@ -365,12 +461,30 @@ TEST(VirtualFingerprintPropertyTest, LiveWalkEqualsDumpHashOnGeneratedScreens) {
                       system.windowManager.dumpTopWindow()),
                   fromDump);
       }
+      android::View& root = system.windowManager.topAppWindow()->content();
+      for (int round = 0; round < 3; ++round) {
+        const std::uint64_t before = system.windowManager.topWindowFingerprint();
+        const int calls = mutations.uniformInt(1, 2);
+        for (int c = 0; c < calls; ++c) {
+          if (mutateRandomView(root, mutations)) ++pageMutations;
+        }
+        const std::uint64_t after = system.windowManager.topWindowFingerprint();
+        ASSERT_EQ(after, android::WindowManager::fingerprint(
+                             system.windowManager.dumpTopWindow()))
+            << "screen " << screens << ", round " << round;
+        ASSERT_EQ(system.windowManager.topWindowFingerprint(), after);
+        ++rounds;
+        if (after != before) ++moved;
+      }
       ++screens;
     }
   }
   EXPECT_EQ(screens, 4 * kPerKind);
   EXPECT_EQ(decorated, 200);
   EXPECT_GT(virtualScreens, kPerKind / 4);  // the hybrid kind took hold
+  EXPECT_EQ(rounds, 3 * 4 * kPerKind);
+  EXPECT_GT(moved, rounds / 2);  // most rounds change what the walk reads
+  EXPECT_GT(pageMutations, virtualScreens / 2);  // and many change a page
 }
 
 // ------------------------------------ hostile page shapes (satellite 3)
