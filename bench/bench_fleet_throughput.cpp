@@ -2,7 +2,7 @@
 // grows from 1 to 256 simulated device sessions, the 256-session fleet at
 // W = 1, 2 and 4 workers, and thousand-session fleets with their peak RSS
 // and p50/p99 straggler tail. Every detect runs synchronously on the worker
-// advancing its session. Two sweeps over a shared app population ride
+// running its session. Two sweeps over a shared app population ride
 // along: the shared verdict tier off vs on (reported, not gated) and the
 // WebView-share stage mix.
 //
@@ -143,12 +143,10 @@ std::string digestOf(const fleet::FleetSnapshot& snap) {
   return buf;
 }
 
-fleet::FleetConfig fleetConfig(int sessions, int workers, Millis epoch,
-                               Millis duration) {
+fleet::FleetConfig fleetConfig(int sessions, int workers, Millis duration) {
   fleet::FleetConfig config;
   config.sessions = sessions;
   config.workers = workers;
-  config.epoch = epoch;
   config.duration = duration;
   return config;
 }
@@ -232,8 +230,7 @@ std::function<void(int, fleet::DeviceSession::Config&)> sharedPopulation(
 /// who-pays baseline for the same offered load).
 Sample runTierFleet(const cv::Detector& detector, int sessions,
                     bool tierEnabled) {
-  fleet::FleetConfig config =
-      fleetConfig(sessions, fleetWorkers(), ms(500), ms(4000));
+  fleet::FleetConfig config = fleetConfig(sessions, fleetWorkers(), ms(4000));
   config.sessionTweak = sharedPopulation(/*apps=*/8);
   config.sharedVerdictTier = tierEnabled;
   // A deliberately small L1 keeps re-encounters flowing to the shared
@@ -274,7 +271,7 @@ struct HybridSample {
 HybridSample runHybridFleet(const cv::Detector& detector,
                             const analysis::LintEngine& lint,
                             double webProb) {
-  fleet::FleetConfig config = fleetConfig(64, fleetWorkers(), ms(500), ms(4000));
+  fleet::FleetConfig config = fleetConfig(64, fleetWorkers(), ms(4000));
   auto base = sharedPopulation(/*apps=*/8);
   config.sessionTweak = [base, webProb,
                          &lint](int i, fleet::DeviceSession::Config& c) {
@@ -342,7 +339,6 @@ int main(int argc, char** argv) {
   const cv::OneStageDetector detector = trainOrLoadOneStage(data, "default");
 
   // Session sweep on one worker, then the 256-session fleet at W=1/2/4.
-  const Millis epoch = ms(1000);
   const Millis duration = ms(scaled(10'000, 3'000));
   std::vector<std::pair<int, int>> grid;  // (sessions, workers)
   for (const int sessions : quick() ? std::vector<int>{1, 8, 64}
@@ -358,7 +354,7 @@ int main(int argc, char** argv) {
   Sample four256;
   for (const auto& [sessions, workers] : grid) {
     const Sample s =
-        runFleet(detector, fleetConfig(sessions, workers, epoch, duration));
+        runFleet(detector, fleetConfig(sessions, workers, duration));
     std::printf("  %-8d %7d %10.1f %12.1f %14.1f\n", s.sessions, s.workers,
                 s.wallMs, s.screensPerSec, s.detectCpuMs);
     std::fflush(stdout);
@@ -369,7 +365,7 @@ int main(int argc, char** argv) {
   std::printf("  256 sessions, W=1 -> W=4: %.2fx wall-clock speed-up\n",
               four256.wallMs <= 0.0 ? 0.0 : serial256.wallMs / four256.wallMs);
 
-  // Big fleets over a short horizon: sessions/sec (scheduler overhead per
+  // Big fleets over a short horizon: sessions/sec (driver overhead per
   // session), the p99/p50 straggler spread, and peak RSS per fleet size.
   const std::vector<int> bigSweep =
       quick() ? std::vector<int>{1024} : std::vector<int>{4096, 16384};
@@ -387,8 +383,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     const Sample s =
-        runFleet(detector, fleetConfig(sessions, fleetWorkers(), ms(100),
-                                       ms(scaled(500, 300))));
+        runFleet(detector,
+                 fleetConfig(sessions, fleetWorkers(), ms(scaled(500, 300))));
     std::printf("  %-8d %10.1f %14.1f %14.2f %14.2f %12.1f\n", s.sessions,
                 s.wallMs, s.sessionsPerSec, s.stragglerP50Ms,
                 s.stragglerP99Ms, s.peakRssMb);

@@ -1,5 +1,6 @@
 # Runs one paper bench with --quick and compares its stdout, minus the
-# model-cache line, with a committed golden file under results/quick/.
+# model-cache lines and with its wall-clock fields masked, with a committed
+# golden file under results/quick/.
 #
 #   cmake -DBENCH=<bench binary> -DGOLDEN=<golden file> -P quick_golden.cmake
 #   cmake -DBENCH=<bench binary> -DMODE=train -P quick_golden.cmake
@@ -10,8 +11,12 @@
 # comparisons, which then all load that one model; Table IV trains the
 # masked one itself.
 #
+# The masked wall-clock fields are Table V's: each "N.N ms/img" timing and
+# the "speedup ...: N.Nx" ratio; no other golden bench prints them. They
+# read as those literal strings in the golden file.
+#
 # A paper output that is meant to change is regenerated in the same diff:
-#   build/bench/<bench> --quick | grep -v '^\[bench\] \(loaded cached model\|training one-stage\|cached model to\)' > results/quick/<bench>.txt
+#   build/bench/<bench> --quick | grep -v '^\[bench\] \(loaded cached model\|training one-stage\|cached model to\)' | sed -E 's/ +[0-9]+\.[0-9]+ ms\/img/ N.N ms\/img/; s/(speedup[^:]*: )[0-9]+\.[0-9]+x/\1N.Nx/' > results/quick/<bench>.txt
 cmake_minimum_required(VERSION 3.16)
 
 get_filename_component(bench_dir "${BENCH}" DIRECTORY)
@@ -37,6 +42,10 @@ endif()
 string(REGEX REPLACE
        "\\[bench\\] (loaded cached model|training one-stage detector|cached model to)[^\n]*\n"
        "" actual "${actual}")
+# Wall-clock fields, which differ from run to run.
+string(REGEX REPLACE " +[0-9]+\\.[0-9]+ ms/img" " N.N ms/img" actual "${actual}")
+string(REGEX REPLACE "(speedup[^:\n]*: )[0-9]+\\.[0-9]+x" "\\1N.Nx" actual
+       "${actual}")
 file(READ "${GOLDEN}" expected)
 if(NOT actual STREQUAL expected)
   set(actual_file "${bench_dir}/${bench_name}.quick.actual.txt")

@@ -1,12 +1,12 @@
-// Example: fleet-scale scanning with the work-stealing scheduler.
+// Example: fleet-scale scanning on worker threads.
 //
 // One DARPA deployment rarely watches one phone: a market operator or a
 // research fleet runs many simulated device sessions against one shared
-// detector. This example runs 8 sessions on 4 worker threads; each detect
-// runs synchronously on the worker advancing its session, as on one phone.
-// It prints the merged fleet snapshot, which is identical for any worker
-// count, and the scheduler's steals and p99 session finish time, which
-// depend on thread timing.
+// detector. This example runs 8 sessions on 4 worker threads; each worker
+// runs the sessions it claims to the end, every detect synchronous, as on
+// one phone. It prints the merged fleet snapshot, which is identical for
+// any worker count, and the p99 session finish time, which depends on
+// thread timing.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -31,8 +31,7 @@ int main() {
 
   fleet::FleetConfig config;
   config.sessions = 8;
-  config.workers = 4;       // sessions advance on 4 threads
-  config.epoch = ms(1000);  // slice quantum of the scheduler
+  config.workers = 4;  // sessions run on 4 threads
   config.duration = ms(30'000);
   std::printf("running %d sessions x %lld simulated ms on %d workers...\n",
               config.sessions, static_cast<long long>(config.duration.count),
@@ -60,16 +59,12 @@ int main() {
               snap.ledger.totalCpuMs(),
               snap.ledger.tally(core::Stage::kDetect).cpuMs);
 
-  const fleet::SchedulerMetrics& scheduler = *fleet.schedulerMetrics();
-  std::vector<double> finish = scheduler.finishWallMs;
+  std::vector<double> finish = fleet.schedulerMetrics()->finishWallMs;
   std::sort(finish.begin(), finish.end());
   const std::size_t p99 = std::min(
       finish.size() - 1, static_cast<std::size_t>(0.99 * finish.size()));
-  std::printf("\nscheduler: %lld slices, %lld steals, p99 session finish "
-              "%.1f ms wall\n",
-              static_cast<long long>(scheduler.slicesRun),
-              static_cast<long long>(scheduler.steals), finish[p99]);
-  std::printf("the snapshot is identical for any worker count; steals and "
-              "finish times are not.\n");
+  std::printf("\np99 session finish %.1f ms wall\n", finish[p99]);
+  std::printf("the snapshot is identical for any worker count; finish times "
+              "are not.\n");
   return 0;
 }

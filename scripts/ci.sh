@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local CI: configure, build, test (which includes the detlint
 # determinism-lint gates), the same again under ASan+UBSan, a TSan lane
-# over the threaded fleet/scheduler tests, a -DDARPA_NATIVE_SIMD=OFF
+# over the threaded fleet/tier tests, a -DDARPA_NATIVE_SIMD=OFF
 # build whose fp32 head and scalar int8 body must pass their parity and
 # quantization suites, a bench smoke lane
 # (every bench binary once with --quick), a Release perf-smoke lane (the
@@ -83,15 +83,17 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the
-  # work-stealing fleet scheduler (steal-heavy skewed workload at W=4, the
-  # W=1 serial reference beside it), the verdict tier, and the lock-rank
-  # suite, whose W=4 tiered fleet takes the tier's one lock from four
-  # workers while the rank validator is live.
+  # fleet driver (W=4 workers claiming whole sessions from one atomic
+  # counter, with a straggler session and with fewer sessions than
+  # workers, the W=1 serial reference beside them), the verdict tier, and
+  # the lock-rank suite, whose W=4 tiered fleet takes the tier's one lock
+  # (the runtime's only ranked lock) from four workers while the rank
+  # validator is live.
   # (TSan is incompatible with ASan, hence the separate build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
 
-  echo "== ctest, TSan fleet/scheduler/tier/lock-rank/webview tests (build-tsan/) =="
+  echo "== ctest, TSan fleet/tier/lock-rank/webview tests (build-tsan/) =="
   # The webview suites ride along: hybrid dumps flow through the same
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.

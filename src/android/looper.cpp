@@ -1,5 +1,6 @@
 #include "android/looper.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace darpa::android {
@@ -7,64 +8,39 @@ namespace darpa::android {
 TaskId Looper::postDelayed(std::function<void()> fn, Millis delay) {
   if (delay.count < 0) delay = ms(0);
   const TaskId id = nextId_++;
-  queue_.emplace(now() + delay, id, std::move(fn));
-  pending_.insert(id);
+  tasks_.push_back({now() + delay, id, std::move(fn)});
   return id;
 }
 
 bool Looper::cancel(TaskId id) {
-  // Only tasks still in the queue may be cancelled; ids of tasks that have
-  // already run are rejected, which keeps the lazy-deletion set bounded.
-  if (pending_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  maybeCompact();
+  // Only pending tasks may be cancelled; a task that has run is gone.
+  const auto it = std::find_if(tasks_.begin(), tasks_.end(),
+                               [id](const Task& task) { return task.id == id; });
+  if (it == tasks_.end()) return false;
+  removeAt(static_cast<std::size_t>(it - tasks_.begin()));
   return true;
 }
 
-void Looper::maybeCompact() {
-  if (cancelled_.size() < kCompactionFloor ||
-      cancelled_.size() * 2 < queue_.size()) {
-    return;
-  }
-  // Markers reached half the heap: rebuild it live-tasks-only. Amortized
-  // O(1) per cancel — each compaction halves (at least) the heap, and the
-  // dropped tasks each paid for themselves when cancelled.
-  std::vector<Task> live;
-  live.reserve(queue_.size() - cancelled_.size());
-  while (!queue_.empty()) {
-    Task task = std::move(const_cast<Task&>(queue_.top()));
-    queue_.pop();
-    if (cancelled_.erase(task.id) > 0) {
-      ++purged_;
-    } else {
-      live.push_back(std::move(task));
-    }
-  }
-  for (Task& task : live) queue_.push(std::move(task));
-  ++compactions_;
+void Looper::removeAt(std::size_t i) {
+  if (i + 1 != tasks_.size()) tasks_[i] = std::move(tasks_.back());
+  tasks_.pop_back();
 }
 
 bool Looper::runNext(Millis deadline) {
-  while (!queue_.empty()) {
-    const Task& top = queue_.top();
-    if (cancelled_.erase(top.id) > 0) {
-      // Purge the marker with its task — the pair leaves together, so the
-      // marker set can never outgrow the heap.
-      ++purged_;
-      queue_.pop();
-      continue;
-    }
-    if (top.due > deadline) return false;
-    // Move the callable out before popping so self-rescheduling tasks work.
-    std::function<void()> fn = std::move(const_cast<Task&>(top).fn);
-    const Millis due = top.due;
-    pending_.erase(top.id);
-    queue_.pop();
-    clock_->advanceTo(due);
-    fn();
-    return true;
-  }
-  return false;
+  if (tasks_.empty()) return false;
+  // FIFO among tasks due at the same instant: ids grow with posting order.
+  const auto next = std::min_element(
+      tasks_.begin(), tasks_.end(), [](const Task& a, const Task& b) {
+        return a.due < b.due || (a.due == b.due && a.id < b.id);
+      });
+  if (next->due > deadline) return false;
+  // Take the task out before running it: it may post or cancel tasks.
+  const Millis due = next->due;
+  std::function<void()> fn = std::move(next->fn);
+  removeAt(static_cast<std::size_t>(next - tasks_.begin()));
+  clock_->advanceTo(due);
+  fn();
+  return true;
 }
 
 void Looper::runUntil(Millis deadline) {

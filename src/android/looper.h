@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/clock.h"
@@ -50,30 +48,8 @@ class Looper {
   /// ends at the last task's due time.
   void runUntilIdle();
 
-  [[nodiscard]] std::size_t pendingCount() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pendingCount() const { return tasks_.size(); }
   [[nodiscard]] bool idle() const { return pendingCount() == 0; }
-
-  /// Lazy-deletion bookkeeping, for tests asserting the queue can never
-  /// grow unboundedly across a long fleet run. Invariants:
-  ///   queueDepth == pendingCount + cancelledCount   (always)
-  ///   cancelledCount <= max(kCompactionFloor, queueDepth / 2)
-  /// The second holds because cancel() compacts the heap (dropping every
-  /// cancelled task) whenever markers reach half the queue; popped markers
-  /// are purged eagerly besides.
-  struct GcStats {
-    std::size_t queueDepth = 0;      ///< Tasks physically in the heap.
-    std::size_t pendingCount = 0;    ///< Live (schedulable) tasks.
-    std::size_t cancelledCount = 0;  ///< Lazy-deletion markers outstanding.
-    std::int64_t purged = 0;         ///< Cancelled tasks physically removed.
-    std::int64_t compactions = 0;    ///< Heap rebuilds under marker pressure.
-  };
-  [[nodiscard]] GcStats gcStats() const {
-    return {queue_.size(), pending_.size(), cancelled_.size(), purged_,
-            compactions_};
-  }
-
-  /// Below this many markers, compaction is never worth the rebuild.
-  static constexpr std::size_t kCompactionFloor = 16;
 
  private:
   struct Task {
@@ -81,39 +57,22 @@ class Looper {
     TaskId id;
     std::function<void()> fn;
   };
-  struct Later {
-    bool operator()(const Task& a, const Task& b) const {
-      // Min-heap on (due, id): FIFO among tasks due at the same instant.
-      return a.due > b.due || (a.due == b.due && a.id > b.id);
-    }
-  };
 
-  /// Pops and runs the next task if due by `deadline`; returns false if the
-  /// queue has no runnable task within the deadline.
+  /// Runs the (due, id)-least task if it is due by `deadline`; returns
+  /// false if no pending task is due within the deadline.
   bool runNext(Millis deadline);
 
-  /// Rebuilds the heap without the cancelled tasks once markers reach half
-  /// the queue — bounds both sets for arbitrarily long cancel-heavy runs
-  /// (every debounced event is a cancel in a fleet session).
-  void maybeCompact();
+  /// Removes tasks_[i]; the order of tasks_ carries no meaning.
+  void removeAt(std::size_t i);
 
   // Session-confined (no lock by design): a Looper belongs to exactly one
-  // DeviceSession and is only touched by the thread currently advancing
-  // that session. Hand-offs between fleet workers go through the
-  // scheduler's run-queue locks (see fleet/scheduler.h).
+  // DeviceSession and is only touched by the fleet worker running that
+  // session (see fleet/fleet.h).
   SimClock* clock_ CONFINED_TO("owning session");
-  std::priority_queue<Task, std::vector<Task>, Later> queue_
-      CONFINED_TO("owning session");
-  // pending_/cancelled_ are membership sets only (insert/erase/count) —
-  // nothing ever iterates them, so their unordered order cannot leak into
-  // task execution order (detlint's unordered-iteration rule guards this).
-  std::unordered_set<TaskId> pending_
-      CONFINED_TO("owning session");  // ids still queued and not cancelled
-  std::unordered_set<TaskId> cancelled_
-      CONFINED_TO("owning session");  // lazy-deletion markers
+  /// Every pending task, unordered: a session keeps a few dozen at most,
+  /// so runNext() scans for the next one and cancel() erases by id.
+  std::vector<Task> tasks_ CONFINED_TO("owning session");
   TaskId nextId_ CONFINED_TO("owning session") = 1;
-  std::int64_t purged_ CONFINED_TO("owning session") = 0;
-  std::int64_t compactions_ CONFINED_TO("owning session") = 0;
 };
 
 }  // namespace darpa::android

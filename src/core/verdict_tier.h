@@ -11,11 +11,11 @@
 //   probe:   L1 find -> (miss) -> L2 find -> (hit) promote into L1
 //   publish: the verdict step stores evidence-backed verdicts in L1 AND L2
 //
-// Concurrency: one RankedMutex at LockRank::kVerdictTier, the leaf rank
-// above the scheduler's control and run-queue ranks. Sessions probe and
-// publish from inside a slice, holding no other ranked lock, and nothing
-// is called out to while the tier lock is held. Striping the LRU by
-// fingerprint, one lock per worker, measured no better (DESIGN.md §14.2).
+// Concurrency: one RankedMutex at LockRank::kVerdictTier, the runtime's
+// only ranked lock. Sessions probe and publish from inside an analysis,
+// holding no other lock, and nothing is called out to while the tier lock
+// is held. Striping the LRU by fingerprint, one lock per worker, measured
+// no better (DESIGN.md §14.2).
 //
 // Poisoning guard: publish() mirrors L1's seeding rule — only verdicts
 // resting on real evidence (a confident lint resolution or a usable

@@ -26,21 +26,13 @@ DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
 // window manager), then the Android system.
 DeviceSession::~DeviceSession() = default;
 
-void DeviceSession::start() {
-  app_.start(config_.duration);
-  if (config_.monkey) {
-    monkey_.start(system_.clock.now() + config_.duration,
-                  config_.monkeyMinGapMs, config_.monkeyMaxGapMs);
-  }
-}
-
-void DeviceSession::advanceTo(Millis deadline) {
-  system_.looper.runUntil(deadline);
-}
-
 void DeviceSession::runToCompletion() {
-  start();
-  advanceTo(system_.clock.now() + config_.duration);
+  app_.start(config_.duration);
+  const Millis horizon = system_.clock.now() + config_.duration;
+  if (config_.monkey) {
+    monkey_.start(horizon, config_.monkeyMinGapMs, config_.monkeyMaxGapMs);
+  }
+  system_.looper.runUntil(horizon);
 }
 
 std::int64_t DeviceSession::auisCovered() const {

@@ -6,15 +6,15 @@
 // Monkey driver — used to be hand-wired by every bench and example. The
 // fleet architecture needs that world to be a value you can make N of, so
 // DeviceSession owns the whole stack with the right lifetimes:
-// construction wires it, start() schedules the workload, advanceTo() plays
-// simulated time forward, and the scoring that bench_runtime.h used to do
-// inline (positive-analysis timeline -> AUI exposure coverage) is built in.
+// construction wires it, runToCompletion() schedules the workload and plays
+// it to the end, and the scoring that bench_runtime.h used to do inline
+// (positive-analysis timeline -> AUI exposure coverage) is built in.
 //
-// Thread ownership: a session is confined to whichever fleet worker thread
-// is currently advancing it; the scheduler's run queues are the only
-// hand-off points (see the ownership rule in core/work_ledger.h). A
-// standalone DeviceSession on one thread is a fleet of size 1,
-// byte-identical to the pre-fleet hand-wired harness.
+// Thread ownership: during Fleet::run() a session is confined to the one
+// worker thread that claimed it; the worker's start and join are the only
+// hand-offs (see the ownership rule in core/work_ledger.h). A standalone
+// DeviceSession on one thread is a fleet of size 1, byte-identical to the
+// pre-fleet hand-wired harness.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ class DeviceSession {
     apps::AppProfile profile;
     std::uint64_t appSeed = 1;
     std::uint64_t monkeySeed = 2;
-    Millis duration{60'000};  ///< Workload length from start().
+    Millis duration{60'000};  ///< Workload length.
     bool monkey = true;
     /// Human-paced exploration (a tap every 1.5-4 s by default): each tap
     /// resets the ct timer, so an aggressive monkey would just multiply
@@ -54,15 +54,9 @@ class DeviceSession {
   DeviceSession(const DeviceSession&) = delete;
   DeviceSession& operator=(const DeviceSession&) = delete;
 
-  /// Schedules the app session (and monkey) on the looper; nothing runs
-  /// until time is advanced.
-  void start();
-
-  /// Runs every task due up to `deadline` and advances the clock there —
-  /// one fleet slice.
-  void advanceTo(Millis deadline);
-
-  /// Convenience for standalone use: start() + advanceTo(duration).
+  /// Schedules the app session (and monkey) on the looper, then runs every
+  /// task due within `duration` of now and leaves the clock at that
+  /// horizon. Call once.
   void runToCompletion();
 
   // --- access ---------------------------------------------------------------

@@ -1,15 +1,15 @@
-// Fleet — N DeviceSessions driven to a common simulated horizon across W
-// workers by the work-stealing scheduler (fleet/scheduler.h).
+// Fleet — N DeviceSessions, each run to a common simulated horizon by one
+// of W worker threads.
 //
-// The determinism model, in one paragraph: simulated time is sliced into
-// epochs. A session's slice j plays it forward to target(j) =
-// min(duration, j*epoch), and every detect inside it runs synchronously on
-// the worker advancing the session (DarpaService::analyzeNow). Sessions
-// share no digest-affecting state, so WHO runs a slice and WHEN in wall
-// clock is irrelevant; only the slice sequence matters, and it is fixed by
-// the config. A fleet run's aggregated DarpaStats/WorkLedger are therefore
-// identical across repeated runs and across worker counts; only
-// wall-clock changes. W=1 is the serial reference.
+// The determinism model, in one paragraph: a worker claims a session id
+// from one atomic counter and runs that session from 0 to the horizon
+// (DeviceSession::runToCompletion), every detect synchronous on that
+// worker (DarpaService::analyzeNow), before it claims the next. Sessions
+// share no digest-affecting state, so WHO runs a session and WHEN in wall
+// clock is irrelevant. A fleet run's aggregated DarpaStats/WorkLedger are
+// therefore identical across repeated runs and across worker counts; only
+// wall-clock changes. W=1 runs on the calling thread and is the serial
+// reference.
 //
 // Aggregation: per-session ledgers and stats are session-confined (the
 // ownership rule in core/work_ledger.h). snapshot() sums them with += on
@@ -28,15 +28,30 @@
 #include "core/detection_executor.h"
 #include "core/verdict_tier.h"
 #include "fleet/device_session.h"
-#include "fleet/scheduler.h"
 #include "util/thread_annotations.h"
 
 namespace darpa::fleet {
 
+/// Wall-clock observability for one run. None of it feeds a digest: finish
+/// times vary with thread timing; the digest-stable outputs live in the
+/// sessions' stats/ledgers.
+struct SchedulerMetrics {
+  /// Always 0: a worker runs each session it claims to the horizon, so no
+  /// session changes hands. Kept because perfbench/main.cpp reads it.
+  std::int64_t steals = 0;
+  /// Wall-clock ms from run() start to each session's finish, indexed by
+  /// session id (the straggler tail: p99 session lag).
+  std::vector<double> finishWallMs;
+};
+
 struct FleetConfig {
   int sessions = 1;
-  int workers = 1;        ///< Worker threads (1 = run on the calling thread).
-  Millis epoch{1000};     ///< Slice quantum of the scheduler.
+  /// Worker threads; run() starts min(workers, sessions) of them, and
+  /// 1 runs on the calling thread.
+  int workers = 1;
+  /// Read by nothing: every session runs to `duration` in one pass. Kept
+  /// because perfbench/main.cpp sets it.
+  Millis epoch{1000};
   Millis duration{60'000};
   std::uint64_t seed = 606;
   core::DarpaConfig darpa;  ///< Per-session service config (verdictTier is
@@ -46,10 +61,9 @@ struct FleetConfig {
   std::string packagePrefix = "com.fleet.app";
   /// Per-session config hook, applied after the fleet's own seeding and
   /// before the session is built. Lets tests and benches skew individual
-  /// sessions (e.g. one deliberately hyperactive straggler for the
-  /// steal-heavy path). The fleet re-asserts its own wiring (id, verdict
-  /// tier) afterwards, so a tweaked fleet still digests identically across
-  /// worker counts.
+  /// sessions (e.g. one deliberately hyperactive straggler). The fleet
+  /// re-asserts its own wiring (id, verdict tier) afterwards, so a
+  /// tweaked fleet still digests identically across worker counts.
   std::function<void(int, DeviceSession::Config&)> sessionTweak;
   /// Own a fleet-wide SharedVerdictTier (the L2 behind every session's
   /// verdict cache) and point every session at it. Off by default: a
@@ -90,7 +104,9 @@ class Fleet {
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
-  /// Drives every session over the whole configured duration. Single-use:
+  /// Drives every session over the whole configured duration: each worker
+  /// claims the next unclaimed session id and runs that session to the
+  /// horizon, until none is left. Single-use:
   /// a second call aborts (a fleet's sessions have already consumed their
   /// event streams, so "run again" has no meaningful semantics).
   void run();
@@ -115,10 +131,9 @@ class Fleet {
   /// call it only outside run() (before it, or after it returned).
   [[nodiscard]] FleetSnapshot snapshot() const;
 
-  /// Scheduling observability (steals, per-session finish wall times);
-  /// never null, meaningful after run().
+  /// Per-session finish wall times; never null, meaningful after run().
   [[nodiscard]] const SchedulerMetrics* schedulerMetrics() const {
-    return &scheduler_->metrics();
+    return &metrics_;
   }
 
   /// The fleet-wide verdict tier, or null when sharedVerdictTier is off.
@@ -135,11 +150,13 @@ class Fleet {
   /// tier pointer, so the tier must outlive all session state.
   std::unique_ptr<core::SharedVerdictTier> tier_;
   /// The vector itself is fixed after construction; each element is
-  /// confined to the worker currently running its slice (hand-offs happen
-  /// through the scheduler's queues), and to the control thread outside
-  /// run().
+  /// confined to the one worker that claimed it during run(), and to the
+  /// control thread outside run() (thread start and join are the
+  /// hand-offs).
   std::vector<std::unique_ptr<DeviceSession>> sessions_;
-  std::unique_ptr<WorkStealingScheduler> scheduler_;
+  /// finishWallMs[id] is written only by the worker that ran session id,
+  /// and read after run() has joined its workers.
+  SchedulerMetrics metrics_ CONFINED_TO("slot id: the worker running id");
   Millis now_ CONFINED_TO("control thread"){0};
   bool started_ CONFINED_TO("control thread") = false;
 };

@@ -9,10 +9,6 @@ namespace darpa::util {
 
 const char* lockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kFleetControl:
-      return "fleet-control";
-    case LockRank::kSessionQueue:
-      return "session-queue";
     case LockRank::kVerdictTier:
       return "verdict-tier";
   }

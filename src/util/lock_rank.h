@@ -1,16 +1,19 @@
 // Lock ranks — a global acquisition-order contract for every mutex in the
 // runtime, validated at runtime.
 //
-// The fleet nests locks: the work-stealing scheduler takes a run-queue
-// shard lock under its control lock. Nested locking deadlocks silently the
-// first time two threads acquire the same pair in opposite orders, so this
-// module makes the ordering a checked contract instead of a convention:
+// The runtime has one ranked lock today: the fleet-wide shared verdict
+// tier's (core/verdict_tier.h), taken with no other ranked lock held. The
+// fleet driver itself holds none (fleet/fleet.h). This module keeps any
+// future nesting a checked contract instead of a convention, because
+// nested locking deadlocks silently the first time two threads acquire the
+// same pair in opposite orders:
 //
 //  * LockRank is the global rank table. A thread may only acquire a mutex
 //    whose rank is STRICTLY GREATER than every rank it already holds —
 //    acquisition order follows rank order, so a cycle (the deadlock
-//    precondition) is impossible by construction. Ranks are spaced so
-//    future tiers slot between existing ones without renumbering.
+//    precondition) is impossible by construction, and a thread that takes
+//    a lock it already holds aborts instead of hanging. Ranks are spaced
+//    so future tiers slot between existing ones without renumbering.
 //  * RankedMutex wraps std::mutex with a rank + a name, registers itself
 //    in the process-wide LockRankRegistry, and (when rank checking is
 //    compiled in) asserts the strictly-increasing rule on every lock().
@@ -22,14 +25,13 @@
 //
 // Rank checking defaults ON in every build (DARPA_LOCK_RANK_CHECKS=1): the
 // validator is two thread-local vector operations per lock/unlock on locks
-// that sit at screenshot/epoch frequency, never inside the detector's hot
-// loops. A violation aborts with a "lock-rank" diagnostic naming both
-// mutexes (death-tested in tests/lock_rank_test.cpp). Define
+// that sit at analysis frequency, never inside the detector's hot loops. A
+// violation aborts with a "lock-rank" diagnostic naming both mutexes
+// (death-tested in tests/lock_rank_test.cpp). Define
 // DARPA_LOCK_RANK_CHECKS=0 to compile the wrapper down to a bare
 // std::mutex.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -47,17 +49,10 @@ namespace darpa::util {
 /// renumbering. DESIGN.md §12 documents who holds what while acquiring
 /// what.
 enum class LockRank : int {
-  /// Fleet-level orchestration: the work-stealing scheduler's global state
-  /// (active-session count, idle cv).
-  kFleetControl = 100,
-  /// Per-shard session run queues (work-stealing scheduler). All shards
-  /// share this rank, so a thread may never hold two shard locks at once —
-  /// the steal protocol releases its own shard before probing a sibling.
-  kSessionQueue = 200,
   /// The fleet-wide shared verdict tier's one lock
   /// (core::SharedVerdictTier; nothing is called out to under it).
-  /// Sessions probe and publish from inside a slice, where no scheduler
-  /// lock is held, so it is taken with no other ranked lock held. The
+  /// Sessions probe and publish from inside an analysis, where the fleet
+  /// holds no lock, so it is taken with no other ranked lock held. The
   /// leaf rank: nothing is acquired under the tier lock.
   kVerdictTier = 400,
 };
@@ -167,26 +162,6 @@ class SCOPED_CAPABILITY LockGuard {
 
  private:
   RankedMutex& mutex_;
-};
-
-/// Condition variable usable with RankedMutex. condition_variable_any takes
-/// the mutex as its Lockable, so the unlock/relock inside wait() goes
-/// through RankedMutex::lock()/unlock() and the rank validator's held-stack
-/// stays correct across the block.
-///
-/// Contract: the waiting thread must hold `mutex` as its HIGHEST-ranked
-/// lock (typically its only one). wait() releases it mid-wait; if a
-/// higher-ranked lock were still held, the re-acquisition after wakeup
-/// would violate the strictly-increasing rule and abort. Spurious wakeups
-/// happen — always wait in a predicate loop.
-class RankedConditionVariable {
- public:
-  void wait(RankedMutex& mutex) REQUIRES(mutex) { cv_.wait(mutex); }
-  void notifyOne() { cv_.notify_one(); }
-  void notifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable_any cv_;
 };
 
 }  // namespace darpa::util

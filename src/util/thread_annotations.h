@@ -4,10 +4,10 @@
 // races in the interleavings the tests happen to run, and these
 // annotations let Clang's -Wthread-safety pass prove at COMPILE TIME that
 // every access to a mutex-protected structure holds the right lock — in
-// every interleaving, including the ones no test exercises. The
-// work-stealing scheduler and the fleet-wide shared verdict tier use
-// fine-grained locking, which is exactly where TSan-only checking stops
-// being enough.
+// every interleaving, including the ones no test exercises. The fleet-wide
+// shared verdict tier is the runtime's one locked structure; the fleet
+// driver shares only an atomic session counter, and everything else is
+// confined to one session's worker.
 //
 // Usage conventions (see DESIGN.md §12):
 //  * Every mutex member is a util::RankedMutex (util/lock_rank.h) — a
@@ -86,6 +86,6 @@
 /// Documentation-only marker (expands to nothing on every compiler) for
 /// state that is protected by OWNERSHIP rather than a lock: session-confined
 /// counters merged after the fleet run (WorkLedger, DarpaStats), the
-/// Looper's single-threaded queues. The string names the confining owner /
-/// phase. Greppable contract, zero codegen.
+/// Looper's single-threaded task list. The string names the confining
+/// owner / phase. Greppable contract, zero codegen.
 #define CONFINED_TO(owner)

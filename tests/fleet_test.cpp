@@ -1,6 +1,6 @@
 // Fleet-scale tests: the synchronous detect path, fleet-of-1 equivalence
 // with the hand-wired harness, determinism across worker counts and runs,
-// and the Looper's lazy-deletion GC bounds.
+// and a cancel-heavy Looper run that leaves nothing behind.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -152,7 +152,6 @@ FleetFingerprint runFleet(int sessions, int workers) {
   FleetConfig config;
   config.sessions = sessions;
   config.workers = workers;
-  config.epoch = ms(500);
   config.duration = ms(3000);
   Fleet fleet(detector, config);
   fleet.run();
@@ -183,7 +182,6 @@ TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {
   StubDetector detector;
   FleetConfig config;
   config.sessions = 4;
-  config.epoch = ms(1000);
   config.duration = ms(5000);
   Fleet fleet(detector, config);
   fleet.run();
@@ -213,44 +211,21 @@ TEST(LooperGcTest, CancelHeavyRunStaysBounded) {
   android::Looper looper(clock);
   std::int64_t executed = 0;
 
-  // The fleet debounce pattern at its worst: every posted timer is cancelled
-  // by the next event. Lazy-deletion markers must never accumulate.
+  // The fleet debounce pattern at its worst: every posted timer is
+  // cancelled by the next event. A cancel removes its task at once.
   for (int round = 0; round < 200; ++round) {
     std::vector<android::TaskId> ids;
     for (int i = 0; i < 8; ++i) {
       ids.push_back(looper.postDelayed([&] { ++executed; }, ms(10'000 + i)));
     }
-    for (const android::TaskId id : ids) looper.cancel(id);
-    const android::Looper::GcStats gc = looper.gcStats();
-    EXPECT_EQ(gc.queueDepth, gc.pendingCount + gc.cancelledCount);
-    EXPECT_LE(gc.cancelledCount,
-              std::max(android::Looper::kCompactionFloor, gc.queueDepth / 2));
+    EXPECT_EQ(looper.pendingCount(), 8u);
+    for (const android::TaskId id : ids) EXPECT_TRUE(looper.cancel(id));
+    EXPECT_EQ(looper.pendingCount(), 0u);
   }
 
-  const android::Looper::GcStats gc = looper.gcStats();
-  EXPECT_EQ(gc.pendingCount, 0u);
-  EXPECT_GT(gc.compactions, 0);
-  EXPECT_GT(gc.purged, 0);
-  EXPECT_LE(gc.queueDepth, android::Looper::kCompactionFloor);
+  EXPECT_TRUE(looper.idle());
   looper.runUntilIdle();
   EXPECT_EQ(executed, 0);
-}
-
-TEST(LooperGcTest, PoppedMarkersArePurgedEagerly) {
-  SimClock clock;
-  android::Looper looper(clock);
-  std::int64_t executed = 0;
-  const android::TaskId cancelled =
-      looper.postDelayed([&] { ++executed; }, ms(10));
-  looper.postDelayed([&] { ++executed; }, ms(20));
-  looper.cancel(cancelled);
-
-  looper.runUntilIdle();
-  EXPECT_EQ(executed, 1);
-  const android::Looper::GcStats gc = looper.gcStats();
-  EXPECT_EQ(gc.queueDepth, 0u);
-  EXPECT_EQ(gc.cancelledCount, 0u);
-  EXPECT_EQ(gc.purged, 1);
 }
 
 }  // namespace

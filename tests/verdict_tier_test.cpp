@@ -235,8 +235,8 @@ std::function<void(int, DeviceSession::Config&)> sharedPopulation(int apps) {
     App app{apps::randomAppProfile("com.shared.app" + std::to_string(a), rng),
             rng.next()};
     // Aggressive AUI churn on a stable base screen: every popup cycle
-    // re-exposes the base fingerprint in a LATER epoch than its first
-    // analysis — the screen-recurrence pattern an L2 exists for. (Fresh
+    // re-exposes the base fingerprint LATER than its first analysis — the
+    // screen-recurrence pattern an L2 exists for. (Fresh
     // benign screens never repeat, so without churn every probe would
     // land before the fingerprint's first publish and the tier could
     // only ever coalesce, never serve.)
@@ -268,12 +268,11 @@ TierRun runSharedFleet(int workers, bool tierEnabled) {
   FleetConfig config;
   config.sessions = 64;
   config.workers = workers;
-  config.epoch = ms(500);
   config.duration = ms(3000);
   config.sessionTweak = sharedPopulation(/*apps=*/8);
   config.sharedVerdictTier = tierEnabled;
   // A deliberately thrashing L1 (capacity 1, same in the reference run):
-  // screens an epoch evicted re-probe below it, so the run exercises real
+  // evicted screens re-probe below it, so the run exercises real
   // L1-miss -> L2-hit -> promote traffic, not just publishes.
   config.darpa.verdictCacheCapacity = 1;
 

@@ -1,6 +1,6 @@
 // Fixture: raw-mutex-in-fleet — fleet code (any path containing "fleet",
 // like this file's name) must not declare raw std::mutex members: the
-// lock-rank validator, which is the scheduler's deadlock-freedom argument,
+// lock-rank validator, which is the fleet's deadlock-freedom argument,
 // only instruments RankedMutex, so a raw mutex is a blind spot where a
 // rank inversion can hide. A raw mutex WITH a GUARDED_BY still fires —
 // thread-safety analysis and rank validation are separate gates.

@@ -45,7 +45,7 @@
 //       -Wthread-safety lane, so its protected set is unchecked.
 //   raw-mutex-in-fleet
 //       A raw std::mutex member in fleet code (any file whose path
-//       contains "fleet"). The work-stealing scheduler's deadlock-freedom
+//       contains "fleet" or "verdict_tier"). The fleet's deadlock-freedom
 //       argument is the lock-rank order, and the rank validator only sees
 //       RankedMutex — a raw std::mutex bypasses it, so a rank inversion
 //       through that lock would go undetected until it deadlocks in
@@ -365,10 +365,10 @@ FileReport scanFile(const fs::path& path, const std::string& displayName,
              "-Wthread-safety"});
   }
 
-  // File-scope rule: fleet code — and the shared verdict tier, which sits
-  // on the fleet's lock-rank spine at kVerdictTier — never declares a raw
-  // std::mutex member; it must be a RankedMutex so the lock-rank validator
-  // (the scheduler's deadlock-freedom argument) can see every acquisition.
+  // File-scope rule: fleet code — and the shared verdict tier, whose lock
+  // is ranked at kVerdictTier — never declares a raw std::mutex member; it
+  // must be a RankedMutex so the lock-rank validator (the fleet's
+  // deadlock-freedom argument) can see every acquisition.
   if (displayName.find("fleet") != std::string::npos ||
       displayName.find("verdict_tier") != std::string::npos) {
     for (const auto& [name, declLine] : state.rawMutexDecls) {
