@@ -4,7 +4,8 @@
 // and p50/p99 straggler tail. Every detect runs synchronously on the worker
 // running its session. Two sweeps over a shared app population ride
 // along: the shared verdict tier off vs on (reported, not gated) and the
-// WebView-share stage mix.
+// WebView-share stage mix. The W=1 256-session row also reports the share
+// of view blocks its thread's view block cache reused (not gated).
 //
 // Gates (exit nonzero on failure), each on an exact or roomy quantity:
 //  1. The 256-session digest (fig8 counts, stats, ledger cpuMs, Table VII)
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "analysis/lint.h"
+#include "android/view.h"
 #include "apps/app_model.h"
 #include "bench_common.h"
 #include "core/work_ledger.h"
@@ -54,6 +56,11 @@ struct Sample {
   /// Fingerprint probes that walked a view tree, per analysis; the
   /// window manager's memo served the others.
   double walksPerAnalysis = 0.0;
+  /// Share of view blocks the view block cache served from its free lists
+  /// over construction and run, when the fleet ran on the calling thread;
+  /// -1 (null in the JSON) when it ran on worker threads, whose counters
+  /// end with them.
+  double viewBlockReuse = -1.0;
   std::string digest;           ///< Paper-facing outputs (see digestOf).
   // Shared-verdict-tier sweep only (zeros elsewhere):
   bool tiered = false;
@@ -154,11 +161,15 @@ fleet::FleetConfig fleetConfig(int sessions, int workers, Millis duration) {
 Sample runFleet(const cv::Detector& detector,
                 const fleet::FleetConfig& config) {
   resetPeakRss();
+  const android::ViewBlockStats blocksBefore = android::viewBlockStats();
   fleet::Fleet fleet(detector, config);
   const auto t0 = std::chrono::steady_clock::now();
   fleet.run();
   const auto t1 = std::chrono::steady_clock::now();
   const fleet::FleetSnapshot snap = fleet.snapshot();
+  const android::ViewBlockStats& blocks = android::viewBlockStats();
+  const std::int64_t reused = blocks.reused - blocksBefore.reused;
+  const std::int64_t served = reused + blocks.fresh - blocksBefore.fresh;
 
   Sample sample;
   sample.sessions = config.sessions;
@@ -177,6 +188,10 @@ Sample runFleet(const cv::Detector& detector,
       sample.analyses == 0 ? 0.0
                            : static_cast<double>(snap.fingerprintWalks) /
                                  static_cast<double>(sample.analyses);
+  if (std::min(config.workers, config.sessions) == 1 && served > 0) {
+    sample.viewBlockReuse =
+        static_cast<double>(reused) / static_cast<double>(served);
+  }
   sample.digest = digestOf(snap);
   sample.tiered = config.sharedVerdictTier;
   sample.l2Hits = snap.verdictTier.hits;
@@ -301,6 +316,10 @@ void writeJson(const std::vector<Sample>& samples, const char* path) {
   std::fprintf(f, "{\n  \"samples\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
+    char reuse[32] = "null";
+    if (s.viewBlockReuse >= 0.0) {
+      std::snprintf(reuse, sizeof reuse, "%.4f", s.viewBlockReuse);
+    }
     std::fprintf(f,
                  "    {\"sessions\": %d, \"workers\": %d, "
                  "\"wall_ms\": %.3f, \"screens_per_sec\": %.3f, "
@@ -308,13 +327,14 @@ void writeJson(const std::vector<Sample>& samples, const char* path) {
                  "\"analyses\": %lld, \"detect_cpu_ms\": %.3f, "
                  "\"straggler_p50_ms\": %.3f, \"straggler_p99_ms\": %.3f, "
                  "\"peak_rss_mb\": %.1f, \"walks_per_analysis\": %.4f, "
+                 "\"view_block_reuse\": %s, "
                  "\"tiered\": %s, \"l2_hit_rate\": %.4f, "
                  "\"l2_hits\": %lld, \"l2_misses\": %lld, "
                  "\"publishes\": %lld}%s\n",
                  s.sessions, s.workers, s.wallMs, s.screensPerSec,
                  s.sessionsPerSec, static_cast<long long>(s.analyses),
                  s.detectCpuMs, s.stragglerP50Ms, s.stragglerP99Ms,
-                 s.peakRssMb, s.walksPerAnalysis,
+                 s.peakRssMb, s.walksPerAnalysis, reuse,
                  s.tiered ? "true" : "false", s.l2HitRate,
                  static_cast<long long>(s.l2Hits),
                  static_cast<long long>(s.l2Misses),
@@ -364,6 +384,9 @@ int main(int argc, char** argv) {
   }
   std::printf("  256 sessions, W=1 -> W=4: %.2fx wall-clock speed-up\n",
               four256.wallMs <= 0.0 ? 0.0 : serial256.wallMs / four256.wallMs);
+  std::printf("  256 sessions, W=1: %.2f%% of view blocks reused from the "
+              "view block cache\n",
+              100.0 * serial256.viewBlockReuse);
 
   // Big fleets over a short horizon: sessions/sec (driver overhead per
   // session), the p99/p50 straggler spread, and peak RSS per fleet size.

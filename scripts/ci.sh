@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI: configure, build, test (which includes the detlint
-# determinism-lint gates), the same again under ASan+UBSan, a TSan lane
+# Full local CI: configure, build with warnings as errors, test (which
+# includes the detlint determinism-lint gates), the same again under
+# ASan+UBSan, a TSan lane
 # over the threaded fleet/tier tests, a -DDARPA_NATIVE_SIMD=OFF
 # build whose fp32 head and scalar int8 body must pass their parity and
 # quantization suites, a bench smoke lane
@@ -46,7 +47,10 @@ ctest_suites() {
 }
 
 echo "== configure + build (build/) =="
-cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+# Warnings are errors in this tree: the default build is warning-free, so
+# a new warning fails the lane instead of scrolling past.
+cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build -j "$JOBS"
 
 echo "== ctest (build/) =="
@@ -85,10 +89,11 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # ThreadSanitizer lane over the tests that actually exercise threads: the
   # fleet driver (W=4 workers claiming whole sessions from one atomic
   # counter, with a straggler session and with fewer sessions than
-  # workers, the W=1 serial reference beside them), the verdict tier, and
-  # the lock-rank suite, whose W=4 tiered fleet takes the tier's one lock
+  # workers, the W=1 serial reference beside them), the verdict tier, the
+  # lock-rank suite, whose W=4 tiered fleet takes the tier's one lock
   # (the runtime's only ranked lock) from four workers while the rank
-  # validator is live.
+  # validator is live, and the view block cache, whose per-thread free
+  # lists take views built on one thread and freed on another.
   # (TSan is incompatible with ASan, hence the separate build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
@@ -99,7 +104,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest_suites build-tsan \
-      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|ViewBlockCacheTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 else
   SKIPPED+=("ASan+UBSan and TSan lanes (SKIP_SANITIZE=1)")
 fi

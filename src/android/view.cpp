@@ -1,10 +1,125 @@
 #include "android/view.h"
 
 #include <algorithm>
+#include <new>
+
+#if __has_include(<sanitizer/asan_interface.h>)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 #include "util/rng.h"
+#include "util/thread_annotations.h"
 
 namespace darpa::android {
+
+namespace {
+
+// The view block cache. Size class c holds blocks of (c + 1) * 8 bytes, so
+// every View subclass (152 to 312 bytes) and every child vector of up to
+// 64 children has a class. A block is a plain ::operator new block of
+// exactly its class's size, so any thread may free it and a block leaving
+// the cache goes to the sized ::operator delete with that size.
+constexpr std::size_t kBlockGrain = 8;
+constexpr std::size_t kSizeClasses = 64;
+
+/// A request's size class; kSizeClasses or above when it has none (over
+/// 512 bytes, or 0, which wraps).
+constexpr std::size_t sizeClassOf(std::size_t bytes) {
+  return (bytes - 1) / kBlockGrain;
+}
+constexpr std::size_t classBytes(std::size_t c) {
+  return (c + 1) * kBlockGrain;
+}
+
+struct FreeBlock {
+  FreeBlock* next;
+};
+
+// One thread's free lists. Constant-initialised and trivially
+// destructible, so it stays readable for the whole life of its thread: a
+// view freed after the thread-exit drain below finds kDrained and goes
+// straight to ::operator delete.
+struct BlockCache {
+  enum class State : std::uint8_t { kUnused, kLive, kDrained };
+  FreeBlock* heads[kSizeClasses] = {};
+  int counts[kSizeClasses] = {};
+  ViewBlockStats stats;
+  State state = State::kUnused;
+};
+
+thread_local BlockCache t_cache CONFINED_TO("its thread");
+
+// Hands every cached block back to ::operator delete when its thread exits.
+struct CacheDrain {
+  CacheDrain() = default;
+  CacheDrain(const CacheDrain&) = delete;
+  CacheDrain& operator=(const CacheDrain&) = delete;
+  ~CacheDrain() {
+    BlockCache& cache = t_cache;
+    for (std::size_t c = 0; c < kSizeClasses; ++c) {
+      while (FreeBlock* block = cache.heads[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(block, classBytes(c));
+        cache.heads[c] = block->next;
+        ::operator delete(block, classBytes(c));
+        ++cache.stats.released;
+      }
+      cache.counts[c] = 0;
+    }
+    cache.state = BlockCache::State::kDrained;
+  }
+};
+
+/// This thread's cache, or nullptr once its thread-exit drain has run. The
+/// first call on a thread registers the drain.
+BlockCache* threadCache() {
+  BlockCache& cache = t_cache;
+  if (cache.state == BlockCache::State::kUnused) {
+    thread_local CacheDrain drain;
+    cache.state = BlockCache::State::kLive;
+  }
+  return cache.state == BlockCache::State::kLive ? &cache : nullptr;
+}
+
+}  // namespace
+
+const ViewBlockStats& viewBlockStats() { return t_cache.stats; }
+
+namespace detail {
+
+void* allocateViewBlock(std::size_t bytes) {
+  const std::size_t c = sizeClassOf(bytes);
+  BlockCache& cache = t_cache;
+  if (c < kSizeClasses && cache.heads[c] != nullptr) {
+    FreeBlock* block = cache.heads[c];
+    ASAN_UNPOISON_MEMORY_REGION(block, classBytes(c));
+    cache.heads[c] = block->next;
+    --cache.counts[c];
+    ++cache.stats.reused;
+    return block;
+  }
+  ++cache.stats.fresh;
+  return ::operator new(c < kSizeClasses ? classBytes(c) : bytes);
+}
+
+void releaseViewBlock(void* block, std::size_t bytes) noexcept {
+  if (block == nullptr) return;
+  const std::size_t c = sizeClassOf(bytes);
+  BlockCache* cache = threadCache();
+  if (cache != nullptr && c < kSizeClasses &&
+      cache->counts[c] < kViewBlocksPerClass) {
+    cache->heads[c] = ::new (block) FreeBlock{cache->heads[c]};
+    ++cache->counts[c];
+    ASAN_POISON_MEMORY_REGION(block, classBytes(c));
+    return;
+  }
+  ++t_cache.stats.released;
+  ::operator delete(block, c < kSizeClasses ? classBytes(c) : bytes);
+}
+
+}  // namespace detail
 
 bool View::performClick() {
   if (!onClick_) return false;

@@ -9,6 +9,7 @@
 // detection (§VI-C of the paper).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,6 +27,54 @@ namespace darpa::android {
 /// Glyph shapes an IconView can render.
 enum class IconGlyph { kCross, kCircle, kRing, kArrow, kChevron, kStar };
 
+/// Most blocks one size class of the view block cache keeps per thread;
+/// a free beyond it goes straight to ::operator delete.
+inline constexpr int kViewBlocksPerClass = 128;
+
+/// Per-thread counters of the view block cache, which serves every view
+/// object and every view's child vector (see View::operator new). `reused`
+/// blocks came off this thread's free lists and `fresh` ones from
+/// ::operator new; `released` blocks went back to ::operator delete: the
+/// surplus over kViewBlocksPerClass, blocks over the largest size class,
+/// and the whole cache when the thread exits.
+struct ViewBlockStats {
+  std::int64_t reused = 0;
+  std::int64_t fresh = 0;
+  std::int64_t released = 0;
+};
+
+/// This thread's counters (thread_local; see ViewBlockStats).
+[[nodiscard]] const ViewBlockStats& viewBlockStats();
+
+namespace detail {
+
+/// A block of at least `bytes` from this thread's view block cache.
+[[nodiscard]] void* allocateViewBlock(std::size_t bytes);
+/// Returns a block to this thread's cache; `bytes` is the size it was
+/// allocated with. Any thread may release any block.
+void releaseViewBlock(void* block, std::size_t bytes) noexcept;
+
+/// Stateless allocator over the view block cache, for View's child vector.
+template <class T>
+struct ViewBlockAllocator {
+  using value_type = T;
+  ViewBlockAllocator() = default;
+  template <class U>
+  ViewBlockAllocator(const ViewBlockAllocator<U>& /*other*/) noexcept {}
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return static_cast<T*>(allocateViewBlock(n * sizeof(T)));
+  }
+  void deallocate(T* block, std::size_t n) noexcept {
+    releaseViewBlock(block, n * sizeof(T));
+  }
+  friend bool operator==(const ViewBlockAllocator&,
+                         const ViewBlockAllocator&) {
+    return true;
+  }
+};
+
+}  // namespace detail
+
 class View {
  public:
   /// Which subclass fields the UI walk reads besides the View's own: a
@@ -39,6 +88,17 @@ class View {
   virtual ~View() = default;
   View(const View&) = delete;
   View& operator=(const View&) = delete;
+
+  /// Every view, of any subclass, takes its storage from the calling
+  /// thread's view block cache: one LIFO free list per 8-byte size class,
+  /// so a screen's teardown hands its blocks to the next screen built on
+  /// that thread. The virtual destructor passes the dynamic class's size.
+  [[nodiscard]] static void* operator new(std::size_t bytes) {
+    return detail::allocateViewBlock(bytes);
+  }
+  static void operator delete(void* block, std::size_t bytes) noexcept {
+    detail::releaseViewBlock(block, bytes);
+  }
 
   // --- identity -----------------------------------------------------------
   /// SDK-style class name, used by the UI-hierarchy dump (ADB-like metadata
@@ -181,7 +241,9 @@ class View {
   Kind kind_ = Kind::kPlain;
   std::function<void()> onClick_;
   View* parent_ = nullptr;
-  std::vector<std::unique_ptr<View>> children_;
+  std::vector<std::unique_ptr<View>,
+              detail::ViewBlockAllocator<std::unique_ptr<View>>>
+      children_;
 };
 
 /// A view that renders pseudo-text (see gfx::Canvas::drawPseudoText).

@@ -130,7 +130,9 @@ TEST(WebViewTest, DumpContainsVirtualSubtreeWithoutResourceIds) {
 
   // Every virtual node sits after its host in pre-order (paint order).
   for (std::size_t i = 0; i < dump.size(); ++i) {
-    if (dump[i].isVirtual) EXPECT_GT(static_cast<int>(i), hostIdx);
+    if (dump[i].isVirtual) {
+      EXPECT_GT(static_cast<int>(i), hostIdx);
+    }
   }
 }
 
