@@ -10,9 +10,7 @@
 //     cached AUI pass still redraws its decorations);
 //   * modeled perception CPU — the lint + screenshot + detect + verdict
 //     stages the cache can elide — drops by at least 30 % (the act stage is
-//     deliberately invariant: that is the coverage contract);
-//   * the cached run's stage timeline is exported as Chrome-trace JSON
-//     (pipeline_trace.json, loadable in chrome://tracing / Perfetto).
+//     deliberately invariant: that is the coverage contract).
 //
 // Exits non-zero when a contract fails, so the CI smoke lane catches cache
 // regressions.
@@ -45,12 +43,11 @@ struct Outcome {
 constexpr int kDistinctScreens = 6;  // 3 AUI + 3 benign, revisited in a loop.
 
 Outcome runWorkload(const cv::Detector& detector, std::size_t cacheCapacity,
-                    int rounds, bool trace) {
+                    int rounds) {
   android::AndroidSystem system;
   core::DarpaConfig config;
   config.verdictCacheCapacity = cacheCapacity;
   core::DarpaService service(detector, config);
-  if (trace) service.ledger().setTraceEnabled(true);
   system.accessibility.connect(service);
 
   Outcome outcome;
@@ -88,13 +85,6 @@ Outcome runWorkload(const cv::Detector& detector, std::size_t cacheCapacity,
   outcome.ledger += service.ledger();
   outcome.cacheSize = service.verdictCache().size();
   outcome.cacheEvictions = service.verdictCache().evictions();
-  if (trace) {
-    const std::string tracePath = bench::artifactPath("pipeline_trace.json");
-    if (service.ledger().writeChromeTrace(tracePath)) {
-      std::printf("  wrote %s (%zu trace events)\n", tracePath.c_str(),
-                  service.ledger().traceEventCount());
-    }
-  }
   return outcome;
 }
 
@@ -119,8 +109,8 @@ int main(int argc, char** argv) {
   std::printf("\n  workload: %d distinct screens revisited %d times each\n",
               kDistinctScreens, rounds);
 
-  const Outcome off = runWorkload(detector, 0, rounds, /*trace=*/false);
-  const Outcome on = runWorkload(detector, 32, rounds, /*trace=*/true);
+  const Outcome off = runWorkload(detector, 0, rounds);
+  const Outcome on = runWorkload(detector, 32, rounds);
 
   std::printf("\n  cache OFF (%zu analyses):\n", off.verdicts.size());
   for (const core::Stage stage : core::kAllStages) printStageRow(off.ledger, stage);

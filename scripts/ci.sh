@@ -10,10 +10,11 @@
 # codegen) followed by a perf floor gate over the published
 # BENCH_detector.json numbers, then the
 # Clang-only static lanes: a -Wthread-safety -Werror build over
-# the GUARDED_BY/RankedMutex annotations and a FATAL clang-tidy pass
+# the GUARDED_BY/util::Mutex annotations and a FATAL clang-tidy pass
 # (bugprone-*/performance-* as errors). Both Clang lanes are skipped
-# automatically when LLVM is not installed — the detlint + rank-validator
-# gates above run on any toolchain and stay fatal everywhere. The run ends
+# automatically when LLVM is not installed — the detlint gates and the
+# mutex owner-check death tests above run on any toolchain and stay fatal
+# everywhere. The run ends
 # with a summary of every lane it skipped, so a green run states what it
 # covered.
 #
@@ -89,22 +90,22 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # ThreadSanitizer lane over the tests that actually exercise threads: the
   # fleet driver (W=4 workers claiming whole sessions from one atomic
   # counter, with a straggler session and with fewer sessions than
-  # workers, the W=1 serial reference beside them), the verdict tier, the
-  # lock-rank suite, whose W=4 tiered fleet takes the tier's one lock
-  # (the runtime's only ranked lock) from four workers while the rank
-  # validator is live, and the view block cache, whose per-thread free
+  # workers, the W=1 serial reference beside them), the verdict tier,
+  # whose one lock four threads hammer and W=4 tiered fleets take, the
+  # mutex owner-check death tests, whose unlock case reads the owner from
+  # a second thread, and the view block cache, whose per-thread free
   # lists take views built on one thread and freed on another.
   # (TSan is incompatible with ASan, hence the separate build tree.)
   cmake -B build-tsan -S . -DDARPA_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
 
-  echo "== ctest, TSan fleet/tier/lock-rank/webview tests (build-tsan/) =="
+  echo "== ctest, TSan fleet/tier/mutex/webview tests (build-tsan/) =="
   # The webview suites ride along: hybrid dumps flow through the same
   # threaded fleet pipeline (fingerprint -> verdict caches -> tier), so
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest_suites build-tsan \
-      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|LockRankTest|ViewBlockCacheTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|MutexDeathTest|ViewBlockCacheTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 else
   SKIPPED+=("ASan+UBSan and TSan lanes (SKIP_SANITIZE=1)")
 fi
@@ -238,11 +239,12 @@ else
 fi
 
 echo "== thread-safety (clang -Wthread-safety, errors) =="
-# Compile-time concurrency proof over the GUARDED_BY/RankedMutex
-# annotations (util/thread_annotations.h). Clang-only: GCC compiles the
-# annotations away, so the lane configures its own clang++ tree. Library
-# target only — the annotations all live in src/. DARPA_NATIVE_SIMD stays
-# off so the lane builds on any host clang without -march surprises.
+# Compile-time concurrency proof over the GUARDED_BY/EXCLUDES annotations
+# on util::Mutex (util/mutex.h, util/thread_annotations.h). Clang-only:
+# GCC compiles the annotations away, so the lane configures its own
+# clang++ tree. Library target only — the annotations all live in src/.
+# DARPA_NATIVE_SIMD stays off so the lane builds on any host clang without
+# -march surprises.
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
     -DDARPA_THREAD_SAFETY=ON -DDARPA_NATIVE_SIMD=OFF

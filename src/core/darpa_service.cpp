@@ -1,6 +1,5 @@
 #include "core/darpa_service.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -10,7 +9,6 @@
 #include "analysis/lint.h"
 #include "core/decoration.h"
 #include "core/verdict_tier.h"
-#include "cv/one_stage.h"
 #include "util/clock.h"
 #include "util/log.h"
 
@@ -60,7 +58,7 @@ void DarpaService::onAccessibilityEvent(
     return;
   }
   ++stats_.eventsReceived;
-  ledger_.recordEvent(event.time);
+  ledger_.recordEvent();
   logDebug("DARPA event ", android::eventTypeName(event.type), " from ",
            event.packageName);
   // Debounce to stability: any UI update resets the ct timer, so only
@@ -107,7 +105,7 @@ void DarpaService::analyzeNow() {
     debounceLatency = now - burstStartAt_;
     burstStartAt_ = Millis{-1};
   }
-  ledger_.beginAnalysis(now, debounceLatency);
+  ledger_.beginAnalysis(debounceLatency);
 
   // Remove our own decorations before the pass so the model never sees
   // (and re-detects) DARPA's overlay.
@@ -236,18 +234,12 @@ void DarpaService::analyzeNow() {
   step(Stage::kDetect, !fromCache && !resolvedByLint && screenshotOk, [&] {
     // §IV-E custody: the frame leaves the vault for the model run and this
     // reference is dropped the moment the model returns; the frame scrubs
-    // its pixels when the last holder (this pass) lets go. The scratch
-    // stats are thread-local, so their delta is exactly this call's
-    // warm-up.
+    // its pixels when the last holder (this pass) lets go.
     FramePtr held = vault_.take();
-    const cv::DetectScratchStats before = cv::hotpathScratchStats();
     detections = detector_->detect(held->pixels());
-    const cv::DetectScratchStats after = cv::hotpathScratchStats();
     held.reset();
     ledger_.recordRun(Stage::kDetect, detector_->costMacsPerImage() /
                                           ledger_.costs().macsPerCpuMs);
-    ledger_.recordScratchGrowth(Stage::kDetect, after.growths - before.growths,
-                                after.grownBytes - before.grownBytes);
   });
 
   // Verdict: merges detections into the screen verdict and stores it in
@@ -261,25 +253,12 @@ void DarpaService::analyzeNow() {
     }
     isAui = config_.requireUpoForAui ? hasUpo : (hasUpo || hasAgo);
     ledger_.recordRun(Stage::kVerdict, ledger_.costs().verdictCpuMs);
-    if (wm == nullptr) return;
     // Cache only verdicts that rest on real evidence (a lint resolution or
-    // a usable capture); a transient screenshot failure must stay
-    // transient.
-    if (verdictCache_.enabled() && (resolvedByLint || screenshotOk)) {
-      verdictCache_.put(key, {isAui, detections});
-    }
-    // Publish to the fleet L2 with the evidence grade attached; the tier's
-    // poisoning guard enforces the same seeding rule fleet-wide (an
-    // unevidenced publish is counted and dropped there, keeping one
-    // session's failed capture from becoming everyone's verdict).
-    if (tier != nullptr) {
-      const auto evidence = resolvedByLint
-                                ? SharedVerdictTier::Evidence::kLint
-                                : (screenshotOk
-                                       ? SharedVerdictTier::Evidence::kCapture
-                                       : SharedVerdictTier::Evidence::kNone);
-      tier->publish(key, {isAui, detections}, evidence);
-    }
+    // a usable capture), in both tiers: a transient screenshot failure must
+    // stay one session's transient problem, never the fleet's verdict.
+    if (wm == nullptr || !(resolvedByLint || screenshotOk)) return;
+    if (verdictCache_.enabled()) verdictCache_.put(key, {isAui, detections});
+    if (tier != nullptr) tier->publish(key, {isAui, detections});
   });
 
   // Act: the auto-bypass click or the decoration overlays. The §IV-D
@@ -370,22 +349,24 @@ void DarpaService::decorateDetections(
     const std::vector<cv::Detection>& detections, Point windowOffset) {
   android::WindowManager* wm = windowManager();
   if (wm == nullptr) return;
-  // Keep only the most confident detections of each class.
-  std::vector<cv::Detection> selected(detections.begin(), detections.end());
-  std::sort(selected.begin(), selected.end(),
-            [](const cv::Detection& a, const cv::Detection& b) {
-              return a.confidence > b.confidence;
-            });
-  int upoKept = 0;
-  int agoKept = 0;
-  std::vector<cv::Detection> toDraw;
-  for (const cv::Detection& det : selected) {
-    int& kept = det.label == dataset::BoxLabel::kUpo ? upoKept : agoKept;
-    if (kept >= config_.maxDecorationsPerClass) continue;
-    ++kept;
-    toDraw.push_back(det);
+  // The product draws one highlighted escape option and one warning: the
+  // most confident UPO and the most confident AGO (anything not a UPO
+  // counts as an AGO), the earlier one in `detections` on a tie.
+  const cv::Detection* best[2] = {nullptr, nullptr};  // {UPO, AGO}
+  for (const cv::Detection& det : detections) {
+    const cv::Detection*& slot =
+        best[det.label == dataset::BoxLabel::kUpo ? 0 : 1];
+    if (slot == nullptr || det.confidence > slot->confidence) slot = &det;
   }
-  for (const cv::Detection& det : toDraw) {
+  // Draw in descending confidence; on a tie the earlier detection first.
+  if (best[0] != nullptr && best[1] != nullptr &&
+      (best[1]->confidence > best[0]->confidence ||
+       (best[1]->confidence == best[0]->confidence && best[1] < best[0]))) {
+    std::swap(best[0], best[1]);
+  }
+  for (const cv::Detection* pick : best) {
+    if (pick == nullptr) continue;
+    const cv::Detection& det = *pick;
     const bool isUpo = det.label == dataset::BoxLabel::kUpo;
     const Color color = isUpo ? config_.upoColor : config_.agoColor;
     auto view = std::make_unique<DecorationView>(

@@ -67,9 +67,6 @@ struct DarpaConfig {
   /// packages are ignored entirely — "selectively running DARPA on those
   /// less-trusted apps" cuts the overhead on trusted ones.
   std::set<std::string> trustedPackages;
-  /// Decorate at most this many options per class (most confident first);
-  /// the product behaviour is one highlighted escape option + one warning.
-  int maxDecorationsPerClass = 1;
   /// A screen is flagged as an AUI when at least one UPO is detected (the
   /// detector's context features keep benign close buttons below
   /// threshold; see §IV-C footnote 4).
@@ -162,10 +159,8 @@ class DarpaService : public android::AccessibilityService {
     return permissions_;
   }
 
-  /// The work ledger every step prices into (perf accounting). The mutable
-  /// overload lets harnesses enable tracing or swap cost tables.
+  /// The work ledger every step prices into (perf accounting).
   [[nodiscard]] const WorkLedger& ledger() const { return ledger_; }
-  [[nodiscard]] WorkLedger& ledger() { return ledger_; }
 
   /// The session's L1 screen-fingerprint verdict cache, for inspection.
   [[nodiscard]] const VerdictCache& verdictCache() const {

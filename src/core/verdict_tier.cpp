@@ -4,11 +4,6 @@
 
 namespace darpa::core {
 
-bool SharedVerdictTier::enabled() const {
-  const util::LockGuard lock(mutex_);
-  return cache_.enabled();
-}
-
 std::optional<VerdictCache::Entry> SharedVerdictTier::find(
     std::uint64_t fingerprint) {
   const util::LockGuard lock(mutex_);
@@ -22,25 +17,12 @@ std::optional<VerdictCache::Entry> SharedVerdictTier::find(
   return *hit;  // Copied out under the lock.
 }
 
-bool SharedVerdictTier::publish(std::uint64_t fingerprint,
-                                VerdictCache::Entry record,
-                                Evidence evidence) {
+void SharedVerdictTier::publish(std::uint64_t fingerprint,
+                                VerdictCache::Entry record) {
   const util::LockGuard lock(mutex_);
-  if (!cache_.enabled()) return false;
-  if (evidence == Evidence::kNone) {
-    // Poisoning guard: an evidence-free verdict (failed capture, lint
-    // unconfident) is one session's transient problem, not fleet truth.
-    ++rejected_;
-    return false;
-  }
+  if (!cache_.enabled()) return;
   ++publishes_;
   cache_.put(fingerprint, std::move(record));
-  return true;
-}
-
-void SharedVerdictTier::clear() {
-  const util::LockGuard lock(mutex_);
-  cache_.clear();
 }
 
 SharedVerdictTier::Stats SharedVerdictTier::stats() const {
@@ -49,7 +31,6 @@ SharedVerdictTier::Stats SharedVerdictTier::stats() const {
   stats.hits = hits_;
   stats.misses = misses_;
   stats.publishes = publishes_;
-  stats.rejectedUnevidenced = rejected_;
   stats.evictions = cache_.evictions();
   stats.entries = static_cast<std::int64_t>(cache_.size());
   return stats;

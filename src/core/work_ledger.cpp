@@ -1,9 +1,6 @@
 #include "core/work_ledger.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <ostream>
 
 namespace darpa::core {
 
@@ -19,16 +16,12 @@ std::string_view stageName(Stage stage) {
   return "?";
 }
 
-void WorkLedger::recordEvent(Millis simNow) {
-  lastEventUs_ = static_cast<double>(simNow.count) * 1000.0;
-  recordRun(Stage::kEvent, costs_.eventCpuMs);
-}
+void WorkLedger::recordEvent() { recordRun(Stage::kEvent, costs_.eventCpuMs); }
 
-void WorkLedger::beginAnalysis(Millis simNow, Millis debounceLatency) {
+void WorkLedger::beginAnalysis(Millis debounceLatency) {
   ++analyses_;
   inAnalysis_ = true;
   passCpuMs_ = 0.0;
-  passStartUs_ = static_cast<double>(simNow.count) * 1000.0;
   if (debounceLatency.count > 0) {
     totalDebounceLatency_ = totalDebounceLatency_ + debounceLatency;
   }
@@ -47,14 +40,7 @@ void WorkLedger::recordRun(Stage stage, double cpuMs, double actualUs) {
   ++tally.runs;
   tally.cpuMs += cpuMs;
   tally.actualUs += actualUs;
-  if (inAnalysis_ && stage != Stage::kEvent) {
-    // Stages of one pass are laid out back-to-back from the pass start so
-    // the trace shows the modeled serial timeline of the analysis.
-    pushTrace(stage, passStartUs_ + passCpuMs_ * 1000.0, cpuMs * 1000.0);
-    passCpuMs_ += cpuMs;
-  } else {
-    pushTrace(stage, lastEventUs_, cpuMs * 1000.0);
-  }
+  if (inAnalysis_ && stage != Stage::kEvent) passCpuMs_ += cpuMs;
 }
 
 void WorkLedger::recordRuns(Stage stage, std::int64_t n, double cpuMsEach) {
@@ -80,14 +66,6 @@ void WorkLedger::recordCacheMiss() { ++cacheMisses_; }
 
 void WorkLedger::recordActual(Stage stage, double actualUs) {
   tallies_[static_cast<std::size_t>(stage)].actualUs += actualUs;
-}
-
-void WorkLedger::recordScratchGrowth(Stage stage, std::int64_t growths,
-                                     std::int64_t bytes) {
-  if (growths <= 0 && bytes <= 0) return;
-  StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
-  tally.scratchGrowths += growths;
-  tally.scratchGrownBytes += bytes;
 }
 
 void WorkLedger::recordFrameBytes(std::size_t bytes) {
@@ -117,67 +95,7 @@ WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
   lastAnalysisCpuMs_ = o.lastAnalysisCpuMs_;
   // The peak is a max, not a sum: sessions share one frame size.
   peakFrameBytes_ = std::max(peakFrameBytes_, o.peakFrameBytes_);
-  if (traceEnabled_) {
-    for (const TraceEvent& event : o.trace_) {
-      if (trace_.size() >= traceCapacity_) break;
-      trace_.push_back(event);
-    }
-  }
   return *this;
-}
-
-void WorkLedger::setTraceEnabled(bool on, std::size_t maxEvents) {
-  traceEnabled_ = on;
-  traceCapacity_ = maxEvents;
-  if (!on) trace_.clear();
-  trace_.reserve(on ? std::min<std::size_t>(maxEvents, 1024) : 0);
-}
-
-void WorkLedger::pushTrace(Stage stage, double tsUs, double durUs) {
-  if (!traceEnabled_ || trace_.size() >= traceCapacity_) return;
-  trace_.push_back(TraceEvent{stage, tsUs, durUs, analyses_});
-}
-
-void WorkLedger::writeChromeTrace(std::ostream& os) const {
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  char num[64];
-  for (const TraceEvent& event : trace_) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "  {\"name\": \"" << stageName(event.stage)
-       << "\", \"cat\": \"darpa\", \"ph\": \"X\", \"ts\": ";
-    // Fixed-point microseconds: stream default formatting would flip to
-    // scientific notation past 1e6 us, which trace viewers reject.
-    std::snprintf(num, sizeof num, "%.3f", event.tsUs);
-    os << num << ", \"dur\": ";
-    std::snprintf(num, sizeof num, "%.3f", event.durUs);
-    os << num << ", \"pid\": 1, \"tid\": 1, \"args\": {\"analysis\": "
-       << event.analysisId << "}}";
-  }
-  // Wall-clock axis, as Chrome counter tracks: measured microseconds per
-  // stage (and scratch warm-up, when any happened). Gated on actual data so
-  // traces from runs without wall-clock instrumentation are unchanged.
-  for (const Stage stage : kAllStages) {
-    const StageTally& t = tally(stage);
-    if (t.actualUs <= 0.0 && t.scratchGrowths == 0) continue;
-    if (!first) os << ",\n";
-    first = false;
-    std::snprintf(num, sizeof num, "%.3f", t.actualUs);
-    os << "  {\"name\": \"actual_us[" << stageName(stage)
-       << "]\", \"cat\": \"darpa\", \"ph\": \"C\", \"ts\": 0, \"pid\": 1, "
-          "\"args\": {\"wall_us\": "
-       << num << ", \"scratch_growths\": " << t.scratchGrowths
-       << ", \"scratch_bytes\": " << t.scratchGrownBytes << "}}";
-  }
-  os << "\n]}\n";
-}
-
-bool WorkLedger::writeChromeTrace(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out.good()) return false;
-  writeChromeTrace(out);
-  return out.good();
 }
 
 }  // namespace darpa::core

@@ -12,10 +12,7 @@
 //  * the peak single-frame footprint (peakFrameBytes), folded into the
 //    Table VII memory row by perf::DeviceModel;
 //  * per-analysis modeled latency and the simulated-clock debounce latency
-//    (time a screen waited for ct stability before being analyzed);
-//  * an optional bounded Chrome-trace event log (chrome://tracing /
-//    Perfetto "traceEvents" JSON) so a session's stage timeline can be
-//    inspected visually.
+//    (time a screen waited for ct stability before being analyzed).
 //
 // The per-operation CPU costs live in StageCosts — one table shared by the
 // pipeline (which prices work as it happens) and perf::DeviceModel (which
@@ -32,11 +29,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/clock.h"
 #include "util/thread_annotations.h"
@@ -89,20 +84,11 @@ struct StageTally {
   // above stays the deterministic axis.
   double actualUs = 0.0;  ///< Measured wall-clock microseconds.
 
-  // Scratch-arena axis: warm-up growths of the detector hot path's reusable
-  // buffers (descriptor, activation and logit tiles, feature planes). Kept
-  // apart from peakFrameBytes so scratch warm-up can never move the Table
-  // VII memory row.
-  std::int64_t scratchGrowths = 0;
-  std::int64_t scratchGrownBytes = 0;
-
   StageTally& operator+=(const StageTally& o) {
     runs += o.runs;
     skips += o.skips;
     cpuMs += o.cpuMs;
     actualUs += o.actualUs;
-    scratchGrowths += o.scratchGrowths;
-    scratchGrownBytes += o.scratchGrownBytes;
     return *this;
   }
 };
@@ -116,12 +102,12 @@ class WorkLedger {
 
   // --- recording (called by the service / pipeline stages) -----------------
 
-  /// One delivered accessibility event at simulated time `simNow`.
-  void recordEvent(Millis simNow);
+  /// One delivered accessibility event.
+  void recordEvent();
 
   /// Opens an analysis pass. `debounceLatency` is the simulated-clock time
   /// the screen waited for ct stability (trigger event -> analysis).
-  void beginAnalysis(Millis simNow, Millis debounceLatency = {});
+  void beginAnalysis(Millis debounceLatency = {});
   /// Closes the pass and folds its modeled latency into the totals.
   void endAnalysis();
 
@@ -151,11 +137,6 @@ class WorkLedger {
   /// Measured wall-clock microseconds for a stage execution whose modeled
   /// cost was recorded elsewhere (or not at all). Pure observability.
   void recordActual(Stage stage, double actualUs);
-  /// `growths` scratch-arena growth events totalling `bytes`, attributed to
-  /// `stage`. Tracks detector hot-path warm-up; deliberately kept out of
-  /// peakFrameBytes.
-  void recordScratchGrowth(Stage stage, std::int64_t growths,
-                           std::int64_t bytes);
 
   // --- queries --------------------------------------------------------------
   [[nodiscard]] const StageTally& tally(Stage stage) const {
@@ -188,34 +169,10 @@ class WorkLedger {
 
   /// Merges another ledger's tallies/counters (per-app session roll-up and
   /// the fleet roll-up). Per the thread-ownership rule above, `o`'s owning
-  /// session must be quiescent. Trace events are appended up to this
-  /// ledger's trace capacity.
+  /// session must be quiescent.
   WorkLedger& operator+=(const WorkLedger& o);
 
-  // --- Chrome trace ---------------------------------------------------------
-  /// Enables the bounded trace-event log. Events beyond `maxEvents` are
-  /// dropped (the counters above are never affected).
-  void setTraceEnabled(bool on, std::size_t maxEvents = 16384);
-  [[nodiscard]] bool traceEnabled() const { return traceEnabled_; }
-  [[nodiscard]] std::size_t traceEventCount() const { return trace_.size(); }
-
-  /// Writes the log as Chrome-trace JSON ({"traceEvents": [...]}) — load in
-  /// chrome://tracing or https://ui.perfetto.dev. Timestamps are simulated
-  /// microseconds; durations are modeled CPU-µs.
-  void writeChromeTrace(std::ostream& os) const;
-  /// Same, to a file; returns false when the file cannot be opened.
-  [[nodiscard]] bool writeChromeTrace(const std::string& path) const;
-
  private:
-  struct TraceEvent {
-    Stage stage;
-    double tsUs = 0.0;   ///< Simulated-clock start, microseconds.
-    double durUs = 0.0;  ///< Modeled CPU duration, microseconds.
-    std::int64_t analysisId = 0;
-  };
-
-  void pushTrace(Stage stage, double tsUs, double durUs);
-
   // Every member is session-confined per the thread-ownership rule above:
   // no lock anywhere in this class is not an accident, it is the contract.
   // CONFINED_TO documents it where the state lives; cross-session merges
@@ -235,12 +192,6 @@ class WorkLedger {
   // In-flight analysis pass.
   bool inAnalysis_ = false;
   double passCpuMs_ = 0.0;
-  double passStartUs_ = 0.0;
-  double lastEventUs_ = 0.0;  ///< Trace timestamp for out-of-pass records.
-
-  bool traceEnabled_ = false;
-  std::size_t traceCapacity_ = 16384;
-  std::vector<TraceEvent> trace_;
 };
 
 }  // namespace darpa::core

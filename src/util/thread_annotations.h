@@ -10,14 +10,13 @@
 // confined to one session's worker.
 //
 // Usage conventions (see DESIGN.md §12):
-//  * Every mutex member is a util::RankedMutex (util/lock_rank.h) — a
-//    CAPABILITY-annotated std::mutex wrapper that also validates lock-rank
-//    ordering at runtime.
+//  * Every mutex member is a util::Mutex (util/mutex.h) — a
+//    CAPABILITY-annotated std::mutex that aborts when its holder re-locks
+//    it or a thread that does not hold it unlocks it.
 //  * Every field a mutex protects carries GUARDED_BY(mutex_). detlint
-//    (tools/detlint) rejects a std::mutex/RankedMutex member whose file has
+//    (tools/detlint) rejects a std::mutex/Mutex member whose file has
 //    no GUARDED_BY referencing it.
-//  * Functions that assume the lock is already held carry REQUIRES(mutex_)
-//    (and are conventionally named ...Locked()).
+//  * Public methods that take the lock themselves carry EXCLUDES(mutex_).
 //  * Structures with NO mutex by design — session-confined state merged
 //    only after the fleet run — mark their members CONFINED_TO("owner") so
 //    the confinement rule is greppable where the data lives, not only in a
@@ -43,45 +42,13 @@
 /// Field is protected by the given mutex: every read/write must hold it.
 #define GUARDED_BY(x) DARPA_THREAD_ANNOTATION__(guarded_by(x))
 
-/// Pointer field whose *pointee* is protected by the given mutex.
-#define PT_GUARDED_BY(x) DARPA_THREAD_ANNOTATION__(pt_guarded_by(x))
-
-/// Declares lock-ordering edges checkable by the static analysis (the
-/// runtime lock-rank validator enforces the same ordering dynamically).
-#define ACQUIRED_BEFORE(...) DARPA_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define ACQUIRED_AFTER(...) DARPA_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
-
-/// Function requires the given capabilities to be held on entry (and does
-/// not release them).
-#define REQUIRES(...) DARPA_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  DARPA_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires / releases the given capabilities.
 #define ACQUIRE(...) DARPA_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  DARPA_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) DARPA_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  DARPA_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-
-/// Function attempts the acquisition; first arg is the success return value.
-#define TRY_ACQUIRE(...) \
-  DARPA_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 
 /// Function must NOT be called with the given capabilities held (guards
 /// against self-deadlock on non-reentrant mutexes).
 #define EXCLUDES(...) DARPA_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-
-/// Function asserts (at runtime) that the capability is held.
-#define ASSERT_CAPABILITY(x) DARPA_THREAD_ANNOTATION__(assert_capability(x))
-
-/// Function returns a reference to the named capability.
-#define RETURN_CAPABILITY(x) DARPA_THREAD_ANNOTATION__(lock_returned(x))
-
-/// Escape hatch: function is deliberately outside the analysis.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  DARPA_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 /// Documentation-only marker (expands to nothing on every compiler) for
 /// state that is protected by OWNERSHIP rather than a lock: session-confined

@@ -294,8 +294,7 @@ TEST(VirtualFingerprintPropertyTest, VerdictCacheNeverCrossServesWebScreens) {
   EXPECT_TRUE(cache.find(fpA)->isAui);
 
   core::SharedVerdictTier tier(8);
-  EXPECT_TRUE(tier.publish(fpA, {/*isAui=*/true, {}},
-                           core::SharedVerdictTier::Evidence::kCapture));
+  tier.publish(fpA, {/*isAui=*/true, {}});
   EXPECT_FALSE(tier.find(fpB).has_value());
   ASSERT_TRUE(tier.find(fpA).has_value());
   EXPECT_TRUE(tier.find(fpA)->isAui);

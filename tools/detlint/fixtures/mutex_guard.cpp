@@ -1,12 +1,17 @@
 // Fixture: mutex-missing-guarded-by — a mutex member with no
 // GUARDED_BY(<mutex>) in its file is invisible to -Wthread-safety: the
 // analysis has nothing to check, so races in "protected" state compile
-// clean. RankedMutex members obey the same rule.
+// clean. util::Mutex members obey the same rule.
 #include <mutex>
 #include <vector>
 
 #define GUARDED_BY(x)  // stand-in for util/thread_annotations.h
-class RankedMutex;     // stand-in for util/lock_rank.h
+namespace util {
+class Mutex {         // stand-in for util/mutex.h
+ public:
+  explicit Mutex(const char*) {}
+};
+}  // namespace util
 
 namespace fixture {
 
@@ -24,16 +29,23 @@ class Guarded {
   std::vector<int> queue_ GUARDED_BY(mutex_);  // annotated: no finding
 };
 
-class UnguardedRanked {
+class UnguardedTier {
  private:
-  RankedMutex* lock() { return ranked_; }
-  RankedMutex* ranked_ = nullptr;  // pointer, not a member mutex: no finding
+  mutable util::Mutex tierMutex_{"fixture.tier"};  // expect: mutex-missing-guarded-by
+  std::vector<int> records_;
+};
+
+class GuardedTier {
+ private:
+  mutable util::Mutex guardedTierMutex_{"fixture.guarded"};
+  std::vector<int> records_ GUARDED_BY(guardedTierMutex_);  // no finding
+  util::Mutex* borrowed_ = nullptr;  // pointer, not a member mutex: no finding
 };
 
 class Allowed {
  private:
-  // A mutex that genuinely guards nothing field-shaped (e.g. a registry
-  // internal) documents itself out with a reasoned allow:
+  // A mutex that genuinely guards nothing field-shaped (e.g. a wrapper's
+  // own lock) documents itself out with a reasoned allow:
   mutable std::mutex barrier_;  // detlint: allow(mutex-missing-guarded-by) pure rendezvous
 };
 

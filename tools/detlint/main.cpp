@@ -39,17 +39,10 @@
 //       read only picks a speed) — documented with an explicit
 //       begin-allow region.
 //   mutex-missing-guarded-by
-//       A std::mutex / RankedMutex member whose file contains no
+//       A std::mutex / Mutex member whose file contains no
 //       GUARDED_BY(<that mutex>) annotation. Applies everywhere (not only
 //       digest paths): an unannotated mutex is invisible to the
 //       -Wthread-safety lane, so its protected set is unchecked.
-//   raw-mutex-in-fleet
-//       A raw std::mutex member in fleet code (any file whose path
-//       contains "fleet" or "verdict_tier"). The fleet's deadlock-freedom
-//       argument is the lock-rank order, and the rank validator only sees
-//       RankedMutex — a raw std::mutex bypasses it, so a rank inversion
-//       through that lock would go undetected until it deadlocks in
-//       production.
 //
 // What counts as digest-affecting:
 //   * Path rules: every file under src/ (the runtime + substrate that
@@ -106,7 +99,6 @@ const char kRuleUnorderedIter[] = "unordered-iteration-in-digest-path";
 const char kRulePtrKeyed[] = "pointer-keyed-ordered-container";
 const char kRuleEnvConfig[] = "env-config-in-digest-path";
 const char kRuleMutexGuard[] = "mutex-missing-guarded-by";
-const char kRuleRawMutexFleet[] = "raw-mutex-in-fleet";
 
 /// Strips // and /* */ comments plus string/char literal CONTENTS from one
 /// line, so banned tokens in comments or messages never fire. `inBlock`
@@ -156,10 +148,6 @@ struct ScanState {
   std::map<std::string, int> mutexDecls;   ///< name -> line declared.
   std::set<std::string> guardedByRefs;     ///< Names seen in GUARDED_BY().
   std::set<std::string> mutexAllowed;      ///< Mutex names with line allows.
-  /// std::mutex (not RankedMutex) members: name -> line, for the
-  /// fleet-path rank-bypass rule.
-  std::map<std::string, int> rawMutexDecls;
-  std::set<std::string> rawMutexAllowed;   ///< Raw-mutex names with allows.
 };
 
 /// Parses "// detlint: ..." directives and "// expect: ..." markers from
@@ -219,9 +207,7 @@ void collectDeclarations(const std::string& text, int lineNo, ScanState& state,
   static const std::regex kUnorderedDecl(
       R"(std::unordered_(?:map|set)\s*<.*>\s+([A-Za-z_]\w*)\s*(?:[;={(]|$))");
   static const std::regex kMutexDecl(
-      R"((?:std::mutex|RankedMutex)\s+([A-Za-z_]\w*)\s*(?:[;={]|$))");
-  static const std::regex kRawMutexDecl(
-      R"(std::mutex\s+([A-Za-z_]\w*)\s*(?:[;={]|$))");
+      R"((?:std::mutex|\bMutex)\s+([A-Za-z_]\w*)\s*(?:[;={]|$))");
   static const std::regex kGuardedBy(R"(GUARDED_BY\(\s*([A-Za-z_]\w*)\s*\))");
 
   std::smatch m;
@@ -232,13 +218,6 @@ void collectDeclarations(const std::string& text, int lineNo, ScanState& state,
     const std::string name = m[1].str();
     state.mutexDecls.emplace(name, lineNo);
     if (lineAllows.count(kRuleMutexGuard) > 0) state.mutexAllowed.insert(name);
-  }
-  if (std::regex_search(text, m, kRawMutexDecl)) {
-    const std::string name = m[1].str();
-    state.rawMutexDecls.emplace(name, lineNo);
-    if (lineAllows.count(kRuleRawMutexFleet) > 0) {
-      state.rawMutexAllowed.insert(name);
-    }
   }
   auto begin = std::sregex_iterator(text.begin(), text.end(), kGuardedBy);
   for (auto it = begin; it != std::sregex_iterator(); ++it) {
@@ -364,22 +343,6 @@ FileReport scanFile(const fs::path& path, const std::string& displayName,
              ") field in this file — its protected set is invisible to "
              "-Wthread-safety"});
   }
-
-  // File-scope rule: fleet code — and the shared verdict tier, whose lock
-  // is ranked at kVerdictTier — never declares a raw std::mutex member; it
-  // must be a RankedMutex so the lock-rank validator (the fleet's
-  // deadlock-freedom argument) can see every acquisition.
-  if (displayName.find("fleet") != std::string::npos ||
-      displayName.find("verdict_tier") != std::string::npos) {
-    for (const auto& [name, declLine] : state.rawMutexDecls) {
-      if (state.rawMutexAllowed.count(name) > 0) continue;
-      report.findings.push_back(
-          {displayName, declLine, kRuleRawMutexFleet,
-           "raw std::mutex member '" + name +
-               "' in fleet code bypasses the lock-rank validator — use "
-               "util::RankedMutex with a documented rank"});
-    }
-  }
   return report;
 }
 
@@ -463,8 +426,7 @@ int selfTest(const fs::path& fixtureDir) {
   // Coverage contract: the fixture suite must make every rule fire at
   // least once, or a silently dead rule would pass CI forever.
   for (const char* rule : {kRuleWallClock, kRuleAmbientRng, kRuleUnorderedIter,
-                           kRulePtrKeyed, kRuleEnvConfig, kRuleMutexGuard,
-                           kRuleRawMutexFleet}) {
+                           kRulePtrKeyed, kRuleEnvConfig, kRuleMutexGuard}) {
     if (rulesFired.count(rule) == 0) {
       std::printf("SELF-TEST FAIL: rule [%s] fired on no fixture\n", rule);
       ++failures;
