@@ -141,11 +141,13 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   # RSS (a fleet whose budget
   # exceeds MemAvailable is refused, not built); its wall-clock rows are
   # reported, not gated. The speedups only mean something under
-  # optimization, so this lane builds Release (-O2) and runs both benches
-  # at --quick scale. Fatal on contract failure. The two binaries share the
+  # optimization, so this lane builds Release (-O3) with warnings as errors
+  # (the Release build is warning-free too) and runs both benches at
+  # --quick scale. Fatal on contract failure. The two binaries share the
   # trained-model cache in build-perf/bench, so the fleet bench reuses the
   # hot-path bench's model.
-  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
+  cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build build-perf -j "$JOBS" \
     --target bench_detector_hotpath --target bench_fleet_throughput
   (cd build-perf/bench && ./bench_detector_hotpath --quick)

@@ -55,7 +55,11 @@ LintContext::LintContext(const android::UiDump& dump, Size screenSize)
       parents_[i] = parent;
       const int sibling = childCount[parent]++;
       paths_[i] = paths_[parent] + "/" + dump[i].className;
-      if (sibling > 0) paths_[i] += "[" + std::to_string(sibling) + "]";
+      if (sibling > 0) {
+        paths_[i] += '[';
+        paths_[i] += std::to_string(sibling);
+        paths_[i] += ']';
+      }
     } else {
       paths_[i] = dump[i].className;
     }

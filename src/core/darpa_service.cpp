@@ -139,8 +139,7 @@ void DarpaService::analyzeNow() {
   // wired this block is byte-identical to the historical L1-only probe.
   if (probe) {
     ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
-    const VerdictCache::Entry* hit =
-        verdictCache_.enabled() ? verdictCache_.find(key) : nullptr;
+    const VerdictCache::Entry* hit = verdictCache_.find(key);
     if (hit != nullptr) {
       ledger_.recordCacheHit();
       ++stats_.verdictCacheHits;
@@ -159,9 +158,7 @@ void DarpaService::analyzeNow() {
         fromCache = true;
         isAui = shared->isAui;
         detections = std::move(shared->detections);
-        if (verdictCache_.enabled()) {
-          verdictCache_.put(key, {isAui, detections});
-        }
+        verdictCache_.put(key, {isAui, detections});
       } else {
         ledger_.recordCacheMiss();
       }
@@ -209,10 +206,9 @@ void DarpaService::analyzeNow() {
          }
        });
 
-  // Screenshot: a usable capture becomes the pass's frame and the vault
-  // takes shared custody of it. Only a usable (non-empty) capture is
-  // counted and priced; a failed one is recorded as a skip and skips
-  // detection too.
+  // Screenshot: the vault takes custody of a usable capture. Only a usable
+  // (non-empty) capture is counted and priced; a failed one is recorded as
+  // a skip and skips detection too.
   step(Stage::kScreenshot, !fromCache && !resolvedByLint, [&] {
     gfx::Bitmap shot = takeScreenshot();
     screenshotOk = wm != nullptr && !shot.empty();
@@ -224,20 +220,17 @@ void DarpaService::analyzeNow() {
       return;
     }
     ledger_.recordFrameBytes(shot.pixelBytes());
-    // Zero-copy: one buffer, every holder.
-    vault_.store(std::make_shared<const ScreenFrame>(std::move(shot)));
+    vault_.store(std::move(shot));
     ++stats_.screenshotsTaken;
     ledger_.recordRun(Stage::kScreenshot, ledger_.costs().screenshotCpuMs);
   });
 
-  // Detect: the CV model over the held frame, on the session's thread.
+  // Detect: the CV model over the held capture, on the session's thread.
   step(Stage::kDetect, !fromCache && !resolvedByLint && screenshotOk, [&] {
-    // §IV-E custody: the frame leaves the vault for the model run and this
-    // reference is dropped the moment the model returns; the frame scrubs
-    // its pixels when the last holder (this pass) lets go.
-    FramePtr held = vault_.take();
-    detections = detector_->detect(held->pixels());
-    held.reset();
+    // §IV-E custody: the model reads the capture in place, and the vault
+    // scrubs and frees it the moment the model returns.
+    detections = detector_->detect(*vault_.current());
+    vault_.rinse();
     ledger_.recordRun(Stage::kDetect, detector_->costMacsPerImage() /
                                           ledger_.costs().macsPerCpuMs);
   });
@@ -257,7 +250,7 @@ void DarpaService::analyzeNow() {
     // a usable capture), in both tiers: a transient screenshot failure must
     // stay one session's transient problem, never the fleet's verdict.
     if (wm == nullptr || !(resolvedByLint || screenshotOk)) return;
-    if (verdictCache_.enabled()) verdictCache_.put(key, {isAui, detections});
+    verdictCache_.put(key, {isAui, detections});
     if (tier != nullptr) tier->publish(key, {isAui, detections});
   });
 
@@ -276,7 +269,6 @@ void DarpaService::analyzeNow() {
 
   lastDetections_ = detections;
   lastWasAui_ = isAui;
-  ledger_.endAnalysis();
   if (analysisListener_) analysisListener_(isAui, detections);
 }
 

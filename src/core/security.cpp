@@ -1,26 +1,28 @@
 #include "core/security.h"
 
+#include <utility>
+
 namespace darpa::core {
 
-void ScreenshotVault::store(FramePtr frame) {
-  if (held_) rinse();
-  held_ = std::move(frame);
+ScreenshotVault::~ScreenshotVault() { rinse(); }
+
+void ScreenshotVault::store(gfx::Bitmap capture) {
+  rinse();
+  held_ = std::move(capture);
   ++stored_;
   peakHeld_ = peakHeld_ < 1 ? 1 : peakHeld_;
 }
 
 void ScreenshotVault::rinse() {
-  if (!held_) return;
-  held_.reset();  // scrub runs in ~ScreenFrame when the last ref drops
+  if (!holding()) return;
+  // §IV-E: scrub the privacy-sensitive capture before its buffer is freed.
+  // The buffer reaches operator delete right after the fill, so an inlined
+  // fill would be a dead store the optimizer may drop; Bitmap::fill is out
+  // of line in gfx/bitmap.cpp and the build has no LTO, so the call and its
+  // stores stay.
+  held_.fill(colors::kBlack);
+  held_ = gfx::Bitmap();
   ++rinsed_;
-}
-
-FramePtr ScreenshotVault::take() {
-  if (!held_) return nullptr;
-  FramePtr out = std::move(held_);
-  held_.reset();
-  ++rinsed_;  // custody handed to the detection path, vault is clean
-  return out;
 }
 
 }  // namespace darpa::core

@@ -2,42 +2,45 @@
 //
 // DARPA handles privacy-sensitive screenshots, so the paper stores them only
 // in app-internal storage and "rinses them immediately after running the
-// CV-model". ScreenshotVault enforces that discipline by construction: at
-// most one screen frame is ever held, it lives in internal storage only,
-// and releasing it (rinse/take) hands the frame to its scrubbing destructor
-// — ScreenFrame overwrites the pixel buffer with black the moment the last
-// holder lets go, before the buffer is freed.
+// CV-model". ScreenshotVault enforces that discipline by construction: it
+// owns the one capture an analysis takes, holds at most one at a time, and
+// every way a capture leaves it (rinse, the next store, the vault's own
+// destruction) overwrites the pixel buffer with black before the buffer is
+// freed. The detect step reads the capture in place and rinses it the
+// moment the model returns.
 // Stats let tests (and the security unit tests) assert the invariant held
 // for a whole session.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
-#include "core/screen_frame.h"
+#include "gfx/bitmap.h"
 
 namespace darpa::core {
 
 class ScreenshotVault {
  public:
-  /// Takes custody of a captured frame (which must carry pixels). Enforces
-  /// the single-screenshot invariant: any previously held frame is rinsed
+  ScreenshotVault() = default;
+  /// Rinses a capture still held, so none reaches operator delete
+  /// unscrubbed (a throwing detect, a service torn down mid-analysis).
+  ~ScreenshotVault();
+  ScreenshotVault(const ScreenshotVault&) = delete;
+  ScreenshotVault& operator=(const ScreenshotVault&) = delete;
+
+  /// Takes custody of a capture (which must carry pixels). Enforces the
+  /// single-screenshot invariant: any previously held capture is rinsed
   /// first.
-  void store(FramePtr frame);
+  void store(gfx::Bitmap capture);
 
   /// Read access while held (null after rinse).
-  [[nodiscard]] const ScreenFrame* current() const { return held_.get(); }
-  [[nodiscard]] bool holding() const { return held_ != nullptr; }
+  [[nodiscard]] const gfx::Bitmap* current() const {
+    return holding() ? &held_ : nullptr;
+  }
+  [[nodiscard]] bool holding() const { return !held_.empty(); }
 
-  /// Releases the held frame; its destructor scrubs the pixel buffer when
-  /// the last reference drops (scrub-on-last-release).
+  /// Scrubs the held capture to black, then frees its buffer. No-op when
+  /// not holding.
   void rinse();
-
-  /// Transfers custody of the held frame to the caller — analyzeNow()'s
-  /// detect step, which drops its reference right after the model ran.
-  /// Counts as a rinse for the audit invariant (the vault holds nothing
-  /// afterwards); returns null when not holding.
-  [[nodiscard]] FramePtr take();
 
   // --- audit counters -------------------------------------------------------
   [[nodiscard]] std::int64_t stored() const { return stored_; }
@@ -46,7 +49,7 @@ class ScreenshotVault {
   [[nodiscard]] int peakHeld() const { return peakHeld_; }
 
  private:
-  FramePtr held_;
+  gfx::Bitmap held_;
   std::int64_t stored_ = 0;
   std::int64_t rinsed_ = 0;
   int peakHeld_ = 0;

@@ -1,33 +1,37 @@
 #include "core/verdict_cache.h"
 
+#include <algorithm>
+#include <utility>
+
 namespace darpa::core {
 
 const VerdictCache::Entry* VerdictCache::find(std::uint64_t key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return &lru_.front().second;
+  for (Slot& slot : slots_) {
+    if (slot.key != key) continue;
+    slot.lastUse = ++useClock_;
+    return &slot.entry;
+  }
+  return nullptr;
 }
 
 void VerdictCache::put(std::uint64_t key, Entry entry) {
   if (capacity_ == 0) return;
-  if (const auto it = index_.find(key); it != index_.end()) {
-    it->second->second = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
+  for (Slot& slot : slots_) {
+    if (slot.key != key) continue;
+    slot.entry = std::move(entry);
+    slot.lastUse = ++useClock_;
     return;
   }
-  lru_.emplace_front(key, std::move(entry));
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
+  if (slots_.size() < capacity_) {
+    slots_.push_back({key, ++useClock_, std::move(entry)});
+    return;
   }
-}
-
-void VerdictCache::clear() {
-  lru_.clear();
-  index_.clear();
+  // Stamps are unique, so the smallest one is exactly the LRU entry.
+  Slot& victim = *std::min_element(
+      slots_.begin(), slots_.end(),
+      [](const Slot& a, const Slot& b) { return a.lastUse < b.lastUse; });
+  victim = {key, ++useClock_, std::move(entry)};
+  ++evictions_;
 }
 
 }  // namespace darpa::core

@@ -13,9 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cv/detector.h"
@@ -25,6 +22,12 @@ namespace darpa::core {
 
 /// Bounded LRU of screen-fingerprint -> verdict. find() refreshes recency;
 /// put() evicts the least recently used entry beyond capacity.
+///
+/// The entries sit in one flat vector that grows on demand up to
+/// `capacity`; every find hit and every put stamps its slot from a
+/// per-cache counter, so the slot with the smallest stamp is always the
+/// least recently used one. A linear scan is the whole index: a session
+/// holds a few dozen screens at most, and the fleet tier a few hundred.
 ///
 /// No lock here. As the L1 it is session-confined, like the service that
 /// owns it (CONFINED_TO below): one cache per DeviceSession, touched only
@@ -42,24 +45,26 @@ class VerdictCache {
 
   [[nodiscard]] bool enabled() const { return capacity_ > 0; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t size() const { return lru_.size(); }
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] std::int64_t evictions() const { return evictions_; }
 
   /// Cached entry for `key`, refreshed to most-recently-used; nullptr on
-  /// miss. The pointer is valid until the next put()/clear().
+  /// miss. The pointer is valid until the next put().
   [[nodiscard]] const Entry* find(std::uint64_t key);
+  /// Stores `entry`, replacing a resident `key` in place; a capacity-0
+  /// cache stores nothing.
   void put(std::uint64_t key, Entry entry);
-  void clear();
 
  private:
-  using LruList = std::list<std::pair<std::uint64_t, Entry>>;
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t lastUse = 0;  ///< Stamp of the latest find hit or put.
+    Entry entry;
+  };
+
   std::size_t capacity_;
-  LruList lru_ CONFINED_TO("owning session");  ///< Front = most recently used.
-  /// Lookup index only (find/erase/assign) — never iterated, so its
-  /// unordered order cannot leak into eviction order (the LRU list is the
-  /// only ordering authority; detlint guards the no-iteration contract).
-  std::unordered_map<std::uint64_t, LruList::iterator> index_
-      CONFINED_TO("owning session");
+  std::vector<Slot> slots_ CONFINED_TO("owning session");
+  std::uint64_t useClock_ CONFINED_TO("owning session") = 0;
   std::int64_t evictions_ CONFINED_TO("owning session") = 0;
 };
 

@@ -20,27 +20,15 @@ void WorkLedger::recordEvent() { recordRun(Stage::kEvent, costs_.eventCpuMs); }
 
 void WorkLedger::beginAnalysis(Millis debounceLatency) {
   ++analyses_;
-  inAnalysis_ = true;
-  passCpuMs_ = 0.0;
   if (debounceLatency.count > 0) {
     totalDebounceLatency_ = totalDebounceLatency_ + debounceLatency;
   }
 }
 
-void WorkLedger::endAnalysis() {
-  if (!inAnalysis_) return;
-  inAnalysis_ = false;
-  lastAnalysisCpuMs_ = passCpuMs_;
-  totalAnalysisLatencyCpuMs_ += passCpuMs_;
-  passCpuMs_ = 0.0;
-}
-
-void WorkLedger::recordRun(Stage stage, double cpuMs, double actualUs) {
+void WorkLedger::recordRun(Stage stage, double cpuMs) {
   StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
   ++tally.runs;
   tally.cpuMs += cpuMs;
-  tally.actualUs += actualUs;
-  if (inAnalysis_ && stage != Stage::kEvent) passCpuMs_ += cpuMs;
 }
 
 void WorkLedger::recordRuns(Stage stage, std::int64_t n, double cpuMsEach) {
@@ -90,9 +78,7 @@ WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
   bypassClicks_ += o.bypassClicks_;
   cacheHits_ += o.cacheHits_;
   cacheMisses_ += o.cacheMisses_;
-  totalAnalysisLatencyCpuMs_ += o.totalAnalysisLatencyCpuMs_;
   totalDebounceLatency_ = totalDebounceLatency_ + o.totalDebounceLatency_;
-  lastAnalysisCpuMs_ = o.lastAnalysisCpuMs_;
   // The peak is a max, not a sum: sessions share one frame size.
   peakFrameBytes_ = std::max(peakFrameBytes_, o.peakFrameBytes_);
   return *this;

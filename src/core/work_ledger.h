@@ -11,8 +11,8 @@
 //  * verdict-cache hit/miss counters (the repeat-screen fast path);
 //  * the peak single-frame footprint (peakFrameBytes), folded into the
 //    Table VII memory row by perf::DeviceModel;
-//  * per-analysis modeled latency and the simulated-clock debounce latency
-//    (time a screen waited for ct stability before being analyzed).
+//  * the analysis count and the simulated-clock debounce latency (time a
+//    screen waited for ct stability before being analyzed).
 //
 // The per-operation CPU costs live in StageCosts — one table shared by the
 // pipeline (which prices work as it happens) and perf::DeviceModel (which
@@ -105,17 +105,12 @@ class WorkLedger {
   /// One delivered accessibility event.
   void recordEvent();
 
-  /// Opens an analysis pass. `debounceLatency` is the simulated-clock time
-  /// the screen waited for ct stability (trigger event -> analysis).
+  /// Counts an analysis pass. `debounceLatency` is the simulated-clock
+  /// time the screen waited for ct stability (trigger event -> analysis).
   void beginAnalysis(Millis debounceLatency = {});
-  /// Closes the pass and folds its modeled latency into the totals.
-  void endAnalysis();
 
-  /// Stage executed, costing `cpuMs` of modeled CPU. `actualUs`, when
-  /// known, is the measured wall-clock microseconds of the same execution
-  /// (steady_clock, observability only — never feeds totalCpuMs or any
-  /// digest-stable quantity).
-  void recordRun(Stage stage, double cpuMs, double actualUs = 0.0);
+  /// Stage executed, costing `cpuMs` of modeled CPU.
+  void recordRun(Stage stage, double cpuMs);
   /// `n` executions of the same stage at `cpuMsEach` (bench convenience).
   void recordRuns(Stage stage, std::int64_t n, double cpuMsEach);
   /// Stage skipped by pipeline routing (cache hit, lint short-circuit...).
@@ -157,11 +152,6 @@ class WorkLedger {
   /// term perf::DeviceModel adds to the Table VII memory row.
   [[nodiscard]] std::int64_t peakFrameBytes() const { return peakFrameBytes_; }
 
-  /// Modeled CPU latency of the most recent / all analysis passes.
-  [[nodiscard]] double lastAnalysisCpuMs() const { return lastAnalysisCpuMs_; }
-  [[nodiscard]] double totalAnalysisLatencyCpuMs() const {
-    return totalAnalysisLatencyCpuMs_;
-  }
   /// Simulated-clock time screens spent waiting for ct stability.
   [[nodiscard]] Millis totalDebounceLatency() const {
     return totalDebounceLatency_;
@@ -184,14 +174,8 @@ class WorkLedger {
   std::int64_t bypassClicks_ = 0;
   std::int64_t cacheHits_ = 0;
   std::int64_t cacheMisses_ = 0;
-  double lastAnalysisCpuMs_ = 0.0;
-  double totalAnalysisLatencyCpuMs_ = 0.0;
   Millis totalDebounceLatency_{0};
   std::int64_t peakFrameBytes_ = 0;  ///< Max single recorded buffer.
-
-  // In-flight analysis pass.
-  bool inAnalysis_ = false;
-  double passCpuMs_ = 0.0;
 };
 
 }  // namespace darpa::core

@@ -6,9 +6,9 @@
 // the visual asymmetry of an AUI (size, position, contrast, transparency) is
 // genuinely present in the input rather than faked through metadata.
 //
-// A Bitmap owns its pixels in a plain vector. A capture is shared zero-copy
-// by wrapping it in a ScreenFrame (core/screen_frame.h), not by aliasing
-// the buffer. Because a stray `Bitmap b = other;` used to silently
+// A Bitmap owns its pixels in a plain vector, and a capture moves from the
+// window manager into the screenshot vault (core/security.h) without a
+// pixel copy. Because a stray `Bitmap b = other;` used to silently
 // deep-copy ~1 MB of pixels, the copy constructor is deleted: copies must
 // be spelled clone().
 #pragma once
@@ -127,7 +127,7 @@ class Bitmap {
 
   /// Overwrites every pixel with `c`. Out of line on purpose: it is the
   /// §IV-E scrub, and an inlined fill just before operator delete is a dead
-  /// store the optimizer may drop (core/screen_frame.cpp).
+  /// store the optimizer may drop (core/security.cpp).
   void fill(Color c);
   void fillRect(const Rect& r, Color c);
 

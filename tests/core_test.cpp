@@ -8,7 +8,6 @@
 #include "android/system.h"
 #include "core/darpa_service.h"
 #include "core/decoration.h"
-#include "core/screen_frame.h"
 #include "core/security.h"
 
 namespace darpa::core {
@@ -38,17 +37,13 @@ std::unique_ptr<android::View> blankScreen() {
 }
 
 // ---------------------------------------------------------------- security
-FramePtr pixelFrame(gfx::Bitmap pixels) {
-  return std::make_shared<const ScreenFrame>(std::move(pixels));
-}
-
 TEST(ScreenshotVaultTest, SingleScreenshotInvariant) {
   ScreenshotVault vault;
   EXPECT_FALSE(vault.holding());
-  vault.store(pixelFrame(gfx::Bitmap(4, 4, colors::kRed)));
+  vault.store(gfx::Bitmap(4, 4, colors::kRed));
   EXPECT_TRUE(vault.holding());
-  // Implicit rinse of the first frame.
-  vault.store(pixelFrame(gfx::Bitmap(4, 4, colors::kBlue)));
+  // Implicit rinse of the first capture.
+  vault.store(gfx::Bitmap(4, 4, colors::kBlue));
   EXPECT_EQ(vault.stored(), 2);
   EXPECT_EQ(vault.rinsed(), 1);
   EXPECT_EQ(vault.peakHeld(), 1);
@@ -62,9 +57,11 @@ TEST(ScreenshotVaultTest, SingleScreenshotInvariant) {
 TEST(ScreenshotVaultTest, CurrentExposesHeldScreenshot) {
   ScreenshotVault vault;
   EXPECT_EQ(vault.current(), nullptr);
-  vault.store(pixelFrame(gfx::Bitmap(2, 2, colors::kGreen)));
+  vault.store(gfx::Bitmap(2, 2, colors::kGreen));
   ASSERT_NE(vault.current(), nullptr);
-  EXPECT_EQ(vault.current()->pixels().at(0, 0), colors::kGreen);
+  EXPECT_EQ(vault.current()->at(0, 0), colors::kGreen);
+  vault.rinse();
+  EXPECT_EQ(vault.current(), nullptr);
 }
 
 TEST(PermissionManifestTest, DefaultIsMinimal) {
@@ -75,18 +72,18 @@ TEST(PermissionManifestTest, DefaultIsMinimal) {
   EXPECT_FALSE(leaky.minimal());
 }
 
-// ----------------------------------------------------------- screen frame
-
-// A held ScreenFrame must not see screen mutations that happen after its
-// capture — in particular DARPA's own decoration overlays.
-TEST(ScreenFrameTest, FrameIsImmutableWhileDecorationIsDrawn) {
+// The vault's capture must not see screen mutations that happen after it
+// was taken — in particular DARPA's own decoration overlays.
+TEST(ScreenshotVaultTest, HeldCaptureIsImmutableWhileDecorationIsDrawn) {
   android::WindowManager wm;
   auto content = std::make_unique<android::View>();
   content->setBackground(colors::kWhite);
   wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/true);
 
-  const FramePtr frame = pixelFrame(wm.composite());
-  EXPECT_EQ(frame->pixels().at(180, 360), colors::kWhite);
+  ScreenshotVault vault;
+  vault.store(wm.composite());
+  const gfx::Bitmap& held = *vault.current();
+  EXPECT_EQ(held.at(180, 360), colors::kWhite);
 
   // Decorate the screen: a loud overlay across the middle.
   auto overlay = std::make_unique<android::View>();
@@ -100,33 +97,41 @@ TEST(ScreenFrameTest, FrameIsImmutableWhileDecorationIsDrawn) {
 
   const gfx::Bitmap decorated = wm.composite();
   EXPECT_EQ(decorated.at(180, 360), colors::kGreen);
-  // The held frame still shows the clean capture: every composite is a
+  // The held capture still shows the clean screen: every composite is a
   // buffer of its own.
-  EXPECT_EQ(frame->pixels().at(180, 360), colors::kWhite);
-  EXPECT_NE(decorated, frame->pixels());
+  EXPECT_EQ(held.at(180, 360), colors::kWhite);
+  EXPECT_NE(decorated, held);
 }
 
-// 16 captures of one unchanged screen, each frame scrubbed and freed before
-// the next, perceive it identically: same live fingerprint, same pixels.
-TEST(ScreenFrameTest, FingerprintsStableAcrossRecaptures) {
+// 16 captures of one unchanged screen, each rinsed (scrubbed and freed)
+// before the next is stored, perceive it identically: same live
+// fingerprint, same pixels, and never more than one capture held.
+TEST(ScreenshotVaultTest, FingerprintsStableAcrossRecaptures) {
   android::WindowManager wm;
   auto content = std::make_unique<android::View>();
   content->setBackground(colors::kLightGray);
   wm.showAppWindow("com.test.app", std::move(content), /*fullscreen=*/false);
 
+  ScreenshotVault vault;
   std::uint64_t firstFp = 0;
   gfx::Bitmap firstPixels;
   constexpr int kRounds = 16;
   for (int round = 0; round < kRounds; ++round) {
-    const FramePtr frame = pixelFrame(wm.composite());
+    vault.store(wm.composite());
+    ASSERT_NE(vault.current(), nullptr);
     if (round == 0) {
       firstFp = wm.topWindowFingerprint();
-      firstPixels = frame->pixels().clone();
+      firstPixels = vault.current()->clone();
     } else {
       EXPECT_EQ(wm.topWindowFingerprint(), firstFp);
-      EXPECT_EQ(frame->pixels(), firstPixels);
+      EXPECT_EQ(*vault.current(), firstPixels);
     }
+    vault.rinse();
+    EXPECT_FALSE(vault.holding());
   }
+  EXPECT_EQ(vault.stored(), kRounds);
+  EXPECT_EQ(vault.rinsed(), kRounds);
+  EXPECT_EQ(vault.peakHeld(), 1);
 }
 
 // ------------------------------------------------------------- decoration

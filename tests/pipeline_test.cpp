@@ -4,7 +4,9 @@
 // routing analyzeNow() records on each path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <set>
 #include <string>
@@ -20,6 +22,7 @@
 #include "core/verdict_tier.h"
 #include "core/work_ledger.h"
 #include "util/clock.h"
+#include "util/rng.h"
 
 namespace darpa::core {
 namespace {
@@ -84,7 +87,6 @@ TEST(WorkLedgerTest, TalliesRunsSkipsAndCpu) {
   ledger.recordSkip(Stage::kLint);
   ledger.recordDecoration();
   ledger.recordBypass();
-  ledger.endAnalysis();
   EXPECT_EQ(ledger.tally(Stage::kEvent).runs, 1);
   EXPECT_EQ(ledger.tally(Stage::kScreenshot).runs, 1);
   EXPECT_EQ(ledger.tally(Stage::kLint).skips, 1);
@@ -95,8 +97,6 @@ TEST(WorkLedgerTest, TalliesRunsSkipsAndCpu) {
   EXPECT_EQ(ledger.totalDebounceLatency().count, 190);
   EXPECT_DOUBLE_EQ(ledger.analysisCpuMs(),
                    ledger.totalCpuMs() - ledger.tally(Stage::kEvent).cpuMs);
-  // The pass's modeled latency covers exactly its in-analysis stages.
-  EXPECT_DOUBLE_EQ(ledger.lastAnalysisCpuMs(), ledger.analysisCpuMs());
 }
 
 TEST(WorkLedgerTest, MergeAccumulatesCounters) {
@@ -173,9 +173,6 @@ TEST(VerdictCacheTest, LruEvictsOldestAndRefreshesOnFind) {
   ASSERT_NE(cache.find(1), nullptr);
   EXPECT_TRUE(cache.find(1)->isAui);
   ASSERT_NE(cache.find(3), nullptr);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find(1), nullptr);
 }
 
 TEST(VerdictCacheTest, ZeroCapacityStoresNothing) {
@@ -186,8 +183,6 @@ TEST(VerdictCacheTest, ZeroCapacityStoresNothing) {
   EXPECT_EQ(cache.find(1), nullptr);
   // A disabled cache never counts phantom evictions either.
   EXPECT_EQ(cache.evictions(), 0);
-  cache.clear();  // clearing an empty disabled cache is a no-op, not a fault
-  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(VerdictCacheTest, CapacityOneHoldsExactlyTheLastKey) {
@@ -229,6 +224,54 @@ TEST(VerdictCacheTest, RepeatedFindPutOfSameKeyKeepsLruOrderHonest) {
   ASSERT_NE(cache.find(2), nullptr);
   EXPECT_FALSE(cache.find(2)->isAui);  // the last re-put (i=7) won
   EXPECT_NE(cache.find(3), nullptr);
+}
+
+// 20,000 seeded finds and puts over 8 keys into 3 slots: after every call
+// the cache agrees with a reference LRU over std::list (front = most
+// recently used) on what find returns, the size and the eviction count.
+TEST(VerdictCacheTest, MatchesReferenceLruOverLongMixedSequences) {
+  constexpr std::size_t kCapacity = 3;
+  constexpr int kKeys = 8;
+  constexpr int kCalls = 20'000;
+  struct Resident {
+    std::uint64_t key;
+    bool isAui;
+    int putAt;  ///< The put's call index, stored as its detection's x.
+  };
+  std::list<Resident> reference;
+  std::int64_t referenceEvictions = 0;
+  VerdictCache cache(kCapacity);
+  Rng rng(26);
+  for (int call = 0; call < kCalls; ++call) {
+    const auto key = static_cast<std::uint64_t>(rng.uniformInt(0, kKeys - 1));
+    const auto resident =
+        std::find_if(reference.begin(), reference.end(),
+                     [key](const Resident& r) { return r.key == key; });
+    if (rng.chance(0.5)) {
+      const VerdictCache::Entry* found = cache.find(key);
+      if (resident == reference.end()) {
+        ASSERT_EQ(found, nullptr) << "call " << call;
+      } else {
+        reference.splice(reference.begin(), reference, resident);
+        ASSERT_NE(found, nullptr) << "call " << call;
+        ASSERT_EQ(found->isAui, resident->isAui) << "call " << call;
+        ASSERT_EQ(found->detections.size(), 1u) << "call " << call;
+        ASSERT_EQ(found->detections[0].box.x, resident->putAt)
+            << "call " << call;
+      }
+    } else {
+      const bool isAui = rng.chance(0.5);
+      cache.put(key, {isAui, {upoAt({call, 0, 1, 1})}});
+      if (resident != reference.end()) reference.erase(resident);
+      reference.push_front({key, isAui, call});
+      if (reference.size() > kCapacity) {
+        reference.pop_back();
+        ++referenceEvictions;
+      }
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "call " << call;
+    ASSERT_EQ(cache.evictions(), referenceEvictions) << "call " << call;
+  }
 }
 
 // ----------------------------------------------------------- fingerprint
