@@ -114,8 +114,9 @@ echo "== no -march=native build: fp32 head and scalar int8 body (build-lane/) ==
 # With DARPA_NATIVE_SIMD off the fp32 head kernel runs 128-bit vectors
 # (src/nn/mlp.cpp) and the int8 head serves the scalar body
 # (src/nn/kernels/). The head must stay bit-equal to the textbook layer
-# and the scalar detect there, and the scalar int8 body must pass the
-# quantization suite it serves.
+# and detect to the per-candidate reference (tests/per_candidate_detect.h)
+# there, and the scalar int8 body must pass the quantization suite it
+# serves.
 cmake -B build-lane -S . -DDARPA_NATIVE_SIMD=OFF
 cmake --build build-lane -j "$JOBS" --target darpa_tests
 ctest_suites build-lane 'MlpBatchTest|QuantizeTest|DescriptorPlanTest|OneStageTest'
@@ -155,8 +156,8 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
 
   # Both perf benches persist their measured numbers as JSON next to the
   # binary; the lane fails if either artifact is missing and then publishes
-  # both at the repo root (gitignored) so perf regressions are diffable
-  # across runs without re-running the lane.
+  # both at the repo root, where they are committed, so perf regressions
+  # are diffable across runs and commits without re-running the lane.
   for artifact in BENCH_detector.json BENCH_fleet.json; do
     if [ ! -f "build-perf/bench/$artifact" ]; then
       echo "FAIL: perf lane did not produce $artifact" >&2
@@ -184,11 +185,11 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   #   block reads 7.6-9.5, ~11 % slower than the 4-unit block, and
   #   passes.)
   # - "The batched detect lost its tiling": a floor on detect_speedup,
-  #   the median of 7 interleaved per-round ratios of the scalar
-  #   per-candidate detect over the batched one. Over 48 runs on the
-  #   reference host it read 2.54-3.60; detect tiles of 32, 16, 8 and 1
-  #   candidates instead of 64 (scratch mutations) read 2.41-2.55,
-  #   1.93-2.35, 1.40-1.46 and 1.03-1.09. The floor fails tiles of 8
+  #   the median of 7 interleaved per-round ratios of the per-candidate
+  #   detect of tests/per_candidate_detect.h over the tiled detect(). Over
+  #   48 runs on the reference host it read 2.54-3.60; detect tiles of 32,
+  #   16, 8 and 1 candidates instead of 64 (scratch mutations) read
+  #   2.41-2.55, 1.93-2.35, 1.40-1.46 and 1.03-1.09. The floor fails tiles of 8
   #   candidates or fewer every run and 16-candidate tiles 5 runs in 6.
   #   The old absolute ceiling (17 ms on detect_batched_ms_per_image)
   #   could not: one-candidate tiles read 15.4-18.6 ms there, against

@@ -152,8 +152,6 @@ const FeatureScratchStats& featureScratchStats() {
   return featureScratch().stats;
 }
 
-void resetFeatureScratchStats() { featureScratch().stats = {}; }
-
 FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
                        int scale)
     : width_(std::max(screenshot.width() / std::max(scale, 1), 1)),
@@ -166,7 +164,6 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       static_cast<std::size_t>(w + 1) * kChannelCount;
 
   FeatureScratch& s = featureScratch();
-  ++s.stats.frames;
 
   // Integral buffer: recycle a retired one when one is pooled, and zero only
   // what the row sums below do not overwrite — corner row 0 and corner
@@ -575,12 +572,6 @@ void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
   std::array<float, kCandidateGeometryDim> geometry;
   candidateGeometryInto(map.fullSize(), box, geometry);
   candidateFeaturesPlannedInto(map, box, geometry, out);
-}
-
-std::vector<float> candidateFeatures(const FeatureMap& map, const Rect& box) {
-  std::vector<float> f(kCandidateFeatureDim);
-  candidateFeaturesInto(map, box, f);
-  return f;
 }
 
 }  // namespace darpa::cv

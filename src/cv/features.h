@@ -69,14 +69,12 @@ struct ChannelSet {
 /// once frames of the working size have been seen. The hot-path bench's
 /// zero-steady-state-allocation contract reads these counters.
 struct FeatureScratchStats {
-  std::int64_t frames = 0;      ///< FeatureMaps built on this thread.
   std::int64_t growths = 0;     ///< Scratch buffer growths (heap allocs).
   std::int64_t grownBytes = 0;  ///< Capacity bytes added by those growths.
 };
 
 /// This thread's scratch statistics (thread_local; see FeatureScratchStats).
 [[nodiscard]] const FeatureScratchStats& featureScratchStats();
-void resetFeatureScratchStats();
 
 /// Downscaled multi-channel feature planes with integral images.
 class FeatureMap {
@@ -149,28 +147,24 @@ class FeatureMap {
   float centerSurround_ = 0.0f;
 };
 
-/// Dimension of the per-candidate descriptor built by candidateFeatures().
+/// Dimension of the per-candidate descriptor built by
+/// candidateFeaturesInto().
 inline constexpr int kCandidateFeatureDim = 2 * kChannelCount + 14;
 
-/// Builds the descriptor for a candidate box (full-res coords):
-/// per-channel [box mean, ring contrast], geometric priors (size, aspect,
-/// position, corner/center distances), global context cues, and two
-/// edge-continuation cues (does the local structure continue past the box —
-/// separates isolated blobs from panel-border segments).
-[[nodiscard]] std::vector<float> candidateFeatures(const FeatureMap& map,
-                                                   const Rect& box);
-
-/// candidateFeatures() into a caller-provided buffer of exactly
-/// kCandidateFeatureDim floats — the allocation-free form the batched
-/// detector path uses to fill descriptor matrix rows.
+/// Builds the descriptor for a candidate box (full-res coords) into `out`,
+/// exactly kCandidateFeatureDim floats: per-channel [box mean, ring
+/// contrast], geometric priors (size, aspect, position, corner/center
+/// distances), global context cues, and two edge-continuation cues (does
+/// the local structure continue past the box — separates isolated blobs
+/// from panel-border segments).
 void candidateFeaturesInto(const FeatureMap& map, const Rect& box,
                            std::span<float> out);
 
 /// The descriptor's geometric-prior block: kCandidateGeometryDim floats at
 /// offset kCandidateGeometryOffset, a pure function of (frame size, box).
-/// The batched detector precomputes one block per anchor-grid entry and
-/// replays it across every frame of that size (bit-equal by construction —
-/// this very function produced the cached values).
+/// The detector precomputes one block per anchor-grid entry and replays it
+/// across every frame of that size (bit-equal by construction — this very
+/// function produced the cached values).
 inline constexpr int kCandidateGeometryDim = 8;
 inline constexpr int kCandidateGeometryOffset = 2 * kChannelCount;
 void candidateGeometryInto(Size fullSize, const Rect& box,
@@ -205,7 +199,7 @@ struct DescriptorAxis {
                                                 bool vertical);
 
 /// The descriptor from a planned box (its x and y axis plans) and its
-/// geometric block — the fill every candidateFeatures*() form runs.
+/// geometric block — the fill every candidateFeatures*Into() form runs.
 void candidateFeaturesFromPlan(const FeatureMap& map, const DescriptorAxis& x,
                                const DescriptorAxis& y,
                                std::span<const float> geometry,

@@ -86,11 +86,11 @@ struct AnchorAxes {
   int rows = 0;
 };
 
-/// Per-thread arena for the batched detect path: the anchor grid and its
-/// descriptor plan (cached across same-sized frames), one tile of
-/// descriptors and logits, and the MLP forward scratch. Buffer growths are
-/// counted so the detect stage and the hot-path bench can assert the steady
-/// state allocates nothing.
+/// Per-thread arena for detect: the anchor grid and its descriptor plan
+/// (cached across same-sized frames), one tile of descriptors and logits,
+/// and the MLP forward scratch. Buffer growths are counted so the detect
+/// stage and the hot-path bench can assert the steady state allocates
+/// nothing.
 struct DetectScratch {
   std::vector<GridPos> grid;
   /// Per-grid-entry geometric descriptor blocks (kCandidateGeometryDim
@@ -222,8 +222,7 @@ DetectScratch& detectScratch() {
   return scratch;
 }
 
-/// Thresholds + decodes one candidate's head output into `raw` — the exact
-/// scalar-path logic, shared by the batched and scalar detect loops.
+/// Thresholds + decodes one candidate's head output into `raw`.
 void decodeCandidate(const OneStageConfig& config, const GridPos& pos,
                      const float* out, std::vector<Detection>& raw) {
   const Anchor& anchor = config.anchors[static_cast<std::size_t>(pos.anchorIdx)];
@@ -365,6 +364,12 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
         enumerateGrid(config, sample.image.size());
 
     std::vector<TrainExample> selected;
+    auto describe = [&](const GridPos& pos) {
+      TrainExample ex;
+      ex.features.resize(kCandidateFeatureDim);
+      candidateFeaturesInto(map, pos.box(config.anchors), ex.features);
+      return ex;
+    };
     struct ScoredNegative {
       float score;
       const GridPos* pos;
@@ -374,8 +379,7 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
     for (const GridPos& pos : grid) {
       const MatchInfo info = matchCandidate(config, pos, sample.annotations);
       if (info.classTarget >= 0) {
-        TrainExample ex;
-        ex.features = candidateFeatures(map, pos.box(config.anchors));
+        TrainExample ex = describe(pos);
         ex.classTarget = info.classTarget;
         ex.dx = info.dx;
         ex.dy = info.dy;
@@ -418,18 +422,12 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
         negatives.size(),
         static_cast<std::size_t>(trainConfig.hardNegativesPerImage));
     for (std::size_t i = 0; i < hardCount; ++i) {
-      TrainExample ex;
-      ex.features =
-          candidateFeatures(map, negatives[i].pos->box(config.anchors));
-      selected.push_back(std::move(ex));
+      selected.push_back(describe(*negatives[i].pos));
     }
     for (int i = 0;
          i < trainConfig.randomNegativesPerImage && !negatives.empty(); ++i) {
       const std::size_t pick = rng.next() % negatives.size();
-      TrainExample ex;
-      ex.features =
-          candidateFeatures(map, negatives[pick].pos->box(config.anchors));
-      selected.push_back(std::move(ex));
+      selected.push_back(describe(*negatives[pick].pos));
     }
     selections[r] = std::move(selected);
   };
@@ -492,12 +490,6 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
   return detector;
 }
 
-std::vector<float> OneStageDetector::runHead(
-    std::span<const float> features) const {
-  if (useQuantized_ && quantizedHead_) return quantizedHead_->forward(features);
-  return head_->forward(features);
-}
-
 void OneStageDetector::runHeadBatch(std::span<const float> features, int rows,
                                     std::span<float> logits,
                                     nn::ForwardScratch& scratch) const {
@@ -538,28 +530,18 @@ std::span<const float> OneStageDetector::fillDescriptors(
 std::vector<Detection> OneStageDetector::detect(
     const gfx::Bitmap& screenshot) const {
   const FeatureMap map(screenshot, config_.channels, config_.featureScale);
+  // Fill, score and decode the anchor grid one head tile at a time, in grid
+  // order. No per-frame descriptor or logit matrix exists.
   std::vector<Detection> raw;
-  if (config_.batchedHead) {
-    // Batched path: fill, score and decode the anchor grid one head tile
-    // at a time, in grid order (the scalar loop's order, so the Detection
-    // stream is bit-equal). No per-frame descriptor or logit matrix exists.
-    DetectScratch& s = detectScratch();
-    s.planFor(config_, map);
-    float* logits = s.ensure(s.logits, kTileRows * 6);
-    for (std::size_t first = 0; first < s.grid.size(); first += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, s.grid.size() - first);
-      runHeadBatch(s.fillRows(map, first, rows), static_cast<int>(rows),
-                   {logits, rows * 6}, s.forward);
-      for (std::size_t r = 0; r < rows; ++r) {
-        decodeCandidate(config_, s.grid[first + r], logits + r * 6, raw);
-      }
-    }
-  } else {
-    for (const GridPos& pos : enumerateGrid(config_, screenshot.size())) {
-      const std::vector<float> features =
-          candidateFeatures(map, pos.box(config_.anchors));
-      const std::vector<float> out = runHead(features);
-      decodeCandidate(config_, pos, out.data(), raw);
+  DetectScratch& s = detectScratch();
+  s.planFor(config_, map);
+  float* logits = s.ensure(s.logits, kTileRows * 6);
+  for (std::size_t first = 0; first < s.grid.size(); first += kTileRows) {
+    const std::size_t rows = std::min(kTileRows, s.grid.size() - first);
+    runHeadBatch(s.fillRows(map, first, rows), static_cast<int>(rows),
+                 {logits, rows * 6}, s.forward);
+    for (std::size_t r = 0; r < rows; ++r) {
+      decodeCandidate(config_, s.grid[first + r], logits + r * 6, raw);
     }
   }
   return postprocess(std::move(raw), screenshot);
@@ -578,15 +560,16 @@ double OneStageDetector::costMacsPerImage() const {
 
 void OneStageDetector::enableQuantized(
     std::span<const gfx::Bitmap> calibrationImages) {
+  // Every 7th candidate of the grid, described by the fill detect serves,
+  // is plenty to estimate activation ranges.
   std::vector<std::vector<float>> calibration;
+  DetectScratch& s = detectScratch();
   for (const gfx::Bitmap& image : calibrationImages) {
     const FeatureMap map(image, config_.channels, config_.featureScale);
-    // Subsample the grid for calibration: every 7th candidate is plenty to
-    // estimate activation ranges.
-    const std::vector<GridPos> grid = enumerateGrid(config_, image.size());
-    for (std::size_t i = 0; i < grid.size(); i += 7) {
-      calibration.push_back(
-          candidateFeatures(map, grid[i].box(config_.anchors)));
+    s.planFor(config_, map);
+    for (std::size_t i = 0; i < s.grid.size(); i += 7) {
+      const std::span<const float> row = s.fillRows(map, i, 1);
+      calibration.emplace_back(row.begin(), row.end());
     }
   }
   quantizedHead_ = nn::QuantizedMlp::fromMlp(*head_, calibration);

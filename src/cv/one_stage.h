@@ -69,13 +69,6 @@ struct OneStageConfig {
   /// border or texture, and a ghost option that cannot be snapped would
   /// miss the IoU 0.9 bar anyway.
   bool dropUnrefined = true;
-  /// Fill, score and decode the anchor grid one batched head tile
-  /// (nn::kForwardTileRows candidates) at a time instead of one forward()
-  /// per candidate. Bit-equal by construction (the batched kernel keeps the
-  /// scalar per-row accumulation order), so this is purely a throughput
-  /// switch; off exists for the equality tests and the bench's scalar
-  /// baseline.
-  bool batchedHead = true;
 };
 
 struct TrainConfig {
@@ -132,12 +125,11 @@ class OneStageDetector : public Detector {
   /// All candidate boxes for an image of `size` — exposed for tests.
   [[nodiscard]] std::vector<Rect> candidateBoxes(Size size) const;
 
-  /// The batched detect's descriptor fill for one head tile: one
-  /// kCandidateFeatureDim row for each of `rows` (1 to
-  /// nn::kForwardTileRows) candidates of `map`'s frame from grid entry
-  /// `first` on, in candidateBoxes() order, from the thread's cached
-  /// per-axis plan. The span lives in this thread's scratch until its next
-  /// fill. Exposed for tests.
+  /// detect()'s descriptor fill for one head tile: one kCandidateFeatureDim
+  /// row for each of `rows` (1 to nn::kForwardTileRows) candidates of
+  /// `map`'s frame from grid entry `first` on, in candidateBoxes() order,
+  /// from the thread's cached per-axis plan. The span lives in this
+  /// thread's scratch until its next fill. Exposed for tests.
   [[nodiscard]] std::span<const float> fillDescriptors(
       const FeatureMap& map, std::size_t first, std::size_t rows) const;
 
@@ -150,7 +142,6 @@ class OneStageDetector : public Detector {
  private:
   explicit OneStageDetector(OneStageConfig config) : config_(std::move(config)) {}
 
-  [[nodiscard]] std::vector<float> runHead(std::span<const float> features) const;
   /// Scores `rows` descriptors (row-major) in one batched head call through
   /// whichever head (fp32/int8) is active.
   void runHeadBatch(std::span<const float> features, int rows,
@@ -165,12 +156,12 @@ class OneStageDetector : public Detector {
   bool useQuantized_ = false;
 };
 
-/// Per-thread scratch statistics for the detector hot path: the batched
-/// detect path's arenas (grid and descriptor-plan cache, one tile of
-/// descriptors and logits, MLP forward scratch) plus the feature pass's
-/// arena. Growths stop once the working sizes have been seen; the
-/// pipeline's detect stage diffs this around detect calls and the hot-path
-/// bench asserts zero steady-state growth.
+/// Per-thread scratch statistics for the detector hot path: detect's arenas
+/// (grid and descriptor-plan cache, one tile of descriptors and logits, MLP
+/// forward scratch) plus the feature pass's arena. Growths stop once the
+/// working sizes have been seen; the pipeline's detect stage diffs this
+/// around detect calls and the hot-path bench asserts zero steady-state
+/// growth.
 struct DetectScratchStats {
   std::int64_t growths = 0;
   std::int64_t grownBytes = 0;

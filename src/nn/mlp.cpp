@@ -234,15 +234,10 @@ void Mlp::forwardBatch(std::span<const float> inputs, int batch,
   }
 }
 
-void Mlp::forwardInto(std::span<const float> x, std::span<float> out,
-                      ForwardScratch& scratch) const {
-  forwardBatch(x, 1, out, scratch);
-}
-
 std::vector<float> Mlp::forward(std::span<const float> x) const {
   assert(static_cast<int>(x.size()) == inputSize());
   std::vector<float> out(static_cast<std::size_t>(outputSize()));
-  forwardInto(x, out, threadScratch());
+  forwardBatch(x, 1, out, threadScratch());
   return out;
 }
 
@@ -260,12 +255,6 @@ void Mlp::forwardCachedInto(std::span<const float> x, Cache& cache) const {
     denseRow(layers_[l], cache.activations[l].data(), out.data(),
              l + 1 < layers_.size());
   }
-}
-
-std::vector<float> Mlp::forwardCached(std::span<const float> x,
-                                      Cache& cache) const {
-  forwardCachedInto(x, cache);
-  return cache.activations.back();
 }
 
 void Mlp::accumulateGradient(const Cache& cache, std::span<const float> dOut) {
@@ -388,13 +377,6 @@ std::optional<Mlp> Mlp::load(std::istream& in) {
     if (!in) return std::nullopt;
   }
   return model;
-}
-
-void Mlp::clearGradients() {
-  for (DenseLayer& layer : layers_) {
-    std::fill(layer.gradWeights.begin(), layer.gradWeights.end(), 0.0f);
-    std::fill(layer.gradBias.begin(), layer.gradBias.end(), 0.0f);
-  }
 }
 
 }  // namespace darpa::nn

@@ -93,14 +93,8 @@ class Mlp {
   [[nodiscard]] std::size_t parameterCount() const;
   [[nodiscard]] std::span<const DenseLayer> layers() const { return layers_; }
 
-  /// Inference-only forward pass.
+  /// Inference-only forward pass: forwardBatch over one row.
   [[nodiscard]] std::vector<float> forward(std::span<const float> x) const;
-
-  /// Single-input forward into a caller-provided output span (outputSize()
-  /// floats), using `scratch` for intermediates — the allocation-free core
-  /// of forward(). Bit-equal to forward().
-  void forwardInto(std::span<const float> x, std::span<float> out,
-                   ForwardScratch& scratch) const;
 
   /// Scores `batch` inputs at once. `inputs` is row-major (batch x
   /// inputSize()); `outputs` receives row-major (batch x outputSize()).
@@ -117,19 +111,16 @@ class Mlp {
   struct Cache {
     std::vector<std::vector<float>> activations;  ///< Input + each layer out.
 
-    /// The last layer's output (valid after forwardCached/forwardCachedInto).
+    /// The last layer's output (valid after forwardCachedInto).
     [[nodiscard]] std::span<const float> output() const {
       return activations.empty() ? std::span<const float>{}
                                  : std::span<const float>(activations.back());
     }
   };
 
-  /// Forward pass that records activations; returns the output.
-  std::vector<float> forwardCached(std::span<const float> x, Cache& cache) const;
-
-  /// forwardCached without materializing a copy of the output — read it via
-  /// cache.output(). Reuses the cache's buffer capacity across calls, so a
-  /// hoisted Cache makes training epochs allocation-free.
+  /// Forward pass that records every layer's input and output in `cache`;
+  /// read the output via cache.output(). Reuses the cache's buffer capacity
+  /// across calls, so a hoisted Cache makes training epochs allocation-free.
   void forwardCachedInto(std::span<const float> x, Cache& cache) const;
 
   /// Accumulates parameter gradients for one example given dLoss/dOutput.
@@ -138,9 +129,6 @@ class Mlp {
   /// Applies one Adam step using gradients averaged over `batchSize`
   /// accumulated examples, then clears the accumulators.
   void applyAdam(const AdamConfig& config, int batchSize);
-
-  /// Zeroes accumulated gradients (applyAdam does this automatically).
-  void clearGradients();
 
   /// Binary serialization of the trained parameters (layer sizes, weights,
   /// biases; optimizer state is not persisted). Lets benches cache trained

@@ -18,29 +18,16 @@ QuantizedMlp QuantizedMlp::fromMlp(
   const auto layers = model.layers();
 
   // Calibration: track the max |input| seen at each layer while replaying
-  // the float forward pass over the calibration set.
+  // the float forward pass over the calibration set. The cache holds each
+  // layer's input, activations[l] for layer l.
   std::vector<float> inputMax(layers.size(), 0.0f);
+  Mlp::Cache cache;
   for (const std::vector<float>& sample : calibrationInputs) {
-    std::vector<float> current = sample;
+    model.forwardCachedInto(sample, cache);
     for (std::size_t l = 0; l < layers.size(); ++l) {
-      for (float v : current) {
+      for (float v : cache.activations[l]) {
         inputMax[l] = std::max(inputMax[l], std::fabs(v));
       }
-      // Float forward through layer l (ReLU on hidden layers).
-      const DenseLayer& layer = layers[l];
-      std::vector<float> next(static_cast<std::size_t>(layer.outSize), 0.0f);
-      for (int j = 0; j < layer.outSize; ++j) {
-        const float* row =
-            layer.weights.data() + static_cast<std::size_t>(j) * layer.inSize;
-        float sum = layer.bias[static_cast<std::size_t>(j)];
-        for (int i = 0; i < layer.inSize; ++i) {
-          sum += row[i] * current[static_cast<std::size_t>(i)];
-        }
-        const bool hidden = l + 1 < layers.size();
-        next[static_cast<std::size_t>(j)] =
-            hidden && sum < 0.0f ? 0.0f : sum;
-      }
-      current.swap(next);
     }
   }
 
@@ -123,15 +110,10 @@ void QuantizedMlp::forwardBatchScalar(std::span<const float> inputs,
                 kernels::gemmScalar);
 }
 
-void QuantizedMlp::forwardInto(std::span<const float> x, std::span<float> out,
-                               ForwardScratch& scratch) const {
-  forwardBatch(x, 1, out, scratch);
-}
-
 std::vector<float> QuantizedMlp::forward(std::span<const float> x) const {
   std::vector<float> out(static_cast<std::size_t>(outputSize()));
   thread_local ForwardScratch scratch;
-  forwardInto(x, out, scratch);
+  forwardBatch(x, 1, out, scratch);
   return out;
 }
 

@@ -59,13 +59,9 @@ class QuantizedMlp {
     return layers_.empty() ? 0 : layers_.back().outSize;
   }
 
-  /// Int8 inference; same output contract as Mlp::forward.
+  /// Int8 inference, forwardBatch over one row; same output contract as
+  /// Mlp::forward.
   [[nodiscard]] std::vector<float> forward(std::span<const float> x) const;
-
-  /// Single-input forward into a caller-provided span; allocation-free once
-  /// `scratch` is warm. Bit-equal to forward().
-  void forwardInto(std::span<const float> x, std::span<float> out,
-                   ForwardScratch& scratch) const;
 
   /// Batched int8 inference, same layout contract as Mlp::forwardBatch.
   /// Runs the body the build compiles in (kernels::kCompiledInt8Body):

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,8 @@
 #include "downscale_reference.h"
 #include "gfx/canvas.h"
 #include "nn/mlp.h"
+#include "nn/quantize.h"
+#include "per_candidate_detect.h"
 #include "util/rng.h"
 
 namespace darpa::cv {
@@ -606,8 +609,8 @@ TEST(FusedFeatureParityTest, PooledPlaneReuseLeavesNoStaleData) {
 }
 
 TEST(FusedFeatureParityTest, PlannedGeometryDescriptorMatchesDirect) {
-  // The batched detector replays a cached geometric-prior block per grid
-  // entry; the planned fill must be bit-equal to the direct per-candidate
+  // The detector replays a cached geometric-prior block per grid entry;
+  // the planned fill must be bit-equal to the direct per-candidate
   // descriptor for arbitrary boxes.
   const gfx::Bitmap bmp = randomBitmap(96, 64, 515);
   const FeatureMap map(bmp, ChannelSet::all(), 2);
@@ -627,13 +630,12 @@ TEST(FusedFeatureParityTest, PlannedGeometryDescriptorMatchesDirect) {
 }
 
 TEST(DescriptorPlanTest, ServedFillEqualsDirectDescriptorOnEveryGridEntry) {
-  // The batched detect fills descriptors one head tile at a time from a
-  // per-thread plan cached per (frame size, feature scale, anchors). Every
-  // row of every tile must equal the direct per-candidate descriptor bit
-  // for bit, on an even and an odd frame size. The two detectors differ
-  // only in featureScale and run alternately on this thread, so a plan
-  // keyed on too little serves one detector the other's cells and fails
-  // here.
+  // detect() fills descriptors one head tile at a time from a per-thread
+  // plan cached per (frame size, feature scale, anchors). Every row of
+  // every tile must equal the direct per-candidate descriptor bit for bit,
+  // on an even and an odd frame size. The two detectors differ only in
+  // featureScale and run alternately on this thread, so a plan keyed on
+  // too little serves one detector the other's cells and fails here.
   const std::string path = testing::TempDir() + "/descriptor_plan_head.bin";
   {
     Rng rng(17);
@@ -728,7 +730,7 @@ TEST(DescriptorPlanTest, AnyRowRangeMatchesDirectDescriptorOnTinyFrames) {
   }
 }
 
-// ------------------------------------------------ batched detect parity
+// ------------------------------------------------------- detect parity
 
 void expectDetectionsEq(const std::vector<Detection>& a,
                         const std::vector<Detection>& b,
@@ -744,36 +746,77 @@ void expectDetectionsEq(const std::vector<Detection>& a,
   }
 }
 
-TEST(OneStageTest, BatchedHeadBitEqualsScalarDetect) {
+/// The small dataset and model both detect parity tests use.
+dataset::AuiDataset parityDataset() {
   dataset::DatasetConfig dataConfig;
   dataConfig.totalScreenshots = 120;
   dataConfig.seed = 31;
-  const dataset::AuiDataset data = dataset::AuiDataset::build(dataConfig);
+  return dataset::AuiDataset::build(dataConfig);
+}
+
+OneStageDetector trainParityModel(const dataset::AuiDataset& data) {
   cv::TrainConfig trainConfig;
   trainConfig.epochs = 6;
   trainConfig.benignImages = 20;
-  const OneStageDetector batched =
-      OneStageDetector::train(data, OneStageConfig{}, trainConfig);
-  ASSERT_TRUE(batched.config().batchedHead);
+  return OneStageDetector::train(data, OneStageConfig{}, trainConfig);
+}
 
-  // Same weights through the scalar per-candidate path.
-  const std::string path = testing::TempDir() + "/one_stage_parity.bin";
-  ASSERT_TRUE(batched.saveModel(path));
-  OneStageConfig scalarConfig;
-  scalarConfig.batchedHead = false;
-  auto scalar = OneStageDetector::loadModel(path, scalarConfig);
-  ASSERT_TRUE(scalar.has_value());
-
+/// detect() against perCandidateDetect(detector, image, score) on six
+/// test-split screens and one random bitmap. At least one image must give
+/// detections, so the comparison covers decode, NMS and refinement.
+void expectDetectParity(const OneStageDetector& detector,
+                        const dataset::AuiDataset& data,
+                        const CandidateScore& score) {
   std::vector<gfx::Bitmap> images;
   for (std::size_t i = 0; i < 6 && i < data.testIndices().size(); ++i) {
     images.push_back(data.materialize(data.testIndices()[i]).image);
   }
   images.push_back(randomBitmap(360, 720, 404));
+  int nonEmpty = 0;
   for (std::size_t i = 0; i < images.size(); ++i) {
-    expectDetectionsEq(batched.detect(images[i]), scalar->detect(images[i]),
+    const std::vector<Detection> served = detector.detect(images[i]);
+    expectDetectionsEq(served, perCandidateDetect(detector, images[i], score),
                        "image " + std::to_string(i));
+    nonEmpty += served.empty() ? 0 : 1;
   }
+  EXPECT_GT(nonEmpty, 0);
+}
 
+TEST(OneStageTest, DetectBitEqualsPerCandidateReference) {
+  const dataset::AuiDataset data = parityDataset();
+  const OneStageDetector detector = trainParityModel(data);
+  expectDetectParity(detector, data, {});
+}
+
+TEST(OneStageTest, QuantizedDetectBitEqualsPerCandidateReference) {
+  // enableQuantized calibrates the served int8 head on every 7th grid
+  // entry of the planned fill; the test builds the same head from every
+  // 7th per-candidate descriptor and scores the reference with it.
+  const dataset::AuiDataset data = parityDataset();
+  OneStageDetector detector = trainParityModel(data);
+  ASSERT_GE(data.valIndices().size(), 3u);
+  std::vector<gfx::Bitmap> calibrationImages;
+  for (std::size_t i = 0; i < 3; ++i) {
+    calibrationImages.push_back(
+        data.materialize(data.valIndices()[i]).image);
+  }
+  detector.enableQuantized(calibrationImages);
+  ASSERT_TRUE(detector.quantized());
+
+  std::vector<std::vector<float>> calibration;
+  for (const gfx::Bitmap& image : calibrationImages) {
+    const FeatureMap map(image, detector.config().channels,
+                         detector.config().featureScale);
+    const std::vector<Rect> boxes = detector.candidateBoxes(image.size());
+    for (std::size_t i = 0; i < boxes.size(); i += 7) {
+      calibration.push_back(candidateFeatures(map, boxes[i]));
+    }
+  }
+  const nn::QuantizedMlp int8 =
+      nn::QuantizedMlp::fromMlp(detector.head(), calibration);
+  expectDetectParity(detector, data, [&](std::span<const float> x) {
+    return int8.forward(x);
+  });
 }
 
 TEST(TwoStageTest, ModelNames) {

@@ -2,10 +2,13 @@
 // losses, and int8 quantization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "nn/kernels/int8_kernels.h"
 #include "nn/losses.h"
@@ -74,7 +77,9 @@ TEST(MlpTest, ForwardCachedMatchesForward) {
   const Mlp mlp({3, 4, 4, 2}, rng);
   const std::vector<float> x{0.5f, -1.0f, 2.0f};
   Mlp::Cache cache;
-  EXPECT_EQ(mlp.forwardCached(x, cache), mlp.forward(x));
+  mlp.forwardCachedInto(x, cache);
+  EXPECT_EQ(std::vector<float>(cache.output().begin(), cache.output().end()),
+            mlp.forward(x));
   EXPECT_EQ(cache.activations.size(), 4u);  // input + 3 layers
 }
 
@@ -86,9 +91,9 @@ TEST(MlpTest, GradientMatchesFiniteDifference) {
 
   // Analytic gradient via BCE on the single output.
   Mlp::Cache cache;
-  const std::vector<float> out = mlp.forwardCached(x, cache);
-  mlp.accumulateGradient(cache, std::vector<float>{
-                                    bceWithLogitsGrad(out[0], target)});
+  mlp.forwardCachedInto(x, cache);
+  mlp.accumulateGradient(cache, std::vector<float>{bceWithLogitsGrad(
+                                    cache.output()[0], target)});
   // Perturb the first weight of layer 0 and compare numeric gradient.
   const float analytic = mlp.layers()[0].gradWeights[0];
   // Rebuild identical model and evaluate loss at w +- eps.
@@ -113,10 +118,10 @@ TEST(MlpTest, LearnsXor) {
   for (int epoch = 0; epoch < 400; ++epoch) {
     for (int i = 0; i < 4; ++i) {
       Mlp::Cache cache;
-      const std::vector<float> out = mlp.forwardCached(
-          std::vector<float>{inputs[i][0], inputs[i][1]}, cache);
-      mlp.accumulateGradient(
-          cache, std::vector<float>{bceWithLogitsGrad(out[0], targets[i])});
+      mlp.forwardCachedInto(std::vector<float>{inputs[i][0], inputs[i][1]},
+                            cache);
+      mlp.accumulateGradient(cache, std::vector<float>{bceWithLogitsGrad(
+                                        cache.output()[0], targets[i])});
     }
     mlp.applyAdam(adam, 4);
   }
@@ -131,13 +136,14 @@ TEST(MlpTest, LearnsXor) {
   }
 }
 
-TEST(MlpTest, ClearGradientsZeroesAccumulators) {
+TEST(MlpTest, ApplyAdamZeroesAccumulators) {
   Rng rng(9);
   Mlp mlp({2, 2, 1}, rng);
   Mlp::Cache cache;
-  mlp.forwardCached(std::vector<float>{1.0f, 1.0f}, cache);
+  mlp.forwardCachedInto(std::vector<float>{1.0f, 1.0f}, cache);
   mlp.accumulateGradient(cache, std::vector<float>{1.0f});
-  mlp.clearGradients();
+  ASSERT_EQ(mlp.layers().back().gradBias[0], 1.0f);
+  mlp.applyAdam(AdamConfig{}, 1);
   for (const DenseLayer& layer : mlp.layers()) {
     for (float g : layer.gradWeights) EXPECT_EQ(g, 0.0f);
     for (float g : layer.gradBias) EXPECT_EQ(g, 0.0f);
@@ -404,18 +410,6 @@ TEST(MlpBatchTest, QuantizedForwardBatchBitEqualsLoopedForward) {
   }
 }
 
-TEST(MlpBatchTest, ForwardIntoMatchesForward) {
-  Rng rng(43);
-  const Mlp mlp({8, 12, 5}, rng);
-  const std::vector<std::vector<float>> inputs = randomInputs(4, 8, 47);
-  ForwardScratch scratch;
-  std::vector<float> out(5);
-  for (const std::vector<float>& x : inputs) {
-    mlp.forwardInto(x, out, scratch);
-    EXPECT_EQ(out, mlp.forward(x));
-  }
-}
-
 TEST(MlpBatchTest, ForwardCachedIntoMatchesAndReusesCapacity) {
   Rng rng(53);
   const Mlp mlp({6, 10, 10, 4}, rng);
@@ -565,6 +559,69 @@ TEST(QuantizeTest, WeightsAreInt8Range) {
       EXPECT_LE(w, 127);
     }
     EXPECT_GT(layer.dequantScale, 0.0f);
+  }
+}
+
+// --- calibration scales ------------------------------------------------------
+// fromMlp takes each layer's activation scale from the largest |input| that
+// layer sees while the float model replays the calibration set. The
+// reference replays it with a textbook layer loop: bias first, then + w * x
+// for ascending input index, ReLU as a select on hidden layers.
+
+TEST(QuantizeTest, CalibrationScalesMatchTextbookReplay) {
+  Rng rng(83);
+  const Mlp mlp({5, 12, 7, 3}, rng);
+  const std::span<const DenseLayer> layers = mlp.layers();
+  for (const int count : {48, 0}) {
+    // Inputs of both signs in [-2, 2], and one at -3 so that the largest
+    // |input| is a negative one.
+    std::vector<std::vector<float>> calibration =
+        randomInputs(count, mlp.inputSize(), 89);
+    if (count > 0) calibration[0][2] = -3.0f;
+    std::vector<float> inputMax(layers.size(), 0.0f);
+    int clamped = 0;
+    for (const std::vector<float>& sample : calibration) {
+      std::vector<float> current = sample;
+      for (std::size_t l = 0; l < layers.size(); ++l) {
+        for (const float v : current) {
+          inputMax[l] = std::max(inputMax[l], std::fabs(v));
+        }
+        const DenseLayer& layer = layers[l];
+        const bool hidden = l + 1 < layers.size();
+        std::vector<float> next(static_cast<std::size_t>(layer.outSize));
+        for (int j = 0; j < layer.outSize; ++j) {
+          const float* row = layer.weights.data() +
+                             static_cast<std::size_t>(j) * layer.inSize;
+          float sum = layer.bias[static_cast<std::size_t>(j)];
+          for (int i = 0; i < layer.inSize; ++i) {
+            sum += row[i] * current[static_cast<std::size_t>(i)];
+          }
+          clamped += hidden && sum < 0.0f ? 1 : 0;
+          next[static_cast<std::size_t>(j)] = hidden && sum < 0.0f ? 0.0f : sum;
+        }
+        current.swap(next);
+      }
+    }
+    // Hidden units that ReLU zeroes.
+    if (count > 0) {
+      EXPECT_GT(clamped, 0);
+    }
+
+    const QuantizedMlp quantized = QuantizedMlp::fromMlp(mlp, calibration);
+    ASSERT_EQ(quantized.layers().size(), layers.size());
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+      float weightMax = 0.0f;
+      for (const float w : layers[l].weights) {
+        weightMax = std::max(weightMax, std::fabs(w));
+      }
+      const float inputScale =
+          inputMax[l] > 0.0f ? inputMax[l] / 127.0f : 1.0f;
+      const QuantizedLayer& q = quantized.layers()[l];
+      EXPECT_EQ(q.inputScale, inputScale)
+          << "calibration=" << count << " layer=" << l;
+      EXPECT_EQ(q.dequantScale, weightMax / 127.0f * inputScale)
+          << "calibration=" << count << " layer=" << l;
+    }
   }
 }
 
