@@ -43,13 +43,13 @@ int main(int argc, char** argv) {
     const cv::ModelMetrics metrics =
         cv::evaluateDetector(detector, data, data.testIndices());
     // Device cost of one analysis per second for a minute, as a synthetic
-    // ledger priced with the same StageCosts table the pipeline uses.
+    // ledger recorded through the pipeline's own ledger calls.
     core::WorkLedger ledger;
-    const core::StageCosts& costs = ledger.costs();
-    ledger.recordRuns(core::Stage::kEvent, 120, costs.eventCpuMs);
-    ledger.recordRuns(core::Stage::kScreenshot, 60, costs.screenshotCpuMs);
-    ledger.recordRuns(core::Stage::kDetect, 60,
-                      detector.costMacsPerImage() / costs.macsPerCpuMs);
+    for (int i = 0; i < 120; ++i) ledger.recordEvent();
+    for (int i = 0; i < 60; ++i) {
+      ledger.recordScreenshot(0);
+      ledger.recordDetect(detector.costMacsPerImage());
+    }
     const perf::PerfMetrics perfMetrics = device.withWork(ledger, ms(60'000));
     std::printf("  %-18s %8.3f %10zu %12.1f %10.1f\n", variant.name,
                 metrics.all().f1(), detector.head().parameterCount(),

@@ -38,8 +38,10 @@ int main(int argc, char** argv) {
     options.darpaConfig.notificationDelay = ms(std::min(ct, 200));
     options.seed = 4242;  // SAME population across ct values (paper design)
     const bench::RuntimeResult result = bench::runSessions(detector, options);
-    rows.push_back(Row{ct, static_cast<long long>(result.analyses),
-                       result.auisCovered, result.auiExposures});
+    const fleet::FleetSnapshot& snap = result.fleet;
+    rows.push_back(Row{ct, static_cast<long long>(snap.ledger.counts().analysesRun),
+                       static_cast<int>(snap.auisCovered),
+                       static_cast<int>(snap.auiExposures)});
   }
 
   const double baseAnalyses = static_cast<double>(rows.front().analyses);

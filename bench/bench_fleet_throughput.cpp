@@ -36,7 +36,7 @@
 #include "bench_common.h"
 #include "core/work_ledger.h"
 #include "fleet/fleet.h"
-#include "perf/device_model.h"
+#include "fleet_digest.h"
 #include "util/rng.h"
 
 namespace darpa::bench {
@@ -117,39 +117,6 @@ double memAvailableMb() {
   return procFieldMb("/proc/meminfo", "MemAvailable:");
 }
 
-/// The paper-facing output digest (same axes as the fleet tests),
-/// fixed-point formatted for exact comparison.
-std::string digestOf(const fleet::FleetSnapshot& snap) {
-  const perf::DeviceModel device;
-  const Millis window{static_cast<std::int64_t>(snap.sessions) *
-                      snap.simTime.count};
-  const perf::PerfMetrics perf = device.withWork(snap.ledger, window);
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "fig8: analyses=%lld events=%lld exposures=%lld covered=%lld\n"
-      "stats: shots=%lld flagged=%lld decorated=%lld lint=%lld "
-      "cachehits=%lld anchors=%lld\n"
-      "ledger: cpuMs=%.6f cacheHits=%lld cacheMisses=%lld "
-      "peakFrameBytes=%lld\n"
-      "table7: cpu=%.4f mem=%.4f fps=%.4f power=%.4f\n",
-      static_cast<long long>(snap.ledger.analyses()),
-      static_cast<long long>(snap.eventsEmitted),
-      static_cast<long long>(snap.auiExposures),
-      static_cast<long long>(snap.auisCovered),
-      static_cast<long long>(snap.stats.screenshotsTaken),
-      static_cast<long long>(snap.stats.auisFlagged),
-      static_cast<long long>(snap.stats.decorationsDrawn),
-      static_cast<long long>(snap.stats.lintRuns),
-      static_cast<long long>(snap.stats.verdictCacheHits),
-      static_cast<long long>(snap.stats.anchorMeasurements),
-      snap.ledger.totalCpuMs(), static_cast<long long>(snap.ledger.cacheHits()),
-      static_cast<long long>(snap.ledger.cacheMisses()),
-      static_cast<long long>(snap.ledger.peakFrameBytes()), perf.cpuPercent,
-      perf.memoryMb, perf.frameRate, perf.powerMw);
-  return buf;
-}
-
 fleet::FleetConfig fleetConfig(int sessions, int workers, Millis duration) {
   fleet::FleetConfig config;
   config.sessions = sessions;
@@ -175,7 +142,7 @@ Sample runFleet(const cv::Detector& detector,
   sample.sessions = config.sessions;
   sample.workers = config.workers;
   sample.wallMs = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  sample.analyses = snap.ledger.analyses();
+  sample.analyses = snap.ledger.counts().analysesRun;
   const double seconds = sample.wallMs / 1000.0;
   sample.screensPerSec = seconds <= 0.0 ? 0.0 : sample.analyses / seconds;
   sample.sessionsPerSec = seconds <= 0.0 ? 0.0 : config.sessions / seconds;
@@ -192,7 +159,7 @@ Sample runFleet(const cv::Detector& detector,
     sample.viewBlockReuse =
         static_cast<double>(reused) / static_cast<double>(served);
   }
-  sample.digest = digestOf(snap);
+  sample.digest = fleet::digestOf(snap);
   sample.tiered = config.sharedVerdictTier;
   sample.l2Hits = snap.verdictTier.hits;
   sample.l2Misses = snap.verdictTier.misses;
@@ -301,9 +268,10 @@ HybridSample runHybridFleet(const cv::Detector& detector,
 
   HybridSample sample;
   sample.webProb = webProb;
-  sample.analyses = snap.ledger.analyses();
-  sample.lintRuns = snap.stats.lintRuns;
-  sample.cvSkippedByLint = snap.stats.cvSkippedByLint;
+  const core::DarpaStats& counts = snap.ledger.counts();
+  sample.analyses = counts.analysesRun;
+  sample.lintRuns = counts.lintRuns;
+  sample.cvSkippedByLint = counts.cvSkippedByLint;
   sample.detectRuns = snap.ledger.tally(core::Stage::kDetect).runs;
   sample.lintCpuMs = snap.ledger.tally(core::Stage::kLint).cpuMs;
   sample.detectCpuMs = snap.ledger.tally(core::Stage::kDetect).cpuMs;

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const bench::RuntimeResult hybrid = bench::runSessions(detector, prefiltered);
 
   std::printf("\n  verdicts on %lld analyzed screens (%d AUI / %d non-AUI):\n",
-              static_cast<long long>(plain.analyses),
+              static_cast<long long>(plain.fleet.ledger.counts().analysesRun),
               plain.darpa.labeledAui(), plain.darpa.labeledNonAui());
   bench::printConfusion("lint-only", plain.lint);
   bench::printConfusion("CV-only", plain.darpa);
@@ -53,18 +53,20 @@ int main(int argc, char** argv) {
   bench::printConfusion("FraudDroid-like", plain.fraudDroid);
 
   // Modeled work straight off the ledgers (the same CPU-ms the pipeline
-  // priced while it ran, via the shared StageCosts table).
+  // priced while it ran, via the one kStageCosts table).
   using core::Stage;
-  const core::StageCosts costs = perf::DeviceModel::Config{}.costs;
+  const core::StageCosts& costs = core::kStageCosts;
   const double macs = detector.costMacsPerImage();
   const double cvPerScreen = costs.screenshotCpuMs + macs / costs.macsPerCpuMs;
   const double lintOnlyMs =
-      static_cast<double>(plain.analyses) * costs.lintCpuMs;
-  const double cvOnlyMs = plain.ledger.tally(Stage::kScreenshot).cpuMs +
-                          plain.ledger.tally(Stage::kDetect).cpuMs;
-  const double hybridMs = hybrid.ledger.tally(Stage::kLint).cpuMs +
-                          hybrid.ledger.tally(Stage::kScreenshot).cpuMs +
-                          hybrid.ledger.tally(Stage::kDetect).cpuMs;
+      static_cast<double>(plain.fleet.ledger.counts().analysesRun) * costs.lintCpuMs;
+  const core::WorkLedger& plainLedger = plain.fleet.ledger;
+  const core::WorkLedger& hybridLedger = hybrid.fleet.ledger;
+  const double cvOnlyMs = plainLedger.tally(Stage::kScreenshot).cpuMs +
+                          plainLedger.tally(Stage::kDetect).cpuMs;
+  const double hybridMs = hybridLedger.tally(Stage::kLint).cpuMs +
+                          hybridLedger.tally(Stage::kScreenshot).cpuMs +
+                          hybridLedger.tally(Stage::kDetect).cpuMs;
 
   std::printf("\n  modeled analysis cost (device CPU-ms over all sessions):\n");
   std::printf("    %-14s %12.1f ms   (%.3f ms/screen)\n", "lint-only",
@@ -73,8 +75,8 @@ int main(int argc, char** argv) {
               cvPerScreen);
   std::printf("    %-14s %12.1f ms   (%lld of %lld screens fell through "
               "to CV)\n", "lint -> CV", hybridMs,
-              static_cast<long long>(hybrid.ledger.tally(Stage::kDetect).runs),
-              static_cast<long long>(hybrid.ledger.tally(Stage::kLint).runs));
+              static_cast<long long>(hybridLedger.tally(Stage::kDetect).runs),
+              static_cast<long long>(hybridLedger.tally(Stage::kLint).runs));
 
   const double screenRatio = cvPerScreen / costs.lintCpuMs;
   const double hybridSaving =

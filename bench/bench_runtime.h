@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "analysis/lint.h"
@@ -14,7 +13,7 @@
 #include "baselines/frauddroid.h"
 #include "bench_common.h"
 #include "core/darpa_service.h"
-#include "fleet/device_session.h"
+#include "fleet/fleet.h"
 #include "perf/device_model.h"
 
 namespace darpa::bench {
@@ -58,12 +57,8 @@ struct RuntimeResult {
   /// (negatives have no host).
   ConfusionMatrix darpaOnNative;
   ConfusionMatrix darpaOnWeb;
-  core::WorkLedger ledger;     ///< Per-stage work across every session.
-  std::int64_t analyses = 0;
-  std::int64_t eventsEmitted = 0;
-  int auiExposures = 0;
-  int auisCovered = 0;  ///< Exposures with >= 1 positive DARPA analysis.
-  double detectorMacs = 0.0;
+  /// The sessions' roll-up: ledger, counts, exposures and coverage.
+  fleet::FleetSnapshot fleet;
   /// FraudDroid id coverage summed over every analyzed dump (only filled
   /// when runFraudDroid), split by ground truth. WebView hosting changes
   /// only AUI screens, so the hybrid collapse shows on AUI screens and is
@@ -84,7 +79,6 @@ struct RuntimeOptions {
   Millis sessionLength{60'000};  ///< 1 minute per app, like the paper.
   core::DarpaConfig darpaConfig;
   bool runFraudDroid = false;
-  bool runMonkey = true;
   std::uint64_t seed = 606;
   /// Applied to every app profile: probability a third-party AUI is
   /// WebView-delivered (virtual nodes, no resource ids). 0 keeps each
@@ -97,34 +91,28 @@ struct RuntimeOptions {
   const analysis::LintEngine* lintScorer = nullptr;
 };
 
-/// Runs `appCount` one-minute sessions, each a fleet-of-1 DeviceSession
-/// with DARPA connected, and aggregates verdicts + work. Per-app RNG draws
-/// (profile, app seed, monkey seed) keep the outputs byte-identical to the
-/// pre-fleet hand-wired harness.
+/// Runs `appCount` one-minute sessions as a one-worker fleet with DARPA
+/// connected, scoring every analysis against its session's ground truth.
 inline RuntimeResult runSessions(const cv::Detector& detector,
                                  const RuntimeOptions& options) {
+  fleet::FleetConfig config;
+  config.sessions = options.appCount;
+  config.duration = options.sessionLength;
+  config.seed = options.seed;
+  config.darpa = options.darpaConfig;
+  config.packagePrefix = "com.bench.app";
+  config.sessionTweak = [&options](int, fleet::DeviceSession::Config& session) {
+    session.profile.webViewAuiProb = options.webViewAuiProb;
+  };
+  fleet::Fleet fleet(detector, config);
+
   RuntimeResult result;
-  result.detectorMacs = detector.costMacsPerImage();
-  Rng rng(options.seed);
   const baselines::FraudDroidDetector fraudDroid;
-
-  for (int appIdx = 0; appIdx < options.appCount; ++appIdx) {
-    fleet::DeviceSession::Config config;
-    config.id = appIdx;
-    config.darpa = options.darpaConfig;
-    config.profile = apps::randomAppProfile(
-        "com.bench.app" + std::to_string(appIdx), rng);
-    config.profile.webViewAuiProb = options.webViewAuiProb;
-    config.appSeed = rng.next();
-    config.monkeySeed = rng.next();
-    config.duration = options.sessionLength;
-    config.monkey = options.runMonkey;
-    fleet::DeviceSession device(detector, std::move(config));
-    android::AndroidSystem& system = device.system();
-
+  for (int i = 0; i < fleet.sessionCount(); ++i) {
+    fleet::DeviceSession& device = fleet.session(i);
     device.setAnalysisListener([&](bool isAui,
                                    const std::vector<cv::Detection>&) {
-      ++result.analyses;
+      android::AndroidSystem& system = device.system();
       const Millis now = system.clock.now();
       const apps::AuiExposure* exposure = device.app().exposureAt(now);
       const bool truth = exposure != nullptr;
@@ -178,14 +166,10 @@ inline RuntimeResult runSessions(const cv::Detector& detector,
         }
       }
     });
-
-    device.runToCompletion();
-
-    result.ledger += device.ledger();
-    result.eventsEmitted += device.eventsEmitted();
-    result.auiExposures += static_cast<int>(device.auiExposures());
-    result.auisCovered += static_cast<int>(device.auisCovered());
   }
+
+  fleet.run();
+  result.fleet = fleet.snapshot();
   return result;
 }
 

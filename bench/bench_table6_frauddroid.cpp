@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   std::printf("    DARPA:      TP 213 FN 30  | FP 21  TN 232  (recall 87.6%%, precision 91.0%%)\n");
   std::printf("\n  measured (%d AUI / %d non-AUI screenshots, %lld analyses):\n",
               result.darpa.labeledAui(), result.darpa.labeledNonAui(),
-              static_cast<long long>(result.analyses));
+              static_cast<long long>(result.fleet.ledger.counts().analysesRun));
   bench::printConfusion("FraudDroid-like", result.fraudDroid);
   bench::printConfusion("DARPA", result.darpa);
 
@@ -46,11 +46,11 @@ int main(int argc, char** argv) {
   std::printf("\n  class-balance-normalized (paper-comparable):\n");
   bench::printConfusion("FraudDroid-like*", normalized(result.fraudDroid));
   bench::printConfusion("DARPA*", normalized(result.darpa));
+  const auto covered = static_cast<int>(result.fleet.auisCovered);
+  const auto exposures = static_cast<int>(result.fleet.auiExposures);
   std::printf("\n  DARPA coverage of AUI exposures: %d / %d (%.1f%%)\n",
-              result.auisCovered, result.auiExposures,
-              result.auiExposures == 0
-                  ? 0.0
-                  : 100.0 * result.auisCovered / result.auiExposures);
+              covered, exposures,
+              exposures == 0 ? 0.0 : 100.0 * covered / exposures);
 
   // --- hybrid row: WebView-hosted AUIs (§VI-C) ----------------------------
   // 75% of third-party AUIs now deliver through a WebView: the whole

@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   // ran every analysis in full, so the comparable configuration must too.
   options.darpaConfig.verdictCacheCapacity = 0;
   const bench::RuntimeResult result = bench::runSessions(detector, options);
+  const core::WorkLedger& ledger = result.fleet.ledger;
 
   const perf::DeviceModel device;
   const perf::PerfMetrics base = device.baseline();
@@ -62,17 +63,15 @@ int main(int argc, char** argv) {
   std::printf("    DARPA (all components)  57.76%%  4413.85MB  74fps  474.12mW\n");
   std::printf("    Total overhead          +4.6%%cpu +2.8%%mem  -8.6%%fps +6.8%%power\n");
 
-  printStageTable(result.ledger, options.appCount);
+  printStageTable(ledger, options.appCount);
 
   std::printf("\n  measured (device model over the ledger):\n");
   printPerfRow("Baseline (w/o DARPA)", base, base);
   printPerfRow("Baseline + UI monitoring",
-               device.withWork(result.ledger, window, true, false, false),
-               base);
+               device.withWork(ledger, window, true, false, false), base);
   printPerfRow("Baseline + monitoring + AUI detection",
-               device.withWork(result.ledger, window, true, true, false),
-               base);
-  const perf::PerfMetrics full = device.withWork(result.ledger, window);
+               device.withWork(ledger, window, true, true, false), base);
+  const perf::PerfMetrics full = device.withWork(ledger, window);
   printPerfRow("DARPA (monitoring + detection + decoration)", full, base);
 
   std::printf("\n  total overhead: cpu %+.1f%%  mem %+.1f%%  fps %+.1f%%  "
@@ -86,25 +85,23 @@ int main(int argc, char** argv) {
   // cache enabled (the default shipping configuration).
   bench::RuntimeOptions cachedOptions = options;
   cachedOptions.darpaConfig.verdictCacheCapacity = 32;
-  const bench::RuntimeResult cached =
+  const bench::RuntimeResult cachedResult =
       bench::runSessions(detector, cachedOptions);
-  const perf::PerfMetrics fullCached =
-      device.withWork(cached.ledger, window);
-  const double hits = static_cast<double>(cached.ledger.cacheHits());
-  const double probes =
-      hits + static_cast<double>(cached.ledger.cacheMisses());
+  const core::WorkLedger& cached = cachedResult.fleet.ledger;
+  const perf::PerfMetrics fullCached = device.withWork(cached, window);
+  const double hits = static_cast<double>(cached.cacheHits());
+  const double probes = hits + static_cast<double>(cached.cacheMisses());
   std::printf("\n  with verdict cache (capacity 32, beyond the paper):\n");
   printPerfRow("DARPA + verdict cache", fullCached, base);
   std::printf("    cache hit rate %.1f%% (%lld/%lld)   analysis cpu "
               "%.1fms -> %.1fms (%+.1f%%)\n",
               probes > 0.0 ? 100.0 * hits / probes : 0.0,
-              static_cast<long long>(cached.ledger.cacheHits()),
+              static_cast<long long>(cached.cacheHits()),
               static_cast<long long>(probes),
-              result.ledger.analysisCpuMs(), cached.ledger.analysisCpuMs(),
-              result.ledger.analysisCpuMs() > 0.0
-                  ? 100.0 * (cached.ledger.analysisCpuMs() -
-                             result.ledger.analysisCpuMs()) /
-                        result.ledger.analysisCpuMs()
+              ledger.analysisCpuMs(), cached.analysisCpuMs(),
+              ledger.analysisCpuMs() > 0.0
+                  ? 100.0 * (cached.analysisCpuMs() - ledger.analysisCpuMs()) /
+                        ledger.analysisCpuMs()
                   : 0.0);
   return 0;
 }

@@ -39,11 +39,13 @@ int main(int argc, char** argv) {
     options.seed = 9000;  // same recorded app population for every ct
     const bench::RuntimeResult result = bench::runSessions(detector, options);
     const Millis window{options.appCount * options.sessionLength.count};
-    const perf::PerfMetrics metrics = device.withWork(result.ledger, window);
+    const perf::PerfMetrics metrics =
+        device.withWork(result.fleet.ledger, window);
     std::printf("    %5d   %4.1f   %7.2f   %2.0f    %6.2f   %8.1f\n", ct,
                 metrics.cpuPercent, metrics.memoryMb, metrics.frameRate,
                 metrics.powerMw,
-                static_cast<double>(result.analyses) / options.appCount);
+                static_cast<double>(result.fleet.ledger.counts().analysesRun) /
+                    options.appCount);
   }
   std::printf("\n  shape check: cpu/power fall and fps rises as ct grows;\n"
               "  ct=200ms is the knee balancing workload vs coverage (Fig 8).\n");

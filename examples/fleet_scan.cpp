@@ -41,17 +41,18 @@ int main() {
   fleet.run();
 
   const fleet::FleetSnapshot snap = fleet.snapshot();
+  const core::DarpaStats& counts = snap.ledger.counts();
   std::printf("\nfleet snapshot (%d sessions, %lld ms simulated each):\n",
               snap.sessions, static_cast<long long>(snap.simTime.count));
   std::printf("  events received     %lld\n",
-              static_cast<long long>(snap.stats.eventsReceived));
+              static_cast<long long>(counts.eventsReceived));
   std::printf("  analyses run        %lld (verdict-cache hits %lld)\n",
-              static_cast<long long>(snap.stats.analysesRun),
-              static_cast<long long>(snap.stats.verdictCacheHits));
+              static_cast<long long>(counts.analysesRun),
+              static_cast<long long>(counts.verdictCacheHits));
   std::printf("  AUIs flagged        %lld\n",
-              static_cast<long long>(snap.stats.auisFlagged));
+              static_cast<long long>(counts.auisFlagged));
   std::printf("  decorations drawn   %lld\n",
-              static_cast<long long>(snap.stats.decorationsDrawn));
+              static_cast<long long>(counts.decorationsDrawn));
   std::printf("  AUI exposures       %lld, covered %lld\n",
               static_cast<long long>(snap.auiExposures),
               static_cast<long long>(snap.auisCovered));

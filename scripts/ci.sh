@@ -4,7 +4,8 @@
 # ASan+UBSan, a TSan lane
 # over the threaded fleet/tier tests, a -DDARPA_NATIVE_SIMD=OFF
 # build whose fp32 head and scalar int8 body must pass their parity and
-# quantization suites, a bench smoke lane
+# quantization suites, a build of the frozen perfbench/ benchmark
+# against today's src/, a bench smoke lane
 # (every bench binary once with --quick), a Release perf-smoke lane (the
 # detector hot-path bench's speedup/zero-alloc contracts need optimized
 # codegen) followed by a perf floor gate over the published
@@ -22,8 +23,8 @@
 #   SKIP_SANITIZE=1 scripts/ci.sh   # skip the sanitizer rebuilds + reruns
 #   SKIP_BENCH=1 scripts/ci.sh      # skip the bench smoke + perf lanes
 #
-# Uses build/, build-asan/, build-tsan/, build-lane/, build-perf/ and
-# build-tsa/ at the repo root; all gitignored.
+# Uses build/, build-asan/, build-tsan/, build-lane/, build-perfbench/,
+# build-perf/ and build-tsa/ at the repo root; all gitignored.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -120,6 +121,14 @@ echo "== no -march=native build: fp32 head and scalar int8 body (build-lane/) ==
 cmake -B build-lane -S . -DDARPA_NATIVE_SIMD=OFF
 cmake --build build-lane -j "$JOBS" --target darpa_tests
 ctest_suites build-lane 'MlpBatchTest|QuantizeTest|DescriptorPlanTest|OneStageTest'
+
+echo "== frozen benchmark build (build-perfbench/) =="
+# perfbench/ (the repository benchmark, see BENCHMARK.json) links src/
+# through its own CMake project and is never edited with it. Building it
+# here makes a src/ change that breaks the API perfbench reads fail CI,
+# not the next benchmark run.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$JOBS" --target perfbench
 
 if [ "${SKIP_BENCH:-0}" != "1" ]; then
   echo "== bench smoke (--quick) =="

@@ -106,10 +106,4 @@ void AccessibilityManager::deliver(Connection& conn) {
   conn.service->onAccessibilityEvent(event);
 }
 
-void AccessibilityManager::resetStats() {
-  totalEmitted_ = 0;
-  totalDelivered_ = 0;
-  totalCoalesced_ = 0;
-}
-
 }  // namespace darpa::android

@@ -85,7 +85,6 @@ class AccessibilityManager : public UiEventSink {
   [[nodiscard]] std::int64_t totalEmitted() const { return totalEmitted_; }
   [[nodiscard]] std::int64_t totalDelivered() const { return totalDelivered_; }
   [[nodiscard]] std::int64_t totalCoalesced() const { return totalCoalesced_; }
-  void resetStats();
 
   [[nodiscard]] Looper& looper() { return *looper_; }
   [[nodiscard]] WindowManager& windowManager() { return *wm_; }

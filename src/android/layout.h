@@ -28,9 +28,6 @@ struct SizeSpec {
   [[nodiscard]] static SizeSpec matchParent() {
     return {Mode::kMatchParent, 0};
   }
-  [[nodiscard]] static SizeSpec wrapContent() {
-    return {Mode::kWrapContent, 0};
-  }
 };
 
 /// Placement of a child inside leftover space.

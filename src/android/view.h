@@ -264,7 +264,6 @@ class TextView : public View {
     touch();
   }
   /// Dot cell size in pixels; glyphs are 3x5 cells.
-  [[nodiscard]] int textCell() const { return textCell_; }
   void setTextCell(int cell) {
     textCell_ = cell > 0 ? cell : 1;
     touch();

@@ -60,11 +60,6 @@ void WindowManager::notifyContentChanged(int burst) {
   }
 }
 
-void WindowManager::emitEvent(EventType type) {
-  const Window* top = topAppWindow();
-  emit(type, top ? top->packageName() : std::string{});
-}
-
 int WindowManager::addOverlay(std::unique_ptr<View> view,
                               const LayoutParams& params) {
   const Window* top = topAppWindow();

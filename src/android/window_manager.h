@@ -145,10 +145,6 @@ class WindowManager {
   /// WINDOW_CONTENT_CHANGED events (real apps generate storms of them).
   void notifyContentChanged(int burst = 1);
 
-  /// Emits an arbitrary event from the top window's package (scroll, focus,
-  /// click... — used by the Monkey driver to model real event traffic).
-  void emitEvent(EventType type);
-
   // --- overlay views (DARPA's decorations & anchor) ------------------------
   /// Adds an overlay view. LayoutParams (x, y) are relative to the current
   /// app window frame (Android positions TYPE_ACCESSIBILITY_OVERLAY views in

@@ -1,5 +1,6 @@
 #include "core/darpa_service.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,6 +28,12 @@ std::uint64_t mixPackage(std::uint64_t fp, std::string_view package) {
   }
   return fp ^ (h | 1);  // |1 keeps the mix non-zero for the empty package.
 }
+
+/// Auto-bypass cooldown: never re-click the same region within this
+/// window. Without it the bypass click's own accessibility events
+/// re-trigger analysis and, if the AUI survives the click, DARPA would
+/// click forever.
+constexpr Millis kBypassCooldown{3000};
 
 }  // namespace
 
@@ -57,7 +64,6 @@ void DarpaService::onAccessibilityEvent(
       config_.trustedPackages.contains(event.packageName)) {
     return;
   }
-  ++stats_.eventsReceived;
   ledger_.recordEvent();
   logDebug("DARPA event ", android::eventTypeName(event.type), " from ",
            event.packageName);
@@ -65,13 +71,7 @@ void DarpaService::onAccessibilityEvent(
   // screens that stay unchanged for `cutoff` get analyzed.
   android::Looper* loop = looper();
   if (loop == nullptr) return;
-  if (pendingAnalysis_ != 0) {
-    loop->cancel(pendingAnalysis_);
-  } else {
-    // First event of a new burst: the screen's debounce wait is measured
-    // from here until the analysis actually fires.
-    burstStartAt_ = event.time;
-  }
+  if (pendingAnalysis_ != 0) loop->cancel(pendingAnalysis_);
   pendingAnalysis_ = loop->postDelayed(
       [this] {
         pendingAnalysis_ = 0;
@@ -93,19 +93,11 @@ void DarpaService::analyzeNow() {
     if (top != nullptr &&
         config_.trustedPackages.contains(top->packageName())) {
       clearDecorations();
-      burstStartAt_ = Millis{-1};
       return;
     }
   }
 
-  ++stats_.analysesRun;
-  const Millis now = looper() != nullptr ? looper()->now() : Millis{0};
-  Millis debounceLatency{0};
-  if (burstStartAt_.count >= 0) {
-    debounceLatency = now - burstStartAt_;
-    burstStartAt_ = Millis{-1};
-  }
-  ledger_.beginAnalysis(debounceLatency);
+  ledger_.beginAnalysis();
 
   // Remove our own decorations before the pass so the model never sees
   // (and re-detects) DARPA's overlay.
@@ -138,23 +130,19 @@ void DarpaService::analyzeNow() {
   // repeat of this screen is a session-local hit again. With no tier
   // wired this block is byte-identical to the historical L1-only probe.
   if (probe) {
-    ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
+    ledger_.recordCacheLookup();
     const VerdictCache::Entry* hit = verdictCache_.find(key);
     if (hit != nullptr) {
       ledger_.recordCacheHit();
-      ++stats_.verdictCacheHits;
       fromCache = true;
       isAui = hit->isAui;
       detections = hit->detections;
     } else if (tier != nullptr) {
       // The L2 probe is a second lookup; price it as one when the L1
       // probe above already paid the first.
-      if (verdictCache_.enabled()) {
-        ledger_.recordRun(Stage::kVerdict, ledger_.costs().cacheLookupCpuMs);
-      }
+      if (verdictCache_.enabled()) ledger_.recordCacheLookup();
       if (auto shared = tier->find(key)) {
-        ledger_.recordCacheHit();
-        ++stats_.verdictTierHits;
+        ledger_.recordTierHit();
         fromCache = true;
         isAui = shared->isAui;
         detections = std::move(shared->detections);
@@ -169,7 +157,7 @@ void DarpaService::analyzeNow() {
 
   // Runs one Fig.-5 step, or records it as skipped when the routing does
   // not want it. Wall-clock observability around the step's real
-  // execution; the step's own recordRun prices the modeled axis. Audited:
+  // execution; the step's own ledger call prices the modeled axis. Audited:
   // both reads feed only recordActual -> StageTally::actualUs, which
   // nothing digest-stable may consume (work_ledger.h).
   const auto step = [this](Stage stage, bool runs, const auto& body) {
@@ -191,11 +179,9 @@ void DarpaService::analyzeNow() {
        !fromCache && config_.lintPrefilter != nullptr && wm != nullptr, [&] {
          const analysis::LintReport lint = config_.lintPrefilter->run(
              wm->dumpTopWindow(), wm->config().screenSize);
-         ++stats_.lintRuns;
-         ledger_.recordRun(Stage::kLint, ledger_.costs().lintCpuMs);
+         ledger_.recordLint(lint.verdict.confident);
          if (!lint.verdict.confident) return;
          resolvedByLint = true;
-         ++stats_.cvSkippedByLint;
          if (!lint.verdict.isAui) return;
          const auto confidence = static_cast<float>(lint.verdict.score);
          for (const Rect& box : lint.verdict.upoBoxes) {
@@ -219,10 +205,8 @@ void DarpaService::analyzeNow() {
       ledger_.recordSkip(Stage::kScreenshot);
       return;
     }
-    ledger_.recordFrameBytes(shot.pixelBytes());
+    ledger_.recordScreenshot(shot.pixelBytes());
     vault_.store(std::move(shot));
-    ++stats_.screenshotsTaken;
-    ledger_.recordRun(Stage::kScreenshot, ledger_.costs().screenshotCpuMs);
   });
 
   // Detect: the CV model over the held capture, on the session's thread.
@@ -231,21 +215,18 @@ void DarpaService::analyzeNow() {
     // scrubs and frees it the moment the model returns.
     detections = detector_->detect(*vault_.current());
     vault_.rinse();
-    ledger_.recordRun(Stage::kDetect, detector_->costMacsPerImage() /
-                                          ledger_.costs().macsPerCpuMs);
+    ledger_.recordDetect(detector_->costMacsPerImage());
   });
 
-  // Verdict: merges detections into the screen verdict and stores it in
-  // both cache tiers.
+  // Verdict: a screen is an AUI when at least one UPO is detected (the
+  // detector's context features keep benign close buttons below threshold;
+  // see §IV-C footnote 4). The verdict is stored in both cache tiers.
   step(Stage::kVerdict, !fromCache, [&] {
-    bool hasUpo = false;
-    bool hasAgo = false;
-    for (const cv::Detection& det : detections) {
-      if (det.label == dataset::BoxLabel::kUpo) hasUpo = true;
-      if (det.label == dataset::BoxLabel::kAgo) hasAgo = true;
-    }
-    isAui = config_.requireUpoForAui ? hasUpo : (hasUpo || hasAgo);
-    ledger_.recordRun(Stage::kVerdict, ledger_.costs().verdictCpuMs);
+    isAui = std::any_of(detections.begin(), detections.end(),
+                        [](const cv::Detection& det) {
+                          return det.label == dataset::BoxLabel::kUpo;
+                        });
+    ledger_.recordVerdict();
     // Cache only verdicts that rest on real evidence (a lint resolution or
     // a usable capture), in both tiers: a transient screenshot failure must
     // stay one session's transient problem, never the fleet's verdict.
@@ -259,7 +240,7 @@ void DarpaService::analyzeNow() {
   // consumes it, so only this path pays for it. Act work is priced inside
   // the helpers.
   step(Stage::kAct, isAui, [&] {
-    ++stats_.auisFlagged;
+    ledger_.recordAuiFlagged();
     if (config_.autoBypass) {
       tryBypass(detections);
     } else if (config_.decorate) {
@@ -309,17 +290,14 @@ void DarpaService::tryBypass(const std::vector<cv::Detection>& detections) {
   if (bestUpo == nullptr) return;
   const Millis now = looper() != nullptr ? looper()->now() : Millis{0};
   const bool repeat = iou(bestUpo->box, lastBypassBox_) > 0.8 &&
-                      now - lastBypassAt_ < config_.bypassCooldown;
+                      now - lastBypassAt_ < kBypassCooldown;
   if (repeat) return;
   // The cooldown covers attempts, not landed clicks: the dispatched gesture
   // itself raises touch events that re-trigger analysis, so an unconsumed
   // click retried every pass would spin the event loop forever.
   lastBypassBox_ = bestUpo->box;
   lastBypassAt_ = now;
-  if (dispatchClick(bestUpo->box.center())) {
-    ++stats_.bypassClicks;
-    ledger_.recordBypass();
-  }
+  if (dispatchClick(bestUpo->box.center())) ledger_.recordBypass();
 }
 
 Point DarpaService::measureWindowOffset() {
@@ -328,7 +306,7 @@ Point DarpaService::measureWindowOffset() {
   // location on screen.
   android::WindowManager* wm = windowManager();
   if (wm == nullptr) return {0, 0};
-  ++stats_.anchorMeasurements;
+  ledger_.recordAnchorMeasurement();
   auto anchor = std::make_unique<android::View>();
   anchor->setVisible(false);
   const int anchorId = wm->addOverlay(std::move(anchor), {0, 0, 1, 1});
@@ -362,11 +340,11 @@ void DarpaService::decorateDetections(
     const bool isUpo = det.label == dataset::BoxLabel::kUpo;
     const Color color = isUpo ? config_.upoColor : config_.agoColor;
     auto view = std::make_unique<DecorationView>(
-        color, config_.decorationThickness,
+        color, kDecorationThickness,
         isUpo ? config_.upoStyle : config_.agoStyle);
     // Grow the box so the border ring sits around the option, then convert
     // screen -> window coordinates with the measured offset (Fig. 6).
-    const Rect target = det.box.inflated(config_.decorationThickness + 1);
+    const Rect target = det.box.inflated(kDecorationThickness + 1);
     android::LayoutParams lp;
     lp.x = target.x - windowOffset.x;
     lp.y = target.y - windowOffset.y;
@@ -374,7 +352,6 @@ void DarpaService::decorateDetections(
     lp.height = target.height;
     lp.type = android::LayoutParams::Type::kAccessibilityOverlay;
     decorationOverlayIds_.push_back(wm->addOverlay(std::move(view), lp));
-    ++stats_.decorationsDrawn;
     ledger_.recordDecoration();
   }
 }

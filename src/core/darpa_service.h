@@ -18,8 +18,9 @@
 //      optionally the UPO is auto-clicked instead (the bypass mode).
 //
 // Every step of a pass either runs or records a skip, and every unit of
-// work is priced into a WorkLedger the simulated device's performance
-// model consumes for Table VII/VIII accounting.
+// work is priced and counted in the session's WorkLedger, which the
+// simulated device's performance model consumes for Table VII/VIII
+// accounting.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +36,6 @@
 #include "core/verdict_cache.h"
 #include "core/work_ledger.h"
 #include "cv/detector.h"
-#include "util/thread_annotations.h"
 
 namespace darpa::analysis {
 class LintEngine;
@@ -58,7 +58,6 @@ struct DarpaConfig {
   /// AGO gets the warning color.
   Color upoColor = Color::rgb(30, 200, 80);
   Color agoColor = Color::rgb(230, 40, 40);
-  int decorationThickness = 3;
   /// User-customizable decoration shape (§IV-D: "we also allow users to
   /// customize the shape and color of the decoration view").
   DecorationStyle upoStyle = DecorationStyle::kRect;
@@ -67,15 +66,6 @@ struct DarpaConfig {
   /// packages are ignored entirely — "selectively running DARPA on those
   /// less-trusted apps" cuts the overhead on trusted ones.
   std::set<std::string> trustedPackages;
-  /// A screen is flagged as an AUI when at least one UPO is detected (the
-  /// detector's context features keep benign close buttons below
-  /// threshold; see §IV-C footnote 4).
-  bool requireUpoForAui = true;
-  /// Auto-bypass cooldown: never re-click the same region within this
-  /// window. Without it the bypass click's own accessibility events
-  /// re-trigger analysis and, if the AUI survives the click, DARPA would
-  /// click forever.
-  Millis bypassCooldown{3000};
   /// Optional static-lint pre-filter (borrowed; must outlive the service).
   /// When set, every stable screen is linted from its UI dump first — a
   /// zero-screenshot pass costing microseconds — and screens the lint
@@ -94,48 +84,11 @@ struct DarpaConfig {
   SharedVerdictTier* verdictTier = nullptr;
 };
 
-/// Per-session counters. Session-confined like the WorkLedger (see the
-/// thread-ownership rule in core/work_ledger.h): only the thread advancing
-/// the owning session writes them; fleets sum them with += once the run
-/// is over.
-struct DarpaStats {
-  std::int64_t eventsReceived CONFINED_TO("owning session") = 0;
-  std::int64_t analysesRun CONFINED_TO("owning session") = 0;
-  /// Successful captures only.
-  std::int64_t screenshotsTaken CONFINED_TO("owning session") = 0;
-  std::int64_t auisFlagged CONFINED_TO("owning session") = 0;
-  std::int64_t decorationsDrawn CONFINED_TO("owning session") = 0;
-  std::int64_t bypassClicks CONFINED_TO("owning session") = 0;
-  /// Static pre-filter passes.
-  std::int64_t lintRuns CONFINED_TO("owning session") = 0;
-  /// Analyses resolved without CV.
-  std::int64_t cvSkippedByLint CONFINED_TO("owning session") = 0;
-  /// Analyses served from the session L1 cache.
-  std::int64_t verdictCacheHits CONFINED_TO("owning session") = 0;
-  /// Analyses served from the fleet-wide L2 tier (disjoint from
-  /// verdictCacheHits: each cache-served analysis counts in exactly one).
-  std::int64_t verdictTierHits CONFINED_TO("owning session") = 0;
-  /// §IV-D offset calibrations.
-  std::int64_t anchorMeasurements CONFINED_TO("owning session") = 0;
-
-  DarpaStats& operator+=(const DarpaStats& o) {
-    eventsReceived += o.eventsReceived;
-    analysesRun += o.analysesRun;
-    screenshotsTaken += o.screenshotsTaken;
-    auisFlagged += o.auisFlagged;
-    decorationsDrawn += o.decorationsDrawn;
-    bypassClicks += o.bypassClicks;
-    lintRuns += o.lintRuns;
-    cvSkippedByLint += o.cvSkippedByLint;
-    verdictCacheHits += o.verdictCacheHits;
-    verdictTierHits += o.verdictTierHits;
-    anchorMeasurements += o.anchorMeasurements;
-    return *this;
-  }
-};
-
 class DarpaService : public android::AccessibilityService {
  public:
+  /// Border width of a decoration ring, in pixels.
+  static constexpr int kDecorationThickness = 3;
+
   /// The detector is borrowed and must outlive the service.
   DarpaService(const cv::Detector& detector, DarpaConfig config = {});
   ~DarpaService() override;
@@ -152,14 +105,15 @@ class DarpaService : public android::AccessibilityService {
     analysisListener_ = std::move(listener);
   }
 
-  [[nodiscard]] const DarpaStats& stats() const { return stats_; }
+  /// The session's counts, kept by the ledger.
+  [[nodiscard]] const DarpaStats& stats() const { return ledger_.counts(); }
   [[nodiscard]] const DarpaConfig& darpaConfig() const { return config_; }
   [[nodiscard]] const ScreenshotVault& vault() const { return vault_; }
   [[nodiscard]] const PermissionManifest& permissions() const {
     return permissions_;
   }
 
-  /// The work ledger every step prices into (perf accounting).
+  /// The session's account: every step's work and every count.
   [[nodiscard]] const WorkLedger& ledger() const { return ledger_; }
 
   /// The session's L1 screen-fingerprint verdict cache, for inspection.
@@ -214,13 +168,11 @@ class DarpaService : public android::AccessibilityService {
   DarpaConfig config_;
   PermissionManifest permissions_;
   ScreenshotVault vault_;
-  DarpaStats stats_;
   WorkLedger ledger_;
   VerdictCache verdictCache_;  ///< The session L1; config_.verdictTier is L2.
   std::function<void(bool, const std::vector<cv::Detection>&)>
       analysisListener_;
   android::TaskId pendingAnalysis_ = 0;
-  Millis burstStartAt_{-1};  ///< First event of the pending debounce burst.
   Rect lastBypassBox_;
   Millis lastBypassAt_{-1'000'000};
   std::vector<int> decorationOverlayIds_;

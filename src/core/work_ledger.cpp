@@ -16,14 +16,70 @@ std::string_view stageName(Stage stage) {
   return "?";
 }
 
-void WorkLedger::recordEvent() { recordRun(Stage::kEvent, costs_.eventCpuMs); }
-
-void WorkLedger::beginAnalysis(Millis debounceLatency) {
-  ++analyses_;
-  if (debounceLatency.count > 0) {
-    totalDebounceLatency_ = totalDebounceLatency_ + debounceLatency;
-  }
+DarpaStats& DarpaStats::operator+=(const DarpaStats& o) {
+  eventsReceived += o.eventsReceived;
+  analysesRun += o.analysesRun;
+  screenshotsTaken += o.screenshotsTaken;
+  auisFlagged += o.auisFlagged;
+  decorationsDrawn += o.decorationsDrawn;
+  bypassClicks += o.bypassClicks;
+  lintRuns += o.lintRuns;
+  cvSkippedByLint += o.cvSkippedByLint;
+  verdictCacheHits += o.verdictCacheHits;
+  verdictTierHits += o.verdictTierHits;
+  anchorMeasurements += o.anchorMeasurements;
+  return *this;
 }
+
+void WorkLedger::recordEvent() {
+  ++counts_.eventsReceived;
+  recordRun(Stage::kEvent, kStageCosts.eventCpuMs);
+}
+
+void WorkLedger::beginAnalysis() { ++counts_.analysesRun; }
+
+void WorkLedger::recordCacheLookup() {
+  recordRun(Stage::kVerdict, kStageCosts.cacheLookupCpuMs);
+}
+
+void WorkLedger::recordCacheHit() { ++counts_.verdictCacheHits; }
+void WorkLedger::recordTierHit() { ++counts_.verdictTierHits; }
+void WorkLedger::recordCacheMiss() { ++cacheMisses_; }
+
+void WorkLedger::recordLint(bool confident) {
+  ++counts_.lintRuns;
+  if (confident) ++counts_.cvSkippedByLint;
+  recordRun(Stage::kLint, kStageCosts.lintCpuMs);
+}
+
+void WorkLedger::recordScreenshot(std::size_t bytes) {
+  ++counts_.screenshotsTaken;
+  peakFrameBytes_ =
+      std::max(peakFrameBytes_, static_cast<std::int64_t>(bytes));
+  recordRun(Stage::kScreenshot, kStageCosts.screenshotCpuMs);
+}
+
+void WorkLedger::recordDetect(double macs) {
+  recordRun(Stage::kDetect, macs / kStageCosts.macsPerCpuMs);
+}
+
+void WorkLedger::recordVerdict() {
+  recordRun(Stage::kVerdict, kStageCosts.verdictCpuMs);
+}
+
+void WorkLedger::recordAuiFlagged() { ++counts_.auisFlagged; }
+
+void WorkLedger::recordDecoration() {
+  ++counts_.decorationsDrawn;
+  recordRun(Stage::kAct, kStageCosts.decorationCpuMs);
+}
+
+void WorkLedger::recordBypass() {
+  ++counts_.bypassClicks;
+  recordRun(Stage::kAct, kStageCosts.bypassClickCpuMs);
+}
+
+void WorkLedger::recordAnchorMeasurement() { ++counts_.anchorMeasurements; }
 
 void WorkLedger::recordRun(Stage stage, double cpuMs) {
   StageTally& tally = tallies_[static_cast<std::size_t>(stage)];
@@ -31,34 +87,12 @@ void WorkLedger::recordRun(Stage stage, double cpuMs) {
   tally.cpuMs += cpuMs;
 }
 
-void WorkLedger::recordRuns(Stage stage, std::int64_t n, double cpuMsEach) {
-  for (std::int64_t i = 0; i < n; ++i) recordRun(stage, cpuMsEach);
-}
-
 void WorkLedger::recordSkip(Stage stage) {
   ++tallies_[static_cast<std::size_t>(stage)].skips;
 }
 
-void WorkLedger::recordDecoration() {
-  ++decorations_;
-  recordRun(Stage::kAct, costs_.decorationCpuMs);
-}
-
-void WorkLedger::recordBypass() {
-  ++bypassClicks_;
-  recordRun(Stage::kAct, costs_.bypassClickCpuMs);
-}
-
-void WorkLedger::recordCacheHit() { ++cacheHits_; }
-void WorkLedger::recordCacheMiss() { ++cacheMisses_; }
-
 void WorkLedger::recordActual(Stage stage, double actualUs) {
   tallies_[static_cast<std::size_t>(stage)].actualUs += actualUs;
-}
-
-void WorkLedger::recordFrameBytes(std::size_t bytes) {
-  peakFrameBytes_ =
-      std::max(peakFrameBytes_, static_cast<std::int64_t>(bytes));
 }
 
 double WorkLedger::totalCpuMs() const {
@@ -73,12 +107,8 @@ double WorkLedger::analysisCpuMs() const {
 
 WorkLedger& WorkLedger::operator+=(const WorkLedger& o) {
   for (std::size_t i = 0; i < tallies_.size(); ++i) tallies_[i] += o.tallies_[i];
-  analyses_ += o.analyses_;
-  decorations_ += o.decorations_;
-  bypassClicks_ += o.bypassClicks_;
-  cacheHits_ += o.cacheHits_;
+  counts_ += o.counts_;
   cacheMisses_ += o.cacheMisses_;
-  totalDebounceLatency_ = totalDebounceLatency_ + o.totalDebounceLatency_;
   // The peak is a max, not a sum: sessions share one frame size.
   peakFrameBytes_ = std::max(peakFrameBytes_, o.peakFrameBytes_);
   return *this;

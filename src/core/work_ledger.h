@@ -1,23 +1,21 @@
-// WorkLedger — the single accounting substrate for the run-time pipeline.
+// WorkLedger — the one account of a session's run-time work.
 //
-// The seed implementation reported work through a flat WorkKind callback
-// that every bench adapted by hand (count events here, divide by apps
-// there). The ledger replaces that with one structured record the whole
-// stack consumes uniformly:
+// Every outcome of the Fig.-5 life-cycle is recorded by one ledger call,
+// and the ledger is the only place that counts it:
 //
 //  * per-stage tallies (runs, skips, modeled CPU-ms) for every pipeline
-//    stage of the Fig.-5 life-cycle — event handling, lint, screenshot,
-//    CV detection, verdict merge, act (decorate/bypass);
-//  * verdict-cache hit/miss counters (the repeat-screen fast path);
+//    stage — event handling, lint, screenshot, CV detection, verdict
+//    merge, act (decorate/bypass);
+//  * the session's counts (DarpaStats): events, analyses, captures,
+//    flagged AUIs, decorations, bypass clicks, lint resolutions, verdict
+//    cache and tier hits, anchor measurements;
+//  * verdict-cache misses;
 //  * the peak single-frame footprint (peakFrameBytes), folded into the
-//    Table VII memory row by perf::DeviceModel;
-//  * the analysis count and the simulated-clock debounce latency (time a
-//    screen waited for ct stability before being analyzed).
+//    Table VII memory row by perf::DeviceModel.
 //
-// The per-operation CPU costs live in StageCosts — one table shared by the
-// pipeline (which prices work as it happens) and perf::DeviceModel (which
-// folds priced work into Table VII/VIII device metrics). There is exactly
-// one copy of every constant.
+// The per-operation CPU costs are one constant, kStageCosts. In src/ only
+// the ledger reads it: each record call prices its own outcome, so a stage
+// tally can never run ahead of, or behind, the count it belongs to.
 //
 // Thread-ownership rule (fleet scale): a WorkLedger is SESSION-CONFINED —
 // only the thread currently advancing its DeviceSession may record into it,
@@ -33,7 +31,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "util/clock.h"
 #include "util/thread_annotations.h"
 
 namespace darpa::core {
@@ -57,9 +54,7 @@ inline constexpr std::array<Stage, kStageCount> kAllStages = {
 [[nodiscard]] std::string_view stageName(Stage stage);
 
 /// Per-operation modeled CPU costs in milliseconds on the device's big
-/// core. The single source of truth: the pipeline prices work with this
-/// table as it records into the ledger, and perf::DeviceModel::Config
-/// embeds the same table for its Table VII/VIII arithmetic.
+/// core.
 struct StageCosts {
   double eventCpuMs = 0.35;        ///< One delivered accessibility event.
   double lintCpuMs = 0.18;         ///< One static lint pass over a dump.
@@ -69,6 +64,36 @@ struct StageCosts {
   double cacheLookupCpuMs = 0.08;  ///< View-tree walk + fingerprint + LRU.
   double decorationCpuMs = 45.0;   ///< addView: full relayout + recompose.
   double bypassClickCpuMs = 1.5;   ///< One dispatched bypass gesture.
+};
+
+/// The one cost table. The ledger's record calls price every outcome with
+/// it; benches and tests read it to state what a priced run costs.
+inline constexpr StageCosts kStageCosts{};
+
+/// A session's counts: what DARPA received and did. Only WorkLedger's
+/// record calls write them; fleets add them with += once the run is over.
+struct DarpaStats {
+  std::int64_t eventsReceived = 0;
+  std::int64_t analysesRun = 0;
+  /// Successful captures only.
+  std::int64_t screenshotsTaken = 0;
+  std::int64_t auisFlagged = 0;
+  std::int64_t decorationsDrawn = 0;
+  std::int64_t bypassClicks = 0;
+  /// Static pre-filter passes.
+  std::int64_t lintRuns = 0;
+  /// Analyses resolved without CV.
+  std::int64_t cvSkippedByLint = 0;
+  /// Analyses served from the session L1 cache.
+  std::int64_t verdictCacheHits = 0;
+  /// Analyses served from the fleet-wide L2 tier (disjoint from
+  /// verdictCacheHits: each cache-served analysis counts in exactly one).
+  std::int64_t verdictTierHits = 0;
+  /// §IV-D offset calibrations.
+  std::int64_t anchorMeasurements = 0;
+
+  DarpaStats& operator+=(const DarpaStats& o);
+  friend bool operator==(const DarpaStats&, const DarpaStats&) = default;
 };
 
 /// Accumulators for one pipeline stage.
@@ -95,39 +120,40 @@ struct StageTally {
 
 class WorkLedger {
  public:
-  WorkLedger() = default;
-  explicit WorkLedger(StageCosts costs) : costs_(costs) {}
-
-  [[nodiscard]] const StageCosts& costs() const { return costs_; }
-
-  // --- recording (called by the service / pipeline stages) -----------------
+  // --- recording: one call per outcome (called by the service) -------------
 
   /// One delivered accessibility event.
   void recordEvent();
-
-  /// Counts an analysis pass. `debounceLatency` is the simulated-clock
-  /// time the screen waited for ct stability (trigger event -> analysis).
-  void beginAnalysis(Millis debounceLatency = {});
-
-  /// Stage executed, costing `cpuMs` of modeled CPU.
-  void recordRun(Stage stage, double cpuMs);
-  /// `n` executions of the same stage at `cpuMsEach` (bench convenience).
-  void recordRuns(Stage stage, std::int64_t n, double cpuMsEach);
-  /// Stage skipped by pipeline routing (cache hit, lint short-circuit...).
-  void recordSkip(Stage stage);
-
+  /// One analysis pass started.
+  void beginAnalysis();
+  /// One verdict-cache lookup (L1 or L2), priced under Stage::kVerdict.
+  void recordCacheLookup();
+  /// The verdict-cache probe was served by the session L1 / the fleet L2,
+  /// or by neither.
+  void recordCacheHit();
+  void recordTierHit();
+  void recordCacheMiss();
+  /// One static lint pass; a confident verdict resolves the analysis
+  /// without CV.
+  void recordLint(bool confident);
+  /// One usable screen capture of `bytes`: raises peakFrameBytes when
+  /// larger.
+  void recordScreenshot(std::size_t bytes);
+  /// One detector run costing `macs` multiply-accumulates.
+  void recordDetect(double macs);
+  /// One verdict merge.
+  void recordVerdict();
+  /// One analysis flagged its screen as an AUI.
+  void recordAuiFlagged();
   /// One decoration overlay added / one bypass click dispatched. Both
-  /// record under Stage::kAct at the table cost and keep their own counts
-  /// (the device model's frame-pacing term only cares about decorations).
+  /// record under Stage::kAct at the table cost.
   void recordDecoration();
   void recordBypass();
+  /// One §IV-D anchor-view offset measurement.
+  void recordAnchorMeasurement();
 
-  void recordCacheHit();
-  void recordCacheMiss();
-
-  /// One screen capture of `bytes`: raises peakFrameBytes when larger.
-  /// Adds no modeled CPU.
-  void recordFrameBytes(std::size_t bytes);
+  /// Stage skipped by pipeline routing (cache hit, lint short-circuit...).
+  void recordSkip(Stage stage);
 
   /// Measured wall-clock microseconds for a stage execution whose modeled
   /// cost was recorded elsewhere (or not at all). Pure observability.
@@ -137,25 +163,21 @@ class WorkLedger {
   [[nodiscard]] const StageTally& tally(Stage stage) const {
     return tallies_[static_cast<std::size_t>(stage)];
   }
+  [[nodiscard]] const DarpaStats& counts() const { return counts_; }
   /// Modeled CPU-ms across every stage (events included).
   [[nodiscard]] double totalCpuMs() const;
   /// Modeled CPU-ms of the analysis path only (everything but kEvent).
   [[nodiscard]] double analysisCpuMs() const;
 
-  [[nodiscard]] std::int64_t analyses() const { return analyses_; }
-  [[nodiscard]] std::int64_t decorations() const { return decorations_; }
-  [[nodiscard]] std::int64_t bypassClicks() const { return bypassClicks_; }
-  [[nodiscard]] std::int64_t cacheHits() const { return cacheHits_; }
+  /// Analyses served by either cache tier.
+  [[nodiscard]] std::int64_t cacheHits() const {
+    return counts_.verdictCacheHits + counts_.verdictTierHits;
+  }
   [[nodiscard]] std::int64_t cacheMisses() const { return cacheMisses_; }
 
   /// Largest single screen capture recorded — the per-frame working-set
   /// term perf::DeviceModel adds to the Table VII memory row.
   [[nodiscard]] std::int64_t peakFrameBytes() const { return peakFrameBytes_; }
-
-  /// Simulated-clock time screens spent waiting for ct stability.
-  [[nodiscard]] Millis totalDebounceLatency() const {
-    return totalDebounceLatency_;
-  }
 
   /// Merges another ledger's tallies/counters (per-app session roll-up and
   /// the fleet roll-up). Per the thread-ownership rule above, `o`'s owning
@@ -163,19 +185,19 @@ class WorkLedger {
   WorkLedger& operator+=(const WorkLedger& o);
 
  private:
+  /// Stage executed, costing `cpuMs` of modeled CPU. Private, so that
+  /// every priced run comes with its count from one record call above.
+  void recordRun(Stage stage, double cpuMs);
+
   // Every member is session-confined per the thread-ownership rule above:
   // no lock anywhere in this class is not an accident, it is the contract.
   // CONFINED_TO documents it where the state lives; cross-session merges
   // (+=) read only quiescent sessions.
-  StageCosts costs_ CONFINED_TO("owning session");
   std::array<StageTally, kStageCount> tallies_ CONFINED_TO("owning session"){};
-  std::int64_t analyses_ = 0;
-  std::int64_t decorations_ = 0;
-  std::int64_t bypassClicks_ = 0;
-  std::int64_t cacheHits_ = 0;
-  std::int64_t cacheMisses_ = 0;
-  Millis totalDebounceLatency_{0};
-  std::int64_t peakFrameBytes_ = 0;  ///< Max single recorded buffer.
+  DarpaStats counts_ CONFINED_TO("owning session");
+  std::int64_t cacheMisses_ CONFINED_TO("owning session") = 0;
+  /// Max single recorded buffer.
+  std::int64_t peakFrameBytes_ CONFINED_TO("owning session") = 0;
 };
 
 }  // namespace darpa::core

@@ -251,13 +251,6 @@ void decodeCandidate(const OneStageConfig& config, const GridPos& pos,
   raw.push_back(det);
 }
 
-/// A selected training example: cached descriptor + targets.
-struct TrainExample {
-  std::vector<float> features;
-  int classTarget = -1;  ///< -1 negative, 0 AGO, 1 UPO.
-  float dx = 0, dy = 0, dw = 0, dh = 0;
-};
-
 /// Matching result for one grid position.
 struct MatchInfo {
   int classTarget = -1;
@@ -317,6 +310,66 @@ std::vector<Rect> OneStageDetector::candidateBoxes(Size size) const {
   return boxes;
 }
 
+void trainHead(nn::Mlp& head,
+               const std::vector<std::vector<HeadExample>>& images,
+               int epochs, int lrDecayEvery, Rng& rng,
+               const std::function<void(int epoch)>& beforeEpoch) {
+  // Each positive is repeated per step to offset the heavy negative
+  // imbalance (tiny UPOs drown otherwise).
+  constexpr int kPositiveRepeat = 4;
+  constexpr float kBoxLossWeight = 2.0f;
+  std::vector<std::size_t> order(images.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+
+  nn::AdamConfig adam;
+  adam.learningRate = 2e-3f;
+  // Hoisted backprop buffers: one Cache for the whole training run instead
+  // of one per example, so epochs stop churning the heap.
+  nn::Mlp::Cache cache;
+  std::array<float, 6> dOut{};
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    if (lrDecayEvery > 0 && epoch > 0 && epoch % lrDecayEvery == 0) {
+      adam.learningRate *= 0.5f;
+    }
+    if (beforeEpoch) beforeEpoch(epoch);
+    rng.shuffle(order);
+    double epochLoss = 0.0;
+    for (std::size_t i : order) {
+      const std::vector<HeadExample>& examples = images[i];
+      if (examples.empty()) continue;
+      int count = 0;
+      for (const HeadExample& ex : examples) {
+        const int repeat = ex.classTarget >= 0 ? kPositiveRepeat : 1;
+        for (int rep = 0; rep < repeat; ++rep) {
+          head.forwardCachedInto(ex.features, cache);
+          const std::span<const float> out = cache.output();
+          dOut.fill(0.0f);
+          const float agoTarget = ex.classTarget == 0 ? 1.0f : 0.0f;
+          const float upoTarget = ex.classTarget == 1 ? 1.0f : 0.0f;
+          dOut[0] = nn::bceWithLogitsGrad(out[0], agoTarget);
+          dOut[1] = nn::bceWithLogitsGrad(out[1], upoTarget);
+          epochLoss += nn::bceWithLogits(out[0], agoTarget) +
+                       nn::bceWithLogits(out[1], upoTarget);
+          if (ex.classTarget >= 0) {
+            const float w = kBoxLossWeight;
+            dOut[2] = w * nn::smoothL1Grad(out[2], ex.dx);
+            dOut[3] = w * nn::smoothL1Grad(out[3], ex.dy);
+            dOut[4] = w * nn::smoothL1Grad(out[4], ex.dw);
+            dOut[5] = w * nn::smoothL1Grad(out[5], ex.dh);
+            epochLoss +=
+                w * (nn::smoothL1(out[2], ex.dx) + nn::smoothL1(out[3], ex.dy) +
+                     nn::smoothL1(out[4], ex.dw) + nn::smoothL1(out[5], ex.dh));
+          }
+          head.accumulateGradient(cache, dOut);
+          ++count;
+        }
+      }
+      head.applyAdam(adam, count);
+    }
+    logDebug("head epoch ", epoch, " loss ", epochLoss);
+  }
+}
+
 OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
                                          const OneStageConfig& config,
                                          const TrainConfig& trainConfig) {
@@ -355,7 +408,7 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
   detector.head_ = std::make_unique<nn::Mlp>(layerSizes, rng);
 
   // Per-image selected example caches, refreshed at mining rounds.
-  std::vector<std::vector<TrainExample>> selections(refs.size());
+  std::vector<std::vector<HeadExample>> selections(refs.size());
 
   auto mineImage = [&](std::size_t r) {
     const dataset::Sample sample = render(refs[r]);
@@ -363,9 +416,9 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
     const std::vector<GridPos> grid =
         enumerateGrid(config, sample.image.size());
 
-    std::vector<TrainExample> selected;
+    std::vector<HeadExample> selected;
     auto describe = [&](const GridPos& pos) {
-      TrainExample ex;
+      HeadExample ex;
       ex.features.resize(kCandidateFeatureDim);
       candidateFeaturesInto(map, pos.box(config.anchors), ex.features);
       return ex;
@@ -379,7 +432,7 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
     for (const GridPos& pos : grid) {
       const MatchInfo info = matchCandidate(config, pos, sample.annotations);
       if (info.classTarget >= 0) {
-        TrainExample ex = describe(pos);
+        HeadExample ex = describe(pos);
         ex.classTarget = info.classTarget;
         ex.dx = info.dx;
         ex.dy = info.dy;
@@ -432,61 +485,12 @@ OneStageDetector OneStageDetector::train(const dataset::AuiDataset& data,
     selections[r] = std::move(selected);
   };
 
-  std::vector<std::size_t> order(refs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  nn::AdamConfig adam;
-  adam.learningRate = trainConfig.learningRate;
   const int miningEvery = std::max(trainConfig.miningEvery, 1);
-  // Hoisted backprop buffers: one Cache for the whole training run instead
-  // of one per example, so epochs stop churning the heap.
-  nn::Mlp::Cache cache;
-  std::array<float, 6> dOut{};
-  for (int epoch = 0; epoch < trainConfig.epochs; ++epoch) {
-    if (trainConfig.lrDecayEvery > 0 && epoch > 0 &&
-        epoch % trainConfig.lrDecayEvery == 0) {
-      adam.learningRate *= 0.5f;
-    }
-    if (epoch % miningEvery == 0) {
-      for (std::size_t r = 0; r < refs.size(); ++r) mineImage(r);
-    }
-    rng.shuffle(order);
-    double epochLoss = 0.0;
-    for (std::size_t r : order) {
-      const std::vector<TrainExample>& selected = selections[r];
-      if (selected.empty()) continue;
-      int count = 0;
-      for (const TrainExample& ex : selected) {
-        const int repeat =
-            ex.classTarget >= 0 ? std::max(trainConfig.positiveRepeat, 1) : 1;
-        for (int rep = 0; rep < repeat; ++rep) {
-          detector.head_->forwardCachedInto(ex.features, cache);
-          const std::span<const float> out = cache.output();
-          dOut.fill(0.0f);
-          const float agoTarget = ex.classTarget == 0 ? 1.0f : 0.0f;
-          const float upoTarget = ex.classTarget == 1 ? 1.0f : 0.0f;
-          dOut[0] = nn::bceWithLogitsGrad(out[0], agoTarget);
-          dOut[1] = nn::bceWithLogitsGrad(out[1], upoTarget);
-          epochLoss += nn::bceWithLogits(out[0], agoTarget) +
-                       nn::bceWithLogits(out[1], upoTarget);
-          if (ex.classTarget >= 0) {
-            const float w = trainConfig.boxLossWeight;
-            dOut[2] = w * nn::smoothL1Grad(out[2], ex.dx);
-            dOut[3] = w * nn::smoothL1Grad(out[3], ex.dy);
-            dOut[4] = w * nn::smoothL1Grad(out[4], ex.dw);
-            dOut[5] = w * nn::smoothL1Grad(out[5], ex.dh);
-            epochLoss +=
-                w * (nn::smoothL1(out[2], ex.dx) + nn::smoothL1(out[3], ex.dy) +
-                     nn::smoothL1(out[4], ex.dw) + nn::smoothL1(out[5], ex.dh));
-          }
-          detector.head_->accumulateGradient(cache, dOut);
-          ++count;
-        }
-      }
-      detector.head_->applyAdam(adam, count);
-    }
-    logDebug("one-stage epoch ", epoch, " loss ", epochLoss);
-  }
+  trainHead(*detector.head_, selections, trainConfig.epochs,
+            trainConfig.lrDecayEvery, rng, [&](int epoch) {
+              if (epoch % miningEvery != 0) return;
+              for (std::size_t r = 0; r < refs.size(); ++r) mineImage(r);
+            });
   return detector;
 }
 

@@ -15,6 +15,7 @@
 // flips the mode after calibration.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <optional>
@@ -73,7 +74,6 @@ struct OneStageConfig {
 
 struct TrainConfig {
   int epochs = 36;
-  float learningRate = 2e-3f;
   /// Halve the learning rate every this many epochs (0 = never).
   int lrDecayEvery = 14;
   /// Re-run hard-negative mining (full candidate sweep) every N epochs;
@@ -81,10 +81,6 @@ struct TrainConfig {
   int miningEvery = 2;
   int hardNegativesPerImage = 48;
   int randomNegativesPerImage = 24;
-  /// Each positive example is repeated this many times per step to offset
-  /// the heavy negative imbalance (tiny UPOs drown otherwise).
-  int positiveRepeat = 4;
-  float boxLossWeight = 2.0f;
   /// Benign screenshots mixed in as negative-only images; keeps the head
   /// calibrated on non-AUI context at runtime (Table VI precision).
   int benignImages = 150;
@@ -93,6 +89,25 @@ struct TrainConfig {
   bool maskText = false;
   std::uint64_t seed = 7;
 };
+
+/// One head training example: a cached descriptor and its targets.
+struct HeadExample {
+  std::vector<float> features;
+  int classTarget = -1;  ///< -1 negative, 0 AGO, 1 UPO.
+  float dx = 0, dy = 0, dw = 0, dh = 0;
+};
+
+/// The detector heads' shared training loop: `epochs` epochs of Adam from
+/// a 2e-3 learning rate, halved every `lrDecayEvery` epochs (0 = never).
+/// Each epoch calls `beforeEpoch(epoch)` when set (the one-stage mining
+/// round refreshes `images` there), shuffles the image order with `rng`,
+/// and takes one Adam step per image over its examples: BCE on both class
+/// logits plus, for a positive, twice the smooth-L1 of its box, each
+/// positive repeated 4 times.
+void trainHead(nn::Mlp& head,
+               const std::vector<std::vector<HeadExample>>& images,
+               int epochs, int lrDecayEvery, Rng& rng,
+               const std::function<void(int epoch)>& beforeEpoch = nullptr);
 
 class OneStageDetector : public Detector {
  public:

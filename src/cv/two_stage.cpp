@@ -1,12 +1,9 @@
 #include "cv/two_stage.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <limits>
 
 #include "nn/losses.h"
-#include "util/log.h"
 #include "util/rng.h"
 
 namespace darpa::cv {
@@ -107,18 +104,13 @@ TwoStageDetector TwoStageDetector::train(
   TwoStageDetector detector(config);
   Rng rng(trainConfig.seed);
 
-  struct Example {
-    std::vector<float> features;
-    int classTarget = -1;
-    float dx = 0, dy = 0, dw = 0, dh = 0;
-  };
-  std::vector<std::vector<Example>> perImage;
+  std::vector<std::vector<HeadExample>> perImage;
 
   auto collect = [&](const dataset::Sample& sample) {
     const FeatureMap map(sample.image, detector.backboneChannels(),
                          config.featureScale);
-    std::vector<Example> examples;
-    std::vector<Example> negativesPool;
+    std::vector<HeadExample> examples;
+    std::vector<HeadExample> negativesPool;
     for (const Rect& prop :
          detector.proposalsFromMap(map, sample.image.size())) {
       double bestIou = 0.0;
@@ -131,7 +123,7 @@ TwoStageDetector TwoStageDetector::train(
         }
       }
       if (bestGt != nullptr && bestIou >= 0.5) {
-        Example ex;
+        HeadExample ex;
         ex.features = detector.regionFeatures(map, prop);
         ex.classTarget = bestGt->label == dataset::BoxLabel::kAgo ? 0 : 1;
         const Point gtCenter = bestGt->box.center();
@@ -142,7 +134,7 @@ TwoStageDetector TwoStageDetector::train(
         ex.dh = std::log(static_cast<float>(bestGt->box.height) / prop.height);
         examples.push_back(std::move(ex));
       } else if (bestIou < 0.3) {
-        Example ex;
+        HeadExample ex;
         ex.features = detector.regionFeatures(map, prop);
         negativesPool.push_back(std::move(ex));
       }
@@ -183,47 +175,8 @@ TwoStageDetector TwoStageDetector::train(
   layerSizes.push_back(6);
   detector.head_ = std::make_unique<nn::Mlp>(layerSizes, rng);
 
-  std::vector<std::size_t> order(perImage.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-
-  nn::AdamConfig adam;
-  adam.learningRate = trainConfig.learningRate;
-  // Hoisted backprop buffers (see one_stage.cpp): no per-example heap churn.
-  nn::Mlp::Cache cache;
-  std::array<float, 6> dOut{};
-  for (int epoch = 0; epoch < trainConfig.epochs; ++epoch) {
-    if (trainConfig.lrDecayEvery > 0 && epoch > 0 &&
-        epoch % trainConfig.lrDecayEvery == 0) {
-      adam.learningRate *= 0.5f;
-    }
-    rng.shuffle(order);
-    for (std::size_t i : order) {
-      const std::vector<Example>& examples = perImage[i];
-      if (examples.empty()) continue;
-      int count = 0;
-      for (const Example& ex : examples) {
-        const int repeat =
-            ex.classTarget >= 0 ? std::max(trainConfig.positiveRepeat, 1) : 1;
-        for (int rep = 0; rep < repeat; ++rep) {
-          detector.head_->forwardCachedInto(ex.features, cache);
-          const std::span<const float> out = cache.output();
-          dOut.fill(0.0f);
-          dOut[0] = nn::bceWithLogitsGrad(out[0], ex.classTarget == 0 ? 1.f : 0.f);
-          dOut[1] = nn::bceWithLogitsGrad(out[1], ex.classTarget == 1 ? 1.f : 0.f);
-          if (ex.classTarget >= 0) {
-            const float w = trainConfig.boxLossWeight;
-            dOut[2] = w * nn::smoothL1Grad(out[2], ex.dx);
-            dOut[3] = w * nn::smoothL1Grad(out[3], ex.dy);
-            dOut[4] = w * nn::smoothL1Grad(out[4], ex.dw);
-            dOut[5] = w * nn::smoothL1Grad(out[5], ex.dh);
-          }
-          detector.head_->accumulateGradient(cache, dOut);
-          ++count;
-        }
-      }
-      detector.head_->applyAdam(adam, count);
-    }
-  }
+  trainHead(*detector.head_, perImage, trainConfig.epochs,
+            trainConfig.lrDecayEvery, rng);
   return detector;
 }
 

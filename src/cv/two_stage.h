@@ -62,11 +62,8 @@ struct TwoStageConfig {
 
 struct TwoStageTrainConfig {
   int epochs = 20;
-  float learningRate = 2e-3f;
   int lrDecayEvery = 8;
   int negativesPerImage = 24;
-  int positiveRepeat = 4;
-  float boxLossWeight = 2.0f;
   int benignImages = 100;
   std::uint64_t seed = 11;
 };

@@ -25,10 +25,6 @@ namespace darpa::dataset {
 
 enum class BoxLabel { kAgo = 0, kUpo = 1 };
 
-[[nodiscard]] constexpr std::string_view boxLabelName(BoxLabel label) {
-  return label == BoxLabel::kAgo ? "AGO" : "UPO";
-}
-
 /// One annotated box, COCO-style: label + axis-aligned box in screen pixels.
 struct Annotation {
   Rect box;

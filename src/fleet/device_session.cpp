@@ -6,7 +6,6 @@ namespace darpa::fleet {
 
 DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
     : config_(std::move(config)),
-      system_(config_.window),
       service_(detector, config_.darpa),
       app_(system_, config_.profile, config_.appSeed),
       monkey_(system_, config_.monkeySeed) {
@@ -29,9 +28,7 @@ DeviceSession::~DeviceSession() = default;
 void DeviceSession::runToCompletion() {
   app_.start(config_.duration);
   const Millis horizon = system_.clock.now() + config_.duration;
-  if (config_.monkey) {
-    monkey_.start(horizon, config_.monkeyMinGapMs, config_.monkeyMaxGapMs);
-  }
+  monkey_.start(horizon, config_.monkeyMinGapMs, config_.monkeyMaxGapMs);
   system_.looper.runUntil(horizon);
 }
 

@@ -7,8 +7,8 @@
 // fleet architecture needs that world to be a value you can make N of, so
 // DeviceSession owns the whole stack with the right lifetimes:
 // construction wires it, runToCompletion() schedules the workload and plays
-// it to the end, and the scoring that bench_runtime.h used to do inline
-// (positive-analysis timeline -> AUI exposure coverage) is built in.
+// it to the end, and the Fig.-8 scoring (positive-analysis timeline -> AUI
+// exposure coverage) is built in.
 //
 // Thread ownership: during Fleet::run() a session is confined to the one
 // worker thread that claimed it; the worker's start and join are the only
@@ -33,12 +33,10 @@ class DeviceSession {
   struct Config {
     int id = 0;  ///< Fleet-unique session index.
     core::DarpaConfig darpa;
-    android::WindowManager::Config window;
     apps::AppProfile profile;
     std::uint64_t appSeed = 1;
     std::uint64_t monkeySeed = 2;
     Millis duration{60'000};  ///< Workload length.
-    bool monkey = true;
     /// Human-paced exploration (a tap every 1.5-4 s by default): each tap
     /// resets the ct timer, so an aggressive monkey would just multiply
     /// the analyzed-screenshot count.
@@ -82,10 +80,6 @@ class DeviceSession {
   }
 
   // --- built-in scoring -----------------------------------------------------
-  /// Simulated instants of every AUI-positive analysis verdict.
-  [[nodiscard]] const std::vector<Millis>& positiveAnalyses() const {
-    return positiveAnalyses_;
-  }
   /// Accessibility events the simulated apps emitted so far.
   [[nodiscard]] std::int64_t eventsEmitted() const {
     return system_.accessibility.totalEmitted();
@@ -107,6 +101,7 @@ class DeviceSession {
   core::DarpaService service_;
   apps::AppSession app_;
   apps::MonkeyDriver monkey_;
+  /// Simulated instants of every AUI-positive analysis verdict.
   std::vector<Millis> positiveAnalyses_;
   std::function<void(bool, const std::vector<cv::Detection>&)> userListener_;
 };

@@ -22,22 +22,19 @@ Fleet::Fleet(const cv::Detector& detector, FleetConfig config)
     tier_ = std::make_unique<core::SharedVerdictTier>();
   }
 
-  // Session seeding mirrors bench_runtime.h's per-app draw order (profile,
-  // then app seed, then monkey seed) so a fleet of size 1 replays the
-  // single-device benches exactly.
+  // Per-session draws from one seeded stream, in session order: profile,
+  // then app seed, then monkey seed.
   Rng rng(config_.seed);
   sessions_.reserve(static_cast<std::size_t>(config_.sessions));
   for (int i = 0; i < config_.sessions; ++i) {
     DeviceSession::Config session;
     session.id = i;
     session.darpa = config_.darpa;
-    session.window = config_.window;
     session.profile =
         apps::randomAppProfile(config_.packagePrefix + std::to_string(i), rng);
     session.appSeed = rng.next();
     session.monkeySeed = rng.next();
     session.duration = config_.duration;
-    session.monkey = config_.monkey;
     if (config_.sessionTweak) config_.sessionTweak(i, session);
     // Fleet-owned wiring, re-asserted after the tweak: the identity and
     // plumbing fields are not the hook's to change.
@@ -98,13 +95,13 @@ FleetSnapshot Fleet::snapshot() const {
   // Ascending session id: the fixed merge order keeps the double sums
   // bit-identical for any worker count.
   for (const auto& session : sessions_) {
-    snap.stats += session->stats();
     snap.ledger += session->ledger();
     snap.eventsEmitted += session->eventsEmitted();
     snap.auiExposures += session->auiExposures();
     snap.auisCovered += session->auisCovered();
     snap.fingerprintWalks += session->fingerprintWalks();
   }
+  snap.stats = snap.ledger.counts();
   if (tier_ != nullptr) snap.verdictTier = tier_->stats();
   return snap;
 }

@@ -11,11 +11,11 @@
 // wall-clock changes. W=1 runs on the calling thread and is the serial
 // reference.
 //
-// Aggregation: per-session ledgers and stats are session-confined (the
-// ownership rule in core/work_ledger.h). snapshot() sums them with += on
-// the control thread in session-id order once run() has joined its
-// workers, so the double summation order is fixed too. perf::DeviceModel
-// consumes the roll-up unchanged.
+// Aggregation: per-session ledgers are session-confined (the ownership
+// rule in core/work_ledger.h). snapshot() sums them with += on the control
+// thread in session-id order once run() has joined its workers, so the
+// double summation order is fixed too. perf::DeviceModel consumes the
+// roll-up unchanged.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +56,7 @@ struct FleetConfig {
   std::uint64_t seed = 606;
   core::DarpaConfig darpa;  ///< Per-session service config (verdictTier is
                             ///< overridden by the fleet).
-  android::WindowManager::Config window;
-  bool monkey = true;
+  /// Session i runs app `packagePrefix + i`.
   std::string packagePrefix = "com.fleet.app";
   /// Per-session config hook, applied after the fleet's own seeding and
   /// before the session is built. Lets tests and benches skew individual
@@ -78,7 +77,7 @@ struct FleetConfig {
 struct FleetSnapshot {
   int sessions = 0;
   Millis simTime{0};             ///< Simulated time covered per session.
-  core::DarpaStats stats;        ///< Summed over sessions.
+  core::DarpaStats stats;        ///< ledger.counts(), for perfbench/ only.
   core::WorkLedger ledger;       ///< Merged over sessions.
   std::int64_t eventsEmitted = 0;
   std::int64_t auiExposures = 0;

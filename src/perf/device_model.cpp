@@ -52,7 +52,9 @@ PerfMetrics DeviceModel::withWork(const core::WorkLedger& ledger,
   if (decoration) {
     cpuMs += ledger.tally(Stage::kAct).cpuMs;
     memMb += config_.decorationMemMb;
-    if (ledger.decorations() > 0) fpsExtra += config_.decorationFpsCost;
+    if (ledger.counts().decorationsDrawn > 0) {
+      fpsExtra += config_.decorationFpsCost;
+    }
   }
 
   const double extraCpuPercent = 100.0 * cpuMs / windowMs;

@@ -3,8 +3,8 @@
 // The paper measures CPU %, memory, frame rate, and power with SoloPi while
 // replaying recorded Monkey sessions with and without DARPA. We cannot
 // measure a phone, so we *account*: every unit of DARPA work is priced into
-// the service's WorkLedger (per-stage CPU-milliseconds, through the shared
-// core::StageCosts table) as it happens, and this model folds the ledger
+// the service's WorkLedger (per-stage CPU-milliseconds, through the one
+// core::kStageCosts table) as it happens, and this model folds the ledger
 // into a calibrated device whose baseline matches Table VII's first row
 // (55.22 % CPU, 4,291.96 MB, 81 fps, 443.85 mW). Frame rate degrades as CPU
 // saturates; power follows CPU load plus a screenshot-I/O term. The *shape*
@@ -38,12 +38,6 @@ class DeviceModel {
     double baseMemoryMb = 4291.96;
     double baseFrameRate = 81.0;
     double basePowerMw = 443.85;
-
-    /// Per-operation CPU costs — the same core::StageCosts table the
-    /// pipeline prices work with while recording into the ledger. Kept here
-    /// so harnesses that synthesize ledgers (the ablation bench, the unit
-    /// tests) read their constants from the device model they target.
-    core::StageCosts costs;
 
     // Memory: the resident CV model + buffers (the paper attributes most of
     // the +121.84 MB to hosting the model), plus small per-component costs.

@@ -96,8 +96,6 @@ struct RectF {
   [[nodiscard]] constexpr bool empty() const {
     return width <= 0.f || height <= 0.f;
   }
-  [[nodiscard]] constexpr float centerX() const { return x + width / 2.f; }
-  [[nodiscard]] constexpr float centerY() const { return y + height / 2.f; }
 
   [[nodiscard]] static RectF fromRect(const Rect& r) {
     return {static_cast<float>(r.x), static_cast<float>(r.y),

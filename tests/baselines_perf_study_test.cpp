@@ -85,19 +85,16 @@ TEST(DeviceModelTest, BaselineMatchesTableVII) {
 }
 
 namespace {
-/// Synthesizes a ledger priced with the model's own StageCosts table, the
-/// way the pipeline would while running: n events/screenshots/detections
-/// plus optional decorations.
-core::WorkLedger syntheticLedger(const perf::DeviceModel& model,
-                                 std::int64_t events, std::int64_t shots,
+/// Synthesizes a ledger through the record calls the pipeline makes while
+/// running: n events/screenshots/detections plus optional decorations.
+/// The captures carry no frame, so the memory row holds no frame term.
+core::WorkLedger syntheticLedger(std::int64_t events, std::int64_t shots,
                                  std::int64_t detections, double macs,
                                  std::int64_t decorations = 0) {
-  const core::StageCosts& costs = model.config().costs;
-  core::WorkLedger ledger(costs);
-  ledger.recordRuns(core::Stage::kEvent, events, costs.eventCpuMs);
-  ledger.recordRuns(core::Stage::kScreenshot, shots, costs.screenshotCpuMs);
-  ledger.recordRuns(core::Stage::kDetect, detections,
-                    macs / costs.macsPerCpuMs);
+  core::WorkLedger ledger;
+  for (std::int64_t i = 0; i < events; ++i) ledger.recordEvent();
+  for (std::int64_t i = 0; i < shots; ++i) ledger.recordScreenshot(0);
+  for (std::int64_t i = 0; i < detections; ++i) ledger.recordDetect(macs);
   for (std::int64_t i = 0; i < decorations; ++i) ledger.recordDecoration();
   return ledger;
 }
@@ -106,8 +103,8 @@ core::WorkLedger syntheticLedger(const perf::DeviceModel& model,
 TEST(DeviceModelTest, MoreWorkCostsMore) {
   const perf::DeviceModel model;
   const double macs = 5e6;
-  const core::WorkLedger light = syntheticLedger(model, 30, 5, 5, macs);
-  const core::WorkLedger heavy = syntheticLedger(model, 300, 100, 100, macs);
+  const core::WorkLedger light = syntheticLedger(30, 5, 5, macs);
+  const core::WorkLedger heavy = syntheticLedger(300, 100, 100, macs);
   const auto a = model.withWork(light, ms(60000));
   const auto b = model.withWork(heavy, ms(60000));
   EXPECT_GT(b.cpuPercent, a.cpuPercent);
@@ -119,7 +116,7 @@ TEST(DeviceModelTest, MoreWorkCostsMore) {
 TEST(DeviceModelTest, ComponentFlagsDecomposeOverhead) {
   const perf::DeviceModel model;
   const double macs = 2e7;  // a realistic one-stage detector footprint
-  const core::WorkLedger work = syntheticLedger(model, 120, 20, 20, macs, 2);
+  const core::WorkLedger work = syntheticLedger(120, 20, 20, macs, 2);
   const auto monitoring = model.withWork(work, ms(60000), true, false, false);
   const auto withDetection =
       model.withWork(work, ms(60000), true, true, false);
@@ -145,10 +142,9 @@ TEST(DeviceModelTest, CacheHitsReduceModeledCost) {
   // + detection every time, the other serves 80 from the verdict cache.
   const perf::DeviceModel model;
   const double macs = 2e7;
-  const core::StageCosts& costs = model.config().costs;
-  const core::WorkLedger cold = syntheticLedger(model, 200, 100, 100, macs);
-  core::WorkLedger warm = syntheticLedger(model, 200, 20, 20, macs);
-  warm.recordRuns(core::Stage::kVerdict, 100, costs.cacheLookupCpuMs);
+  const core::WorkLedger cold = syntheticLedger(200, 100, 100, macs);
+  core::WorkLedger warm = syntheticLedger(200, 20, 20, macs);
+  for (int i = 0; i < 100; ++i) warm.recordCacheLookup();
   for (int i = 0; i < 80; ++i) warm.recordCacheHit();
   const auto coldMetrics = model.withWork(cold, ms(60000));
   const auto warmMetrics = model.withWork(warm, ms(60000));

@@ -7,13 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "fleet/fleet.h"
-#include "perf/device_model.h"
+#include "fleet_digest.h"
 
 namespace darpa::fleet {
 namespace {
@@ -31,43 +30,6 @@ class StubDetector : public cv::Detector {
  private:
   mutable std::atomic<std::int64_t> calls_{0};
 };
-
-/// The paper-facing output digest, fixed-point formatted so comparisons are
-/// exact string equality, not epsilon tolerance. Same axes as the
-/// bench_fleet_throughput digest.
-std::string digestOf(const FleetSnapshot& snap) {
-  const perf::DeviceModel device;
-  const Millis window{static_cast<std::int64_t>(snap.sessions) *
-                      snap.simTime.count};
-  const perf::PerfMetrics perf = device.withWork(snap.ledger, window);
-
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "fig8: analyses=%lld events=%lld exposures=%lld covered=%lld\n"
-      "stats: shots=%lld flagged=%lld decorated=%lld bypass=%lld lint=%lld "
-      "lintskip=%lld cachehits=%lld anchors=%lld\n"
-      "ledger: cpuMs=%.6f cacheHits=%lld cacheMisses=%lld "
-      "peakFrameBytes=%lld\n"
-      "table7: cpu=%.4f mem=%.4f fps=%.4f power=%.4f\n",
-      static_cast<long long>(snap.ledger.analyses()),
-      static_cast<long long>(snap.eventsEmitted),
-      static_cast<long long>(snap.auiExposures),
-      static_cast<long long>(snap.auisCovered),
-      static_cast<long long>(snap.stats.screenshotsTaken),
-      static_cast<long long>(snap.stats.auisFlagged),
-      static_cast<long long>(snap.stats.decorationsDrawn),
-      static_cast<long long>(snap.stats.bypassClicks),
-      static_cast<long long>(snap.stats.lintRuns),
-      static_cast<long long>(snap.stats.cvSkippedByLint),
-      static_cast<long long>(snap.stats.verdictCacheHits),
-      static_cast<long long>(snap.stats.anchorMeasurements),
-      snap.ledger.totalCpuMs(), static_cast<long long>(snap.ledger.cacheHits()),
-      static_cast<long long>(snap.ledger.cacheMisses()),
-      static_cast<long long>(snap.ledger.peakFrameBytes()), perf.cpuPercent,
-      perf.memoryMb, perf.frameRate, perf.powerMw);
-  return buf;
-}
 
 struct RunOutcome {
   std::string digest;

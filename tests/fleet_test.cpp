@@ -62,7 +62,7 @@ TEST(FleetTest, AnalyzeNowDetectsSynchronously) {
       service.ledger().tally(core::Stage::kDetect);
   EXPECT_EQ(detect.runs, 1);
   EXPECT_DOUBLE_EQ(detect.cpuMs, detector.costMacsPerImage() /
-                                     service.ledger().costs().macsPerCpuMs);
+                                     core::kStageCosts.macsPerCpuMs);
   // §IV-E: the frame left the vault for the model run and was not kept.
   EXPECT_FALSE(service.vault().holding());
   EXPECT_EQ(service.vault().stored(), 1);
@@ -70,19 +70,6 @@ TEST(FleetTest, AnalyzeNowDetectsSynchronously) {
 }
 
 // ------------------------------------------------- fleet-of-1 equivalence
-
-void expectStatsEq(const core::DarpaStats& a, const core::DarpaStats& b) {
-  EXPECT_EQ(a.eventsReceived, b.eventsReceived);
-  EXPECT_EQ(a.analysesRun, b.analysesRun);
-  EXPECT_EQ(a.screenshotsTaken, b.screenshotsTaken);
-  EXPECT_EQ(a.auisFlagged, b.auisFlagged);
-  EXPECT_EQ(a.decorationsDrawn, b.decorationsDrawn);
-  EXPECT_EQ(a.bypassClicks, b.bypassClicks);
-  EXPECT_EQ(a.lintRuns, b.lintRuns);
-  EXPECT_EQ(a.cvSkippedByLint, b.cvSkippedByLint);
-  EXPECT_EQ(a.verdictCacheHits, b.verdictCacheHits);
-  EXPECT_EQ(a.anchorMeasurements, b.anchorMeasurements);
-}
 
 TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   StubDetector detector;
@@ -113,8 +100,7 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   DeviceSession device(detector, std::move(config));
   device.runToCompletion();
 
-  expectStatsEq(device.stats(), service.stats());
-  EXPECT_EQ(device.ledger().analyses(), service.ledger().analyses());
+  EXPECT_EQ(device.stats(), service.stats());
   EXPECT_EQ(device.ledger().tally(core::Stage::kDetect).runs,
             service.ledger().tally(core::Stage::kDetect).runs);
   EXPECT_DOUBLE_EQ(device.ledger().totalCpuMs(),
@@ -129,7 +115,6 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
 
 struct FleetFingerprint {
   core::DarpaStats stats;
-  std::int64_t analyses = 0;
   std::int64_t detectRuns = 0;
   double totalCpuMs = 0.0;
   std::int64_t eventsEmitted = 0;
@@ -138,8 +123,7 @@ struct FleetFingerprint {
 };
 
 void expectFingerprintEq(const FleetFingerprint& a, const FleetFingerprint& b) {
-  expectStatsEq(a.stats, b.stats);
-  EXPECT_EQ(a.analyses, b.analyses);
+  EXPECT_EQ(a.stats, b.stats);
   EXPECT_EQ(a.detectRuns, b.detectRuns);
   EXPECT_DOUBLE_EQ(a.totalCpuMs, b.totalCpuMs);
   EXPECT_EQ(a.eventsEmitted, b.eventsEmitted);
@@ -158,8 +142,7 @@ FleetFingerprint runFleet(int sessions, int workers) {
   const FleetSnapshot snap = fleet.snapshot();
   EXPECT_EQ(snap.sessions, sessions);
   EXPECT_EQ(snap.simTime, ms(3000));
-  return {snap.stats,
-          snap.ledger.analyses(),
+  return {snap.ledger.counts(),
           snap.ledger.tally(core::Stage::kDetect).runs,
           snap.ledger.totalCpuMs(),
           snap.eventsEmitted,
@@ -171,14 +154,15 @@ TEST(FleetTest, SixtyFourSessionsDeterministicAcrossWorkersAndRuns) {
   const FleetFingerprint serial = runFleet(64, 1);
   const FleetFingerprint fourWorkers = runFleet(64, 4);
   const FleetFingerprint repeat = runFleet(64, 4);
-  EXPECT_GT(serial.analyses, 0);
+  EXPECT_GT(serial.stats.analysesRun, 0);
   expectFingerprintEq(serial, fourWorkers);
   expectFingerprintEq(fourWorkers, repeat);
 }
 
 TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {
   // A fleet is just N independent sessions; its merged snapshot must equal
-  // the sum of running each session by hand.
+  // the sum of running each session by hand, and its counts are the merged
+  // ledger's.
   StubDetector detector;
   FleetConfig config;
   config.sessions = 4;
@@ -187,7 +171,7 @@ TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {
   fleet.run();
   const FleetSnapshot snap = fleet.snapshot();
 
-  core::DarpaStats manual;
+  core::WorkLedger merged;
   Rng rng(config.seed);
   for (int i = 0; i < config.sessions; ++i) {
     DeviceSession::Config session;
@@ -199,9 +183,11 @@ TEST(FleetTest, InlineFleetMatchesIndependentDeviceSessions) {
     session.duration = config.duration;
     DeviceSession device(detector, std::move(session));
     device.runToCompletion();
-    manual += device.stats();
+    merged += device.ledger();
   }
-  expectStatsEq(snap.stats, manual);
+  EXPECT_EQ(snap.stats, snap.ledger.counts());
+  EXPECT_EQ(snap.ledger.counts(), merged.counts());
+  EXPECT_DOUBLE_EQ(snap.ledger.totalCpuMs(), merged.totalCpuMs());
 }
 
 // ------------------------------------------------------------ looper GC

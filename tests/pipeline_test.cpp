@@ -81,36 +81,49 @@ std::unique_ptr<android::View> makeScreen(int variant) {
 TEST(WorkLedgerTest, TalliesRunsSkipsAndCpu) {
   WorkLedger ledger;
   ledger.recordEvent();
-  ledger.beginAnalysis(ms(190));
-  ledger.recordRun(Stage::kScreenshot, 2.2);
-  ledger.recordRun(Stage::kDetect, 11.0);
+  ledger.beginAnalysis();
+  ledger.recordScreenshot(4096);
+  ledger.recordDetect(2e7);
   ledger.recordSkip(Stage::kLint);
   ledger.recordDecoration();
   ledger.recordBypass();
   EXPECT_EQ(ledger.tally(Stage::kEvent).runs, 1);
   EXPECT_EQ(ledger.tally(Stage::kScreenshot).runs, 1);
+  EXPECT_DOUBLE_EQ(ledger.tally(Stage::kScreenshot).cpuMs,
+                   kStageCosts.screenshotCpuMs);
   EXPECT_EQ(ledger.tally(Stage::kLint).skips, 1);
   EXPECT_EQ(ledger.tally(Stage::kAct).runs, 2);  // decoration + bypass
-  EXPECT_EQ(ledger.decorations(), 1);
-  EXPECT_EQ(ledger.bypassClicks(), 1);
-  EXPECT_EQ(ledger.analyses(), 1);
-  EXPECT_EQ(ledger.totalDebounceLatency().count, 190);
+  EXPECT_EQ(ledger.peakFrameBytes(), 4096);
+  EXPECT_EQ(ledger.counts(), (DarpaStats{.eventsReceived = 1,
+                                         .analysesRun = 1,
+                                         .screenshotsTaken = 1,
+                                         .decorationsDrawn = 1,
+                                         .bypassClicks = 1}));
   EXPECT_DOUBLE_EQ(ledger.analysisCpuMs(),
                    ledger.totalCpuMs() - ledger.tally(Stage::kEvent).cpuMs);
 }
 
 TEST(WorkLedgerTest, MergeAccumulatesCounters) {
+  const double tenMsOfMacs = 10.0 * kStageCosts.macsPerCpuMs;
   WorkLedger a;
-  a.recordRuns(Stage::kDetect, 3, 10.0);
+  for (int i = 0; i < 3; ++i) a.recordDetect(tenMsOfMacs);
   a.recordCacheHit();
+  a.recordLint(true);
   WorkLedger b;
-  b.recordRuns(Stage::kDetect, 2, 10.0);
+  for (int i = 0; i < 2; ++i) b.recordDetect(tenMsOfMacs);
   b.recordCacheMiss();
+  b.recordTierHit();
+  b.recordLint(false);
+  DarpaStats summed = a.counts();
+  summed += b.counts();
   a += b;
   EXPECT_EQ(a.tally(Stage::kDetect).runs, 5);
   EXPECT_DOUBLE_EQ(a.tally(Stage::kDetect).cpuMs, 50.0);
-  EXPECT_EQ(a.cacheHits(), 1);
+  EXPECT_EQ(a.cacheHits(), 2);
   EXPECT_EQ(a.cacheMisses(), 1);
+  EXPECT_EQ(a.counts(), summed);
+  EXPECT_EQ(a.counts().lintRuns, 2);
+  EXPECT_EQ(a.counts().cvSkippedByLint, 1);
 }
 
 /// Spins a fixed stretch of host time per detect, so the detect step's
@@ -556,6 +569,14 @@ Routing routingOf(const WorkLedger& ledger) {
   return routing;
 }
 
+/// The counts that share a ledger call with a stage run agree with it.
+void expectCountsMatchTallies(const WorkLedger& ledger) {
+  const DarpaStats& counts = ledger.counts();
+  EXPECT_EQ(counts.eventsReceived, ledger.tally(Stage::kEvent).runs);
+  EXPECT_EQ(counts.screenshotsTaken, ledger.tally(Stage::kScreenshot).runs);
+  EXPECT_EQ(counts.lintRuns, ledger.tally(Stage::kLint).runs);
+}
+
 // Pins which steps run, which are skipped and how many lookups are priced
 // on every route through analyzeNow(). Verdict runs count each cache
 // lookup plus the verdict merge; act runs count decorations drawn.
@@ -569,15 +590,22 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     const WorkLedger& ledger = h.service.ledger();
     EXPECT_EQ(routingOf(ledger),
               (Routing{{0, 1}, {1, 0}, {1, 0}, {2, 0}, {1, 0}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 0);
     EXPECT_EQ(ledger.cacheMisses(), 1);
     h.service.analyzeNow();
     EXPECT_EQ(routingOf(ledger),
               (Routing{{0, 2}, {1, 1}, {1, 1}, {3, 1}, {2, 0}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 1);
     EXPECT_EQ(ledger.cacheMisses(), 1);
     EXPECT_EQ(h.service.stats().verdictCacheHits, 1);
     EXPECT_EQ(h.detector.calls, 1);
+    // Delivered events are counted and priced by the same call.
+    h.system.windowManager.notifyContentChanged();
+    h.system.looper.runUntilIdle();
+    EXPECT_GT(ledger.counts().eventsReceived, 0);
+    expectCountsMatchTallies(ledger);
   }
   {
     SCOPED_TRACE("L2 hit on a fresh service, then an L1 hit");
@@ -597,6 +625,7 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     // L1 miss and L2 hit: two lookups priced, the verdict merge skipped.
     EXPECT_EQ(routingOf(ledger),
               (Routing{{0, 1}, {0, 1}, {0, 1}, {2, 1}, {1, 0}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 1);
     EXPECT_EQ(ledger.cacheMisses(), 0);
     EXPECT_EQ(fresh.service.stats().verdictTierHits, 1);
@@ -605,6 +634,7 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     fresh.service.analyzeNow();
     EXPECT_EQ(routingOf(ledger),
               (Routing{{0, 2}, {0, 2}, {0, 2}, {3, 2}, {2, 0}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 2);
     EXPECT_EQ(ledger.cacheMisses(), 0);
     EXPECT_EQ(fresh.service.stats().verdictTierHits, 1);
@@ -625,6 +655,7 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     const WorkLedger& ledger = h.service.ledger();
     EXPECT_EQ(routingOf(ledger),
               (Routing{{1, 0}, {0, 1}, {0, 1}, {2, 0}, {0, 1}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 0);
     EXPECT_EQ(ledger.cacheMisses(), 1);
     EXPECT_EQ(h.service.stats().cvSkippedByLint, 1);
@@ -640,6 +671,7 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     const WorkLedger& ledger = h.service.ledger();
     EXPECT_EQ(routingOf(ledger),
               (Routing{{0, 1}, {0, 1}, {0, 1}, {3, 0}, {0, 1}}));
+    expectCountsMatchTallies(ledger);
     EXPECT_EQ(ledger.cacheHits(), 0);
     EXPECT_EQ(ledger.cacheMisses(), 1);
     // Neither tier keeps the evidence-free verdict.
@@ -650,6 +682,7 @@ TEST(AnalysisRoutingTest, LedgerRecordsEveryStepOnEachPath) {
     EXPECT_EQ(ledger.cacheHits(), 0);
     EXPECT_EQ(h.service.stats().verdictCacheHits, 0);
     EXPECT_EQ(h.service.stats().verdictTierHits, 0);
+    expectCountsMatchTallies(ledger);
   }
 }
 

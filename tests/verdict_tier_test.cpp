@@ -12,14 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/verdict_tier.h"
 #include "fleet/fleet.h"
-#include "perf/device_model.h"
+#include "fleet_digest.h"
 #include "util/rng.h"
 
 namespace darpa::core {
@@ -153,40 +152,6 @@ class ParityDetector : public cv::Detector {
  private:
   mutable std::atomic<std::int64_t> calls_{0};
 };
-
-/// The paper-facing output digest (same axes and fixed-point formatting as
-/// fleet_scheduler_test.cpp): exact string equality, not epsilon.
-std::string digestOf(const FleetSnapshot& snap) {
-  const perf::DeviceModel device;
-  const Millis window{static_cast<std::int64_t>(snap.sessions) *
-                      snap.simTime.count};
-  const perf::PerfMetrics perf = device.withWork(snap.ledger, window);
-
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "fig8: analyses=%lld events=%lld exposures=%lld covered=%lld\n"
-      "stats: shots=%lld flagged=%lld decorated=%lld lint=%lld "
-      "cachehits=%lld tierhits=%lld\n"
-      "ledger: cpuMs=%.6f cacheHits=%lld cacheMisses=%lld "
-      "peakFrameBytes=%lld\n"
-      "table7: cpu=%.4f mem=%.4f fps=%.4f power=%.4f\n",
-      static_cast<long long>(snap.ledger.analyses()),
-      static_cast<long long>(snap.eventsEmitted),
-      static_cast<long long>(snap.auiExposures),
-      static_cast<long long>(snap.auisCovered),
-      static_cast<long long>(snap.stats.screenshotsTaken),
-      static_cast<long long>(snap.stats.auisFlagged),
-      static_cast<long long>(snap.stats.decorationsDrawn),
-      static_cast<long long>(snap.stats.lintRuns),
-      static_cast<long long>(snap.stats.verdictCacheHits),
-      static_cast<long long>(snap.stats.verdictTierHits),
-      snap.ledger.totalCpuMs(), static_cast<long long>(snap.ledger.cacheHits()),
-      static_cast<long long>(snap.ledger.cacheMisses()),
-      static_cast<long long>(snap.ledger.peakFrameBytes()), perf.cpuPercent,
-      perf.memoryMb, perf.frameRate, perf.powerMw);
-  return buf;
-}
 
 /// A SHARED app population: `apps` distinct apps, session i running app
 /// i % apps with identical profile and app seed — the workload where a

@@ -751,7 +751,7 @@ TEST(VirtualDecorationTest, DecorateVirtualNodeTargetsBoundsThroughHost) {
   ASSERT_EQ(rects.size(), 1u);
   EXPECT_EQ(rects[0],
             close->boundsOnScreen.inflated(
-                service.darpaConfig().decorationThickness + 1));
+                core::DarpaService::kDecorationThickness + 1));
 
   // Decoration immunity extends to hybrid dumps: the decorated screen
   // fingerprints identically, so caches keyed on it stay warm.
