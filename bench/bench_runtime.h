@@ -24,6 +24,11 @@ struct ConfusionMatrix {
   int fp = 0;  ///< labeled non-AUI, flagged AUI
   int tn = 0;  ///< labeled non-AUI, flagged non-AUI
 
+  /// Counts one screen by its ground truth and its verdict.
+  void add(bool truth, bool flagged) {
+    ++(truth ? (flagged ? tp : fn) : (flagged ? fp : tn));
+  }
+
   [[nodiscard]] int labeledAui() const { return tp + fn; }
   [[nodiscard]] int labeledNonAui() const { return fp + tn; }
   [[nodiscard]] double precision() const {
@@ -116,54 +121,30 @@ inline RuntimeResult runSessions(const cv::Detector& detector,
       const Millis now = system.clock.now();
       const apps::AuiExposure* exposure = device.app().exposureAt(now);
       const bool truth = exposure != nullptr;
-      if (truth && isAui) {
-        ++result.darpa.tp;
-      } else if (truth && !isAui) {
-        ++result.darpa.fn;
-      } else if (!truth && isAui) {
-        ++result.darpa.fp;
-      } else {
-        ++result.darpa.tn;
-      }
+      result.darpa.add(truth, isAui);
       if (truth) {
         ConfusionMatrix& byHost =
             exposure->spec.host == apps::AuiHost::kWebView
                 ? result.darpaOnWeb
                 : result.darpaOnNative;
-        ++(isAui ? byHost.tp : byHost.fn);
+        byHost.add(truth, isAui);
       }
+      if (options.lintScorer == nullptr && !options.runFraudDroid) return;
+      // One dump of the analyzed screen feeds both scorers.
+      const android::UiDump dump = system.windowManager.dumpTopWindow();
+      const Size screen = system.windowManager.config().screenSize;
       if (options.lintScorer != nullptr) {
-        const analysis::LintReport lintReport = options.lintScorer->run(
-            system.windowManager.dumpTopWindow(),
-            system.windowManager.config().screenSize);
-        const bool flagged = lintReport.verdict.isAui;
-        if (truth && flagged) {
-          ++result.lint.tp;
-        } else if (truth && !flagged) {
-          ++result.lint.fn;
-        } else if (!truth && flagged) {
-          ++result.lint.fp;
-        } else {
-          ++result.lint.tn;
-        }
+        result.lint.add(truth,
+                        options.lintScorer->run(dump, screen).verdict.isAui);
       }
       if (options.runFraudDroid) {
-        const android::UiDump dump = system.windowManager.dumpTopWindow();
-        const baselines::FraudDroidResult verdict = fraudDroid.analyze(
-            dump, system.windowManager.config().screenSize);
+        const baselines::FraudDroidResult verdict =
+            fraudDroid.analyze(dump, screen);
         IdCoverage& ids = truth ? result.fraudDroidIdsOnAui
                                 : result.fraudDroidIdsOnNonAui;
         ids.nodesSeen += verdict.nodesSeen;
         ids.nodesWithId += verdict.nodesWithId;
-        if (truth && verdict.isAui) {
-          ++result.fraudDroid.tp;
-        } else if (truth && !verdict.isAui) {
-          ++result.fraudDroid.fn;
-        } else if (!truth && verdict.isAui) {
-          ++result.fraudDroid.fp;
-        } else {
-          ++result.fraudDroid.tn;
-        }
+        result.fraudDroid.add(truth, verdict.isAui);
       }
     });
   }

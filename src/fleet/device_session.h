@@ -5,10 +5,22 @@
 // and ScreenshotVault, plus the synthetic app population (AppSession) and a
 // Monkey driver — used to be hand-wired by every bench and example. The
 // fleet architecture needs that world to be a value you can make N of, so
-// DeviceSession owns the whole stack with the right lifetimes:
-// construction wires it, runToCompletion() schedules the workload and plays
-// it to the end, and the Fig.-8 scoring (positive-analysis timeline -> AUI
-// exposure coverage) is built in.
+// DeviceSession owns the whole stack with the right lifetimes, and the
+// Fig.-8 scoring (positive-analysis timeline -> AUI exposure coverage) is
+// built in. Its lifecycle is construct -> run -> settle -> release:
+//
+//  * construct: the constructor builds and wires the phone. Listeners and
+//    extra accessibility services go on it before the run.
+//  * run: runToCompletion() schedules the workload and plays it to the
+//    horizon.
+//  * settle: at the horizon the session copies what its readers need (the
+//    WorkLedger, events emitted, AUI exposures and coverage, fingerprint
+//    walks) into a small record.
+//  * release: it then destroys the phone, on the thread that ran it, so a
+//    finished session holds its counters, not its view trees, caches and
+//    tasks. stats(), ledger() and the scoring accessors read the settled
+//    record from then on; system(), service() and app() abort, naming the
+//    session, and now() returns the horizon.
 //
 // Thread ownership: during Fleet::run() a session is confined to the one
 // worker thread that claimed it; the worker's start and join are the only
@@ -19,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "android/system.h"
@@ -52,58 +65,96 @@ class DeviceSession {
   DeviceSession(const DeviceSession&) = delete;
   DeviceSession& operator=(const DeviceSession&) = delete;
 
-  /// Schedules the app session (and monkey) on the looper, then runs every
-  /// task due within `duration` of now and leaves the clock at that
-  /// horizon. Call once.
+  /// Schedules the app session (and monkey) on the looper, runs every
+  /// task due within `duration` of now, then settles the session's counts
+  /// and releases the phone. Call once: a second call aborts.
   void runToCompletion();
 
-  // --- access ---------------------------------------------------------------
-  [[nodiscard]] int id() const { return config_.id; }
-  [[nodiscard]] android::AndroidSystem& system() { return system_; }
-  [[nodiscard]] core::DarpaService& service() { return service_; }
-  [[nodiscard]] const core::DarpaService& service() const { return service_; }
-  [[nodiscard]] apps::AppSession& app() { return app_; }
-  [[nodiscard]] Millis now() const { return system_.clock.now(); }
-  [[nodiscard]] const core::DarpaStats& stats() const {
-    return service_.stats();
+  // --- the phone: from construction until runToCompletion() returns --------
+  // Each accessor aborts, naming the session, once the phone is released.
+  [[nodiscard]] android::AndroidSystem& system() {
+    return phone("system").system;
   }
-  [[nodiscard]] const core::WorkLedger& ledger() const {
-    return service_.ledger();
+  [[nodiscard]] core::DarpaService& service() {
+    return phone("service").service;
   }
+  [[nodiscard]] apps::AppSession& app() { return phone("app").app; }
 
   /// Forwarded analysis listener (the session keeps its own scoring
-  /// listener installed on the service; this one is called after it).
+  /// listener installed on the service; this one is called after it). Set
+  /// it before the run.
   void setAnalysisListener(
       std::function<void(bool isAui, const std::vector<cv::Detection>&)>
           listener) {
-    userListener_ = std::move(listener);
+    phone("setAnalysisListener").userListener = std::move(listener);
+  }
+
+  // --- always readable --------------------------------------------------------
+  [[nodiscard]] int id() const { return id_; }
+  /// The simulated time; the horizon once the session has run.
+  [[nodiscard]] Millis now() const {
+    return phone_ != nullptr ? phone_->system.clock.now() : settled_->horizon;
+  }
+  [[nodiscard]] const core::DarpaStats& stats() const {
+    return ledger().counts();
+  }
+  [[nodiscard]] const core::WorkLedger& ledger() const {
+    return phone_ != nullptr ? phone_->service.ledger() : settled_->ledger;
   }
 
   // --- built-in scoring -----------------------------------------------------
   /// Accessibility events the simulated apps emitted so far.
-  [[nodiscard]] std::int64_t eventsEmitted() const {
-    return system_.accessibility.totalEmitted();
-  }
+  [[nodiscard]] std::int64_t eventsEmitted() const;
   /// Verdict-cache probes that walked the view tree (the rest were served
   /// by the window manager's fingerprint memo).
-  [[nodiscard]] std::int64_t fingerprintWalks() const {
-    return system_.windowManager.fingerprintWalks();
-  }
-  [[nodiscard]] std::int64_t auiExposures() const {
-    return static_cast<std::int64_t>(app_.exposures().size());
-  }
+  [[nodiscard]] std::int64_t fingerprintWalks() const;
+  [[nodiscard]] std::int64_t auiExposures() const;
   /// Exposures with >= 1 positive verdict while visible (Fig.-8 coverage).
   [[nodiscard]] std::int64_t auisCovered() const;
 
  private:
-  Config config_;
-  android::AndroidSystem system_;
-  core::DarpaService service_;
-  apps::AppSession app_;
-  apps::MonkeyDriver monkey_;
-  /// Simulated instants of every AUI-positive analysis verdict.
-  std::vector<Millis> positiveAnalyses_;
-  std::function<void(bool, const std::vector<cv::Detection>&)> userListener_;
+  /// The simulated phone, in one heap record, so releasing it frees its
+  /// own storage along with the heap behind it. Members tear down in
+  /// reverse order: monkey and app first, then the service (its destructor
+  /// removes decorations through the still-alive window manager), then the
+  /// Android system.
+  struct Phone {
+    Phone(const cv::Detector& detector, Config sessionConfig);
+
+    Config config;
+    android::AndroidSystem system;
+    core::DarpaService service;
+    apps::AppSession app;
+    apps::MonkeyDriver monkey;
+    /// Simulated instants of every AUI-positive analysis verdict.
+    std::vector<Millis> positiveAnalyses;
+    std::function<void(bool, const std::vector<cv::Detection>&)> userListener;
+  };
+
+  /// What the readers need once the phone is gone. Allocated at the
+  /// horizon, so an unrun session does not carry a second ledger.
+  struct Settled {
+    core::WorkLedger ledger;
+    Millis horizon{0};
+    std::int64_t eventsEmitted = 0;
+    std::int64_t auiExposures = 0;
+    std::int64_t auisCovered = 0;
+    std::int64_t fingerprintWalks = 0;
+  };
+
+  /// The live phone; aborts, naming the session and `accessor`, once it
+  /// has been released.
+  [[nodiscard]] Phone& phone(const char* accessor) {
+    if (phone_ == nullptr) [[unlikely]] phoneReleased(accessor);
+    return *phone_;
+  }
+  [[noreturn]] void phoneReleased(const char* accessor) const;
+
+  int id_;
+  /// Exactly one of the two is set: the phone until the horizon, the
+  /// settled record after it.
+  std::unique_ptr<Phone> phone_;
+  std::unique_ptr<const Settled> settled_;
 };
 
 }  // namespace darpa::fleet

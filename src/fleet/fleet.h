@@ -113,7 +113,8 @@ class Fleet {
   [[nodiscard]] int sessionCount() const {
     return static_cast<int>(sessions_.size());
   }
-  /// Aborts on an out-of-range index.
+  /// Aborts on an out-of-range index. After run() every session has
+  /// released its phone and keeps only its settled counts (DeviceSession).
   [[nodiscard]] DeviceSession& session(int i) {
     checkSessionIndex(i);
     return *sessions_[static_cast<std::size_t>(i)];

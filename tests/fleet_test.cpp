@@ -1,8 +1,10 @@
 // Fleet-scale tests: the synchronous detect path, fleet-of-1 equivalence
-// with the hand-wired harness, determinism across worker counts and runs,
-// and a cancel-heavy Looper run that leaves nothing behind.
+// with the hand-wired harness, the phone's release at the horizon,
+// determinism across worker counts and runs, and a cancel-heavy Looper run
+// that leaves nothing behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "android/looper.h"
 #include "android/system.h"
+#include "android/view.h"
 #include "apps/app_model.h"
 #include "core/darpa_service.h"
 #include "fleet/device_session.h"
@@ -80,15 +83,27 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   const std::uint64_t appSeed = rng.next();
   const std::uint64_t monkeySeed = rng.next();
 
-  // The pre-fleet hand-wired harness, verbatim.
+  // The pre-fleet hand-wired harness, verbatim, plus a listener that
+  // records the positive-verdict timeline for the coverage count.
   android::AndroidSystem system;
   core::DarpaService service(detector, darpa);
   system.accessibility.connect(service);
   apps::AppSession app(system, profile, appSeed);
   apps::MonkeyDriver monkey(system, monkeySeed);
+  std::vector<Millis> positives;
+  service.setAnalysisListener(
+      [&](bool isAui, const std::vector<cv::Detection>&) {
+        if (isAui) positives.push_back(system.clock.now());
+      });
   app.start(length);
   monkey.start(system.clock.now() + length, 1500, 4000);
   system.looper.runUntil(system.clock.now() + length);
+  std::int64_t covered = 0;
+  for (const apps::AuiExposure& exposure : app.exposures()) {
+    covered += std::any_of(positives.begin(), positives.end(), [&](Millis t) {
+      return t >= exposure.shownAt && t < exposure.hiddenAt;
+    });
+  }
 
   // The same device as a fleet-of-1 DeviceSession.
   DeviceSession::Config config;
@@ -108,7 +123,61 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   EXPECT_EQ(device.eventsEmitted(), system.accessibility.totalEmitted());
   EXPECT_EQ(device.auiExposures(),
             static_cast<std::int64_t>(app.exposures().size()));
+  EXPECT_EQ(device.auisCovered(), covered);
+  EXPECT_EQ(device.fingerprintWalks(), system.windowManager.fingerprintWalks());
   EXPECT_GT(device.stats().analysesRun, 0);
+  EXPECT_GT(covered, 0);
+  EXPECT_GT(device.fingerprintWalks(), 0);
+  EXPECT_EQ(device.now(), length);
+}
+
+// --------------------------------------------------- release at horizon
+
+// At the horizon the session settles its counts and releases the phone:
+// reaching for the phone afterwards aborts, naming the session.
+TEST(DeviceSessionDeathTest, PhoneAccessorsAbortAfterTheRun) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  StubDetector detector;
+  DeviceSession::Config config;
+  config.id = 7;
+  config.duration = ms(2000);
+  DeviceSession device(detector, std::move(config));
+  (void)device.system();
+  (void)device.service();
+  (void)device.app();
+  device.runToCompletion();
+
+  EXPECT_EQ(device.now(), ms(2000));
+  EXPECT_GT(device.stats().analysesRun, 0);
+  EXPECT_DEATH((void)device.system(), "DeviceSession 7: system\\(\\) after");
+  EXPECT_DEATH((void)device.service(), "DeviceSession 7: service\\(\\) after");
+  EXPECT_DEATH((void)device.app(), "DeviceSession 7: app\\(\\) after");
+  EXPECT_DEATH(device.runToCompletion(), "DeviceSession 7: runToCompletion");
+}
+
+// A session releases its phone on the thread that ran it, so at W=1 the
+// next session builds its screens from the blocks the last one gave back.
+// A block comes fresh only when a session needs more of one size than any
+// session before it did, which gets rarer as the fleet grows: 128 sessions
+// read ~98 % reuse, and ~52 % when every finished session keeps its phone.
+TEST(FleetTest, FinishedSessionsGiveTheirViewBlocksBack) {
+  StubDetector detector;
+  FleetConfig config;
+  config.sessions = 1;
+  config.duration = ms(3000);
+  Fleet(detector, config).run();  // Warm-up: fills this thread's cache.
+
+  config.sessions = 128;
+  const android::ViewBlockStats before = android::viewBlockStats();
+  Fleet fleet(detector, config);
+  fleet.run();
+  const android::ViewBlockStats& after = android::viewBlockStats();
+  const std::int64_t reused = after.reused - before.reused;
+  const std::int64_t fresh = after.fresh - before.fresh;
+  ASSERT_GT(reused + fresh, 0);
+  EXPECT_GE(static_cast<double>(reused) / static_cast<double>(reused + fresh),
+            0.95)
+      << reused << " blocks reused, " << fresh << " fresh";
 }
 
 // ------------------------------------------------ worker-count determinism
