@@ -149,11 +149,15 @@ if [ "${SKIP_BENCH:-0}" != "1" ]; then
   # 256-session digest is equal at W=1 and W=4, the WebView stage mix
   # shifts from lint to CV, a 1,024-session fleet peaks under 128 MB
   # RSS (a fleet whose budget
-  # exceeds MemAvailable is refused, not built), and the W=1 256-session
+  # exceeds MemAvailable is refused, not built), the W=1 256-session
   # row serves >= 95 % of its view blocks from the view block cache (one
   # thread's alloc/free sequence, so the share is exact: 0.5772 when every
-  # finished session kept its phone); its wall-clock rows are reported,
-  # not gated. The speedups only mean something under
+  # finished session kept its phone), and the shared-population tier-off
+  # 256-session row walks the view tree on <= 0.4192 fingerprint probes
+  # per analysis (each session's walks follow from its own event stream,
+  # so the value is exact at any W: 0.5055 when the memo held one window
+  # and every AUI pop re-walked the window beneath); its wall-clock rows
+  # are reported, not gated. The speedups only mean something under
   # optimization, so this lane builds Release (-O3) with warnings as errors
   # (the Release build is warning-free too) and runs both benches at
   # --quick scale. Fatal on contract failure. The two binaries share the

@@ -1,6 +1,7 @@
 #include "android/looper.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace darpa::android {
@@ -8,7 +9,13 @@ namespace darpa::android {
 TaskId Looper::postDelayed(std::function<void()> fn, Millis delay) {
   if (delay.count < 0) delay = ms(0);
   const TaskId id = nextId_++;
-  tasks_.push_back({now() + delay, id, std::move(fn)});
+  const Millis due = now() + delay;
+  // Tasks run from the back. The new id is the largest, so the task goes
+  // in front of every task due at or before it, and tasks due at one
+  // instant run in posting order.
+  auto it = tasks_.end();
+  while (it != tasks_.begin() && std::prev(it)->due <= due) --it;
+  tasks_.insert(it, {due, id, std::move(fn)});
   return id;
 }
 
@@ -17,27 +24,16 @@ bool Looper::cancel(TaskId id) {
   const auto it = std::find_if(tasks_.begin(), tasks_.end(),
                                [id](const Task& task) { return task.id == id; });
   if (it == tasks_.end()) return false;
-  removeAt(static_cast<std::size_t>(it - tasks_.begin()));
+  tasks_.erase(it);
   return true;
 }
 
-void Looper::removeAt(std::size_t i) {
-  if (i + 1 != tasks_.size()) tasks_[i] = std::move(tasks_.back());
-  tasks_.pop_back();
-}
-
 bool Looper::runNext(Millis deadline) {
-  if (tasks_.empty()) return false;
-  // FIFO among tasks due at the same instant: ids grow with posting order.
-  const auto next = std::min_element(
-      tasks_.begin(), tasks_.end(), [](const Task& a, const Task& b) {
-        return a.due < b.due || (a.due == b.due && a.id < b.id);
-      });
-  if (next->due > deadline) return false;
+  if (tasks_.empty() || tasks_.back().due > deadline) return false;
   // Take the task out before running it: it may post or cancel tasks.
-  const Millis due = next->due;
-  std::function<void()> fn = std::move(next->fn);
-  removeAt(static_cast<std::size_t>(next - tasks_.begin()));
+  const Millis due = tasks_.back().due;
+  std::function<void()> fn = std::move(tasks_.back().fn);
+  tasks_.pop_back();
   clock_->advanceTo(due);
   fn();
   return true;

@@ -58,19 +58,18 @@ class Looper {
     std::function<void()> fn;
   };
 
-  /// Runs the (due, id)-least task if it is due by `deadline`; returns
-  /// false if no pending task is due within the deadline.
+  /// Runs the (due, id)-least task, the back of tasks_, if it is due by
+  /// `deadline`; returns false if no pending task is due within the
+  /// deadline.
   bool runNext(Millis deadline);
-
-  /// Removes tasks_[i]; the order of tasks_ carries no meaning.
-  void removeAt(std::size_t i);
 
   // Session-confined (no lock by design): a Looper belongs to exactly one
   // DeviceSession and is only touched by the fleet worker running that
   // session (see fleet/fleet.h).
   SimClock* clock_ CONFINED_TO("owning session");
-  /// Every pending task, unordered: a session keeps a few dozen at most,
-  /// so runNext() scans for the next one and cancel() erases by id.
+  /// Every pending task, ordered by (due, id) latest first: runNext()
+  /// pops the back, postDelayed() inserts in order, and cancel() erases by
+  /// id. A session keeps a few dozen at most.
   std::vector<Task> tasks_ CONFINED_TO("owning session");
   TaskId nextId_ CONFINED_TO("owning session") = 1;
 };

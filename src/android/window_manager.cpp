@@ -363,10 +363,11 @@ std::uint64_t WindowManager::topWindowFingerprint() const {
   };
   const Window* top = topAppWindow();
   if (top == nullptr) return walk();
+  Window::FingerprintMemo& memo = top->memo_;
   const std::uint32_t version = top->content().version();
-  if (memo_.windowId == top->id() && memo_.version == version) {
+  if (memo.valid && memo.version == version) {
 #if DARPA_BOUNDS_CHECKS
-    if (walk() != memo_.fingerprint) {
+    if (walk() != memo.fingerprint) {
       std::fprintf(stderr,
                    "fingerprint memo is stale: window %d, version %u; a "
                    "mutator skipped View::touch() or a className() "
@@ -375,11 +376,11 @@ std::uint64_t WindowManager::topWindowFingerprint() const {
       std::abort();
     }
 #endif
-    return memo_.fingerprint;
+    return memo.fingerprint;
   }
   ++fingerprintWalks_;
-  memo_ = {top->id(), version, walk()};
-  return memo_.fingerprint;
+  memo = {true, version, walk()};
+  return memo.fingerprint;
 }
 
 View* WindowManager::clickAt(Point screen) {

@@ -67,10 +67,21 @@ class Window {
   [[nodiscard]] bool fullscreen() const { return fullscreen_; }
 
  private:
+  friend class WindowManager;
+
+  /// WindowManager::topWindowFingerprint()'s memo of this window: its
+  /// fingerprint when its root view was at `version`.
+  struct FingerprintMemo {
+    bool valid = false;
+    std::uint32_t version = 0;
+    std::uint64_t fingerprint = 0;
+  };
+
   int id_;
   std::string packageName_;
   std::unique_ptr<View> content_;
   bool fullscreen_;
+  mutable FingerprintMemo memo_ CONFINED_TO("owning session");
 };
 
 /// One node of the ADB-style hierarchy dump. Besides the classic
@@ -192,15 +203,16 @@ class WindowManager {
   /// and dumpTopWindow(), and both fingerprints feed the same per-node
   /// hash, so the two values are equal by construction.
   ///
-  /// Memoized: while the top window and its root's View::version() are
-  /// those of the last walk, the stored value is returned without walking.
+  /// Memoized per window: while the top window's root View::version() is
+  /// that of the window's last walk, the stored value is returned without
+  /// walking, also when the window comes back to the top after a pop.
   /// Every view mutator bumps that version, and a WebView's page is
   /// immutable once set. Builds with DARPA_BOUNDS_CHECKS re-walk on every
   /// memo hit and abort with "fingerprint memo is stale" on a mismatch.
   [[nodiscard]] std::uint64_t topWindowFingerprint() const;
   /// Calls of topWindowFingerprint() that walked the view tree: those the
-  /// memo could not serve (a top window exists and it or its version
-  /// changed since the last walk).
+  /// memo could not serve (a top window exists and was never walked, or
+  /// its root's version moved since its last walk).
   [[nodiscard]] std::int64_t fingerprintWalks() const {
     return fingerprintWalks_;
   }
@@ -218,15 +230,6 @@ class WindowManager {
     Rect screenRect;  ///< Resolved at add time.
   };
 
-  /// topWindowFingerprint()'s one entry: the fingerprint of window
-  /// `windowId` when its root view was at `version`. Window ids start at
-  /// 1, so the empty entry matches no window.
-  struct FingerprintMemo {
-    int windowId = 0;
-    std::uint32_t version = 0;
-    std::uint64_t fingerprint = 0;
-  };
-
   void emit(EventType type, const std::string& package);
   [[nodiscard]] Millis now() const { return clock_ ? clock_->now() : Millis{}; }
 
@@ -237,7 +240,6 @@ class WindowManager {
   std::vector<Overlay> overlays_;
   int nextWindowId_ = 1;
   int nextOverlayId_ = 1;
-  mutable FingerprintMemo memo_ CONFINED_TO("owning session");
   mutable std::int64_t fingerprintWalks_ CONFINED_TO("owning session") = 0;
 };
 

@@ -65,8 +65,6 @@ void DarpaService::onAccessibilityEvent(
     return;
   }
   ledger_.recordEvent();
-  logDebug("DARPA event ", android::eventTypeName(event.type), " from ",
-           event.packageName);
   // Debounce to stability: any UI update resets the ct timer, so only
   // screens that stay unchanged for `cutoff` get analyzed.
   android::Looper* loop = looper();

@@ -1,6 +1,7 @@
 #include "util/color.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace darpa {
@@ -10,16 +11,22 @@ std::ostream& operator<<(std::ostream& os, const Color& c) {
             << "," << int{c.a} << "}";
 }
 
-namespace {
-double linearize(std::uint8_t channel) {
-  const double c = channel / 255.0;
-  return c <= 0.04045 ? c / 12.92 : std::pow((c + 0.055) / 1.055, 2.4);
+double linearizeSrgb(std::uint8_t channel) {
+  static const std::array<double, 256> kLinear = [] {
+    std::array<double, 256> table{};
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const double c = static_cast<double>(i) / 255.0;
+      table[i] =
+          c <= 0.04045 ? c / 12.92 : std::pow((c + 0.055) / 1.055, 2.4);
+    }
+    return table;
+  }();
+  return kLinear[channel];
 }
-}  // namespace
 
 double relativeLuminance(Color c) {
-  return 0.2126 * linearize(c.r) + 0.7152 * linearize(c.g) +
-         0.0722 * linearize(c.b);
+  return 0.2126 * linearizeSrgb(c.r) + 0.7152 * linearizeSrgb(c.g) +
+         0.0722 * linearizeSrgb(c.b);
 }
 
 double contrastRatio(Color a, Color b) {

@@ -79,6 +79,10 @@ inline constexpr Color kTransparent = Color::rgba(0, 0, 0, 0);
           static_cast<std::uint8_t>(outA)};
 }
 
+/// One sRGB channel in linear light per WCAG, in [0, 1]: read from a
+/// 256-entry table filled once from the WCAG expression.
+[[nodiscard]] double linearizeSrgb(std::uint8_t channel);
+
 /// Relative luminance per WCAG (sRGB linearization), in [0, 1].
 [[nodiscard]] double relativeLuminance(Color c);
 

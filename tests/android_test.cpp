@@ -2,10 +2,19 @@
 // accessibility event routing, and the anchor-view offset trick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <map>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "android/system.h"
+#include "util/rng.h"
 
 namespace darpa::android {
 namespace {
@@ -274,6 +283,189 @@ TEST(LooperTest, TaskCanCancelAPendingSibling) {
   EXPECT_TRUE(cancelled);
   EXPECT_EQ(victimRan, 0);
   EXPECT_TRUE(looper.idle());
+}
+
+/// The Looper's contract in its plainest form: pending tasks in a std::map
+/// keyed by (due, id), and the least key runs first.
+class ReferenceLooper {
+ public:
+  [[nodiscard]] Millis now() const { return now_; }
+  [[nodiscard]] std::size_t pendingCount() const { return tasks_.size(); }
+
+  TaskId postDelayed(std::function<void()> fn, Millis delay) {
+    const TaskId id = nextId_++;
+    tasks_.emplace(std::pair{now_ + std::max(delay, ms(0)), id},
+                   std::move(fn));
+    return id;
+  }
+
+  bool cancel(TaskId id) {
+    const auto it =
+        std::find_if(tasks_.begin(), tasks_.end(),
+                     [id](const auto& task) { return task.first.second == id; });
+    if (it == tasks_.end()) return false;
+    tasks_.erase(it);
+    return true;
+  }
+
+  void runUntil(Millis deadline) {
+    while (runNext(deadline)) {
+    }
+    now_ = std::max(now_, deadline);
+  }
+
+  void runUntilIdle() {
+    while (runNext(Millis{std::numeric_limits<std::int64_t>::max()})) {
+    }
+  }
+
+ private:
+  bool runNext(Millis deadline) {
+    if (tasks_.empty() || tasks_.begin()->first.first > deadline) return false;
+    auto task = tasks_.extract(tasks_.begin());
+    now_ = task.key().first;
+    task.mapped()();
+    return true;
+  }
+
+  Millis now_;
+  TaskId nextId_ = 1;
+  std::map<std::pair<Millis, TaskId>, std::function<void()>> tasks_;
+};
+
+/// One observable step: 'P' a post (returned id, delay), 'R' a run (id,
+/// clock), 'C' a cancel (id, result), 'U' a runUntil (deadline, pending
+/// count after it), 'I' the final runUntilIdle (clock, pending count).
+struct LoopEvent {
+  char kind;
+  std::int64_t a;
+  std::int64_t b;
+  bool operator==(const LoopEvent&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const LoopEvent& e) {
+  return os << e.kind << "(" << e.a << ", " << e.b << ")";
+}
+
+/// A seeded mix of posts (negative, zero and random delays, many of them
+/// due at one instant), cancels of pending, already-run and unknown ids,
+/// and runUntil to random deadlines, some in the past. A task, when it
+/// runs, may post and cancel too, as its own id's stream decides, so a
+/// wrong run order also changes what gets posted and cancelled.
+template <typename L>
+class LooperScenario {
+ public:
+  LooperScenario(L& looper, std::uint64_t seed) : looper_(looper), seed_(seed) {}
+
+  std::vector<LoopEvent> run(int operations) {
+    Rng rng(seed_);
+    for (int op = 0; op < operations; ++op) {
+      const int kind = rng.uniformInt(0, 9);
+      if (kind < 4) {
+        post(drawDelay(rng));
+      } else if (kind < 7) {
+        cancel(drawId(rng));
+      } else {
+        const Millis deadline = looper_.now() + ms(rng.uniformInt(-20, 150));
+        looper_.runUntil(deadline);
+        log({'U', deadline.count, pending()});
+      }
+    }
+    looper_.runUntilIdle();
+    log({'I', looper_.now().count, pending()});
+    return std::move(log_);
+  }
+
+ private:
+  static Millis drawDelay(Rng& rng) {
+    const int kind = rng.uniformInt(0, 9);
+    if (kind < 2) return ms(-rng.uniformInt(1, 100));
+    if (kind < 4) return ms(0);
+    return ms(5 * rng.uniformInt(0, 40));  // coarse, so dues collide
+  }
+
+  /// A recent id (mostly pending), any issued id (mostly run), 0 or an id
+  /// not issued yet (unknown).
+  TaskId drawId(Rng& rng) const {
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        return static_cast<TaskId>(issued_ -
+                                   rng.uniformInt(0, std::min(issued_, 8)));
+      case 1:
+        return static_cast<TaskId>(rng.uniformInt(0, issued_));
+      default:
+        return static_cast<TaskId>(issued_ + rng.uniformInt(1, 4));
+    }
+  }
+
+  void post(Millis delay) {
+    // Both loopers number tasks 1, 2, ... in posting order; the log's 'P'
+    // entry holds the id the looper returned.
+    const auto id = static_cast<TaskId>(++issued_);
+    const TaskId got =
+        looper_.postDelayed([this, id] { onRun(id); }, delay);
+    log({'P', static_cast<std::int64_t>(got), delay.count});
+  }
+
+  void cancel(TaskId id) {
+    log({'C', static_cast<std::int64_t>(id), looper_.cancel(id) ? 1 : 0});
+  }
+
+  void onRun(TaskId id) {
+    log({'R', static_cast<std::int64_t>(id), looper_.now().count});
+    Rng rng(seed_ ^ (id * 0x9E3779B97F4A7C15ULL));
+    if (rng.chance(0.3)) post(drawDelay(rng));
+    if (rng.chance(0.2)) cancel(drawId(rng));
+  }
+
+  [[nodiscard]] std::int64_t pending() const {
+    return static_cast<std::int64_t>(looper_.pendingCount());
+  }
+  void log(LoopEvent event) { log_.push_back(event); }
+
+  L& looper_;
+  std::uint64_t seed_;
+  int issued_ = 0;
+  std::vector<LoopEvent> log_;
+};
+
+TEST(LooperTest, MatchesAnOrderedMapReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    SimClock clock;
+    Looper looper(clock);
+    const std::vector<LoopEvent> actual =
+        LooperScenario<Looper>(looper, seed).run(20'000);
+    ReferenceLooper reference;
+    const std::vector<LoopEvent> expected =
+        LooperScenario<ReferenceLooper>(reference, seed).run(20'000);
+
+    const auto [a, e] = std::mismatch(actual.begin(), actual.end(),
+                                      expected.begin(), expected.end());
+    ASSERT_TRUE(a == actual.end() && e == expected.end())
+        << "first difference at step " << (a - actual.begin()) << ": looper "
+        << (a == actual.end() ? std::string("<end>") : testing::PrintToString(*a))
+        << ", reference "
+        << (e == expected.end() ? std::string("<end>")
+                                : testing::PrintToString(*e));
+
+    // The sequence reaches every case it claims to.
+    int runs = 0, sameInstantRuns = 0, cancelled = 0, refused = 0;
+    std::int64_t lastRunAt = -1;
+    for (const LoopEvent& event : actual) {
+      if (event.kind == 'R') {
+        ++runs;
+        if (event.b == lastRunAt) ++sameInstantRuns;
+        lastRunAt = event.b;
+      } else if (event.kind == 'C') {
+        ++(event.b == 1 ? cancelled : refused);
+      }
+    }
+    EXPECT_GT(runs, 4'000);
+    EXPECT_GT(sameInstantRuns, 1'000);
+    EXPECT_GT(cancelled, 500);
+    EXPECT_GT(refused, 2'000);
+  }
 }
 
 // -------------------------------------------------------- window manager

@@ -1,8 +1,9 @@
-// Tests for the memo behind WindowManager::topWindowFingerprint(): every
-// public mutator of View and its subclasses invalidates it, whether it
-// runs on the window's root or on a view two levels down; an unchanged
-// screen is walked once however often it is probed; and the version and
-// kind tag that drive it live in padding View already had.
+// Tests for the per-window memo behind WindowManager::topWindowFingerprint():
+// every public mutator of View and its subclasses invalidates it, whether
+// it runs on the window's root or on a view two levels down; an unchanged
+// screen is walked once however often it is probed, and a window keeps its
+// memo while another window covers it; and the version and kind tag that
+// drive it live in padding View already had.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -333,7 +334,8 @@ TEST(FingerprintMemoTest, OnlyTheTopWindowIsMemoized) {
   EXPECT_EQ(wm.topWindowFingerprint(), upper);
   EXPECT_EQ(wm.fingerprintWalks(), 2);
 
-  // Back navigation: another window id, so a walk, of the mutated tree.
+  // Back navigation: the lower window's root version moved while it was
+  // covered, so its own memo misses and it walks, the mutated tree.
   wm.popAppWindow();
   EXPECT_EQ(wm.topWindowFingerprint(), dumpFingerprint(wm));
   EXPECT_NE(wm.topWindowFingerprint(), lower);
@@ -343,6 +345,39 @@ TEST(FingerprintMemoTest, OnlyTheTopWindowIsMemoized) {
   wm.popAppWindow();
   EXPECT_EQ(wm.topWindowFingerprint(), WindowManager::fingerprint({}));
   EXPECT_EQ(wm.fingerprintWalks(), 3);
+}
+
+TEST(FingerprintMemoTest, CoveredWindowKeepsItsMemo) {
+  WindowManager wm;
+  android::TextView* lowerText = nullptr;
+  android::TextView* dialogText = nullptr;
+  wm.showAppWindow("com.test", screenWithText(&lowerText), false);
+  const std::uint64_t lower = wm.topWindowFingerprint();
+  EXPECT_EQ(wm.fingerprintWalks(), 1);
+
+  // A dialog covers the window and is dismissed (an AUI pop). The window
+  // beneath did not change, so it costs no walk when it comes back.
+  wm.showAppWindow("com.test", screenWithText(&dialogText), true);
+  (void)wm.topWindowFingerprint();
+  EXPECT_EQ(wm.fingerprintWalks(), 2);
+  wm.popAppWindow();
+  EXPECT_EQ(wm.topWindowFingerprint(), lower);
+  EXPECT_EQ(wm.fingerprintWalks(), 2);
+  EXPECT_EQ(lower, dumpFingerprint(wm));
+
+  // Mutated while covered: one walk on return, of the mutated tree, and
+  // the memo serves the probes after it.
+  wm.showAppWindow("com.test", screenWithText(&dialogText), true);
+  (void)wm.topWindowFingerprint();
+  EXPECT_EQ(wm.fingerprintWalks(), 3);
+  lowerText->setText("Later");
+  wm.popAppWindow();
+  const std::uint64_t mutated = wm.topWindowFingerprint();
+  EXPECT_EQ(wm.fingerprintWalks(), 4);
+  EXPECT_EQ(mutated, dumpFingerprint(wm));
+  EXPECT_NE(mutated, lower);
+  EXPECT_EQ(wm.topWindowFingerprint(), mutated);
+  EXPECT_EQ(wm.fingerprintWalks(), 4);
 }
 
 #if DARPA_BOUNDS_CHECKS

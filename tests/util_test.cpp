@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "util/clock.h"
@@ -126,6 +127,17 @@ TEST(ColorTest, ContrastRatioExtremes) {
   // Symmetry.
   EXPECT_DOUBLE_EQ(contrastRatio(colors::kRed, colors::kWhite),
                    contrastRatio(colors::kWhite, colors::kRed));
+}
+
+TEST(ColorTest, LinearizeTableMatchesTheWcagExpression) {
+  for (int channel = 0; channel < 256; ++channel) {
+    const double c = channel / 255.0;
+    const double expected =
+        c <= 0.04045 ? c / 12.92 : std::pow((c + 0.055) / 1.055, 2.4);
+    // Bit-identical, not near: every contrast decision reads these values.
+    EXPECT_EQ(linearizeSrgb(static_cast<std::uint8_t>(channel)), expected)
+        << "channel " << channel;
+  }
 }
 
 TEST(ColorTest, HighContrastPicksOppositeExtreme) {
