@@ -5,7 +5,9 @@
 // running its session. Two sweeps over a shared app population ride
 // along: the shared verdict tier off vs on (reported, not gated) and the
 // WebView-share stage mix. The W=1 256-session row also reports the share
-// of view blocks its thread's view block cache reused.
+// of view blocks its thread's view block cache reused, and a walk row per
+// screen kind times topWindowFingerprint() per node on fresh windows of
+// the shared population's generated screens (reported, not gated).
 //
 // Gates (exit nonzero on failure), each on an exact or roomy quantity:
 //  1. The 256-session digest (fig8 counts, stats, ledger cpuMs, Table VII)
@@ -26,7 +28,8 @@
 //     memo held one window): a window keeps its memo while an AUI covers
 //     it. Each session's walks follow from its own event stream, so the
 //     value is exact at any W.
-// Emits every row to BENCH_fleet.json (next to the binary).
+// Emits every row to BENCH_fleet.json (next to the binary): the fleet rows
+// under "samples", the walk rows under "fingerprint_walks".
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +44,9 @@
 
 #include "analysis/lint.h"
 #include "android/view.h"
+#include "android/window_manager.h"
 #include "apps/app_model.h"
+#include "apps/screen_generator.h"
 #include "bench_common.h"
 #include "core/work_ledger.h"
 #include "fleet/fleet.h"
@@ -287,10 +292,83 @@ HybridSample runHybridFleet(const cv::Detector& detector,
   return sample;
 }
 
-void writeJson(const std::vector<Sample>& samples, const char* path) {
+// ------------------------------------------------- fingerprint walk cost
+
+/// topWindowFingerprint()'s cost per node on windows it has never walked,
+/// for one screen kind.
+struct WalkSample {
+  const char* screens = "";
+  int walks = 0;              ///< Walks per round.
+  double nodesPerWalk = 0.0;  ///< Nodes of one screen's dump, mean.
+  double nsPerNode = 0.0;     ///< Fastest round's walk time per node.
+};
+
+/// Times topWindowFingerprint() on fresh windows of the screens the shared
+/// population's apps show: the same generator laid out for the same app
+/// frame, with a fixed seed, benign screens or AUIs. Each round builds the
+/// same screens in batches of 16 windows, untimed, then walks each batch
+/// under one timer; the fastest of kWalkRounds rounds is reported.
+WalkSample timeFingerprintWalks(const char* screens, bool aui) {
+  constexpr int kWalkRounds = 7;
+  constexpr int kBatch = 16;
+  const int walks = scaled(2000, 1000);
+  const Rect frame = android::WindowManager().appFrame(false);
+  apps::ScreenGenerator::Params params;
+  params.frame = {frame.width, frame.height};
+  WalkSample sample;
+  sample.screens = screens;
+  sample.walks = walks;
+  double bestNs = 0.0;
+  std::int64_t nodes = 0;
+  for (int round = 0; round < kWalkRounds; ++round) {
+    apps::ScreenGenerator generator(params, 4242);
+    double roundNs = 0.0;
+    nodes = 0;
+    for (int done = 0; done < walks; done += kBatch) {
+      std::vector<android::WindowManager> batch(
+          static_cast<std::size_t>(std::min(kBatch, walks - done)));
+      for (android::WindowManager& wm : batch) {
+        apps::GeneratedScreen screen =
+            aui ? generator.makeAui(generator.randomSpec())
+                : generator.makeBenign();
+        wm.showAppWindow("com.shared.app", std::move(screen.root), false);
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const android::WindowManager& wm : batch) {
+        static_cast<void>(wm.topWindowFingerprint());  // walks: a fresh window
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      roundNs += std::chrono::duration<double, std::nano>(t1 - t0).count();
+      for (const android::WindowManager& wm : batch) {
+        nodes += static_cast<std::int64_t>(wm.dumpTopWindow().size());
+      }
+    }
+    if (round == 0 || roundNs < bestNs) bestNs = roundNs;
+  }
+  sample.nodesPerWalk = static_cast<double>(nodes) / walks;
+  sample.nsPerNode = nodes == 0 ? 0.0 : bestNs / static_cast<double>(nodes);
+  std::printf("  %-8s %7d %12.2f %10.2f %10.1f\n", screens, walks,
+              sample.nodesPerWalk, sample.nsPerNode,
+              sample.nsPerNode * sample.nodesPerWalk);
+  std::fflush(stdout);
+  return sample;
+}
+
+void writeJson(const std::vector<Sample>& samples,
+               const std::vector<WalkSample>& walkRows, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"samples\": [\n");
+  std::fprintf(f, "{\n  \"fingerprint_walks\": [\n");
+  for (std::size_t i = 0; i < walkRows.size(); ++i) {
+    const WalkSample& w = walkRows[i];
+    std::fprintf(f,
+                 "    {\"screens\": \"%s\", \"walks\": %d, "
+                 "\"nodes_per_walk\": %.2f, "
+                 "\"fingerprint_ns_per_node\": %.2f}%s\n",
+                 w.screens, w.walks, w.nodesPerWalk, w.nsPerNode,
+                 i + 1 < walkRows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"samples\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const Sample& s = samples[i];
     char reuse[32] = "null";
@@ -438,7 +516,14 @@ int main(int argc, char** argv) {
     hybridRows.push_back(h);
   }
 
-  writeJson(samples, artifactPath("BENCH_fleet.json").c_str());
+  // The fingerprint walk on its own: its cost per node on fresh windows.
+  printHeader("Fingerprint walk: fresh windows of shared-population screens");
+  std::printf("  %-8s %7s %12s %10s %10s\n", "screens", "walks",
+              "nodes/walk", "ns/node", "ns/walk");
+  const std::vector<WalkSample> walkRows = {
+      timeFingerprintWalks("benign", false), timeFingerprintWalks("aui", true)};
+
+  writeJson(samples, walkRows, artifactPath("BENCH_fleet.json").c_str());
 
   bool failed = false;
   // Gate 1: the worker count never reaches the paper-facing outputs.

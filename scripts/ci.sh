@@ -73,19 +73,25 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-  echo "== ctest, ASan strict-stack webview/virtual-tree tests (build-asan/) =="
-  # Focused rerun of the WebView/virtual-subtree suites with
-  # stack-use-after-return detection on: the iterative virtual-tree walk
-  # exists precisely so hostile page depth stays off the native stack, and
-  # the deep/wide traversal tests are where a frame-lifetime bug would hide.
-  # FingerprintMemoTest rides along: its WebView cases walk virtual trees.
-  # This tree defines DARPA_BOUNDS_CHECKS, so every fingerprint memo hit in
-  # these suites (and in the full run above) re-walks the view tree and
-  # aborts with "fingerprint memo is stale" when the two values differ.
+  echo "== ctest, ASan strict-stack view-tree walk tests (build-asan/) =="
+  # Focused rerun of the suites that walk view trees, with
+  # stack-use-after-return detection on. Both walks are iterative, so tree
+  # depth stays off the native stack: the native walk keeps the children
+  # still to come on an explicit stack that grows mid-walk, and the
+  # virtual-tree walk does the same for a hostile page. The deep/wide
+  # traversal tests (a 300-deep native chain in FingerprintTest, 300-deep
+  # pages and 3000-wide forests in the virtual suites) are where a
+  # frame-lifetime bug would hide, and FingerprintTest's string cases run
+  # the hash's word loads over every tail length. FingerprintMemoTest rides
+  # along: its WebView cases walk virtual trees. This tree defines
+  # DARPA_BOUNDS_CHECKS, so in these suites (and in the full run above)
+  # every fingerprint memo hit re-walks the view tree and aborts with
+  # "fingerprint memo is stale" when the two values differ, and every walk
+  # is checked against fingerprint(dumpTopWindow()).
   ASAN_OPTIONS=detect_leaks=1:detect_stack_use_after_return=1 \
   UBSAN_OPTIONS=halt_on_error=1 \
     ctest_suites build-asan \
-      'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest|FingerprintMemoTest'
+      'WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest|VirtualDecorationTest|FingerprintMemoTest|FingerprintTest'
 
   echo "== configure + build, TSan (build-tsan/) =="
   # ThreadSanitizer lane over the tests that actually exercise threads: the

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "android/webview.h"
 
@@ -157,84 +159,151 @@ struct NodeFields {
   std::string_view virtualId;
 };
 
-/// Pre-order walk of one view subtree in dump order: the view, then the
-/// virtual tree of a WebView with a page, then the children. An invisible
-/// view prunes its subtree. `origin` is the parent's screen position.
+/// The virtual nodes of a WebView's page in pre-order, as NodeFields. A
+/// page's virtual tree goes inline directly below its host: depth continues
+/// from `depth` (the page root's), bounds are carried into screen space
+/// through the host's position `origin`, the host's effective alpha
+/// multiplies into every node's opacity chain, and resourceId stays empty —
+/// virtual nodes only ever have a page-global virtualId. forEachVirtual
+/// walks the page iteratively.
 ///
-/// A page's virtual tree goes inline directly below its host: depth
-/// continues past the host, bounds are carried into screen space through
-/// the host's position, the host's effective alpha multiplies into every
-/// node's opacity chain, and resourceId stays empty — virtual nodes only
-/// ever have a page-global virtualId. forEachVirtual walks iteratively, so
-/// hostile page depth cannot overflow the walking service's stack.
-template <typename Sink>
-void walkView(const View& view, Point origin, int depth, double parentAlpha,
-              Sink& sink) {
-  if (!view.visible()) return;
-  NodeFields node;
-  node.className = view.className();
-  node.resourceId = view.resourceId();
-  node.bounds = {origin.x + view.frame().x, origin.y + view.frame().y,
-                 view.frame().width, view.frame().height};
-  node.clickable = view.clickable();
-  node.depth = depth;
-  node.background = view.background();
-  node.effAlpha = parentAlpha * view.alpha();
-  // Only TextView, IconView and WebView construct these kinds, so each
-  // cast names the view's real class (or a class derived from it).
-  const WebView* web = nullptr;
-  switch (view.kind()) {
-    case View::Kind::kText: {
-      const auto& text = static_cast<const TextView&>(view);
-      node.text = text.text();
-      node.contentColor = text.textColor();
-      node.hasContentColor = true;
-      break;
+/// The nodes borrow the page's strings and live in a buffer of this thread
+/// that the next call overwrites. Collecting them out of line keeps the
+/// walk's sink out of forEachVirtual's std::function: a copy of a hashing
+/// sink stored for it lets GCC turn the sink's four lanes into one vector
+/// of 64-bit multiplies for every node of the walk, which is slower. The
+/// callback captures one pointer, so the std::function holds it without
+/// allocating.
+[[gnu::noinline]] std::span<const NodeFields> pageFields(const WebView& web,
+                                                         Point origin,
+                                                         int depth,
+                                                         double alpha) {
+  thread_local std::vector<NodeFields> fields;
+  fields.clear();
+  struct Host {
+    std::vector<NodeFields>* fields;
+    Point origin;
+    int depth;
+    double alpha;
+  } host{&fields, origin, depth, alpha};
+  web.forEachVirtual([&host](const VirtualNode& vn, int virtualDepth,
+                             double effOpacity) {
+    NodeFields& v = host.fields->emplace_back();
+    v.className = virtualRoleClassName(vn.role);
+    v.text = vn.text;
+    v.bounds = vn.bounds.translated(host.origin.x, host.origin.y);
+    v.clickable = vn.clickable;
+    v.depth = host.depth + virtualDepth;
+    v.background = vn.background;
+    if (!vn.text.empty() || vn.crossGlyph) {
+      v.contentColor = vn.contentColor;
+      v.hasContentColor = true;
     }
-    case View::Kind::kIcon:
-      node.contentColor = static_cast<const IconView&>(view).glyphColor();
-      node.hasContentColor = true;
-      break;
-    case View::Kind::kWeb:
-      web = static_cast<const WebView*>(&view);
-      break;
-    case View::Kind::kPlain:
-      break;
-  }
-  sink(node);
-  if (web != nullptr && web->hasPage()) {
-    web->forEachVirtual([&](const VirtualNode& vn, int virtualDepth,
-                            double effOpacity) {
-      NodeFields v;
-      v.className = virtualRoleClassName(vn.role);
-      v.text = vn.text;
-      v.bounds = vn.bounds.translated(node.bounds.x, node.bounds.y);
-      v.clickable = vn.clickable;
-      v.depth = depth + 1 + virtualDepth;
-      v.background = vn.background;
-      if (!vn.text.empty() || vn.crossGlyph) {
-        v.contentColor = vn.contentColor;
-        v.hasContentColor = true;
-      }
-      v.effAlpha = node.effAlpha * effOpacity;
-      v.isVirtual = true;
-      v.virtualId = vn.virtualId;
-      sink(v);
-    });
-  }
-  for (const auto& child : view.children()) {
-    walkView(*child, {node.bounds.x, node.bounds.y}, depth + 1, node.effAlpha,
-             sink);
-  }
+    v.effAlpha = host.alpha * effOpacity;
+    v.isVirtual = true;
+    v.virtualId = vn.virtualId;
+  });
+  return fields;
 }
 
-/// Walks the top app window, if there is one, from its frame's origin.
+/// One level of the walk's explicit stack: the children of a visited view
+/// that are still to come, and what they inherit from it.
+struct WalkLevel {
+  const std::unique_ptr<View>* next;
+  const std::unique_ptr<View>* end;
+  Point origin;  ///< The parent's screen position.
+  int depth;     ///< The children's depth.
+  double alpha;  ///< The parent's effective alpha.
+};
+
+/// Storage for the walk's stack, reused by every walk on this thread: it
+/// grows with the tree, so there is no depth limit, and a warm walk
+/// allocates nothing.
+thread_local std::vector<WalkLevel> t_walkLevels CONFINED_TO("its thread");
+
+/// Pre-order walk of the top app window, if there is one, in dump order:
+/// a view, then the virtual nodes of a WebView with a page (pageFields),
+/// then its children, left to right. An invisible view prunes its subtree.
+/// The walk is one loop over an explicit stack, so a deep view tree cannot
+/// overflow the walking service's stack. Always inlined, so that a hashing
+/// sink's state stays in registers across the loop.
 template <typename Sink>
-void walkTopWindow(const WindowManager& wm, Sink& sink) {
+[[gnu::always_inline]] inline void walkTopWindow(const WindowManager& wm,
+                                                 Sink& sink) {
   const Window* top = wm.topAppWindow();
   if (top == nullptr) return;
   const Rect frame = wm.appFrame(top->fullscreen());
-  walkView(top->content(), {frame.x, frame.y}, 0, 1.0, sink);
+  // The storage's size is the stack's capacity and `height` the levels in
+  // use, so the stack touches its storage only to grow.
+  std::vector<WalkLevel>& storage = t_walkLevels;
+  WalkLevel* levels = storage.data();
+  std::size_t height = 0;
+  const View* view = &top->content();
+  Point origin{frame.x, frame.y};
+  int depth = 0;
+  double parentAlpha = 1.0;
+  for (;;) {
+    if (view->visible()) {
+      NodeFields node;
+      node.className = view->className();
+      node.resourceId = view->resourceId();
+      node.bounds = {origin.x + view->frame().x, origin.y + view->frame().y,
+                     view->frame().width, view->frame().height};
+      node.clickable = view->clickable();
+      node.depth = depth;
+      node.background = view->background();
+      node.effAlpha = parentAlpha * view->alpha();
+      // Only TextView, IconView and WebView construct these kinds, so each
+      // cast names the view's real class (or a class derived from it).
+      const WebView* web = nullptr;
+      switch (view->kind()) {
+        case View::Kind::kText: {
+          const auto& text = static_cast<const TextView&>(*view);
+          node.text = text.text();
+          node.contentColor = text.textColor();
+          node.hasContentColor = true;
+          break;
+        }
+        case View::Kind::kIcon:
+          node.contentColor = static_cast<const IconView&>(*view).glyphColor();
+          node.hasContentColor = true;
+          break;
+        case View::Kind::kWeb:
+          web = static_cast<const WebView*>(view);
+          break;
+        case View::Kind::kPlain:
+          break;
+      }
+      sink(node);
+      if (web != nullptr && web->hasPage()) {
+        for (const NodeFields& v :
+             pageFields(*web, {node.bounds.x, node.bounds.y}, depth + 1,
+                        node.effAlpha)) {
+          sink(v);
+        }
+      }
+      const auto children = view->children();
+      if (!children.empty()) {
+        if (height == storage.size()) {
+          storage.resize(std::max<std::size_t>(16, 2 * height));
+          levels = storage.data();
+        }
+        levels[height++] = {children.data(),
+                            children.data() + children.size(),
+                            {node.bounds.x, node.bounds.y}, depth + 1,
+                            node.effAlpha};
+      }
+    }
+    // A level leaves the stack when its last child is taken, so the top
+    // level always has a child left.
+    if (height == 0) return;
+    WalkLevel& level = levels[height - 1];
+    view = (level.next++)->get();
+    origin = level.origin;
+    depth = level.depth;
+    parentAlpha = level.alpha;
+    if (level.next == level.end) --height;
+  }
 }
 
 /// One mixing step: h takes one 64-bit word per multiply. For a fixed w
@@ -244,46 +313,100 @@ constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
   return (std::rotl(h, 5) ^ w) * 0x9E3779B97F4A7C15ULL;
 }
 
-/// The fingerprint sink. Each int is one word. A string goes in 8-byte
-/// chunks, and its tail word carries the length in its top byte, so
-/// ("ab","c") and ("a","bc") hash apart. A splitmix64 finalizer spreads
-/// nearby inputs (bounds off by one pixel) across the whole word.
+/// The little-endian word at p, read with one unaligned load.
+template <typename Word>
+Word load(const char* p) {
+  Word w = 0;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+/// Mixes a string into one lane a word at a time, reading nothing outside
+/// it: each whole 8-byte word but the last, then one tail word from loads
+/// that may overlap the bytes before them (the last 8 bytes when n >= 8,
+/// two 4-byte loads when 4 <= n < 8, three single bytes when n < 4), then
+/// the length. For a fixed length the words are a one-to-one image of the
+/// bytes, and the length word keeps ("ab","c") and ("a","bc") apart.
+[[gnu::always_inline]] inline std::uint64_t mixString(std::uint64_t h,
+                                                     std::string_view s) {
+  const char* p = s.data();
+  const std::size_t n = s.size();
+  if (n >= 8) {
+    const char* last = p + n - 8;
+    for (; p < last; p += 8) h = mix(h, load<std::uint64_t>(p));
+    h = mix(h, load<std::uint64_t>(last));
+  } else if (n >= 4) {
+    h = mix(h, std::uint64_t{load<std::uint32_t>(p)} << 32 |
+                   load<std::uint32_t>(p + n - 4));
+  } else if (n > 0) {
+    const auto byte = [p](std::size_t i) {
+      return std::uint64_t{static_cast<unsigned char>(p[i])};
+    };
+    h = mix(h, byte(0) << 16 | byte(n / 2) << 8 | byte(n - 1));
+  }
+  return mix(h, n);
+}
+
+/// An int field as one word.
+constexpr std::uint64_t word(std::int64_t v) {
+  return static_cast<std::uint64_t>(v);
+}
+
+/// Two 32-bit int fields as one word.
+constexpr std::uint64_t pair(int low, int high) {
+  return std::uint64_t{static_cast<std::uint32_t>(low)} |
+         std::uint64_t{static_cast<std::uint32_t>(high)} << 32;
+}
+
+/// A colour's four bytes as one word, in their in-memory order: one load,
+/// where toArgb() assembles four bytes. Fingerprints are in-process keys,
+/// so the order only has to be fixed.
+inline std::uint64_t colorWord(Color c) {
+  return std::bit_cast<std::uint32_t>(c);
+}
+
+/// The fingerprint sink. Each node's words go into four independent mix
+/// chains ("lanes"), so the multiplies of one node overlap instead of
+/// waiting on each other: class name, then x and y | resource id, then
+/// width and height, and a virtual node's page-global id | text, then the
+/// content colour, and a virtual node's marker | depth and clickable, then
+/// background, then alpha. Two 32-bit fields share one word. Each lane is a
+/// bijection in each of its words, and finish() folds the lanes in a fixed
+/// order, then mixes in the node count and applies a splitmix64 finalizer,
+/// which spreads nearby inputs (bounds off by one pixel) across the whole
+/// word. Inlined into the walk's loop, so the lanes stay in registers.
 class Fingerprinter {
  public:
-  void operator()(const NodeFields& node) {
+  [[gnu::always_inline]] void operator()(const NodeFields& node) {
     // Never hash DARPA's own decoration views: the fingerprint must be
     // identical before and after the service decorates a screen, or every
     // decorated screen would invalidate its own cache entry.
     if (node.className == "DarpaDecorationView") return;
     ++nodes_;
-    addString(node.className);
-    addString(node.resourceId);
-    addString(node.text);
-    addInt(node.bounds.x);
-    addInt(node.bounds.y);
-    addInt(node.bounds.width);
-    addInt(node.bounds.height);
-    addInt(node.depth);
-    addInt(node.clickable ? 1 : 0);
-    addInt(node.background.toArgb());
-    addInt(node.hasContentColor
-               ? static_cast<std::int64_t>(node.contentColor.toArgb())
-               : std::int64_t{-1});
+    a_ = mix(mixString(a_, node.className),
+             pair(node.bounds.x, node.bounds.y));
+    b_ = mix(mixString(b_, node.resourceId),
+             pair(node.bounds.width, node.bounds.height));
+    c_ = mix(mixString(c_, node.text), node.hasContentColor
+                                           ? colorWord(node.contentColor)
+                                           : word(-1));
     // Alpha is a double; quantize to 1/1024 so float noise cannot split
     // visually identical screens into distinct fingerprints.
-    addInt(static_cast<std::int64_t>(node.effAlpha * 1024.0));
+    d_ = mix(mix(mix(d_, pair(node.depth, node.clickable ? 1 : 0)),
+                 colorWord(node.background)),
+             word(static_cast<std::int64_t>(node.effAlpha * 1024.0)));
     // Virtual (WebView) nodes have no resource id to mix, so their
     // page-global id enters the stream instead, plus a marker that keeps a
     // virtual node from colliding with a native one that happens to share
     // class/bounds/text. Only virtual nodes carry these two fields.
     if (node.isVirtual) {
-      addString(node.virtualId);
-      addInt(1);
+      b_ = mixString(b_, node.virtualId);
+      c_ = mix(c_, word(1));
     }
   }
 
   [[nodiscard]] std::uint64_t finish() const {
-    std::uint64_t h = mix(h_, static_cast<std::uint64_t>(nodes_));
+    std::uint64_t h = mix(mix(mix(mix(a_, b_), c_), d_), word(nodes_));
     h ^= h >> 30;
     h *= 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 27;
@@ -293,25 +416,35 @@ class Fingerprinter {
   }
 
  private:
-  void addInt(std::int64_t v) { h_ = mix(h_, static_cast<std::uint64_t>(v)); }
-
-  void addString(std::string_view s) {
-    std::size_t i = 0;
-    for (; i + 8 <= s.size(); i += 8) {
-      std::uint64_t word = 0;
-      std::memcpy(&word, s.data() + i, sizeof(word));
-      h_ = mix(h_, word);
-    }
-    std::uint64_t tail = static_cast<std::uint64_t>(s.size()) << 56;
-    for (std::size_t k = 0; i + k < s.size(); ++k) {
-      tail |= std::uint64_t{static_cast<unsigned char>(s[i + k])} << (8 * k);
-    }
-    h_ = mix(h_, tail);
-  }
-
-  std::uint64_t h_ = 0x6A09E667F3BCC909ULL;
+  std::uint64_t a_ = 0x6A09E667F3BCC909ULL;
+  std::uint64_t b_ = 0xBB67AE8584CAA73BULL;
+  std::uint64_t c_ = 0x3C6EF372FE94F82BULL;
+  std::uint64_t d_ = 0xA54FF53A5F1D36F1ULL;
   std::int64_t nodes_ = 0;
 };
+
+/// topWindowFingerprint()'s walk, out of line so that a memo hit does not
+/// pay for it. With DARPA_BOUNDS_CHECKS every walk is checked against the
+/// UiNode path: fingerprint(dumpTopWindow()) must give the same value.
+[[gnu::noinline]] std::uint64_t walkFingerprint(const WindowManager& wm) {
+  Fingerprinter hash;
+  walkTopWindow(wm, hash);
+  const std::uint64_t live = hash.finish();
+#if DARPA_BOUNDS_CHECKS
+  const std::uint64_t fromDump = WindowManager::fingerprint(wm.dumpTopWindow());
+  if (live != fromDump) {
+    const Window* top = wm.topAppWindow();
+    std::fprintf(stderr,
+                 "fingerprint walk disagrees with its dump: window %d, live "
+                 "%016llx, dump %016llx\n",
+                 top != nullptr ? top->id() : 0,
+                 static_cast<unsigned long long>(live),
+                 static_cast<unsigned long long>(fromDump));
+    std::abort();
+  }
+#endif
+  return live;
+}
 
 }  // namespace
 
@@ -356,18 +489,13 @@ std::uint64_t WindowManager::fingerprint(const UiDump& dump) {
 }
 
 std::uint64_t WindowManager::topWindowFingerprint() const {
-  const auto walk = [this] {
-    Fingerprinter hash;
-    walkTopWindow(*this, hash);
-    return hash.finish();
-  };
   const Window* top = topAppWindow();
-  if (top == nullptr) return walk();
+  if (top == nullptr) return walkFingerprint(*this);
   Window::FingerprintMemo& memo = top->memo_;
   const std::uint32_t version = top->content().version();
   if (memo.valid && memo.version == version) {
 #if DARPA_BOUNDS_CHECKS
-    if (walk() != memo.fingerprint) {
+    if (walkFingerprint(*this) != memo.fingerprint) {
       std::fprintf(stderr,
                    "fingerprint memo is stale: window %d, version %u; a "
                    "mutator skipped View::touch() or a className() "
@@ -379,7 +507,7 @@ std::uint64_t WindowManager::topWindowFingerprint() const {
     return memo.fingerprint;
   }
   ++fingerprintWalks_;
-  memo = {true, version, walk()};
+  memo = {true, version, walkFingerprint(*this)};
   return memo.fingerprint;
 }
 

@@ -194,9 +194,11 @@ class WindowManager {
   /// depth and style all mix in, and virtual (WebView) nodes additionally
   /// mix their page-global virtualId and a virtual marker — so
   /// all-empty-`resourceId` virtual subtrees still fingerprint apart when
-  /// structurally distinct. The mix takes one 64-bit word per multiply
-  /// (strings in 8-byte chunks). Values are in-process cache keys only:
-  /// nothing persists or orders by them.
+  /// structurally distinct. Each node's words go into four independent
+  /// mix chains, one 64-bit word per multiply in each, and strings go in
+  /// as whole 8-byte words plus one tail word read inside the string.
+  /// Values are in-process cache keys only: nothing persists or orders by
+  /// them.
   [[nodiscard]] static std::uint64_t fingerprint(const UiDump& dump);
   /// fingerprint(dumpTopWindow()) without building the dump: the verdict
   /// cache's probe key. One walk of the live view tree serves both this
@@ -208,7 +210,10 @@ class WindowManager {
   /// walking, also when the window comes back to the top after a pop.
   /// Every view mutator bumps that version, and a WebView's page is
   /// immutable once set. Builds with DARPA_BOUNDS_CHECKS re-walk on every
-  /// memo hit and abort with "fingerprint memo is stale" on a mismatch.
+  /// memo hit and abort with "fingerprint memo is stale" on a mismatch,
+  /// and check every walk against fingerprint(dumpTopWindow()), aborting
+  /// with "fingerprint walk disagrees with its dump" and the window's id
+  /// when the two differ.
   [[nodiscard]] std::uint64_t topWindowFingerprint() const;
   /// Calls of topWindowFingerprint() that walked the view tree: those the
   /// memo could not serve (a top window exists and was never walked, or

@@ -15,6 +15,7 @@
 
 #include "analysis/lint.h"
 #include "android/system.h"
+#include "android/webview.h"
 #include "apps/screen_generator.h"
 #include "core/darpa_service.h"
 #include "core/decoration.h"
@@ -391,6 +392,139 @@ TEST(FingerprintTest, CharactersCannotMoveAcrossStringBoundaries) {
   // Past one 8-byte word: a long class name against a split of it.
   EXPECT_NE(withStrings("android.widget.Button", "", ""),
             withStrings("android.", "widget.Button", ""));
+}
+
+/// The live walk's fingerprint of a one-window screen, checked against
+/// fingerprint(dumpTopWindow()) of the same window.
+std::uint64_t liveFingerprint(std::unique_ptr<android::View> root) {
+  android::WindowManager wm;
+  wm.showAppWindow("com.app", std::move(root), false);
+  const std::uint64_t live = wm.topWindowFingerprint();
+  EXPECT_EQ(live, android::WindowManager::fingerprint(wm.dumpTopWindow()));
+  return live;
+}
+
+/// A screen whose one TextView carries `resourceId` and `text`.
+std::unique_ptr<android::View> textScreen(const std::string& resourceId,
+                                          const std::string& text) {
+  auto root = std::make_unique<android::View>();
+  auto label = std::make_unique<android::TextView>();
+  label->setFrame({20, 40, 200, 24});
+  label->setResourceId(resourceId);
+  label->setText(text);
+  root->addChild(std::move(label));
+  return root;
+}
+
+TEST(FingerprintTest, EveryStringTailAtEveryLength) {
+  // The hash reads a string as whole 8-byte words plus one tail word, which
+  // comes from three single bytes below 4 bytes, two 4-byte loads below 8
+  // and the last 8 bytes from 8 on. Lengths 0-40 reach every tail with 0-4
+  // whole words before it. At each length a one-byte change at any
+  // position, and an appended '\0', must move the fingerprint. The all-'\0'
+  // strings differ only in length, so they also show that the length is
+  // hashed.
+  using Probe = std::uint64_t (*)(const std::string&);
+  const std::pair<const char*, Probe> fields[] = {
+      {"resourceId",
+       [](const std::string& s) { return liveFingerprint(textScreen(s, "")); }},
+      {"text",
+       [](const std::string& s) {
+         return liveFingerprint(textScreen("label", s));
+       }},
+      {"virtualId",
+       [](const std::string& s) {
+         auto root = std::make_unique<android::View>();
+         auto web = std::make_unique<android::WebView>();
+         web->setFrame({0, 0, 300, 400});
+         android::VirtualNode page;
+         page.role = android::VirtualRole::kWebArea;
+         page.bounds = {0, 0, 300, 400};
+         android::VirtualNode button;
+         button.role = android::VirtualRole::kButton;
+         button.virtualId = s;
+         button.bounds = {260, 10, 30, 30};
+         page.children.push_back(std::move(button));
+         web->setPage(std::move(page));
+         root->addChild(std::move(web));
+         return liveFingerprint(std::move(root));
+       }},
+      {"className",
+       [](const std::string& s) {
+         android::UiDump dump = fieldProbeDump();
+         dump[1].className = s;
+         return android::WindowManager::fingerprint(dump);
+       }},
+  };
+  constexpr std::size_t kMaxLength = 40;
+  for (const auto& [field, probe] : fields) {
+    std::vector<std::string> misses;
+    for (std::size_t n = 0; n <= kMaxLength; ++n) {
+      std::string letters(n, 'a');
+      for (std::size_t i = 0; i < n; ++i) {
+        letters[i] = static_cast<char>('a' + i % 26);
+      }
+      for (const std::string& base : {letters, std::string(n, '\0')}) {
+        const std::string kind = base == letters ? "letters" : "zeros";
+        const std::uint64_t fingerprint = probe(base);
+        for (std::size_t i = 0; i < n; ++i) {
+          std::string changed = base;
+          changed[i] = static_cast<char>(changed[i] ^ 1);
+          if (probe(changed) == fingerprint) {
+            misses.push_back(kind + " length " + std::to_string(n) +
+                             ": byte " + std::to_string(i));
+          }
+        }
+        if (probe(base + '\0') == fingerprint) {
+          misses.push_back(kind + " length " + std::to_string(n) +
+                           ": appended '\\0'");
+        }
+      }
+    }
+    EXPECT_TRUE(misses.empty())
+        << field << ": " << misses.size() << " changes left the fingerprint, "
+        << "first: " << misses.front();
+  }
+}
+
+TEST(FingerprintTest, DeepNativeTreeWalksInPreOrder) {
+  // The walk keeps the children still to come on an explicit stack that
+  // starts at 16 levels and grows mid-walk. A 300-deep chain of views, each
+  // with a text leaf after its nested child (leaf 100 hidden, so it
+  // prunes), holds every level on the stack at once: the dump must list
+  // the chain, then the leaves from the deepest up, and the live walk must
+  // equal the dump's hash.
+  constexpr int kDepth = 300;
+  constexpr int kHidden = 100;
+  auto root = std::make_unique<android::View>();
+  android::View* view = root.get();
+  for (int k = 0; k < kDepth; ++k) {
+    android::View* next =
+        k + 1 < kDepth ? view->addChild(std::make_unique<android::View>())
+                       : nullptr;
+    auto leaf = std::make_unique<android::TextView>();
+    leaf->setText("leaf " + std::to_string(k));
+    leaf->setVisible(k != kHidden);
+    view->addChild(std::move(leaf));
+    view = next;
+  }
+  android::WindowManager wm;
+  wm.showAppWindow("com.app", std::move(root), false);
+  const android::UiDump dump = wm.dumpTopWindow();
+  ASSERT_EQ(dump.size(), std::size_t{2 * kDepth - 1});
+  std::size_t i = 0;
+  for (int k = 0; k < kDepth; ++k, ++i) {
+    ASSERT_EQ(dump[i].depth, k) << "chain view " << k;
+    ASSERT_TRUE(dump[i].text.empty()) << "chain view " << k;
+  }
+  for (int k = kDepth - 1; k >= 0; --k) {
+    if (k == kHidden) continue;
+    ASSERT_EQ(dump[i].text, "leaf " + std::to_string(k)) << "node " << i;
+    ASSERT_EQ(dump[i].depth, k + 1) << "node " << i;
+    ++i;
+  }
+  EXPECT_EQ(wm.topWindowFingerprint(),
+            android::WindowManager::fingerprint(dump));
 }
 
 /// Everything the fingerprint promises to see, as a byte string: equal
