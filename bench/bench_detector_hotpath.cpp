@@ -21,7 +21,8 @@
 // WindowManager::composite over generated screens and the FeatureMap build
 // over the bench frames, and the capture's opaque pixel fill
 // (Canvas::fillRect against std::fill over a 360x720 frame, as an in-run
-// ratio that scripts/ci.sh's perf floor gate reads). Results land in
+// ratio that scripts/ci.sh's perf floor gate reads), and a fresh thread's
+// first detect next to its second (reported, not gated). Results land in
 // BENCH_detector.json (throughput, ns/candidate, allocs/frame, layer ms)
 // for trend tracking. Its absolute times are each side's fastest round;
 // its speedups are the median per-round ratios.
@@ -33,6 +34,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "android/window_manager.h"
@@ -454,6 +456,37 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
+  // --- a fresh thread's first detect --------------------------------------
+  // Every Fleet::run() worker starts with empty per-thread arenas and an
+  // empty detect plan, so its first detect builds them. Each of kFreshThreads
+  // new threads times its first and its second detect of the first bench
+  // frame; the medians are reported, not gated. A first detect that costs
+  // several times the warm one points at state a thread pays for once (the
+  // FeatureMap constructor once left the upper YMM state dirty, and glibc's
+  // legacy-SSE hypotf then made each fresh plan cost ~10 ms).
+  constexpr int kFreshThreads = 5;
+  std::vector<double> firstDetectMs;
+  std::vector<double> warmDetectMs;
+  for (int t = 0; t < kFreshThreads; ++t) {
+    std::thread([&] {
+      for (int call = 0; call < 2; ++call) {
+        const auto t0 = std::chrono::steady_clock::now();
+        sink = sink + static_cast<float>(detector.detect(frames[0]).size());
+        const auto t1 = std::chrono::steady_clock::now();
+        (call == 0 ? firstDetectMs : warmDetectMs)
+            .push_back(
+                std::chrono::duration<double, std::milli>(t1 - t0).count());
+      }
+    }).join();
+  }
+  const double firstDetectMedianMs = median(firstDetectMs);
+  const double warmDetectMedianMs = median(warmDetectMs);
+  std::printf(
+      "\n  fresh thread, first frame (median of %d threads):\n"
+      "    first detect %7.2f ms\n"
+      "    second detect %6.2f ms\n",
+      kFreshThreads, firstDetectMedianMs, warmDetectMedianMs);
+
   // --- BENCH_detector.json -------------------------------------------------
   const std::string jsonPath = artifactPath("BENCH_detector.json");
   if (std::FILE* f = std::fopen(jsonPath.c_str(), "w")) {
@@ -488,12 +521,15 @@ int main(int argc, char** argv) {
         "  \"detect_scalar_ms_per_image\": %.3f,\n"
         "  \"detect_batched_ms_per_image\": %.3f,\n"
         "  \"detect_speedup\": %.3f,\n"
+        "  \"fresh_thread_first_detect_ms\": %.3f,\n"
+        "  \"fresh_thread_warm_detect_ms\": %.3f,\n"
         "  \"steady_state_allocs_per_frame\": %.4f,\n"
         "  \"steady_state_scratch_growths\": %lld\n"
         "}\n",
         compositeMsPerScreen, featureMapMsPerImage, stdFillUsPerFrame,
         canvasFillUsPerFrame, fillSpeedup, scalarDetectMs / detectImages,
-        batchedDetectMs / detectImages, detectSpeedup, allocsPerFrame,
+        batchedDetectMs / detectImages, detectSpeedup, firstDetectMedianMs,
+        warmDetectMedianMs, allocsPerFrame,
         static_cast<long long>(steadyGrowths));
     std::fclose(f);
     std::printf("  wrote %s\n", jsonPath.c_str());

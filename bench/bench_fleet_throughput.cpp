@@ -7,7 +7,11 @@
 // WebView-share stage mix. The W=1 256-session row also reports the share
 // of view blocks its thread's view block cache reused, and a walk row per
 // screen kind times topWindowFingerprint() per node on fresh windows of
-// the shared population's generated screens (reported, not gated).
+// the shared population's generated screens (reported, not gated). Two
+// more rows time SharedVerdictTier::find hits on a populated tier from 1
+// and from 4 threads, and read the heap per session of a shared-population
+// fleet before its run and at its horizon, by mallinfo2 (both reported,
+// not gated).
 //
 // Gates (exit nonzero on failure), each on an exact or roomy quantity:
 //  1. The 256-session digest (fig8 counts, stats, ledger cpuMs, Table VII)
@@ -29,8 +33,12 @@
 //     it. Each session's walks follow from its own event stream, so the
 //     value is exact at any W.
 // Emits every row to BENCH_fleet.json (next to the binary): the fleet rows
-// under "samples", the walk rows under "fingerprint_walks".
+// under "samples", the walk rows under "fingerprint_walks", the tier find
+// rows under "tier_finds" and the heap per session under "session_heap".
+#include <malloc.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -354,11 +362,144 @@ WalkSample timeFingerprintWalks(const char* screens, bool aui) {
   return sample;
 }
 
+// ------------------------------------------------ tier finds, session heap
+
+/// SharedVerdictTier::find hits from `threads` threads at once.
+struct FindSample {
+  int threads = 0;
+  int records = 0;
+  int findsPerThread = 0;
+  double nsPerFind = 0.0;  ///< Fastest round's mean over threads.
+};
+
+/// Times find() hits on a tier holding 128 records, about what the
+/// fleet-shared workload's L2 holds (115-130): one in four an AUI verdict
+/// with two detections, the rest empty. Each thread probes every key in
+/// turn from its own offset; the fastest of kFindRounds rounds is reported.
+FindSample timeTierFinds(int threads) {
+  constexpr int kRecords = 128;
+  constexpr int kFindRounds = 7;
+  const int finds = scaled(400'000, 100'000);
+  core::SharedVerdictTier tier;
+  Rng rng(77);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < kRecords; ++i) {
+    keys.push_back(rng.next());
+    core::VerdictCache::Entry record{i % 4 == 0, {}};
+    if (record.isAui) {
+      record.detections.assign(
+          2, cv::Detection{{10, 50, 60, 24}, dataset::BoxLabel::kUpo, 0.9f});
+    }
+    tier.publish(keys.back(), std::move(record));
+  }
+  FindSample sample{threads, kRecords, finds, 0.0};
+  for (int round = 0; round < kFindRounds; ++round) {
+    std::vector<double> ns(static_cast<std::size_t>(threads), 0.0);
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::atomic<std::int64_t> served{0};
+    {
+      std::vector<std::jthread> pool;
+      for (int t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          ready.fetch_add(1);
+          while (!go.load(std::memory_order_acquire)) {
+          }
+          std::int64_t hits = 0;
+          const auto t0 = std::chrono::steady_clock::now();
+          for (int i = 0; i < finds; ++i) {
+            hits += tier.find(keys[static_cast<std::size_t>(
+                                    (i + 31 * t) % kRecords)])
+                        .has_value();
+          }
+          const auto t1 = std::chrono::steady_clock::now();
+          ns[static_cast<std::size_t>(t)] =
+              std::chrono::duration<double, std::nano>(t1 - t0).count() /
+              finds;
+          served.fetch_add(hits);
+        });
+      }
+      while (ready.load() < threads) {
+      }
+      go.store(true, std::memory_order_release);
+    }
+    if (served.load() != static_cast<std::int64_t>(threads) * finds) {
+      std::printf("  warning: %lld of %lld finds missed\n",
+                  static_cast<long long>(
+                      static_cast<std::int64_t>(threads) * finds -
+                      served.load()),
+                  static_cast<long long>(
+                      static_cast<std::int64_t>(threads) * finds));
+    }
+    double mean = 0.0;
+    for (const double v : ns) mean += v / threads;
+    if (round == 0 || mean < sample.nsPerFind) sample.nsPerFind = mean;
+  }
+  std::printf("  %-8d %8d %14d %12.1f\n", sample.threads, sample.records,
+              sample.findsPerThread, sample.nsPerFind);
+  std::fflush(stdout);
+  return sample;
+}
+
+/// Heap in use, every arena: small chunks plus mmapped ones.
+std::int64_t heapInUseBytes() {
+  const struct mallinfo2 m = ::mallinfo2();
+  return static_cast<std::int64_t>(m.uordblks + m.hblkhd);
+}
+
+struct SessionHeapSample {
+  int sessions = 0;
+  double unbuiltKb = 0.0;   ///< Per session, after construction.
+  double finishedKb = 0.0;  ///< Per session, after the run.
+};
+
+/// The heap a shared-population fleet with the tier on (the perfbench
+/// fleet-shared shape) holds per session once constructed, before any
+/// phone is built, and once every session has run and released its phone.
+/// The run uses worker threads, whose per-thread caches end with them.
+SessionHeapSample measureSessionHeap(const cv::Detector& detector,
+                                     int sessions) {
+  fleet::FleetConfig config =
+      fleetConfig(sessions, fleetWorkers(), ms(scaled(2000, 500)));
+  config.sessionTweak = sharedPopulation(/*apps=*/8);
+  config.sharedVerdictTier = true;
+  const std::int64_t before = heapInUseBytes();
+  fleet::Fleet fleet(detector, config);
+  const std::int64_t constructed = heapInUseBytes();
+  fleet.run();
+  const std::int64_t finished = heapInUseBytes();
+  SessionHeapSample sample;
+  sample.sessions = sessions;
+  sample.unbuiltKb =
+      static_cast<double>(constructed - before) / 1024.0 / sessions;
+  sample.finishedKb =
+      static_cast<double>(finished - before) / 1024.0 / sessions;
+  std::printf("  %-8d %16.3f %18.3f\n", sample.sessions, sample.unbuiltKb,
+              sample.finishedKb);
+  std::fflush(stdout);
+  return sample;
+}
+
 void writeJson(const std::vector<Sample>& samples,
-               const std::vector<WalkSample>& walkRows, const char* path) {
+               const std::vector<WalkSample>& walkRows,
+               const std::vector<FindSample>& findRows,
+               const SessionHeapSample& heap, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"fingerprint_walks\": [\n");
+  std::fprintf(f, "{\n  \"session_heap\": {\"sessions\": %d, "
+                  "\"unbuilt_kb_per_session\": %.3f, "
+                  "\"finished_kb_per_session\": %.3f},\n",
+               heap.sessions, heap.unbuiltKb, heap.finishedKb);
+  std::fprintf(f, "  \"tier_finds\": [\n");
+  for (std::size_t i = 0; i < findRows.size(); ++i) {
+    const FindSample& r = findRows[i];
+    std::fprintf(f,
+                 "    {\"threads\": %d, \"records\": %d, "
+                 "\"finds_per_thread\": %d, \"l2_find_ns\": %.2f}%s\n",
+                 r.threads, r.records, r.findsPerThread, r.nsPerFind,
+                 i + 1 < findRows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"fingerprint_walks\": [\n");
   for (std::size_t i = 0; i < walkRows.size(); ++i) {
     const WalkSample& w = walkRows[i];
     std::fprintf(f,
@@ -523,7 +664,23 @@ int main(int argc, char** argv) {
   const std::vector<WalkSample> walkRows = {
       timeFingerprintWalks("benign", false), timeFingerprintWalks("aui", true)};
 
-  writeJson(samples, walkRows, artifactPath("BENCH_fleet.json").c_str());
+  // The shared tier's read path on its own: find() hits, 1 and 4 threads.
+  printHeader("Shared verdict tier: find() hits on a populated tier");
+  std::printf("  %-8s %8s %14s %12s\n", "threads", "records", "finds/thread",
+              "ns/find");
+  const std::vector<FindSample> findRows = {timeTierFinds(1),
+                                            timeTierFinds(4)};
+
+  // What a session costs the heap before its phone exists and after it
+  // has been released.
+  printHeader("Heap per session: shared population, tier on (mallinfo2)");
+  std::printf("  %-8s %16s %18s\n", "sessions", "unbuilt KB/sess",
+              "finished KB/sess");
+  const SessionHeapSample heap =
+      measureSessionHeap(detector, scaled(8192, 2048));
+
+  writeJson(samples, walkRows, findRows, heap,
+            artifactPath("BENCH_fleet.json").c_str());
 
   bool failed = false;
   // Gate 1: the worker count never reaches the paper-facing outputs.

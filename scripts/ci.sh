@@ -97,8 +97,10 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # ThreadSanitizer lane over the tests that actually exercise threads: the
   # fleet driver (W=4 workers claiming whole sessions from one atomic
   # counter, with a straggler session and with fewer sessions than
-  # workers, the W=1 serial reference beside them), the verdict tier,
-  # whose one lock four threads hammer and W=4 tiered fleets take, the
+  # workers, the W=1 serial reference beside them), the sessions whose
+  # phones a worker builds (or this thread, before the run), the verdict
+  # tier (lock-free readers racing publishers that replace and evict
+  # records, and W=4 tiered fleets), the
   # mutex owner-check death tests, whose unlock case reads the owner from
   # a second thread, and the view block cache, whose per-thread free
   # lists take views built on one thread and freed on another.
@@ -112,7 +114,7 @@ if [ "${SKIP_SANITIZE:-0}" != "1" ]; then
   # the virtual-subtree code must be as race-clean as the native path.
   TSAN_OPTIONS=halt_on_error=1 \
     ctest_suites build-tsan \
-      'FleetTest|FleetSchedulerTest|SharedVerdictTierTest|MutexDeathTest|ViewBlockCacheTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
+      'FleetTest|FleetSchedulerTest|DeviceSessionTest|SharedVerdictTierTest|MutexDeathTest|ViewBlockCacheTest|WebViewTest|VirtualFingerprintPropertyTest|VirtualLintTraversalTest'
 else
   SKIPPED+=("ASan+UBSan and TSan lanes (SKIP_SANITIZE=1)")
 fi

@@ -27,13 +27,11 @@ namespace darpa::core {
 /// `capacity`; every find hit and every put stamps its slot from a
 /// per-cache counter, so the slot with the smallest stamp is always the
 /// least recently used one. A linear scan is the whole index: a session
-/// holds a few dozen screens at most, and the fleet tier a few hundred.
+/// holds a few dozen screens at most.
 ///
-/// No lock here. As the L1 it is session-confined, like the service that
-/// owns it (CONFINED_TO below): one cache per DeviceSession, touched only
-/// by the thread advancing that session. The fleet-wide SharedVerdictTier
-/// (verdict_tier.h) is one more VerdictCache, held behind the tier's lock:
-/// the L2, probed on L1 miss and refilled into L1 by promotion.
+/// No lock here. It is the session's L1 and session-confined, like the
+/// service that owns it (CONFINED_TO below): one cache per DeviceSession,
+/// touched only by the thread advancing that session.
 class VerdictCache {
  public:
   struct Entry {

@@ -7,6 +7,10 @@
 #include <tuple>
 #include <utility>
 
+#ifdef __AVX__
+#include <immintrin.h>
+#endif
+
 namespace darpa::cv {
 
 int ChannelSet::count() const {
@@ -338,6 +342,21 @@ FeatureMap::FeatureMap(const gfx::Bitmap& screenshot, ChannelSet channels,
       for (int x = 0; x < w; ++x) vsum[x] += add[x] - drop[x];
     }
   }
+
+#ifdef __AVX__
+  // Leave the 256-bit loops above with the upper YMM halves clean. GCC 12
+  // inserts no vzeroupper before a call whose callee it knows, through
+  // -fipa-ra, to preserve some SSE registers, yet treats the state after
+  // that call as clean. boxMean's toCells and integralSum calls below are
+  // such calls, so at -O3 this constructor returned with XINUSE bit 2 set
+  // (0x2a6 against 0x2a2 before it; -fno-ipa-ra also cleared it), and
+  // every legacy-SSE libm call after it paid a state transition. On the
+  // 4-core AVX-512 host glibc's hypotf then took 160-280 ns a call instead
+  // of 4-18 ns, and the 6,484 geometry blocks of a fresh thread's detect
+  // plan 8.6-10.0 ms instead of 0.43-0.50 ms.
+  // FeatureMapTest.ConstructorLeavesUpperYmmClean checks it.
+  _mm256_zeroupper();
+#endif
 
   // Map-constant context cues, cached once: per-channel global means and the
   // center-vs-surround luma difference. These are the exact values the

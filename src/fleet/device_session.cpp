@@ -22,11 +22,13 @@ std::int64_t coveredExposures(const std::vector<apps::AuiExposure>& exposures,
 
 }  // namespace
 
-DeviceSession::Phone::Phone(const cv::Detector& detector, Config sessionConfig)
+DeviceSession::Phone::Phone(const cv::Detector& detector, Config sessionConfig,
+                            Listener listener)
     : config(std::move(sessionConfig)),
       service(detector, config.darpa),
       app(system, config.profile, config.appSeed),
-      monkey(system, config.monkeySeed) {
+      monkey(system, config.monkeySeed),
+      userListener(std::move(listener)) {
   system.accessibility.connect(service);
   // The scoring listener records the positive-verdict timeline (Fig.-8
   // coverage needs it) and forwards to the harness's listener, exactly
@@ -40,9 +42,39 @@ DeviceSession::Phone::Phone(const cv::Detector& detector, Config sessionConfig)
 
 DeviceSession::DeviceSession(const cv::Detector& detector, Config config)
     : id_(config.id),
-      phone_(std::make_unique<Phone>(detector, std::move(config))) {}
+      detector_(&detector),
+      blueprint_(std::make_unique<Blueprint>(
+          Blueprint{.config = std::move(config), .listener = {}})) {}
 
 DeviceSession::~DeviceSession() = default;
+
+DeviceSession::Phone& DeviceSession::buildPhone(const char* accessor) {
+  if (blueprint_ == nullptr) phoneReleased(accessor);
+  phone_ = std::make_unique<Phone>(*detector_, std::move(blueprint_->config),
+                                   std::move(blueprint_->listener));
+  blueprint_.reset();
+  return *phone_;
+}
+
+void DeviceSession::setAnalysisListener(Listener listener) {
+  if (blueprint_ != nullptr) {
+    blueprint_->listener = std::move(listener);
+  } else {
+    phone("setAnalysisListener").userListener = std::move(listener);
+  }
+}
+
+Millis DeviceSession::now() const {
+  if (phone_ != nullptr) return phone_->system.clock.now();
+  return settled_ != nullptr ? settled_->horizon : Millis{0};
+}
+
+const core::WorkLedger& DeviceSession::ledger() const {
+  if (phone_ != nullptr) return phone_->service.ledger();
+  if (settled_ != nullptr) return settled_->ledger;
+  static const core::WorkLedger kUnbuilt;
+  return kUnbuilt;
+}
 
 void DeviceSession::runToCompletion() {
   Phone& p = phone("runToCompletion");
@@ -64,26 +96,31 @@ void DeviceSession::runToCompletion() {
   phone_.reset();
 }
 
+// The scoring counts: the live phone's, the settled record's, or a fresh
+// phone's zeros before the build.
+
 std::int64_t DeviceSession::eventsEmitted() const {
-  return phone_ != nullptr ? phone_->system.accessibility.totalEmitted()
-                           : settled_->eventsEmitted;
+  if (phone_ != nullptr) return phone_->system.accessibility.totalEmitted();
+  return settled_ != nullptr ? settled_->eventsEmitted : 0;
 }
 
 std::int64_t DeviceSession::fingerprintWalks() const {
-  return phone_ != nullptr ? phone_->system.windowManager.fingerprintWalks()
-                           : settled_->fingerprintWalks;
+  if (phone_ != nullptr) return phone_->system.windowManager.fingerprintWalks();
+  return settled_ != nullptr ? settled_->fingerprintWalks : 0;
 }
 
 std::int64_t DeviceSession::auiExposures() const {
-  return phone_ != nullptr
-             ? static_cast<std::int64_t>(phone_->app.exposures().size())
-             : settled_->auiExposures;
+  if (phone_ != nullptr) {
+    return static_cast<std::int64_t>(phone_->app.exposures().size());
+  }
+  return settled_ != nullptr ? settled_->auiExposures : 0;
 }
 
 std::int64_t DeviceSession::auisCovered() const {
-  return phone_ != nullptr ? coveredExposures(phone_->app.exposures(),
-                                              phone_->positiveAnalyses)
-                           : settled_->auisCovered;
+  if (phone_ != nullptr) {
+    return coveredExposures(phone_->app.exposures(), phone_->positiveAnalyses);
+  }
+  return settled_ != nullptr ? settled_->auisCovered : 0;
 }
 
 void DeviceSession::phoneReleased(const char* accessor) const {

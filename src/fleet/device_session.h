@@ -7,10 +7,18 @@
 // fleet architecture needs that world to be a value you can make N of, so
 // DeviceSession owns the whole stack with the right lifetimes, and the
 // Fig.-8 scoring (positive-analysis timeline -> AUI exposure coverage) is
-// built in. Its lifecycle is construct -> run -> settle -> release:
+// built in. Its lifecycle is configure -> build -> run -> settle -> release:
 //
-//  * construct: the constructor builds and wires the phone. Listeners and
-//    extra accessibility services go on it before the run.
+//  * configure: the constructor stores the Config and builds nothing. An
+//    analysis listener set now is kept until the phone is built. Until then
+//    stats(), ledger() and the scoring accessors read what a fresh phone
+//    would (zeros, an empty ledger) and now() reads 0.
+//  * build: runToCompletion() builds the phone on the thread that runs it,
+//    so in a Fleet one worker's heap allocates, runs and frees it. A
+//    harness that needs the phone before the run (to connect an extra
+//    accessibility service) calls system(), service() or app(), which
+//    build it on the calling thread. Construction reads only the Config and
+//    the detector reference, so who builds a phone changes no digest.
 //  * run: runToCompletion() schedules the workload and plays it to the
 //    horizon.
 //  * settle: at the horizon the session copies what its readers need (the
@@ -19,8 +27,9 @@
 //  * release: it then destroys the phone, on the thread that ran it, so a
 //    finished session holds its counters, not its view trees, caches and
 //    tasks. stats(), ledger() and the scoring accessors read the settled
-//    record from then on; system(), service() and app() abort, naming the
-//    session, and now() returns the horizon.
+//    record from then on; system(), service(), app() and
+//    setAnalysisListener() abort, naming the session, and now() returns the
+//    horizon.
 //
 // Thread ownership: during Fleet::run() a session is confined to the one
 // worker thread that claimed it; the worker's start and join are the only
@@ -57,21 +66,26 @@ class DeviceSession {
     int monkeyMaxGapMs = 4000;
   };
 
+  using Listener =
+      std::function<void(bool isAui, const std::vector<cv::Detection>&)>;
+
   /// The detector is borrowed and must outlive the session (fleets share
-  /// one across every session).
+  /// one across every session). Builds nothing yet (see the lifecycle).
   DeviceSession(const cv::Detector& detector, Config config);
   ~DeviceSession();
 
   DeviceSession(const DeviceSession&) = delete;
   DeviceSession& operator=(const DeviceSession&) = delete;
 
-  /// Schedules the app session (and monkey) on the looper, runs every
-  /// task due within `duration` of now, then settles the session's counts
-  /// and releases the phone. Call once: a second call aborts.
+  /// Builds the phone if nothing has yet, schedules the app session (and
+  /// monkey) on the looper, runs every task due within `duration` of now,
+  /// then settles the session's counts and releases the phone. Call once: a
+  /// second call aborts.
   void runToCompletion();
 
-  // --- the phone: from construction until runToCompletion() returns --------
-  // Each accessor aborts, naming the session, once the phone is released.
+  // --- the phone: until runToCompletion() returns -----------------------------
+  // Before the run each accessor builds the phone on the calling thread;
+  // after it each aborts, naming the session.
   [[nodiscard]] android::AndroidSystem& system() {
     return phone("system").system;
   }
@@ -82,25 +96,18 @@ class DeviceSession {
 
   /// Forwarded analysis listener (the session keeps its own scoring
   /// listener installed on the service; this one is called after it). Set
-  /// it before the run.
-  void setAnalysisListener(
-      std::function<void(bool isAui, const std::vector<cv::Detection>&)>
-          listener) {
-    phone("setAnalysisListener").userListener = std::move(listener);
-  }
+  /// it before the run; it does not build the phone.
+  void setAnalysisListener(Listener listener);
 
   // --- always readable --------------------------------------------------------
   [[nodiscard]] int id() const { return id_; }
-  /// The simulated time; the horizon once the session has run.
-  [[nodiscard]] Millis now() const {
-    return phone_ != nullptr ? phone_->system.clock.now() : settled_->horizon;
-  }
+  /// The simulated time: 0 before the phone is built, the horizon once the
+  /// session has run.
+  [[nodiscard]] Millis now() const;
   [[nodiscard]] const core::DarpaStats& stats() const {
     return ledger().counts();
   }
-  [[nodiscard]] const core::WorkLedger& ledger() const {
-    return phone_ != nullptr ? phone_->service.ledger() : settled_->ledger;
-  }
+  [[nodiscard]] const core::WorkLedger& ledger() const;
 
   // --- built-in scoring -----------------------------------------------------
   /// Accessibility events the simulated apps emitted so far.
@@ -119,7 +126,8 @@ class DeviceSession {
   /// removes decorations through the still-alive window manager), then the
   /// Android system.
   struct Phone {
-    Phone(const cv::Detector& detector, Config sessionConfig);
+    Phone(const cv::Detector& detector, Config sessionConfig,
+          Listener listener);
 
     Config config;
     android::AndroidSystem system;
@@ -128,7 +136,14 @@ class DeviceSession {
     apps::MonkeyDriver monkey;
     /// Simulated instants of every AUI-positive analysis verdict.
     std::vector<Millis> positiveAnalyses;
-    std::function<void(bool, const std::vector<cv::Detection>&)> userListener;
+    Listener userListener;
+  };
+
+  /// What the phone is built from: the Config and any listener set before
+  /// the build.
+  struct Blueprint {
+    Config config;
+    Listener listener;
   };
 
   /// What the readers need once the phone is gone. Allocated at the
@@ -142,17 +157,20 @@ class DeviceSession {
     std::int64_t fingerprintWalks = 0;
   };
 
-  /// The live phone; aborts, naming the session and `accessor`, once it
-  /// has been released.
+  /// The live phone, built from the blueprint if it is not yet; aborts,
+  /// naming the session and `accessor`, once it has been released.
   [[nodiscard]] Phone& phone(const char* accessor) {
-    if (phone_ == nullptr) [[unlikely]] phoneReleased(accessor);
+    if (phone_ == nullptr) [[unlikely]] return buildPhone(accessor);
     return *phone_;
   }
+  [[nodiscard]] Phone& buildPhone(const char* accessor);
   [[noreturn]] void phoneReleased(const char* accessor) const;
 
   int id_;
-  /// Exactly one of the two is set: the phone until the horizon, the
-  /// settled record after it.
+  const cv::Detector* detector_;
+  /// Exactly one of the three is set: the blueprint until the phone is
+  /// built, the phone until the horizon, the settled record after it.
+  std::unique_ptr<Blueprint> blueprint_;
   std::unique_ptr<Phone> phone_;
   std::unique_ptr<const Settled> settled_;
 };

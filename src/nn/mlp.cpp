@@ -50,9 +50,10 @@ namespace {
 // column-major, which is the next layer's input tile) and writes only the
 // logits back row-major. A partial last tile pads its unused rows with zero
 // lanes whose results are dropped. Within a layer a register block holds U
-// output units x V row vectors, U * V = 8 accumulators, so one load of a
+// output units x V row vectors, up to 8 accumulators, so one load of a
 // tile column feeds U units: 4 units, then 2 and 1 for unit counts that are
-// not a multiple of 4 (4 x 16, 2 x 32 and 1 x 64 rows with 256-bit vectors).
+// not a multiple of 4 (4 x 16, 2 x 32 and 1 x 64 rows with 256-bit vectors;
+// 4 x 32, 2 x 64 and 1 x 64 with 512-bit ones, where V stops at one tile).
 //
 // Bit-exactness: every SIMD lane carries one (row, unit) chain in the
 // scalar order of denseRow() -- bias first, then + w[j][i] * x[i] for
@@ -61,15 +62,27 @@ namespace {
 // width only reorder independent chains, so every output is bit-identical
 // to forward().
 //
-// 256-bit vectors where the target has AVX (the default -march=native
-// build); 128-bit ones elsewhere, e.g. a -DDARPA_NATIVE_SIMD=OFF x86-64
-// build, where GCC would keep 256-bit vectors in memory.
-#ifdef __AVX__
+// 512-bit vectors where the target has AVX-512F, 256-bit ones where it has
+// AVX (the default -march=native build picks whichever the host has), and
+// 128-bit ones elsewhere, e.g. a -DDARPA_NATIVE_SIMD=OFF x86-64 build, where
+// GCC would keep wider vectors in memory.
+#if defined(__AVX512F__)
+constexpr int kLanes = 16;
+#elif defined(__AVX__)
 constexpr int kLanes = 8;
 #else
 constexpr int kLanes = 4;
 #endif
 using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+/// Row vectors per step for a U-unit block: 8 accumulators, but never more
+/// rows than one tile holds.
+constexpr int vectorsFor(int units) {
+  return std::min(8 / units, kForwardTileRows / kLanes);
+}
+static_assert(kForwardTileRows % (vectorsFor(1) * kLanes) == 0 &&
+              kForwardTileRows % (vectorsFor(2) * kLanes) == 0 &&
+              kForwardTileRows % (vectorsFor(4) * kLanes) == 0);
 
 /// Units [j0, j0 + U) over every row of a tile, V vectors of rows at a time.
 /// The unroll pragmas matter: GCC at -O2 leaves these constant-trip loops
@@ -128,13 +141,13 @@ void denseTile(const DenseLayer& layer, const float* in, float* out,
                bool relu) {
   int j = 0;
   for (; j + 4 <= layer.outSize; j += 4) {
-    denseBlock<4, 2>(layer, j, in, out, relu);
+    denseBlock<4, vectorsFor(4)>(layer, j, in, out, relu);
   }
   if (j + 2 <= layer.outSize) {
-    denseBlock<2, 4>(layer, j, in, out, relu);
+    denseBlock<2, vectorsFor(2)>(layer, j, in, out, relu);
     j += 2;
   }
-  if (j < layer.outSize) denseBlock<1, 8>(layer, j, in, out, relu);
+  if (j < layer.outSize) denseBlock<1, vectorsFor(1)>(layer, j, in, out, relu);
 }
 
 /// One row through a dense layer, the plain dot product in the order each

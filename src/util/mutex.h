@@ -1,9 +1,10 @@
 // util::Mutex — a std::mutex that knows its holder, annotated for Clang's
 // thread-safety analysis.
 //
-// The runtime's one lock is the fleet-wide shared verdict tier's
-// (core/verdict_tier.h), and it is a leaf: nothing is called while it is
-// held, so there is no acquisition order to check. Two misuses remain: a
+// The runtime's one lock is the fleet-wide shared verdict tier's writer
+// lock (core/verdict_tier.h; its readers take none), and it is a leaf:
+// nothing is called while it is held, so there is no acquisition order to
+// check. Two misuses remain: a
 // thread locking the mutex it already holds (a std::mutex then hangs, and
 // TSan does not report a same-thread re-lock) and a thread unlocking a
 // mutex it does not hold (undefined behaviour). Mutex stores its holder's

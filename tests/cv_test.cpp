@@ -25,6 +25,13 @@
 #include "per_candidate_detect.h"
 #include "util/rng.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+#ifdef __AVX__
+#include <immintrin.h>
+#endif
+
 namespace darpa::cv {
 namespace {
 
@@ -89,6 +96,50 @@ TEST(FeatureMapTest, CenterSurroundDetectsDarkSurround) {
   bmp.fillRect({20, 40, 40, 80}, colors::kWhite);  // bright center panel
   const FeatureMap map(bmp, ChannelSet::all(), 2);
   EXPECT_GT(map.centerSurroundLuma(), 0.3f);
+}
+
+#if defined(__x86_64__)
+/// XINUSE bit 2: the upper halves of YMM0-15 may be non-zero. While it is
+/// set, every legacy-SSE instruction (glibc's hypotf, say) pays an AVX
+/// state transition.
+bool upperYmmDirty() {
+  std::uint32_t lo = 0, hi = 0;
+  asm volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & (1u << 2)) != 0;
+}
+
+bool xgetbvReadsXinuse() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_OSXSAVE) == 0) {
+    return false;
+  }
+  // CPUID.(EAX=0DH, ECX=1):EAX[2]: XGETBV with ECX=1 is supported.
+  return __get_cpuid_count(0xd, 1, &a, &b, &c, &d) != 0 && (a & (1u << 2)) != 0;
+}
+#endif
+
+// The FeatureMap constructor's vectorized loops must not leave the upper
+// YMM state dirty behind it (see the vzeroupper comment in features.cpp).
+// The leak appeared only under -O3, so ci.sh's Release lane runs this suite
+// too.
+TEST(FeatureMapTest, ConstructorLeavesUpperYmmClean) {
+#if defined(__x86_64__)
+  if (!xgetbvReadsXinuse()) GTEST_SKIP() << "no XGETBV with ECX=1";
+  gfx::Bitmap bmp(360, 720, colors::kWhite);
+  for (int i = 0; i < 12; ++i) {
+    bmp.fillRect({(i * 53) % 300, i * 57, 40 + i * 3, 30},
+                 Color::rgb(static_cast<std::uint8_t>(i * 20), 90, 200));
+  }
+#ifdef __AVX__
+  _mm256_zeroupper();
+#endif
+  if (upperYmmDirty()) GTEST_SKIP() << "upper YMM state dirty before the call";
+  const FeatureMap map(bmp);
+  EXPECT_FALSE(upperYmmDirty());
+  EXPECT_GT(map.globalMean(Channel::kLuma), 0.0f);
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
 }
 
 TEST(CandidateFeaturesTest, DimensionMatchesConstant) {

@@ -1,15 +1,17 @@
 // Fleet-scale tests: the synchronous detect path, fleet-of-1 equivalence
-// with the hand-wired harness, the phone's release at the horizon,
-// determinism across worker counts and runs, and a cancel-heavy Looper run
-// that leaves nothing behind.
+// with the hand-wired harness, a session before its phone is built, the
+// phone's release at the horizon, determinism across worker counts and
+// runs, and a cancel-heavy Looper run that leaves nothing behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "android/accessibility.h"
 #include "android/looper.h"
 #include "android/system.h"
 #include "android/view.h"
@@ -131,6 +133,120 @@ TEST(FleetTest, DeviceSessionMatchesHandWiredHarness) {
   EXPECT_EQ(device.now(), length);
 }
 
+// ------------------------------------------------ before the phone is built
+
+DeviceSession::Config sessionConfig(int id) {
+  Rng rng(900 + static_cast<std::uint64_t>(id));
+  DeviceSession::Config config;
+  config.id = id;
+  config.profile = apps::randomAppProfile("com.app.lazy", rng);
+  config.appSeed = rng.next();
+  config.monkeySeed = rng.next();
+  config.duration = ms(6000);
+  return config;
+}
+
+/// Counts every event its manager delivers to it.
+class EventCounter final : public android::AccessibilityService {
+ public:
+  void onAccessibilityEvent(const android::AccessibilityEvent&) override {
+    ++events;
+  }
+  std::int64_t events = 0;
+};
+
+// Until the phone is built a session reads as a fresh phone would: zero
+// counts, an empty ledger and time 0, the same values a built but unrun
+// phone reads.
+TEST(DeviceSessionTest, UnbuiltSessionReadsLikeAFreshPhone) {
+  StubDetector detector;
+  const DeviceSession unbuilt(detector, sessionConfig(1));
+  DeviceSession built(detector, sessionConfig(1));
+  (void)built.system();
+
+  for (const DeviceSession* session :
+       std::array<const DeviceSession*, 2>{&unbuilt, &built}) {
+    EXPECT_EQ(session->stats(), core::DarpaStats{});
+    EXPECT_EQ(session->ledger().counts(), core::DarpaStats{});
+    EXPECT_EQ(session->ledger().tally(core::Stage::kDetect).runs, 0);
+    EXPECT_EQ(session->ledger().totalCpuMs(), 0.0);
+    EXPECT_EQ(session->now(), Millis{0});
+    EXPECT_EQ(session->eventsEmitted(), 0);
+    EXPECT_EQ(session->fingerprintWalks(), 0);
+    EXPECT_EQ(session->auiExposures(), 0);
+    EXPECT_EQ(session->auisCovered(), 0);
+  }
+  EXPECT_EQ(detector.calls(), 0);
+}
+
+// A listener set before the run is kept until the run builds the phone,
+// and then hears every analysis.
+TEST(DeviceSessionTest, ListenerSetBeforeTheRunFires) {
+  StubDetector detector;
+  DeviceSession session(detector, sessionConfig(2));
+  std::int64_t heard = 0;
+  std::int64_t positives = 0;
+  session.setAnalysisListener(
+      [&](bool isAui, const std::vector<cv::Detection>& detections) {
+        ++heard;
+        positives += isAui;
+        EXPECT_EQ(isAui, !detections.empty());
+      });
+  session.runToCompletion();
+
+  EXPECT_GT(heard, 0);
+  EXPECT_EQ(heard, session.stats().analysesRun);
+  EXPECT_EQ(positives, session.stats().auisFlagged);
+}
+
+// system() before the run builds the phone on the calling thread; a service
+// connected there hears the session's events, and the session counts as
+// one whose phone the run built.
+TEST(DeviceSessionTest, SystemBeforeTheRunBuildsThePhone) {
+  StubDetector detector;
+  DeviceSession lazy(detector, sessionConfig(3));
+  lazy.runToCompletion();
+
+  DeviceSession early(detector, sessionConfig(3));
+  EventCounter counter;
+  early.system().accessibility.connect(counter);
+  early.runToCompletion();
+
+  EXPECT_GT(counter.events, 0);
+  EXPECT_EQ(early.stats(), lazy.stats());
+  EXPECT_EQ(early.eventsEmitted(), lazy.eventsEmitted());
+  EXPECT_EQ(early.fingerprintWalks(), lazy.fingerprintWalks());
+  EXPECT_EQ(early.auisCovered(), lazy.auisCovered());
+  EXPECT_DOUBLE_EQ(early.ledger().totalCpuMs(), lazy.ledger().totalCpuMs());
+}
+
+// Who builds a phone changes nothing: a W=4 fleet whose even sessions were
+// built on this thread before the run digests like one built by its workers.
+TEST(DeviceSessionTest, PhonesBuiltBeforeTheRunDigestLikeLazyOnes) {
+  StubDetector detector;
+  FleetConfig config;
+  config.sessions = 16;
+  config.workers = 4;
+  config.duration = ms(3000);
+  Fleet lazy(detector, config);
+  lazy.run();
+
+  Fleet early(detector, config);
+  for (int i = 0; i < early.sessionCount(); i += 2) {
+    (void)early.session(i).service();
+  }
+  early.run();
+
+  const FleetSnapshot a = lazy.snapshot();
+  const FleetSnapshot b = early.snapshot();
+  EXPECT_GT(a.ledger.counts().analysesRun, 0);
+  EXPECT_EQ(a.ledger.counts(), b.ledger.counts());
+  EXPECT_DOUBLE_EQ(a.ledger.totalCpuMs(), b.ledger.totalCpuMs());
+  EXPECT_EQ(a.eventsEmitted, b.eventsEmitted);
+  EXPECT_EQ(a.auisCovered, b.auisCovered);
+  EXPECT_EQ(a.fingerprintWalks, b.fingerprintWalks);
+}
+
 // --------------------------------------------------- release at horizon
 
 // At the horizon the session settles its counts and releases the phone:
@@ -153,6 +269,23 @@ TEST(DeviceSessionDeathTest, PhoneAccessorsAbortAfterTheRun) {
   EXPECT_DEATH((void)device.service(), "DeviceSession 7: service\\(\\) after");
   EXPECT_DEATH((void)device.app(), "DeviceSession 7: app\\(\\) after");
   EXPECT_DEATH(device.runToCompletion(), "DeviceSession 7: runToCompletion");
+}
+
+// A session whose phone the run itself built releases it the same way.
+TEST(DeviceSessionDeathTest, LazilyBuiltPhoneAbortsAfterTheRun) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  StubDetector detector;
+  DeviceSession device(detector, sessionConfig(8));
+  device.runToCompletion();
+
+  EXPECT_EQ(device.now(), ms(6000));
+  EXPECT_GT(device.stats().analysesRun, 0);
+  EXPECT_DEATH((void)device.system(), "DeviceSession 8: system\\(\\) after");
+  EXPECT_DEATH((void)device.service(), "DeviceSession 8: service\\(\\) after");
+  EXPECT_DEATH((void)device.app(), "DeviceSession 8: app\\(\\) after");
+  EXPECT_DEATH(device.setAnalysisListener({}),
+               "DeviceSession 8: setAnalysisListener\\(\\) after");
+  EXPECT_DEATH(device.runToCompletion(), "DeviceSession 8: runToCompletion");
 }
 
 // A session releases its phone on the thread that ran it, so at W=1 the

@@ -1,6 +1,7 @@
-// SharedVerdictTier tests: the L2's LRU/eviction unit contracts, a
-// concurrent publish/find hammer (the TSan lane runs this suite), and the
-// tier refactor's two fleet-level contracts:
+// SharedVerdictTier tests: the L2's eviction unit contracts, a concurrent
+// publish/find hammer and a lock-free reader hammer under replacement and
+// eviction churn (the TSan lane runs this suite), and the tier's two
+// fleet-level contracts:
 //
 //  1. Tier DISABLED (the default): 64-session fleet digests stay
 //     byte-identical across worker counts and reruns — the tier's mere
@@ -71,8 +72,8 @@ TEST(SharedVerdictTierTest, ZeroCapacityDisablesWithoutUnwiring) {
 // --------------------------------------------------- concurrency hammer
 
 // Four threads publish and probe overlapping fingerprint ranges; run
-// under TSan this proves the tier lock actually protects the LRU.
-// Assertions are on invariants, not interleavings.
+// under TSan this proves publishes serialize and lock-free finds do not
+// race them. Assertions are on invariants, not interleavings.
 TEST(SharedVerdictTierTest, ConcurrentPublishFindHammer) {
   constexpr std::size_t kCapacity = 128;
   SharedVerdictTier tier(kCapacity);
@@ -111,6 +112,143 @@ TEST(SharedVerdictTierTest, ConcurrentPublishFindHammer) {
   EXPECT_EQ(stats.publishes,
             static_cast<std::int64_t>(kThreads) * kRounds * (kKeys / kThreads));
   EXPECT_LE(stats.entries, static_cast<std::int64_t>(kCapacity));
+}
+
+/// The record published for version `version` of key `key`: 1-4
+/// detections that each carry the key, the version, the count and their
+/// index, so a reader can tell a whole record from a torn, mixed or freed
+/// one.
+VerdictCache::Entry versionedRecord(int key, int version) {
+  const int n = 1 + (key + version) % 4;
+  VerdictCache::Entry entry{version % 2 == 0, {}};
+  for (int i = 0; i < n; ++i) {
+    entry.detections.push_back(cv::Detection{
+        {key, version, n, i},
+        version % 2 == 0 ? dataset::BoxLabel::kUpo : dataset::BoxLabel::kAgo,
+        0.5f});
+  }
+  return entry;
+}
+
+/// The version a served record claims, or -1 when it is not one whole
+/// versionedRecord() of `key`.
+int servedVersion(int key, const VerdictCache::Entry& entry) {
+  if (entry.detections.empty()) return -1;
+  const int version = entry.detections.front().box.y;
+  if (entry.isAui != (version % 2 == 0)) return -1;
+  const int n = 1 + (key + version) % 4;
+  if (static_cast<int>(entry.detections.size()) != n) return -1;
+  for (int i = 0; i < n; ++i) {
+    const cv::Detection& d = entry.detections[static_cast<std::size_t>(i)];
+    if (d.box.x != key || d.box.y != version || d.box.width != n ||
+        d.box.height != i) {
+      return -1;
+    }
+  }
+  return version;
+}
+
+// Lock-free readers against publishers that replace and evict: two
+// publishers each own half of 3 x capacity keys and republish them with
+// rising versions (so the clock evicts and the table is rebuilt over and
+// over) while three readers copy records out. Every served record must be
+// one whole version of the probed key, and each reader must never see a
+// key's version go backwards: a record freed while a reader copies it, a
+// torn slot or a table swapped in before its slots were written fails
+// here, and under TSan (ci.sh runs this suite) as a race.
+TEST(SharedVerdictTierTest, LockFreeReadersSeeWholeRecordsUnderChurn) {
+  constexpr std::size_t kCapacity = 32;
+  constexpr int kKeys = 96;
+  constexpr int kPublishers = 2;
+  constexpr int kReaders = 3;
+  constexpr int kVersions = 1000;
+  SharedVerdictTier tier(kCapacity);
+  const auto fingerprint = [](int key) {
+    return static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ULL + 11;
+  };
+
+  std::atomic<int> publishersLeft{kPublishers};
+  std::atomic<std::int64_t> finds{0};
+  std::atomic<std::int64_t> hits{0};
+  std::atomic<std::int64_t> broken{0};
+  std::atomic<std::int64_t> backwards{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kPublishers; ++p) {
+    threads.emplace_back([p, &tier, &publishersLeft, &fingerprint] {
+      for (int version = 0; version < kVersions; ++version) {
+        for (int key = p; key < kKeys; key += kPublishers) {
+          tier.publish(fingerprint(key), versionedRecord(key, version));
+        }
+      }
+      publishersLeft.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      std::vector<int> lastSeen(kKeys, -1);
+      std::int64_t myFinds = 0;
+      std::int64_t myHits = 0;
+      while (publishersLeft.load(std::memory_order_acquire) > 0) {
+        for (int key = 0; key < kKeys; ++key) {
+          ++myFinds;
+          const auto hit = tier.find(fingerprint(key));
+          if (!hit.has_value()) continue;
+          ++myHits;
+          const int version = servedVersion(key, *hit);
+          if (version < 0) {
+            broken.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
+          int& last = lastSeen[static_cast<std::size_t>(key)];
+          if (version < last) backwards.fetch_add(1, std::memory_order_relaxed);
+          last = version;
+        }
+      }
+      finds.fetch_add(myFinds, std::memory_order_relaxed);
+      hits.fetch_add(myHits, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(broken.load(), 0);
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_GT(hits.load(), 0);
+  const SharedVerdictTier::Stats stats = tier.stats();
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(stats.hits + stats.misses, finds.load());
+  EXPECT_EQ(stats.publishes,
+            static_cast<std::int64_t>(kKeys) * kVersions);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, static_cast<std::int64_t>(kCapacity));
+
+  // After the churn every resident key serves its last version.
+  for (int key = 0; key < kKeys; ++key) {
+    const auto hit = tier.find(fingerprint(key));
+    if (hit.has_value()) {
+      EXPECT_EQ(servedVersion(key, *hit), kVersions - 1);
+    }
+  }
+}
+
+// A key evicted and published again takes its old slot back, and the clock
+// keeps the live count at capacity through many table rebuilds.
+TEST(SharedVerdictTierTest, RepublishedKeysSurviveTableRebuilds) {
+  SharedVerdictTier tier(4);
+  for (int round = 0; round < 50; ++round) {
+    for (int key = 0; key < 12; ++key) {
+      tier.publish(static_cast<std::uint64_t>(key),
+                   versionedRecord(key, round));
+      const auto hit = tier.find(static_cast<std::uint64_t>(key));
+      ASSERT_TRUE(hit.has_value()) << "round " << round << " key " << key;
+      EXPECT_EQ(servedVersion(key, *hit), round);
+    }
+  }
+  const SharedVerdictTier::Stats stats = tier.stats();
+  EXPECT_EQ(stats.entries, 4);
+  EXPECT_EQ(stats.publishes, 600);
+  EXPECT_GT(stats.evictions, 500);
+  EXPECT_LE(stats.evictions, 596);
+  EXPECT_EQ(stats.misses, 0);
 }
 
 }  // namespace
